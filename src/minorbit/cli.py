@@ -19,18 +19,6 @@ from .numeric import numerics
 from .realform import CatalogError
 from .report import CheckItem, GramReport, ReportDocument
 
-VERIFY_CHECKS = (
-    "striple",
-    "cayley",
-    "spectra",
-    "centralizers",
-    "lambda",
-    "beta",
-    "ks",
-    "poisson",
-    "moment",
-)
-
 # finite-difference checks default to a looser tolerance than closed forms
 DEFAULT_TOLS = {
     "beta": sympver.DEFAULT_TOL_CLOSED,
@@ -191,73 +179,61 @@ def cmd_model_check(config: RunConfig) -> ReportDocument:
     return doc
 
 
+def _exact_check(name: str, violations):
+    """An exact identity check reported as one sample, inf deviation on failure."""
+
+    def run(analysis, config: RunConfig, tol: float) -> list[GramReport]:
+        problems = violations(analysis)
+        return [
+            GramReport(
+                check_name=name,
+                sample_count=1,
+                max_abs_deviation=0.0 if not problems else float("inf"),
+                tolerance=tol,
+                passed=not problems,
+                seed=config.seed,
+                detail="exact arithmetic" + ("; " + "; ".join(problems) if problems else ""),
+            )
+        ]
+
+    return run
+
+
+def _sampled_check(function_name: str):
+    """``sympver.<function_name>``, looked up per call so module wrappers see it."""
+
+    def run(analysis, config: RunConfig, tol: float) -> list[GramReport]:
+        check = getattr(sympver, function_name)
+        result = check(numerics(config.form_id), config.samples, tol, config.seed)
+        return result if isinstance(result, list) else [result]
+
+    return run
+
+
+CHECK_RUNNERS = {
+    "striple": _exact_check("striple", lambda a: s_triple_violations(a.striple)),
+    "cayley": _exact_check("cayley", lambda a: cayley_violations(a.cayley)),
+    "spectra": lambda a, config, tol: spectral_checks(
+        a.model, a.datum, a.striple, a.cayley
+    ),
+    "centralizers": lambda a, config, tol: centralizer_checks(
+        a.model, a.datum, a.striple, a.cayley, a.descriptor.hermitian
+    ),
+    "lambda": lambda a, config, tol: a.lambda_data().checks,
+    "beta": _sampled_check("verify_beta_symplectic"),
+    "ks": _sampled_check("ks_correspondence_check"),
+    "poisson": _sampled_check("poisson_identities_check"),
+    "moment": _sampled_check("moment_cone_check"),
+}
+VERIFY_CHECKS = tuple(CHECK_RUNNERS)
+
+
 def _run_verify_check(name: str, config: RunConfig, doc: ReportDocument) -> None:
+    if name not in CHECK_RUNNERS:
+        raise ValueError(f"unknown check {name!r}")
     analysis = matmodel.analyze(config.form_id)
     tol = config.tol if config.tol is not None else DEFAULT_TOLS.get(name, 0.0)
-    if name == "striple":
-        problems = s_triple_violations(analysis.striple)
-        doc.checks.append(
-            GramReport(
-                check_name="striple",
-                sample_count=1,
-                max_abs_deviation=0.0 if not problems else float("inf"),
-                tolerance=tol,
-                passed=not problems,
-                seed=config.seed,
-                detail="exact arithmetic" + ("; " + "; ".join(problems) if problems else ""),
-            )
-        )
-    elif name == "cayley":
-        problems = cayley_violations(analysis.cayley)
-        doc.checks.append(
-            GramReport(
-                check_name="cayley",
-                sample_count=1,
-                max_abs_deviation=0.0 if not problems else float("inf"),
-                tolerance=tol,
-                passed=not problems,
-                seed=config.seed,
-                detail="exact arithmetic" + ("; " + "; ".join(problems) if problems else ""),
-            )
-        )
-    elif name == "spectra":
-        doc.checks.extend(
-            spectral_checks(analysis.model, analysis.datum, analysis.striple,
-                            analysis.cayley)
-        )
-    elif name == "centralizers":
-        doc.checks.extend(
-            centralizer_checks(analysis.model, analysis.datum, analysis.striple,
-                               analysis.cayley, analysis.descriptor.hermitian)
-        )
-    elif name == "lambda":
-        doc.checks.extend(analysis.lambda_data().checks)
-    elif name == "beta":
-        doc.checks.extend(
-            sympver.verify_beta_symplectic(
-                numerics(config.form_id), config.samples, tol, config.seed
-            )
-        )
-    elif name == "ks":
-        doc.checks.append(
-            sympver.ks_correspondence_check(
-                numerics(config.form_id), config.samples, tol, config.seed
-            )
-        )
-    elif name == "poisson":
-        doc.checks.append(
-            sympver.poisson_identities_check(
-                numerics(config.form_id), config.samples, tol, config.seed
-            )
-        )
-    elif name == "moment":
-        doc.checks.append(
-            sympver.moment_cone_check(
-                numerics(config.form_id), config.samples, tol, config.seed
-            )
-        )
-    else:
-        raise ValueError(f"unknown check {name!r}")
+    doc.checks.extend(CHECK_RUNNERS[name](analysis, config, tol))
 
 
 def cmd_verify(config: RunConfig) -> ReportDocument:

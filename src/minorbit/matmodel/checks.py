@@ -20,19 +20,8 @@ from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
 from .triples import CayleyTriple, STriple, compact_partner
 
 
-def _shifted(op, lam, dim):
-    """op - lam * identity as explicit rows."""
-    return [
-        [op[r][c2] - (lam if r == c2 else 0) for c2 in range(dim)] for r in range(dim)
-    ]
-
-
 def _eig_dims(model, op, span, eigenvalues):
-    dims = {}
-    for lam in eigenvalues:
-        sub = model.kernel_in_span([_shifted(op, lam, model.dim)], span)
-        dims[lam] = len(sub)
-    return dims
+    return {lam: len(model.eigenspace(op, lam, span)) for lam in eigenvalues}
 
 
 def spectral_checks(
@@ -63,7 +52,7 @@ def spectral_checks(
         {j: dims_x[j] for j in (-2, -1, 0, 1, 2)} == m_expected,
         f"kernel dims {dims_x} vs root-space count {m_expected}",
     )
-    top = model.kernel_in_span([_shifted(ad_x, 2, model.dim)], full)
+    top = model.eigenspace(ad_x, 2, full)
     psi_space = datum.root_spaces[datum.psi]
     add(
         "adx_top_space_is_g_psi",
@@ -79,12 +68,12 @@ def spectral_checks(
         and sum(dims_h.values()) == model.dim,
         f"{ {j: dims_h[QI(j)] for j in (-2, -1, 0, 1, 2)} }",
     )
-    p_top = model.kernel_in_span([_shifted(ad_h, QI(2), model.dim)], p_units)
+    p_top = model.eigenspace(ad_h, QI(2), p_units)
     ok_line = len(p_top) == 1 and exactla.span_contains(
         [[QI.of(x) for x in vec] for vec in p_top], cayley.v
     )
     add("adh_p_top_is_line_v", ok_line, f"dim {len(p_top)}")
-    k_top = model.kernel_in_span([_shifted(ad_h, QI(2), model.dim)], k_units)
+    k_top = model.eigenspace(ad_h, QI(2), k_units)
     d = len(psi_space)
     add("adh_k_top_dim_d_minus_1", len(k_top) == d - 1, f"dim {len(k_top)} d={d}")
     if d == 1:
@@ -259,34 +248,20 @@ def lambda_data(
     t_basis = _cartan_of_k(model, z)
     lam_vec = [Fraction(model.B(z, t)) for t in t_basis]
 
-    # root decomposition of the complexified k under t
-    spaces: list[tuple[tuple[Fraction, ...], list]] = [((), k_units)]
+    # root decomposition of the complexified k under t: the eigenvalues of
+    # ad t are i*q, q a difference of defining eigenvalues of t divided by i
+    candidates = []
     for t_vec in t_basis:
         defining = _defining_imag_eigs(model, t_vec)
-        diffs = sorted({a - b for a in defining for b in defining})
-        op = model.ad_matrix(t_vec)
-        refined = []
-        for partial, span in spaces:
-            got = 0
-            for q in diffs:
-                shifted = [
-                    [
-                        QI.of(op[r][c2]) - (QI(0, q) if r == c2 else QI(0))
-                        for c2 in range(model.dim)
-                    ]
-                    for r in range(model.dim)
-                ]
-                sub = model.kernel_in_span([shifted], span)
-                if sub:
-                    refined.append((partial + (q,), sub))
-                    got += len(sub)
-            if got != len(span):
-                raise ModelError(
-                    f"{model.form_id}: k root decomposition incomplete"
-                )
-        spaces = refined
-    k_roots = sorted(lam for lam, _ in spaces if any(lam))
-    zero_dim = sum(len(s) for lam, s in spaces if not any(lam))
+        candidates.append(
+            [QI(0, q) for q in sorted({a - b for a in defining for b in defining})]
+        )
+    spaces = model.joint_eigenspaces(
+        [model.ad_matrix(t) for t in t_basis], candidates, k_units
+    )
+    labels = [tuple(lam.im for lam in label) for label, _ in spaces]
+    k_roots = sorted(q for q in labels if any(q))
+    zero_dim = sum(len(s) for q, (_, s) in zip(labels, spaces) if not any(q))
     add(
         "cartan_is_self_centralizing",
         zero_dim == len(t_basis),

@@ -2,14 +2,21 @@
 
 Each builder returns the raw ingredients of a model: a real basis of the
 algebra inside gl(n, C), split into compact and noncompact generators, the
-standard maximal abelian subspace inside the noncompact part, and the
-matrix-level involutions.  Conventions:
+standard maximal abelian subspace inside the noncompact part, and the Cartan
+involution theta and the conjugation sigma of the real form.
 
-* real-matrix forms (sl(n,R), sp(4,R), so(p,q)) use theta(X) = -X^T;
-* su(p,q) is presented with the signature form diag(I_p, -I_q), where the
-  complex-linear Cartan involution is X -> JXJ;
+Both involutions are data, an :class:`~.qmat.Involution` spec
+``(sign, transpose, conjugate, J)`` meaning X -> sign * J op(X) J^T.  The exact
+lane applies the spec with ``qmat`` and the float lane with numpy, so each
+involution is written down once.  Conventions:
+
+* real-matrix forms (sl(n,R), sp(4,R), so(p,q)) use theta(X) = -X^T and
+  sigma(X) = conj(X);
+* su(p,q) is presented with the signature form J = diag(I_p, -I_q), where the
+  complex-linear Cartan involution is X -> JXJ and sigma(X) = -J X^* J;
 * sl(2,H) consists of blocks [[P, Q], [-conj(Q), conj(P)]] with Re tr P = 0,
-  and the complex-linear involution is X -> -Jq X^T Jq^{-1}.
+  the complex-linear involution is X -> -Jq X^T Jq^T and
+  sigma(X) = Jq conj(X) Jq^T.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable
 
 from ..exactla import QI, QI_I
 from . import qmat
-from .qmat import Mat
+from .qmat import Involution, Mat
 
 MODEL_IDS = (
     "sl2R",
@@ -47,6 +54,11 @@ class ModelError(ValueError):
     pass
 
 
+# theta and sigma of the real-matrix forms sl(n,R), sp(4,R) and so(p,q)
+MINUS_TRANSPOSE = Involution(-1, transpose=True)
+CONJUGATE = Involution(1, conjugate=True)
+
+
 @dataclass
 class FamilyData:
     form_id: str
@@ -56,8 +68,8 @@ class FamilyData:
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]  # positions of the abelian generators inside basis
-    theta_mat: Callable[[Mat], Mat]
-    sigma_mat: Callable[[Mat], Mat]
+    theta: Involution
+    sigma: Involution
     # eigenvalues each a-generator can have in the defining representation
     defining_eigs: list[set[Fraction]] = field(default_factory=list)
     # maps the a-eigenvalue vector of a root to the coordinates used for the
@@ -100,8 +112,8 @@ def _sl_n_real(form_id: str, n: int) -> FamilyData:
         k_indices=k_idx,
         p_indices=p_idx,
         a_indices=a_idx,
-        theta_mat=lambda X: qmat.neg(qmat.transpose(X)),
-        sigma_mat=qmat.conj,
+        theta=MINUS_TRANSPOSE,
+        sigma=CONJUGATE,
         defining_eigs=eigs,
         positivity_key=_sl_chain_key,
     )
@@ -142,13 +154,8 @@ def _su_pq(form_id: str, p: int, q: int) -> FamilyData:
         target = qmat.add(qmat.unit(n, i, n - 1 - i), qmat.unit(n, n - 1 - i, i))
         pos = next(k for k in p_idx if qmat.equal(basis[k], target))
         a_idx.append(pos)
-
-    def theta(X: Mat) -> Mat:
-        return qmat.matmul(J, qmat.matmul(X, J))
-
-    def sigma(X: Mat) -> Mat:
-        return qmat.neg(qmat.matmul(J, qmat.matmul(qmat.conj_transpose(X), J)))
-
+    theta = Involution(1, J=J)
+    sigma = Involution(-1, transpose=True, conjugate=True, J=J)
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
     return FamilyData(form_id, "su", n, basis, k_idx, p_idx, a_idx, theta, sigma, eigs)
 
@@ -181,8 +188,8 @@ def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
         k_idx,
         p_idx,
         a_idx,
-        lambda X: qmat.neg(qmat.transpose(X)),
-        qmat.conj,
+        MINUS_TRANSPOSE,
+        CONJUGATE,
         eigs,
     )
 
@@ -246,8 +253,8 @@ def _sp4_real(form_id: str) -> FamilyData:
         k_idx,
         p_idx,
         a_idx,
-        lambda X: qmat.neg(qmat.transpose(X)),
-        qmat.conj,
+        MINUS_TRANSPOSE,
+        CONJUGATE,
         eigs,
     )
 
@@ -258,7 +265,8 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
     for i in range(2):
         Jq[i][2 + i] = QI(-1)
         Jq[2 + i][i] = QI(1)
-    Jq_inv = qmat.neg(Jq)
+    theta = Involution(-1, transpose=True, J=Jq)
+    sigma = Involution(1, conjugate=True, J=Jq)
 
     def embed(P: Mat, Q: Mat) -> Mat:
         X = qmat.zeros(n)
@@ -301,18 +309,11 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
         qmat.sub(qmat.unit(2, 0, 1, QI_I), qmat.unit(2, 1, 0, QI_I)),
     ):
         basis.append(embed(z2, Q))
-
-    def theta(X: Mat) -> Mat:
-        return qmat.neg(qmat.matmul(Jq, qmat.matmul(qmat.transpose(X), Jq_inv)))
-
-    def sigma(X: Mat) -> Mat:
-        return qmat.matmul(Jq, qmat.matmul(qmat.conj(X), Jq_inv))
-
     k_idx, p_idx = [], []
     for idx, X in enumerate(basis):
-        if qmat.equal(theta(X), X):
+        if qmat.equal(theta.apply(X), X):
             k_idx.append(idx)
-        elif qmat.equal(theta(X), qmat.neg(X)):
+        elif qmat.equal(theta.apply(X), qmat.neg(X)):
             p_idx.append(idx)
         else:
             raise ModelError("sl2H generator not theta-homogeneous")

@@ -5,6 +5,13 @@ spectra in the defining representation and for the floating-point lane) and
 rational coordinates with respect to the chosen real basis (used for every
 structural computation).  All brackets, involutions and forms reduce to exact
 rational or Gaussian-rational arithmetic in coordinates.
+
+Coordinates come from the trace form: the coordinates of X are the exact
+inverse of the Gram matrix tr(b_i b_j) applied to the traces tr(b_i X), and
+the expansion is accepted only if it rebuilds X exactly.  The involutions
+theta and sigma are the family's :class:`~.qmat.Involution` specs; theta is
+stored in coordinates once, and joint eigenspaces of commuting ad-operators
+are refined by one routine, :meth:`LieAlgebraModel.joint_eigenspaces`.
 """
 
 from __future__ import annotations
@@ -18,20 +25,9 @@ from .. import exactla
 from ..exactla import QI
 from . import qmat
 from .families import FamilyData, ModelError, family_data
-from .qmat import Mat
+from .qmat import Involution, Mat
 
 Coords = list  # list[Fraction] for real elements, list[QI] for complexified ones
-
-
-def _vec_real(X: Mat) -> list[Fraction]:
-    out: list[Fraction] = []
-    for row in X:
-        for x in row:
-            out.append(x.re)
-    for row in X:
-        for x in row:
-            out.append(x.im)
-    return out
 
 
 def _det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -74,8 +70,8 @@ class LieAlgebraModel:
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]
-    theta_mat: Callable[[Mat], Mat]
-    sigma_mat: Callable[[Mat], Mat]
+    theta_spec: Involution
+    sigma_spec: Involution
     defining_eigs: list[set[Fraction]]
     positivity_key: Callable[[tuple], tuple] = lambda values: values
     ad: list[list[list[Fraction]]] = field(repr=False, default_factory=list)
@@ -92,10 +88,6 @@ class LieAlgebraModel:
     @property
     def dim_k(self) -> int:
         return len(self.k_indices)
-
-    @property
-    def dim_p(self) -> int:
-        return len(self.p_indices)
 
     @property
     def dim_a(self) -> int:
@@ -118,20 +110,11 @@ class LieAlgebraModel:
         return qmat.lincomb(coords, self.basis)
 
     def coords(self, X: Mat) -> list[Fraction]:
-        vec = _vec_real(X)
-        sol = [
-            sum(self._expand_inv[r][k] * vec[self._pivot_rows[k]]
-                for k in range(self.dim))
-            for r in range(self.dim)
-        ]
-        # confirm the element really lies in the real span of the basis
-        for r, row in enumerate(self._flat_rows):
-            acc = Fraction(0)
-            for k in range(self.dim):
-                if sol[k]:
-                    acc += row[k] * sol[k]
-            if acc != vec[r]:
-                raise ModelError(f"{self.form_id}: element is not in span(basis)")
+        traces = [qmat.trace_product(b, X) for b in self.basis]
+        sol = exactla.mat_vec(self._tr_gram_inv, [t.re for t in traces])
+        # the trace form sees only a projection; confirm X is in the real span
+        if any(t.im for t in traces) or not qmat.equal(self.matrix(sol), X):
+            raise ModelError(f"{self.form_id}: element is not in span(basis)")
         return sol
 
     # -- algebra operations in coordinates ----------------------------------
@@ -224,6 +207,44 @@ class LieAlgebraModel:
             out.append(vec)
         return out
 
+    def eigenspace(self, op: list[list], lam, span: Sequence[Coords]) -> list[Coords]:
+        """Vectors x in span(span) with op @ x = lam * x."""
+        shifted = [
+            [x - lam if r == c else x for c, x in enumerate(row)]
+            for r, row in enumerate(op)
+        ]
+        return self.kernel_in_span([shifted], span)
+
+    def joint_eigenspaces(
+        self,
+        ops: Sequence[list[list]],
+        candidates: Sequence[Sequence],
+        span: Sequence[Coords],
+    ) -> list[tuple[tuple, list[Coords]]]:
+        """Split span(span) into joint eigenspaces of commuting operators.
+
+        ``candidates[i]`` lists the possible eigenvalues of ``ops[i]``; each
+        space is labelled by its tuple of eigenvalues.  Raises if the
+        candidates do not recover all of the span.
+        """
+        spaces: list[tuple[tuple, list[Coords]]] = [((), list(span))]
+        for op, eigenvalues in zip(ops, candidates):
+            refined = []
+            for label, sub in spaces:
+                found = 0
+                for lam in eigenvalues:
+                    eig = self.eigenspace(op, lam, sub)
+                    if eig:
+                        refined.append((label + (lam,), eig))
+                        found += len(eig)
+                if found != len(sub):
+                    raise ModelError(
+                        f"{self.form_id}: operator is not semisimple over the "
+                        f"candidate eigenvalues (recovered {found} of {len(sub)})"
+                    )
+            spaces = refined
+        return spaces
+
     def centralizer_in_span(
         self, elements: Sequence[Coords], span: Sequence[Coords], real: bool = True
     ) -> list[Coords]:
@@ -241,50 +262,28 @@ def _build(form_id: str) -> LieAlgebraModel:
         k_indices=fam.k_indices,
         p_indices=fam.p_indices,
         a_indices=fam.a_indices,
-        theta_mat=fam.theta_mat,
-        sigma_mat=fam.sigma_mat,
+        theta_spec=fam.theta,
+        sigma_spec=fam.sigma,
         defining_eigs=fam.defining_eigs,
         positivity_key=fam.positivity_key,
     )
     N = model.dim
-    flat_cols = [_vec_real(b) for b in model.basis]
-    nrows = len(flat_cols[0])
-    flat_rows = [[flat_cols[k][r] for k in range(N)] for r in range(nrows)]
-    red, pivots = exactla.rref(flat_rows)
-    if len(pivots) != N:
-        raise ModelError(f"{form_id}: basis matrices are linearly dependent")
-    # pivot rows give an invertible N x N subsystem used for fast expansion
-    pivot_rows: list[int] = []
-    used: set[int] = set()
-    for want in range(N):
-        for r in range(nrows):
-            if r in used:
-                continue
-            if flat_rows[r][want] and all(
-                flat_rows[r][k] == 0 for k in range(want)
-            ):
-                pivot_rows.append(r)
-                used.add(r)
-                break
-        else:
-            # fall back: greedy search for any row keeping the minor invertible
-            pivot_rows = _greedy_pivot_rows(flat_rows, N)
-            break
-    P = [[flat_rows[r][k] for k in range(N)] for r in pivot_rows]
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(N)]
-           for i, row in enumerate(P)]
-    red_aug, piv_aug = exactla.rref(aug)
-    if piv_aug != list(range(N)):
-        pivot_rows = _greedy_pivot_rows(flat_rows, N)
-        P = [[flat_rows[r][k] for k in range(N)] for r in pivot_rows]
-        aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(N)]
-               for i, row in enumerate(P)]
-        red_aug, piv_aug = exactla.rref(aug)
-        if piv_aug != list(range(N)):
-            raise ModelError(f"{form_id}: could not invert expansion system")
-    model._expand_inv = [row[N:] for row in red_aug]
-    model._pivot_rows = pivot_rows
-    model._flat_rows = flat_rows
+    # trace form, and its exact inverse for coords()
+    model.tr_gram = []
+    for i in range(N):
+        row = []
+        for j in range(N):
+            t = qmat.trace_product(model.basis[i], model.basis[j])
+            if t.im:
+                raise ModelError(f"{form_id}: trace form is not real on the basis")
+            row.append(t.re)
+        model.tr_gram.append(row)
+    aug = [row + [Fraction(int(i == j)) for j in range(N)]
+           for i, row in enumerate(model.tr_gram)]
+    red, pivots = exactla.rref(aug)
+    if pivots != list(range(N)):
+        raise ModelError(f"{form_id}: trace form is degenerate on the basis")
+    model._tr_gram_inv = [row[N:] for row in red]
 
     # structure constants (closure is verified inside coords())
     struct: dict[tuple[int, int], list[Fraction]] = {}
@@ -307,19 +306,8 @@ def _build(form_id: str) -> LieAlgebraModel:
         model.ad.append([[ad_cols[j][r] for j in range(N)] for r in range(N)])
 
     # Cartan involution in coordinates
-    theta_cols = [model.coords(fam.theta_mat(b)) for b in model.basis]
+    theta_cols = [model.coords(fam.theta.apply(b)) for b in model.basis]
     model.theta_coords = [[theta_cols[j][r] for j in range(N)] for r in range(N)]
-
-    # trace form
-    model.tr_gram = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            t = qmat.trace_product(model.basis[i], model.basis[j])
-            if t.im:
-                raise ModelError(f"{form_id}: trace form is not real on the basis")
-            row.append(t.re)
-        model.tr_gram.append(row)
 
     _validate_model(model)
     model.m_basis = model.centralizer_in_span(
@@ -327,17 +315,6 @@ def _build(form_id: str) -> LieAlgebraModel:
         model.subspace_units(model.k_indices),
     )
     return model
-
-
-def _greedy_pivot_rows(flat_rows: list[list[Fraction]], N: int) -> list[int]:
-    chosen: list[int] = []
-    for r in range(len(flat_rows)):
-        trial = chosen + [r]
-        if exactla.rank([flat_rows[t] for t in trial]) == len(trial):
-            chosen.append(r)
-            if len(chosen) == N:
-                return chosen
-    raise ModelError("expansion system is rank-deficient")
 
 
 def _validate_model(model: LieAlgebraModel) -> None:

@@ -1,8 +1,8 @@
-"""Small dense matrices over Gaussian rationals."""
+"""Small dense matrices over Gaussian rationals, and involutions acting on them."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import dataclass
 
 from ..exactla import QI, QI_ZERO
 
@@ -12,13 +12,6 @@ Mat = list[list[QI]]
 def zeros(n: int, m: int | None = None) -> Mat:
     m = n if m is None else m
     return [[QI_ZERO for _ in range(m)] for _ in range(n)]
-
-
-def eye(n: int) -> Mat:
-    out = zeros(n)
-    for i in range(n):
-        out[i][i] = QI(1)
-    return out
 
 
 def unit(n: int, i: int, j: int, value=1) -> Mat:
@@ -33,11 +26,6 @@ def add(a: Mat, b: Mat) -> Mat:
 
 def sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(a: Mat, s) -> Mat:
-    s = QI.of(s)
-    return [[x * s for x in row] for row in a]
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -62,13 +50,6 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return sub(matmul(a, b), matmul(b, a))
 
 
-def trace(a: Mat) -> QI:
-    acc = QI_ZERO
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
 def trace_product(a: Mat, b: Mat) -> QI:
     """trace(a @ b) without forming the product."""
     acc = QI_ZERO
@@ -87,10 +68,6 @@ def transpose(a: Mat) -> Mat:
 
 def conj(a: Mat) -> Mat:
     return [[x.conjugate() for x in row] for row in a]
-
-
-def conj_transpose(a: Mat) -> Mat:
-    return conj(transpose(a))
 
 
 def neg(a: Mat) -> Mat:
@@ -123,5 +100,25 @@ def to_complex(a: Mat) -> list[list[complex]]:
     return [[complex(x) for x in row] for row in a]
 
 
-def frac(p, q=1) -> Fraction:
-    return Fraction(p, q)
+@dataclass(frozen=True)
+class Involution:
+    """The map X -> sign * J op(X) J^T on matrices.
+
+    ``op`` transposes and/or conjugates entrywise; ``J`` is orthogonal, and
+    None stands for the identity.  The spec is plain data so that the exact
+    lane (``apply``) and the float lane (``numeric``) read one description.
+    """
+
+    sign: int
+    transpose: bool = False
+    conjugate: bool = False
+    J: Mat | None = None
+
+    def apply(self, X: Mat) -> Mat:
+        if self.transpose:
+            X = transpose(X)
+        if self.conjugate:
+            X = conj(X)
+        if self.J is not None:
+            X = matmul(self.J, matmul(X, transpose(self.J)))
+        return neg(X) if self.sign < 0 else X

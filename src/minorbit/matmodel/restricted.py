@@ -107,34 +107,11 @@ def restricted_root_datum(
     if order not in ("lex", "revlex"):
         raise ModelError(f"unknown positivity order {order!r}")
     N = model.dim
-    a_units = model.subspace_units(model.a_indices)
-    ad_a = [model.ad[i] for i in model.a_indices]
-
-    # joint eigenspace refinement
-    spaces: list[tuple[tuple[Fraction, ...], list[Coords]]] = [
-        ((), [model.unit_coords(i) for i in range(N)])
-    ]
-    for pos, op in enumerate(ad_a):
-        eigs = model.defining_eigs[pos]
-        candidates = sorted({x - y for x in eigs for y in eigs})
-        refined = []
-        for partial, span in spaces:
-            found = 0
-            for lam in candidates:
-                shifted = [
-                    [op[r][c2] - (lam if r == c2 else 0) for c2 in range(N)]
-                    for r in range(N)
-                ]
-                sub = model.kernel_in_span([shifted], span)
-                if sub:
-                    refined.append((partial + (lam,), sub))
-                    found += len(sub)
-            if found != len(span):
-                raise ModelError(
-                    f"{model.form_id}: ad a is not semisimple over the candidate "
-                    f"eigenvalues (recovered {found} of {len(span)})"
-                )
-        spaces = refined
+    spaces = model.joint_eigenspaces(
+        [model.ad[i] for i in model.a_indices],
+        [sorted({x - y for x in eigs for y in eigs}) for eigs in model.defining_eigs],
+        [model.unit_coords(i) for i in range(N)],
+    )
 
     root_spaces: dict[Root, list[Coords]] = {}
     zero_space: list[Coords] = []

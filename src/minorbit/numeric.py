@@ -22,6 +22,22 @@ def _as_array(mat) -> np.ndarray:
     return np.array(qmat.to_complex(mat), dtype=complex)
 
 
+def involution(spec: qmat.Involution):
+    """The float form of an exact involution spec, X -> sign * J op(X) J^T."""
+    J = None if spec.J is None else _as_array(spec.J)
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        if spec.transpose:
+            X = X.T
+        if spec.conjugate:
+            X = X.conj()
+        if J is not None:
+            X = J @ X @ J.T
+        return -X if spec.sign < 0 else X
+
+    return apply
+
+
 @dataclass
 class GroupElement:
     """Product of exponentials of algebra elements, with exact inverse."""
@@ -56,27 +72,22 @@ class ModelNumerics:
     def __init__(self, analysis: ModelAnalysis):
         model = analysis.model
         self.form_id = analysis.form_id
-        self.n = model.n
         self.c = float(model.c)
         self.analysis = analysis
         self.dim_Z = analysis.invariants.dim_Z
         self.dim_X = analysis.invariants.dim_X
-        self.hermitian = analysis.descriptor.hermitian
 
         mat = lambda coords: _as_array(model.matrix(coords))
         self.e = mat(analysis.striple.e)
-        self.f = mat(analysis.striple.f)
         self.x_psi = mat(analysis.striple.x)
         self.z = mat(compact_partner(analysis.cayley))
-        self.h = mat(analysis.cayley.h)
         self.v = mat(analysis.cayley.v)
-        self.w = mat(analysis.cayley.w)
-        self.theta_e = -self.f
+        self.theta = involution(model.theta_spec)
+        self.sigma = involution(model.sigma_spec)
 
         self.k_basis = [mat(model.unit_coords(i)) for i in model.k_indices]
         self.p_basis = [mat(model.unit_coords(i)) for i in model.p_indices]
         self.a_basis = [mat(model.unit_coords(i)) for i in model.a_indices]
-        self.m_basis = [mat(v) for v in model.m_basis]
         self.n_basis = [mat(v) for v in analysis.datum.n_basis]
 
         lam = analysis.lambda_data()
@@ -102,9 +113,6 @@ class ModelNumerics:
         perp_coords = exactla.orthogonalize(perp_coords, model.B)
         self.k_nu_perp_basis = [mat(v) for v in perp_coords]
 
-        self._theta = _theta_fn(analysis)
-        self._sigma = _sigma_fn(analysis)
-
     # -- operations ----------------------------------------------------------
     def bracket(self, X, Y):
         return X @ Y - Y @ X
@@ -112,14 +120,8 @@ class ModelNumerics:
     def B(self, X, Y) -> complex:
         return self.c * np.trace(X @ Y)
 
-    def theta(self, X):
-        return self._theta(X)
-
-    def sigma(self, X):
-        return self._sigma(X)
-
     def sigma_u(self, X):
-        return self._theta(self._sigma(X))
+        return self.theta(self.sigma(X))
 
     def hermitian_pairing(self, X, Y) -> complex:
         """Invariant Hilbert pairing {X, Y} = -B(X, sigma_u(Y))."""
@@ -127,9 +129,6 @@ class ModelNumerics:
 
     def k_component(self, X):
         return (X + self.theta(X)) / 2.0
-
-    def group(self, factors) -> GroupElement:
-        return GroupElement(list(factors))
 
     def sample_k(self, rng, scale: float = 1.0) -> np.ndarray:
         coeffs = rng.standard_normal(len(self.k_basis)) * scale
@@ -145,53 +144,6 @@ class ModelNumerics:
         return sum(
             (complex(a, b) * scale) * m for a, b, m in zip(re, im, self.p_basis)
         )
-
-
-def _theta_fn(analysis: ModelAnalysis):
-    family = analysis.model.family
-    n = analysis.model.n
-    if family in ("slR", "spR", "so"):
-        return lambda X: -X.T
-    if family == "su":
-        import re as _re
-
-        m = _re.fullmatch(r"su(\d)(\d)", analysis.form_id)
-        p = int(m.group(1))
-        J = np.eye(n, dtype=complex)
-        for i in range(p, n):
-            J[i, i] = -1.0
-        return lambda X: J @ X @ J
-    if family == "sl2H":
-        Jq = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            Jq[i, 2 + i] = -1.0
-            Jq[2 + i, i] = 1.0
-        Jq_inv = -Jq
-        return lambda X: -(Jq @ X.T @ Jq_inv)
-    raise ValueError(f"unknown family {family}")
-
-
-def _sigma_fn(analysis: ModelAnalysis):
-    family = analysis.model.family
-    n = analysis.model.n
-    if family in ("slR", "spR", "so"):
-        return lambda X: X.conj()
-    if family == "su":
-        import re as _re
-
-        m = _re.fullmatch(r"su(\d)(\d)", analysis.form_id)
-        p = int(m.group(1))
-        J = np.eye(n, dtype=complex)
-        for i in range(p, n):
-            J[i, i] = -1.0
-        return lambda X: -(J @ X.conj().T @ J)
-    if family == "sl2H":
-        Jq = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            Jq[i, 2 + i] = -1.0
-            Jq[2 + i, i] = 1.0
-        return lambda X: Jq @ X.conj() @ (-Jq)
-    raise ValueError(f"unknown family {family}")
 
 
 @lru_cache(maxsize=None)

@@ -151,6 +151,15 @@ def _sample_point(num: ModelNumerics, rng, t_range=(0.25, 4.0)) -> OrbitPointPar
     return OrbitPointParam(k_factors=[kappa], t=t, side="Xtilde")
 
 
+def _worst(acc: float, *devs) -> float:
+    """Running maximum of deviations that keeps a NaN, which max() drops."""
+    for dev in devs:
+        dev = float(dev)
+        if dev > acc or math.isnan(dev):
+            acc = dev
+    return acc
+
+
 def _rng(seed: int, index: int, *extra: int):
     return np.random.default_rng([seed & 0xFFFFFFFF, index, *extra])
 
@@ -194,7 +203,7 @@ def verify_beta_symplectic(
         z_point = OrbitPointParam(point.k_factors, point.t, side="Z")
         gram_z = coadjoint_frame_gram(num, z_point, frame)
         dev = float(np.max(np.abs(gram_x - gram_z)))
-        max_dev = max(max_dev, dev)
+        max_dev = _worst(max_dev, dev)
         if index == 0:
             block = gram_x[:2, :2]
             target = np.array([[0.0, -2.0 / PI], [2.0 / PI, 0.0]])
@@ -203,7 +212,7 @@ def verify_beta_symplectic(
         s = float(math.exp(rng.uniform(math.log(0.25), math.log(4.0))))
         scaled = OrbitPointParam(point.k_factors, point.t * s, side="Z")
         gram_scaled = coadjoint_frame_gram(num, scaled, frame)
-        max_dev = max(max_dev, float(np.max(np.abs(gram_scaled - s * gram_z))))
+        max_dev = _worst(max_dev, float(np.max(np.abs(gram_scaled - s * gram_z))))
     elapsed = time.perf_counter() - start
     return [
         GramReport(
@@ -256,22 +265,22 @@ def ks_correspondence_check(
         u = realize(num, point)
         t = point.t
         norm_u = math.sqrt(num.hermitian_pairing(u, u).real)
-        max_dev = max(max_dev, float(abs(norm_u - t)))
+        max_dev = _worst(max_dev, float(abs(norm_u - t)))
         b_u = nilpotent_of(num, point)
         norm_b = math.sqrt(num.hermitian_pairing(b_u, b_u).real)
-        max_dev = max(max_dev, float(abs(norm_b - t)))
+        max_dev = _worst(max_dev, float(abs(norm_b - t)))
         if index == 0:
-            max_dev = max(max_dev, float(np.max(np.abs(b_u - num.e))))
+            max_dev = _worst(max_dev, float(np.max(np.abs(b_u - num.e))))
         # equivariance on a composed sample
         kappa2 = num.sample_k(rng, scale=0.7)
         moved = OrbitPointParam([kappa2] + point.k_factors, t, side="E")
         g2 = GroupElement([kappa2])
         dev_eq = float(np.max(np.abs(nilpotent_of(num, moved) - g2.ad(b_u))))
-        max_dev = max(max_dev, dev_eq)
+        max_dev = _worst(max_dev, dev_eq)
         # homogeneity
         s = float(math.exp(rng.uniform(-1.0, 1.0)))
         scaled = OrbitPointParam(point.k_factors, s * t, side="E")
-        max_dev = max(
+        max_dev = _worst(
             max_dev, float(np.max(np.abs(nilpotent_of(num, scaled) - s * b_u)))
         )
         # well-definedness across isotropy factors: eta centralizes both v and e
@@ -281,7 +290,7 @@ def ks_correspondence_check(
                 repar = OrbitPointParam(point.k_factors + [iso], t, side="E")
                 dev_pt = float(np.max(np.abs(realize(num, repar) - u)))
                 dev_b = float(np.max(np.abs(nilpotent_of(num, repar) - b_u)))
-                max_dev = max(max_dev, dev_pt, dev_b)
+                max_dev = _worst(max_dev, dev_pt, dev_b)
     return GramReport(
         check_name="ks_correspondence",
         sample_count=samples,
@@ -402,20 +411,20 @@ def poisson_identities_check(
             return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
         # [r, r] = 0 and [r, phi~] = 0
-        max_rel = max(max_rel, float(rel(_poisson_bracket(gram, g_r, g_r), 0.0)))
-        max_rel = max(max_rel, float(rel(_poisson_bracket(gram, g_r, g_phix), 0.0)))
+        max_rel = _worst(max_rel, float(rel(_poisson_bracket(gram, g_r, g_r), 0.0)))
+        max_rel = _worst(max_rel, float(rel(_poisson_bracket(gram, g_r, g_phix), 0.0)))
         # [r, s~] = 2 pi i s~
         s0 = num.hermitian_pairing(w, u0)
         lhs = _poisson_bracket(gram, g_r, g_sec)
-        max_rel = max(max_rel, float(rel(lhs, 2j * PI * s0)))
+        max_rel = _worst(max_rel, float(rel(lhs, 2j * PI * s0)))
         # momentum functions close under bracket
         lhs = _poisson_bracket(gram, g_rphix, g_rphiy)
         rhs = num.B(num.k_component(b0), num.bracket(x, y)).real / PI
-        max_rel = max(max_rel, float(rel(lhs, rhs)))
+        max_rel = _worst(max_rel, float(rel(lhs, rhs)))
         # bracketing against a section is the group derivative
         lhs = _poisson_bracket(gram, g_rphix, g_sec)
         rhs = -num.hermitian_pairing(w, num.bracket(x, u0))
-        max_rel = max(max_rel, float(rel(lhs, rhs)))
+        max_rel = _worst(max_rel, float(rel(lhs, rhs)))
     return GramReport(
         check_name="poisson_identities",
         sample_count=samples,
@@ -468,24 +477,24 @@ def moment_cone_check(
             g = GroupElement([kappa, alpha, nelt])
             f = g.ad(num.e)
             # the nilpositive element is fixed by the unipotent factor
-            max_dev = max(
+            max_dev = _worst(
                 max_dev,
                 float(np.max(np.abs(GroupElement([nelt]).ad(num.e) - num.e))),
             )
         kc = num.k_component(f)
         s = math.sqrt(num.B(kc, kc).real / Bzz)
         if index == 0:
-            max_dev = max(max_dev, float(np.max(np.abs(kc - z / 2.0))))
+            max_dev = _worst(max_dev, float(np.max(np.abs(kc - z / 2.0))))
         eig = sorted_spectrum(kc)
-        max_dev = max(max_dev, float(np.max(np.abs(eig - s * eig_z))))
+        max_dev = _worst(max_dev, float(np.max(np.abs(eig - s * eig_z))))
         if rank_one:
             for c0 in num.center_k_basis:
-                max_dev = max(
+                max_dev = _worst(
                     max_dev,
                     float(abs(num.B(kc, c0).real - s * num.B(z, c0).real)),
                 )
             if len(num.k_basis) == 1:
-                max_dev = max(max_dev, float(np.max(np.abs(kc - s * z))))
+                max_dev = _worst(max_dev, float(np.max(np.abs(kc - s * z))))
     label = "full membership (restricted rank 1)" if rank_one else (
         "spectral test only: necessary, not sufficient"
     )

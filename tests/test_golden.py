@@ -1,0 +1,27 @@
+"""Exact-lane reports compared byte for byte with stored fixtures.
+
+The fixtures in ``data/golden`` were written by an earlier version of the
+package; a refactor that changes any exact result, or how it is rendered,
+fails here.  Sampled float checks stay out of the fixtures because their last
+digits depend on the BLAS build.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from minorbit.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+EXACT_CHECKS = "striple,cayley,spectra,centralizers,lambda"
+
+
+@pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R", "sl2H"))
+@pytest.mark.parametrize("command", ("verify", "model-check"))
+def test_exact_report_matches_golden(command, form_id, capsys):
+    argv = [command, "--form", form_id, "--format", "json"]
+    if command == "verify":
+        argv += ["--checks", EXACT_CHECKS]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{command}_{form_id}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected

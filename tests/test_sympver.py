@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -155,6 +156,15 @@ def test_ks_unit_norm_scaling():
         u = realize(num, OrbitPointParam([kappa], t, "E"))
         norm2 = num.hermitian_pairing(u, u).real
         assert abs(norm2 - t * t) < 1e-12
+
+
+def test_nan_deviation_fails_the_check():
+    # a copy, so the cached numerics stay intact for the other tests
+    num = copy.copy(numerics("sl2R"))
+    num.v = np.full_like(num.v, np.nan)
+    report = ks_correspondence_check(num, samples=3, tol=1e-9, seed=42)
+    assert not report.passed
+    assert math.isnan(report.max_abs_deviation)
 
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
