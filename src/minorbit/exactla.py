@@ -137,11 +137,12 @@ def rref(mat: Sequence[Sequence]) -> tuple[list[list], list[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        # the systems here are mostly zeros; a zero entry leaves a row as it is
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -221,10 +222,12 @@ def same_span(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
 
 
 def dot(u: Sequence, v: Sequence):
-    total = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        total += a * b
-    return total
+    """Sum of u_i v_i over the terms where both factors are nonzero."""
+    total = None
+    for a, b in zip(u, v):
+        if a and b:
+            total = a * b if total is None else total + a * b
+    return u[0] * v[0] if total is None else total
 
 
 def mat_vec(mat: Sequence[Sequence], v: Sequence) -> list:

@@ -11,13 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .. import exactla
 from ..exactla import QI
 from ..report import CheckItem
+from . import qmat
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
 from .triples import CayleyTriple, STriple, compact_partner
+
+# float eigenvalues are rounded to the nearest rational of at most this
+# denominator; two such rationals differ by at least its inverse square
+PROPOSAL_DENOMINATOR = 1000
 
 
 def _eig_dims(model, op, span, eigenvalues):
@@ -184,29 +191,24 @@ def _cartan_of_k(model: LieAlgebraModel, z: Coords) -> list[Coords]:
 
 
 def _defining_imag_eigs(model: LieAlgebraModel, t_vec: Coords) -> list[Fraction]:
-    """Eigenvalues (divided by i) of a compact element in the defining rep."""
+    """Eigenvalues (divided by i) of a compact element in the defining rep.
+
+    Float eigenvalues propose rationals; each one counts only with the
+    multiplicity of its exact kernel, and the kernels must fill C^n.
+    """
     X = model.matrix(t_vec)
-    n = model.n
+    proposals = sorted({
+        Fraction(float(ev.imag)).limit_denominator(PROPOSAL_DENOMINATOR)
+        for ev in np.linalg.eigvals(np.array(qmat.to_complex(X)))
+    })
     found: list[Fraction] = []
-    total = 0
-    denoms = (1, 2, 3, 4, 6)
-    candidates = sorted(
-        {Fraction(p, q) for q in denoms for p in range(-8 * q, 8 * q + 1)}
-    )
-    for q in candidates:
-        shifted = [
-            [X[r][c2] - (QI(0, q) if r == c2 else QI(0)) for c2 in range(n)]
-            for r in range(n)
-        ]
-        null = exactla.kernel_basis([[QI.of(x) for x in row] for row in shifted])
-        if null:
-            found.extend([q] * len(null))
-            total += len(null)
-            if total == n:
-                break
-    if total != n:
+    for q in proposals:
+        shifted = [[x - QI(0, q) if r == c else x for c, x in enumerate(row)]
+                   for r, row in enumerate(X)]
+        found.extend([q] * len(exactla.kernel_basis(shifted)))
+    if len(found) != model.n:
         raise ModelError(
-            f"{model.form_id}: defining eigenvalues outside the rational grid"
+            f"{model.form_id}: defining eigenvalues are not all rational multiples of i"
         )
     return found
 

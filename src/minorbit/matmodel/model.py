@@ -6,12 +6,18 @@ rational coordinates with respect to the chosen real basis (used for every
 structural computation).  All brackets, involutions and forms reduce to exact
 rational or Gaussian-rational arithmetic in coordinates.
 
-Coordinates come from the trace form: the coordinates of X are the exact
-inverse of the Gram matrix tr(b_i b_j) applied to the traces tr(b_i X), and
-the expansion is accepted only if it rebuilds X exactly.  The involutions
+Coordinates come from the trace form: coordinate i of X is tr(d_i X), where
+the trace-dual basis d_i applies the exact inverse of the Gram matrix
+tr(b_i b_j) to the basis, and the expansion is accepted only if it rebuilds X
+exactly.  The involutions
 theta and sigma are the family's :class:`~.qmat.Involution` specs; theta is
 stored in coordinates once, and joint eigenspaces of commuting ad-operators
 are refined by one routine, :meth:`LieAlgebraModel.joint_eigenspaces`.
+
+Operators on coordinates, the structure constants ``ad`` among them, are
+sparse columns: column j of an operator lists ``(row, value)`` over its
+nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
+every structure constant is zero and no routine here touches those zeros.
 """
 
 from __future__ import annotations
@@ -22,12 +28,34 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .. import exactla
-from ..exactla import QI
+from ..exactla import QI, QI_ONE, QI_ZERO
 from . import qmat
 from .families import FamilyData, ModelError, family_data
 from .qmat import Involution, Mat
 
 Coords = list  # list[Fraction] for real elements, list[QI] for complexified ones
+SparseOp = list  # column j: [(row, value), ...] over the nonzero entries
+
+
+def _has_qi(values) -> bool:
+    return any(isinstance(x, QI) for x in values)
+
+
+def _apply(op: SparseOp, nonzero: list[tuple], shift) -> dict:
+    """(op - shift) @ v as {row: value}, from the nonzero entries (j, v_j) of v.
+
+    A column met with coefficient 1 (a unit vector) is read, not multiplied.
+    """
+    out: dict = {}
+    for j, vj in nonzero:
+        unit = vj == 1
+        for r, c in op[j]:
+            t = c if unit else c * vj
+            out[r] = out[r] + t if r in out else t
+        if shift:
+            t = shift * vj
+            out[j] = out[j] - t if j in out else -t
+    return out
 
 
 def _det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -74,7 +102,7 @@ class LieAlgebraModel:
     sigma_spec: Involution
     defining_eigs: list[set[Fraction]]
     positivity_key: Callable[[tuple], tuple] = lambda values: values
-    ad: list[list[list[Fraction]]] = field(repr=False, default_factory=list)
+    ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     theta_coords: list[list[Fraction]] = field(repr=False, default_factory=list)
     tr_gram: list[list[Fraction]] = field(repr=False, default_factory=list)
     m_basis: list[Coords] = field(repr=False, default_factory=list)
@@ -110,8 +138,8 @@ class LieAlgebraModel:
         return qmat.lincomb(coords, self.basis)
 
     def coords(self, X: Mat) -> list[Fraction]:
-        traces = [qmat.trace_product(b, X) for b in self.basis]
-        sol = exactla.mat_vec(self._tr_gram_inv, [t.re for t in traces])
+        traces = [qmat.trace_product(d, X) for d in self._dual_entries]
+        sol = [t.re for t in traces]
         # the trace form sees only a projection; confirm X is in the real span
         if any(t.im for t in traces) or not qmat.equal(self.matrix(sol), X):
             raise ModelError(f"{self.form_id}: element is not in span(basis)")
@@ -119,28 +147,28 @@ class LieAlgebraModel:
 
     # -- algebra operations in coordinates ----------------------------------
     def bracket(self, x: Coords, y: Coords) -> Coords:
-        out = None
+        out = [QI_ZERO if _has_qi(x) or _has_qi(y) else Fraction(0)] * self.dim
+        y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            col = exactla.mat_vec(self.ad[i], y)
-            term = [xi * t for t in col]
-            out = term if out is None else [a + b for a, b in zip(out, term)]
-        if out is None:
-            zero = Fraction(0) if not isinstance(next(iter(y), QI(0)), QI) else QI(0)
-            return [zero] * self.dim
+            for j, yj in y_nonzero:
+                w = xi * yj
+                for r, c in self.ad[i][j]:
+                    out[r] = out[r] + w * c
         return out
 
-    def ad_matrix(self, x: Coords) -> list[list]:
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+    def ad_matrix(self, x: Coords) -> SparseOp:
+        """ad x as sparse columns; column j is [x, b_j]."""
+        cols: list[dict] = [{} for _ in range(self.dim)]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            adi = self.ad[i]
-            for r in range(self.dim):
-                row = adi[r]
-                rows[r] = [a + xi * b for a, b in zip(rows[r], row)]
-        return rows
+            for col, entries in zip(cols, self.ad[i]):
+                for r, c in entries:
+                    t = xi * c
+                    col[r] = col[r] + t if r in col else t
+        return [[(r, v) for r, v in col.items() if v] for col in cols]
 
     def theta(self, x: Coords) -> Coords:
         return exactla.mat_vec(self.theta_coords, x)
@@ -157,12 +185,7 @@ class LieAlgebraModel:
         return self.c * self._tr_form(x, y)
 
     def _tr_form(self, x: Coords, y: Coords):
-        acc = None
-        gy = exactla.mat_vec(self.tr_gram, y)
-        for xi, gyi in zip(x, gy):
-            term = xi * gyi
-            acc = term if acc is None else acc + term
-        return acc
+        return exactla.dot(x, exactla.mat_vec(self.tr_gram, y))
 
     def H(self, x: Coords, y: Coords):
         """Invariant Hilbert pairing -B(x, sigma_u(y)); positive definite."""
@@ -171,33 +194,49 @@ class LieAlgebraModel:
     # -- subspace solvers ----------------------------------------------------
     def kernel_in_span(
         self,
-        operators: Sequence[list[list]],
+        operators: Sequence[SparseOp],
         span: Sequence[Coords],
         real: bool = False,
+        shift=0,
     ) -> list[Coords]:
-        """Vectors x in span(span) with op @ x = 0 for every operator.
+        """Vectors x in span(span) with op @ x = shift * x for every operator.
 
-        With ``real=True`` the combination coefficients are restricted to the
-        rationals even when the constraints are complex (re/im parts are
-        imposed separately).
+        The constraints live over the Gaussian rationals when any operator
+        entry, span entry or the shift is a :class:`QI`, else over the
+        rationals.  With ``real=True`` the combination coefficients are
+        restricted to the rationals even when the constraints are complex
+        (re/im parts are imposed separately).  All-zero constraint rows are
+        dropped: they leave the reduced row echelon form, and so the kernel
+        basis, unchanged.
         """
         if not span:
             return []
         cols = list(span)
+        qi = (
+            isinstance(shift, QI)
+            or any(_has_qi(v) for v in cols)
+            or any(_has_qi(x for _, x in col) for op in operators for col in op)
+        )
+        zero = QI_ZERO if qi else Fraction(0)
+        shift = QI.of(shift) if qi else Fraction(shift)
+        nonzero = [[(j, x) for j, x in enumerate(v) if x] for v in cols]
         rows: list[list] = []
         for op in operators:
-            images = [exactla.mat_vec(op, v) for v in cols]
-            for r in range(self.dim):
-                row = [images[j][r] for j in range(len(cols))]
-                if real and any(isinstance(x, QI) for x in row):
-                    rows.append([x.re if isinstance(x, QI) else x for x in row])
-                    rows.append([x.im if isinstance(x, QI) else Fraction(0) for x in row])
-                else:
-                    rows.append(row)
-        if not rows:
-            sol_basis = exactla.kernel_basis([], ncols=len(cols))
-        else:
+            images = [_apply(op, nz, shift) for nz in nonzero]
+            for r in sorted({r for img in images for r in img}):
+                row = [img.get(r, zero) for img in images]
+                if qi:
+                    row = [QI.of(x) for x in row]
+                parts = [row]
+                if real and qi:
+                    parts = [[x.re for x in row], [x.im for x in row]]
+                rows.extend(part for part in parts if any(part))
+        if rows:
             sol_basis = exactla.kernel_basis(rows)
+        else:
+            one = QI_ONE if qi and not real else Fraction(1)
+            sol_basis = [[one if i == j else 0 for i in range(len(cols))]
+                         for j in range(len(cols))]
         out = []
         for t in sol_basis:
             vec = [Fraction(0)] * self.dim
@@ -207,17 +246,13 @@ class LieAlgebraModel:
             out.append(vec)
         return out
 
-    def eigenspace(self, op: list[list], lam, span: Sequence[Coords]) -> list[Coords]:
+    def eigenspace(self, op: SparseOp, lam, span: Sequence[Coords]) -> list[Coords]:
         """Vectors x in span(span) with op @ x = lam * x."""
-        shifted = [
-            [x - lam if r == c else x for c, x in enumerate(row)]
-            for r, row in enumerate(op)
-        ]
-        return self.kernel_in_span([shifted], span)
+        return self.kernel_in_span([op], span, shift=lam)
 
     def joint_eigenspaces(
         self,
-        ops: Sequence[list[list]],
+        ops: Sequence[SparseOp],
         candidates: Sequence[Sequence],
         span: Sequence[Coords],
     ) -> list[tuple[tuple, list[Coords]]]:
@@ -268,12 +303,13 @@ def _build(form_id: str) -> LieAlgebraModel:
         positivity_key=fam.positivity_key,
     )
     N = model.dim
-    # trace form, and its exact inverse for coords()
+    # trace form, and for coords() the trace-dual basis tr(d_i b_j) = delta_ij
+    basis_entries = [qmat.entries(b) for b in model.basis]
     model.tr_gram = []
     for i in range(N):
         row = []
         for j in range(N):
-            t = qmat.trace_product(model.basis[i], model.basis[j])
+            t = qmat.trace_product(basis_entries[i], model.basis[j])
             if t.im:
                 raise ModelError(f"{form_id}: trace form is not real on the basis")
             row.append(t.re)
@@ -283,7 +319,7 @@ def _build(form_id: str) -> LieAlgebraModel:
     red, pivots = exactla.rref(aug)
     if pivots != list(range(N)):
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")
-    model._tr_gram_inv = [row[N:] for row in red]
+    model._dual_entries = [qmat.entries(model.matrix(row[N:])) for row in red]
 
     # structure constants (closure is verified inside coords())
     struct: dict[tuple[int, int], list[Fraction]] = {}
@@ -292,18 +328,15 @@ def _build(form_id: str) -> LieAlgebraModel:
             struct[(i, j)] = model.coords(
                 qmat.commutator(model.basis[i], model.basis[j])
             )
-    zero = [Fraction(0)] * N
-    model.ad = []
-    for i in range(N):
-        ad_cols = []
-        for j in range(N):
-            if i == j:
-                ad_cols.append(zero)
-            elif i < j:
-                ad_cols.append(struct[(i, j)])
-            else:
-                ad_cols.append([-x for x in struct[(j, i)]])
-        model.ad.append([[ad_cols[j][r] for j in range(N)] for r in range(N)])
+    model.ad = [
+        [
+            [] if i == j
+            else [(r, x) for r, x in enumerate(struct[(i, j)]) if x] if i < j
+            else [(r, -x) for r, x in enumerate(struct[(j, i)]) if x]
+            for j in range(N)
+        ]
+        for i in range(N)
+    ]
 
     # Cartan involution in coordinates
     theta_cols = [model.coords(fam.theta.apply(b)) for b in model.basis]
@@ -321,13 +354,9 @@ def _validate_model(model: LieAlgebraModel) -> None:
     N = model.dim
     Th = model.theta_coords
     # theta is an involutive automorphism preserving the trace form
-    sq = [[sum(Th[i][k] * Th[k][j] for k in range(N)) for j in range(N)]
-          for i in range(N)]
-    for i in range(N):
-        for j in range(N):
-            expect = Fraction(1) if i == j else Fraction(0)
-            if sq[i][j] != expect:
-                raise ModelError(f"{model.form_id}: theta^2 != id")
+    for j, col in enumerate(zip(*Th)):
+        if exactla.mat_vec(Th, col) != model.unit_coords(j):
+            raise ModelError(f"{model.form_id}: theta^2 != id")
     for i in model.k_indices:
         col = [Th[r][i] for r in range(N)]
         if col != model.unit_coords(i):
@@ -345,10 +374,9 @@ def _validate_model(model: LieAlgebraModel) -> None:
         in_k[i] = True
     for i in range(N):
         for j in range(i + 1, N):
-            col = [model.ad[i][r][j] for r in range(N)]
             target_k = in_k[i] == in_k[j]
-            for r, x in enumerate(col):
-                if x and in_k[r] != target_k:
+            for r, _ in model.ad[i][j]:
+                if in_k[r] != target_k:
                     raise ModelError(f"{model.form_id}: theta is not an automorphism")
     for i in model.k_indices:
         for j in model.p_indices:

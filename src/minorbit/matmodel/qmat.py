@@ -25,24 +25,17 @@ def add(a: Mat, b: Mat) -> Mat:
 
 
 def sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for j in range(m):
-            bj = bt[j]
-            acc = QI_ZERO
-            for t in range(k):
-                x = ai[t]
-                if x:
-                    acc = acc + x * bj[t]
-            row[j] = acc
+    out = zeros(len(a), len(b[0]))
+    for ai, row in zip(a, out):
+        for x, bt in zip(ai, b):
+            if x:
+                for j, y in enumerate(bt):
+                    if y:
+                        row[j] = row[j] + x * y
     return out
 
 
@@ -50,15 +43,17 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return sub(matmul(a, b), matmul(b, a))
 
 
-def trace_product(a: Mat, b: Mat) -> QI:
-    """trace(a @ b) without forming the product."""
+def entries(a: Mat) -> list[tuple[int, int, QI]]:
+    """The nonzero entries (row, column, value) of a."""
+    return [(i, k, x) for i, row in enumerate(a) for k, x in enumerate(row) if x]
+
+
+def trace_product(a_entries: list[tuple[int, int, QI]], b: Mat) -> QI:
+    """trace(a @ b) from the nonzero entries of a, without forming the product."""
     acc = QI_ZERO
-    n = len(a)
-    for i in range(n):
-        for k in range(n):
-            x = a[i][k]
-            if x:
-                acc = acc + x * b[k][i]
+    for i, k, x in a_entries:
+        if b[k][i]:
+            acc = acc + x * b[k][i]
     return acc
 
 
@@ -74,20 +69,16 @@ def neg(a: Mat) -> Mat:
     return [[-x for x in row] for row in a]
 
 
-def is_zero(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def equal(a: Mat, b: Mat) -> bool:
-    return is_zero(sub(a, b))
+    return a == b
 
 
 def lincomb(coeffs, mats) -> Mat:
     out = zeros(len(mats[0]), len(mats[0][0]))
     for c, m in zip(coeffs, mats):
-        c = QI.of(c)
         if not c:
             continue
+        c = QI.of(c)
         for i, row in enumerate(m):
             orow = out[i]
             for j, x in enumerate(row):

@@ -178,10 +178,12 @@ def verify_beta_symplectic(
     Sample 0 is always the base point, where the distinguished radial/z block
     must match [[0, -2/pi], [2/pi, 0]] to near machine precision (reported
     separately at its own tolerance).  The coadjoint-side scaling law is
-    verified on an independent factor per sample.
+    verified on an independent factor per sample.  A record whose samples
+    were all rejected fails: it has tested nothing.
     """
     start = time.perf_counter()
     events: list[str] = []
+    accepted: list[int] = []
     max_dev = 0.0
     base_block_dev = 0.0
     for index in range(samples):
@@ -200,6 +202,7 @@ def verify_beta_symplectic(
         else:
             events.append(f"sample {index}: frame degenerate after retries")
             continue
+        accepted.append(index)
         z_point = OrbitPointParam(point.k_factors, point.t, side="Z")
         gram_z = coadjoint_frame_gram(num, z_point, frame)
         dev = float(np.max(np.abs(gram_x - gram_z)))
@@ -220,10 +223,11 @@ def verify_beta_symplectic(
             sample_count=samples,
             max_abs_deviation=max_dev,
             tolerance=tol,
-            passed=max_dev <= tol,
+            passed=bool(accepted) and max_dev <= tol,
             seed=seed,
             elapsed=elapsed,
-            detail="entrywise Gram agreement plus coadjoint scaling law",
+            detail="entrywise Gram agreement plus coadjoint scaling law"
+            + ("" if accepted else "; no sample accepted"),
             events=events,
         ),
         GramReport(
@@ -231,7 +235,7 @@ def verify_beta_symplectic(
             sample_count=1,
             max_abs_deviation=base_block_dev,
             tolerance=BASE_BLOCK_TOL,
-            passed=base_block_dev <= BASE_BLOCK_TOL,
+            passed=accepted[:1] == [0] and base_block_dev <= BASE_BLOCK_TOL,
             seed=seed,
             elapsed=0.0,
             detail="distinguished block vs [[0, -2/pi], [2/pi, 0]]",
@@ -336,8 +340,10 @@ def poisson_identities_check(
     radial coordinate Poisson-commutes with pulled-back functions and acts as
     2 pi i on equivariant sections; momentum functions close under bracket;
     bracketing a momentum function against a section is the group derivative.
+    The check fails when every sample was rejected.
     """
     start = time.perf_counter()
+    accepted = 0
     max_rel = 0.0
     events: list[str] = []
     h = FD_STEP
@@ -358,6 +364,7 @@ def poisson_identities_check(
         else:
             events.append(f"sample {index}: no well-conditioned sample found")
             continue
+        accepted += 1
         g = point.group()
         u0 = point.t * g.ad(num.v)
         b0 = point.t * g.ad(num.e)
@@ -430,10 +437,11 @@ def poisson_identities_check(
         sample_count=samples,
         max_abs_deviation=max_rel,
         tolerance=tol,
-        passed=max_rel <= tol,
+        passed=accepted > 0 and max_rel <= tol,
         seed=seed,
         elapsed=time.perf_counter() - start,
-        detail="relative deviations; finite-difference class",
+        detail="relative deviations; finite-difference class"
+        + ("" if accepted else "; no sample accepted"),
         events=events,
     )
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from minorbit import sympver
 from minorbit.numeric import numerics
 from minorbit.sympver import (
     OrbitPointParam,
@@ -165,6 +166,26 @@ def test_nan_deviation_fails_the_check():
     report = ks_correspondence_check(num, samples=3, tol=1e-9, seed=42)
     assert not report.passed
     assert math.isnan(report.max_abs_deviation)
+
+
+def test_beta_fails_when_every_frame_is_degenerate(monkeypatch):
+    def degenerate(num, point, frame):
+        return np.zeros((frame.size(), frame.size()))
+
+    monkeypatch.setattr(sympver, "induced_gram", degenerate)
+    main, base = verify_beta_symplectic(numerics("sl2R"), samples=3, seed=42)
+    assert main.max_abs_deviation == 0.0 and base.max_abs_deviation == 0.0
+    assert not main.passed and not base.passed
+    assert "no sample accepted" in main.detail
+    assert len(main.events) == 3 * 5
+
+
+def test_poisson_fails_when_every_sample_is_rejected(monkeypatch):
+    monkeypatch.setattr(sympver, "COND_LIMIT", 0)
+    report = poisson_identities_check(numerics("sl2R"), samples=3, seed=42)
+    assert report.max_abs_deviation == 0.0
+    assert not report.passed
+    assert "no sample accepted" in report.detail
 
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
