@@ -229,8 +229,6 @@ VERIFY_CHECKS = tuple(CHECK_RUNNERS)
 
 
 def _run_verify_check(name: str, config: RunConfig, doc: ReportDocument) -> None:
-    if name not in CHECK_RUNNERS:
-        raise ValueError(f"unknown check {name!r}")
     analysis = matmodel.analyze(config.form_id)
     tol = config.tol if config.tol is not None else DEFAULT_TOLS.get(name, 0.0)
     doc.checks.extend(CHECK_RUNNERS[name](analysis, config, tol))
@@ -247,9 +245,12 @@ def cmd_verify(config: RunConfig) -> ReportDocument:
             raise ValueError(
                 f"unknown check {name!r}; choose from {', '.join(VERIFY_CHECKS)}"
             )
+    # one check's error (ValueError covers numpy's LinAlgError and a
+    # rank-deficient frame) fails that check; the others still run
+    for name in names:
         try:
             _run_verify_check(name, config, doc)
-        except (ModelError, CatalogError) as exc:
+        except (ModelError, CatalogError, ValueError) as exc:
             doc.checks.append(CheckItem(name, "fail", f"error: {exc}"))
     return doc
 

@@ -8,7 +8,7 @@ form, the compact projection, and the unitary pairing at float precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -40,24 +40,39 @@ def involution(spec: qmat.Involution):
 
 @dataclass
 class GroupElement:
-    """Product of exponentials of algebra elements, with exact inverse."""
+    """Product of exponentials of algebra elements, with exact inverse.
+
+    exp(f) and exp(-f) of each factor, the matrix and its inverse are each
+    computed once per element; a product ``g * h`` reuses the factor
+    exponentials of both sides, so they agree bit for bit with a freshly
+    built element.
+    """
 
     factors: list[np.ndarray] = field(default_factory=list)
 
-    @property
+    @cached_property
+    def _exps(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(expm(f), expm(-f)) for f in self.factors]
+
+    def __mul__(self, other: GroupElement) -> GroupElement:
+        product = GroupElement(self.factors + other.factors)
+        product._exps = self._exps + other._exps
+        return product
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         n = self.factors[0].shape[0] if self.factors else 1
         out = np.eye(n, dtype=complex)
-        for f in self.factors:
-            out = out @ expm(f)
+        for exp_f, _ in self._exps:
+            out = out @ exp_f
         return out
 
-    @property
+    @cached_property
     def inverse(self) -> np.ndarray:
         n = self.factors[0].shape[0] if self.factors else 1
         out = np.eye(n, dtype=complex)
-        for f in reversed(self.factors):
-            out = out @ expm(-f)
+        for _, exp_neg_f in reversed(self._exps):
+            out = out @ exp_neg_f
         return out
 
     def ad(self, X: np.ndarray) -> np.ndarray:
@@ -112,6 +127,18 @@ class ModelNumerics:
             perp_coords = list(k_units)
         perp_coords = exactla.orthogonalize(perp_coords, model.B)
         self.k_nu_perp_basis = [mat(v) for v in perp_coords]
+
+    @cached_property
+    def isotropy_basis(self) -> list[np.ndarray]:
+        """Basis of the isotropy algebra of e in k, solved exactly on first use.
+
+        Lazy, so building the numerics of a form does no exact work that only
+        the correspondence check needs.
+        """
+        model = self.analysis.model
+        k_units = model.subspace_units(model.k_indices)
+        iso = model.centralizer_in_span([self.analysis.striple.e], k_units)
+        return [_as_array(model.matrix(vec)) for vec in iso]
 
     # -- operations ----------------------------------------------------------
     def bracket(self, X, Y):

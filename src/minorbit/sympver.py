@@ -17,18 +17,32 @@ isomorphism; the distinguished 2x2 base-point block must equal
 Poisson-bracket identities are checked numerically by assembling the induced
 Gram in a frame, inverting it, and contracting finite-difference directional
 derivatives of test functions along the frame curves.
+
+Shared values are computed once, at the widest scope where they are the same
+value, and reused by the very same float operations, so every deviation is
+bit-identical to recomputing them:
+
+* per form, the isotropy basis of e in k (``ModelNumerics.isotropy_basis``,
+  solved exactly on first use);
+* per frame, the pair brackets [d_j, d_i] and the rank test of the
+  directions (`FramePairs`), shared by the induced Gram and both coadjoint
+  Grams of a beta sample;
+* per sample, the group exponentials (`GroupElement`: points derived from a
+  sample share one element, and products reuse their factors'
+  exponentials) and the frame-curve endpoints of the Poisson check, on
+  which all five test functions are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
-from .matmodel import qmat
 from .numeric import GroupElement, ModelNumerics
 from .report import GramReport
 
@@ -42,18 +56,55 @@ DEFAULT_TOL_FD = 1e-6
 
 @dataclass
 class OrbitPointParam:
-    """A sampled point: group part as exp-factors in k, plus a scale t > 0."""
+    """A sampled point: group part as exp-factors in k, plus a scale t > 0.
+
+    The group element is built once; points derived with
+    ``dataclasses.replace`` or `at` share it and its exponentials.
+    """
 
     k_factors: list[np.ndarray] = field(default_factory=list)
     t: float = 1.0
     side: str = "Xtilde"  # Xtilde | Z | E | O
+    element: GroupElement | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("t must be positive")
+        if self.element is None:
+            self.element = GroupElement(list(self.k_factors))
+
+    @classmethod
+    def at(cls, element: GroupElement, t: float, side: str) -> OrbitPointParam:
+        """The point with group part ``element``, which it shares."""
+        return cls(element.factors, t, side, element)
 
     def group(self) -> GroupElement:
-        return GroupElement(list(self.k_factors))
+        return self.element
+
+
+class FramePairs:
+    """Directions d_0..d_{m-1} with their pair brackets and rank test.
+
+    Each bracket [d_j, d_i] and the independence test are computed once, on
+    first use, and shared by every Gram assembled over these directions.
+    """
+
+    def __init__(self, directions: list[np.ndarray]):
+        self.directions = directions
+        self._brackets: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property
+    def independent(self) -> bool:
+        stacked = np.array([d.ravel() for d in self.directions])
+        return np.linalg.matrix_rank(stacked, tol=1e-10) >= len(self.directions)
+
+    def bracket(self, i: int, j: int) -> np.ndarray:
+        """[d_j, d_i]."""
+        key = (i, j)
+        if key not in self._brackets:
+            dj, di = self.directions[j], self.directions[i]
+            self._brackets[key] = dj @ di - di @ dj
+        return self._brackets[key]
 
 
 @dataclass
@@ -66,6 +117,11 @@ class TangentFrame:
 
     def size(self) -> int:
         return len(self.k_directions) + 1
+
+    @cached_property
+    def pairs(self) -> FramePairs:
+        """The radial partner, then the group directions, as `FramePairs`."""
+        return FramePairs([self.radial_partner] + list(self.k_directions))
 
 
 def realize(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
@@ -94,17 +150,20 @@ def kks_gram(
     num: ModelNumerics, point: OrbitPointParam, directions: list[np.ndarray]
 ) -> np.ndarray:
     """Canonical-form pairings <rho, [x_j, x_i]> at a realized orbit point."""
+    return _kks_gram(num, point, FramePairs(directions))
+
+
+def _kks_gram(num: ModelNumerics, point: OrbitPointParam, pairs: FramePairs):
     if point.side != "Z":
         raise ValueError("kks_gram expects a point on the coadjoint side")
-    stacked = np.array([d.ravel() for d in directions])
-    if np.linalg.matrix_rank(stacked, tol=1e-10) < len(directions):
+    if not pairs.independent:
         raise ValueError("rank-deficient frame: directions are linearly dependent")
     F = realize(num, point)
-    m = len(directions)
+    m = len(pairs.directions)
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            val = num.B(F, num.bracket(directions[j], directions[i]))
+            val = num.B(F, pairs.bracket(i, j))
             out[i, j] = val.real
             out[j, i] = -val.real
     return out
@@ -114,8 +173,7 @@ def coadjoint_frame_gram(
     num: ModelNumerics, point: OrbitPointParam, frame: TangentFrame
 ) -> np.ndarray:
     """KKS Gram in the frame (radial partner first, then group directions)."""
-    dirs = [frame.radial_partner] + list(frame.k_directions)
-    return kks_gram(num, point, dirs)
+    return _kks_gram(num, point, frame.pairs)
 
 
 def induced_gram(
@@ -129,18 +187,17 @@ def induced_gram(
     g = point.group()
     t = point.t
     zk = g.ad(num.z)
-    dirs = frame.k_directions
-    m = len(dirs) + 1
+    m = frame.size()
     out = np.zeros((m, m))
-    for i, a in enumerate(dirs, start=1):
+    for i, a in enumerate(frame.k_directions, start=1):
         val = (t / PI) * num.B(zk, a).real
         out[0, i] = val
         out[i, 0] = -val
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            val = (t / (2 * PI)) * num.B(zk, num.bracket(dirs[j], dirs[i])).real
-            out[i + 1, j + 1] = val
-            out[j + 1, i + 1] = -val
+    for i in range(1, m):
+        for j in range(i + 1, m):
+            val = (t / (2 * PI)) * num.B(zk, frame.pairs.bracket(i, j)).real
+            out[i, j] = val
+            out[j, i] = -val
     return out
 
 
@@ -203,7 +260,7 @@ def verify_beta_symplectic(
             events.append(f"sample {index}: frame degenerate after retries")
             continue
         accepted.append(index)
-        z_point = OrbitPointParam(point.k_factors, point.t, side="Z")
+        z_point = replace(point, side="Z")
         gram_z = coadjoint_frame_gram(num, z_point, frame)
         dev = float(np.max(np.abs(gram_x - gram_z)))
         max_dev = _worst(max_dev, dev)
@@ -213,7 +270,7 @@ def verify_beta_symplectic(
             base_block_dev = float(np.max(np.abs(block - target)))
         # coadjoint-side scaling law on an independent factor
         s = float(math.exp(rng.uniform(math.log(0.25), math.log(4.0))))
-        scaled = OrbitPointParam(point.k_factors, point.t * s, side="Z")
+        scaled = replace(point, t=point.t * s, side="Z")
         gram_scaled = coadjoint_frame_gram(num, scaled, frame)
         max_dev = _worst(max_dev, float(np.max(np.abs(gram_scaled - s * gram_z))))
     elapsed = time.perf_counter() - start
@@ -277,13 +334,13 @@ def ks_correspondence_check(
             max_dev = _worst(max_dev, float(np.max(np.abs(b_u - num.e))))
         # equivariance on a composed sample
         kappa2 = num.sample_k(rng, scale=0.7)
-        moved = OrbitPointParam([kappa2] + point.k_factors, t, side="E")
         g2 = GroupElement([kappa2])
+        moved = OrbitPointParam.at(g2 * point.group(), t, side="E")
         dev_eq = float(np.max(np.abs(nilpotent_of(num, moved) - g2.ad(b_u))))
         max_dev = _worst(max_dev, dev_eq)
         # homogeneity
         s = float(math.exp(rng.uniform(-1.0, 1.0)))
-        scaled = OrbitPointParam(point.k_factors, s * t, side="E")
+        scaled = replace(point, t=s * t)
         max_dev = _worst(
             max_dev, float(np.max(np.abs(nilpotent_of(num, scaled) - s * b_u)))
         )
@@ -291,7 +348,9 @@ def ks_correspondence_check(
         if num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis):
             iso = _isotropy_sample(num, rng)
             if iso is not None:
-                repar = OrbitPointParam(point.k_factors + [iso], t, side="E")
+                repar = OrbitPointParam.at(
+                    point.group() * GroupElement([iso]), t, side="E"
+                )
                 dev_pt = float(np.max(np.abs(realize(num, repar) - u)))
                 dev_b = float(np.max(np.abs(nilpotent_of(num, repar) - b_u)))
                 max_dev = _worst(max_dev, dev_pt, dev_b)
@@ -309,17 +368,34 @@ def ks_correspondence_check(
 
 def _isotropy_sample(num: ModelNumerics, rng) -> np.ndarray | None:
     """Random element of the isotropy algebra of v (equivalently of e)."""
-    analysis = num.analysis
-    model = analysis.model
-    k_units = model.subspace_units(model.k_indices)
-    iso = model.centralizer_in_span([analysis.striple.e], k_units)
-    if not iso:
+    mats = num.isotropy_basis
+    if not mats:
         return None
-    mats = [
-        np.array(qmat.to_complex(model.matrix(vec)), dtype=complex) for vec in iso
-    ]
     coeffs = rng.standard_normal(len(mats))
     return sum(c * m for c, m in zip(coeffs, mats))
+
+
+def _frame_curve_endpoints(u0, b0, directions, h: float) -> list:
+    """Both ends ((u, b) at +h, (u, b) at -h) of each frame curve through
+    (u0, b0): the doubled radial curve first, then the transport by
+    exp(-s a) for each group direction a."""
+    up, bp = math.exp(-2 * h) * u0, math.exp(-2 * h) * b0
+    um, bm = math.exp(2 * h) * u0, math.exp(2 * h) * b0
+    curves = [((up, bp), (um, bm))]
+    for a in directions:
+        ep, em = expm(-h * a), expm(h * a)
+        curves.append(
+            ((ep @ u0 @ em, ep @ b0 @ em), (em @ u0 @ ep, em @ b0 @ ep))
+        )
+    return curves
+
+
+def _fd_gradient(fun, curves: list, h: float) -> np.ndarray:
+    """Central differences of fun(u, b) along each frame curve."""
+    return np.array(
+        [(fun(*plus) - fun(*minus)) / (2 * h) for plus, minus in curves],
+        dtype=complex,
+    )
 
 
 def _poisson_bracket(gram: np.ndarray, grads_f: np.ndarray, grads_g: np.ndarray):
@@ -391,28 +467,12 @@ def poisson_identities_check(
         def fun_section(u, b):
             return num.hermitian_pairing(w, u)
 
-        # frame curves: radial first, then each transported group direction
-        def grads(fun):
-            out = []
-            up, bp = math.exp(-2 * h) * u0, math.exp(-2 * h) * b0
-            um, bm = math.exp(2 * h) * u0, math.exp(2 * h) * b0
-            out.append((fun(up, bp) - fun(um, bm)) / (2 * h))
-            for a in frame.k_directions:
-                ep, em = expm(-h * a), expm(h * a)
-                out.append(
-                    (
-                        fun(ep @ u0 @ em, ep @ b0 @ em)
-                        - fun(em @ u0 @ ep, em @ b0 @ ep)
-                    )
-                    / (2 * h)
-                )
-            return np.array(out, dtype=complex)
-
-        g_r = grads(fun_r)
-        g_sec = grads(fun_section)
-        g_phix = grads(fun_phi(x))
-        g_rphix = grads(fun_rphi(x))
-        g_rphiy = grads(fun_rphi(y))
+        curves = _frame_curve_endpoints(u0, b0, frame.k_directions, h)
+        g_r = _fd_gradient(fun_r, curves, h)
+        g_sec = _fd_gradient(fun_section, curves, h)
+        g_phix = _fd_gradient(fun_phi(x), curves, h)
+        g_rphix = _fd_gradient(fun_rphi(x), curves, h)
+        g_rphiy = _fd_gradient(fun_rphi(y), curves, h)
 
         def rel(lhs, rhs):
             return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -482,12 +542,12 @@ def moment_cone_check(
             kappa = num.sample_k(rng, scale=0.7)
             alpha = num.sample_span(rng, num.a_basis, scale=0.5)
             nelt = num.sample_span(rng, num.n_basis, scale=0.7)
-            g = GroupElement([kappa, alpha, nelt])
+            unipotent = GroupElement([nelt])
+            g = GroupElement([kappa, alpha]) * unipotent
             f = g.ad(num.e)
             # the nilpositive element is fixed by the unipotent factor
             max_dev = _worst(
-                max_dev,
-                float(np.max(np.abs(GroupElement([nelt]).ad(num.e) - num.e))),
+                max_dev, float(np.max(np.abs(unipotent.ad(num.e) - num.e)))
             )
         kc = num.k_component(f)
         s = math.sqrt(num.B(kc, kc).real / Bzz)

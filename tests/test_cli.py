@@ -96,6 +96,25 @@ def test_verify_exact_checks(capsys):
 
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--form", "sl2R", "--checks", "bogus"]) == 2
+    assert main(["verify", "--form", "sl2R", "--checks", "striple,bogus"]) == 2
+
+
+def test_verify_check_error_keeps_other_results(capsys, monkeypatch):
+    import numpy as np
+
+    from minorbit import sympver
+
+    def singular(gram, grads_f, grads_g):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(sympver, "_poisson_bracket", singular)
+    argv = ["verify", "--form", "sl2R", "--checks", "striple,poisson",
+            "--samples", "3", "--format", "json"]
+    assert main(argv) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["striple"]["status"] == "pass"
+    assert checks["poisson"]["status"] == "fail"
+    assert "error: Singular matrix" in checks["poisson"]["detail"]
 
 
 def test_verify_rejects_unmodeled_form(capsys):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from minorbit import sympver
-from minorbit.numeric import numerics
+from minorbit import numeric, sympver
+from minorbit.matmodel import analyze
+from minorbit.matmodel.model import LieAlgebraModel
+from minorbit.numeric import GroupElement, ModelNumerics, numerics
 from minorbit.sympver import (
     OrbitPointParam,
+    coadjoint_frame_gram,
     induced_gram,
     kks_gram,
     ks_correspondence_check,
@@ -283,3 +286,108 @@ def test_moment_determinism():
     r1 = moment_cone_check(num, samples=40, tol=1e-9, seed=5)
     r2 = moment_cone_check(num, samples=40, tol=1e-9, seed=5)
     assert r1.as_dict() == r2.as_dict()
+
+
+# --- shared work: computed once, bit-identical to recomputing ----------------
+
+def test_group_element_reuse_is_bitwise():
+    num = numerics("su21")
+    rng = np.random.default_rng(41)
+    k1, k2 = num.sample_k(rng), num.sample_k(rng)
+    g = GroupElement([k1, k2])
+    first = g.ad(num.e)
+    again = g.ad(num.e)
+    fresh = GroupElement([k1, k2]).ad(num.e)
+    assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+    product = GroupElement([k1]) * GroupElement([k2])
+    assert np.array_equal(product.ad(num.v), GroupElement([k1, k2]).ad(num.v))
+
+
+def test_coadjoint_frame_gram_matches_fresh_kks_gram():
+    num = numerics("sp4R")
+    point = sympver._sample_point(num, sympver._rng(42, 3, 0))
+    frame = standard_frame(num, point)
+    induced_gram(num, point, frame)  # fills the frame's bracket cache
+    z_point = OrbitPointParam(point.k_factors, point.t, side="Z")
+    dirs = [frame.radial_partner] + frame.k_directions
+    fresh = kks_gram(num, z_point, dirs)
+    F = realize(num, z_point)
+    written_out = np.zeros_like(fresh)
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            val = num.B(F, num.bracket(dirs[j], dirs[i])).real
+            written_out[i, j], written_out[j, i] = val, -val
+    assert np.array_equal(fresh, written_out)
+    assert np.array_equal(coadjoint_frame_gram(num, z_point, frame), fresh)
+    assert np.array_equal(coadjoint_frame_gram(num, z_point, frame), fresh)
+
+
+def test_poisson_gradients_match_per_function_recomputation():
+    num = numerics("su21")
+    h = sympver.FD_STEP
+    point = sympver._sample_point(num, sympver._rng(42, 2, 0), t_range=(0.5, 2.0))
+    frame = standard_frame(num, point)
+    g = point.group()
+    u0, b0 = point.t * g.ad(num.v), point.t * g.ad(num.e)
+    rng = np.random.default_rng(43)
+    w, x = num.sample_pc(rng, scale=0.8), num.sample_k(rng, scale=0.8)
+
+    def section(u, b):
+        return num.hermitian_pairing(w, u)
+
+    def radius(u, b):
+        return math.sqrt(num.hermitian_pairing(u, u).real)
+
+    def momentum(u, b):
+        return num.B(num.k_component(b), x).real / PI
+
+    def recomputed(fun):
+        out = [
+            (fun(math.exp(-2 * h) * u0, math.exp(-2 * h) * b0)
+             - fun(math.exp(2 * h) * u0, math.exp(2 * h) * b0)) / (2 * h)
+        ]
+        for a in frame.k_directions:
+            ep, em = expm(-h * a), expm(h * a)
+            out.append(
+                (fun(ep @ u0 @ em, ep @ b0 @ em) - fun(em @ u0 @ ep, em @ b0 @ ep))
+                / (2 * h)
+            )
+        return np.array(out, dtype=complex)
+
+    curves = sympver._frame_curve_endpoints(u0, b0, frame.k_directions, h)
+    for fun in (section, radius, momentum):
+        assert np.array_equal(sympver._fd_gradient(fun, curves, h), recomputed(fun))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_poisson_exponentiates_each_frame_direction_once(monkeypatch):
+    num = numerics("sl2R")
+    calls = _count_calls(monkeypatch, sympver, "expm")
+    calls_group = _count_calls(monkeypatch, numeric, "expm")
+    samples = 4
+    report = poisson_identities_check(num, samples=samples, seed=42)
+    attempted = samples + len(report.events)
+    directions = standard_frame(num, base_point()).size() - 1
+    # two curve exponentials per direction, exp(+-kappa) for the group part
+    assert len(calls) + len(calls_group) <= attempted * (2 * directions + 2)
+
+
+def test_isotropy_basis_solved_once_per_form(monkeypatch):
+    calls = _count_calls(monkeypatch, LieAlgebraModel, "centralizer_in_span")
+    num = ModelNumerics(analyze("su21"))
+    assert calls == []  # lazy: building the numerics does no isotropy solve
+    first = ks_correspondence_check(num, samples=5, seed=42)
+    second = ks_correspondence_check(num, samples=5, seed=42)
+    assert len(calls) == 1
+    assert first.as_dict() == second.as_dict()
