@@ -150,7 +150,7 @@ def cmd_model_check(config: RunConfig) -> ReportDocument:
     desc = _find_descriptor(config)
     if not matmodel.has_matrix_model(desc.id):
         raise ModelError(f"form {desc.id!r} has no matrix model")
-    analysis = matmodel.analyze(desc.id)
+    analysis = matmodel.analyze(desc.id, config.catalog_path)
     model, datum = analysis.model, analysis.datum
 
     def add(name, ok, detail=""):
@@ -204,7 +204,8 @@ def _sampled_check(function_name: str):
 
     def run(analysis, config: RunConfig, tol: float) -> list[GramReport]:
         check = getattr(sympver, function_name)
-        result = check(numerics(config.form_id), config.samples, tol, config.seed)
+        num = numerics(config.form_id, config.catalog_path)
+        result = check(num, config.samples, tol, config.seed)
         return result if isinstance(result, list) else [result]
 
     return run
@@ -229,7 +230,7 @@ VERIFY_CHECKS = tuple(CHECK_RUNNERS)
 
 
 def _run_verify_check(name: str, config: RunConfig, doc: ReportDocument) -> None:
-    analysis = matmodel.analyze(config.form_id)
+    analysis = matmodel.analyze(config.form_id, config.catalog_path)
     tol = config.tol if config.tol is not None else DEFAULT_TOLS.get(name, 0.0)
     doc.checks.extend(CHECK_RUNNERS[name](analysis, config, tol))
 

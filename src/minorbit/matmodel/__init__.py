@@ -4,8 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
-from ..realform import RealFormDescriptor, DerivedInvariants, catalog_by_id, derive_invariants
+from ..realform import (
+    CatalogError,
+    DerivedInvariants,
+    RealFormDescriptor,
+    catalog_by_id,
+    derive_invariants,
+)
 from .checks import LambdaData, centralizer_checks, lambda_data, spectral_checks
 from .families import MODEL_IDS, ModelError
 from .model import LieAlgebraModel, build_model
@@ -61,20 +68,34 @@ class ModelAnalysis:
     datum: RestrictedRootDatum
     striple: STriple
     cayley: CayleyTriple
+    catalog: str | None = None
 
     @property
     def form_id(self) -> str:
         return self.descriptor.id
 
     def lambda_data(self) -> LambdaData:
-        return _lambda_cached(self.form_id)
+        return _lambda_cached(self.form_id, self.catalog)
+
+
+def catalog_key(catalog: str | Path | None) -> str | None:
+    """Cache key of a catalog source; None is the shipped catalog."""
+    return None if catalog is None else str(catalog)
+
+
+def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:
+    """The model of ``form_id`` analyzed against a catalog (the shipped one by default)."""
+    return _analyze_cached(form_id, catalog_key(catalog))
 
 
 @lru_cache(maxsize=None)
-def analyze(form_id: str) -> ModelAnalysis:
+def _analyze_cached(form_id: str, catalog: str | None) -> ModelAnalysis:
     if not has_matrix_model(form_id):
         raise ModelError(f"form {form_id!r} has no matrix model")
-    descriptor = catalog_by_id()[form_id]
+    entries = catalog_by_id(catalog)
+    if form_id not in entries:
+        raise CatalogError(form_id, "unknown form id")
+    descriptor = entries[form_id]
     invariants = derive_invariants(descriptor)
     model = build_model(form_id)
     datum = restricted_root_datum(model)
@@ -92,12 +113,13 @@ def analyze(form_id: str) -> ModelAnalysis:
         datum=datum,
         striple=striple,
         cayley=cayley,
+        catalog=catalog,
     )
 
 
 @lru_cache(maxsize=None)
-def _lambda_cached(form_id: str) -> LambdaData:
-    a = analyze(form_id)
+def _lambda_cached(form_id: str, catalog: str | None) -> LambdaData:
+    a = analyze(form_id, catalog)
     return lambda_data(
         a.model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
         a.descriptor.hermitian,

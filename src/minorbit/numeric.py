@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import exactla
-from .matmodel import ModelAnalysis, analyze, compact_partner
+from .matmodel import ModelAnalysis, analyze, catalog_key, compact_partner
 from .matmodel import qmat
 
 
@@ -173,6 +174,11 @@ class ModelNumerics:
         )
 
 
+def numerics(form_id: str, catalog: str | Path | None = None) -> ModelNumerics:
+    """Float view of ``analyze(form_id, catalog)``."""
+    return _numerics_cached(form_id, catalog_key(catalog))
+
+
 @lru_cache(maxsize=None)
-def numerics(form_id: str) -> ModelNumerics:
-    return ModelNumerics(analyze(form_id))
+def _numerics_cached(form_id: str, catalog: str | None) -> ModelNumerics:
+    return ModelNumerics(analyze(form_id, catalog))

@@ -5,12 +5,18 @@ Roots are stored as integer vectors in the classical orthogonal realizations
 or Cartan datum).  The non-reduced family BC is admitted because restricted
 root systems of real forms may be non-reduced; everything else follows the
 standard Bourbaki conventions, including the simple-root ordering.
+
+Simple-root coefficients are integer data as well: ``build_root_system``
+inverts the simple-root matrix once, as integers over one common denominator,
+and stores every root's coefficients as integers on the ``RootSystem``.  The
+positivity test, heights and the highest root read those stored integers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -188,14 +194,71 @@ _CLASSICAL_COUNTS = {
 
 
 @dataclass(frozen=True)
+class _SimpleRootInverse:
+    """Exact inverse of the simple-root matrix, as integers over one denominator.
+
+    ``pivots`` are the first ambient coordinates on which the simple roots are
+    independent; ``inverse`` is ``denom`` times the inverse of the simple-root
+    matrix restricted to those rows.
+    """
+
+    simple_roots: tuple[Vec, ...]
+    pivots: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]
+    denom: int
+
+    @staticmethod
+    def of(simple_roots: tuple[Vec, ...]) -> "_SimpleRootInverse":
+        rank = len(simple_roots)
+        _, pivots = exactla.rref([[Fraction(x) for x in s] for s in simple_roots])
+        if len(pivots) != rank:
+            raise RootSystemError("simple roots are not independent")
+        aug = [
+            [Fraction(s[p]) for s in simple_roots]
+            + [Fraction(1 if i == j else 0) for j in range(rank)]
+            for i, p in enumerate(pivots)
+        ]
+        inv = [row[rank:] for row in exactla.rref(aug)[0]]
+        denom = math.lcm(*(x.denominator for row in inv for x in row))
+        return _SimpleRootInverse(
+            simple_roots=simple_roots,
+            pivots=tuple(pivots),
+            inverse=tuple(tuple(int(x * denom) for x in row) for row in inv),
+            denom=denom,
+        )
+
+    def numerators(self, v: Vec) -> tuple[int, ...]:
+        """``denom`` times the simple-root coefficients of ``v``.
+
+        Every ambient row is checked, so a vector off the span of the simple
+        roots raises ``RootSystemError``.
+        """
+        if len(v) != len(self.simple_roots[0]):
+            raise RootSystemError(f"{v} is not in the root lattice span")
+        rhs = [v[p] for p in self.pivots]
+        num = tuple(_dot(row, rhs) for row in self.inverse)
+        for r, x in enumerate(v):
+            if sum(s[r] * n for s, n in zip(self.simple_roots, num)) != self.denom * x:
+                raise RootSystemError(f"{v} is not in the root lattice span")
+        return num
+
+
+@dataclass(frozen=True)
 class RootSystem:
-    """Validated root system with simple roots in Bourbaki order."""
+    """Validated root system with simple roots in Bourbaki order.
+
+    ``coefficients`` maps every root to its simple-root coefficients: integers
+    computed once at construction, all >= 0 on ``positive_roots`` and all <= 0
+    on the other roots.
+    """
 
     label: RootSystemLabel
     simple_roots: tuple[Vec, ...]
     all_roots: tuple[Vec, ...]
     positive_roots: tuple[Vec, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
+    coefficients: dict[Vec, tuple[int, ...]] = field(repr=False, compare=False)
+    simple_inverse: _SimpleRootInverse = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -205,53 +268,21 @@ class RootSystem:
         return _dot(u, v)
 
     def is_root(self, v: Vec) -> bool:
-        return tuple(v) in self._root_set()
-
-    def _root_set(self) -> frozenset:
-        cached = getattr(self, "_roots_frozen", None)
-        if cached is None:
-            cached = frozenset(self.all_roots)
-            object.__setattr__(self, "_roots_frozen", cached)
-        return cached
-
-    def _solver(self):
-        """Cached exact expansion of ambient vectors in the simple basis."""
-        cached = getattr(self, "_coeff_solver", None)
-        if cached is not None:
-            return cached
-        rows = [
-            [Fraction(s[i]) for s in self.simple_roots]
-            for i in range(len(self.simple_roots[0]))
-        ]
-        pivots: list[int] = []
-        for r in range(len(rows)):
-            if exactla.rank([rows[t] for t in pivots + [r]]) == len(pivots) + 1:
-                pivots.append(r)
-                if len(pivots) == self.rank:
-                    break
-        square = [rows[r] for r in pivots]
-        aug = [
-            row + [Fraction(1 if i == j else 0) for j in range(self.rank)]
-            for i, row in enumerate(square)
-        ]
-        red, piv = exactla.rref(aug)
-        if piv != list(range(self.rank)):
-            raise RootSystemError("simple roots are not independent")
-        inv = [row[self.rank:] for row in red]
-        cached = (rows, pivots, inv)
-        object.__setattr__(self, "_coeff_solver", cached)
-        return cached
+        return tuple(v) in self.coefficients
 
     def simple_coefficients(self, root: Vec) -> tuple[Fraction, ...]:
-        """Coefficients of ``root`` in the simple-root basis."""
-        rows, pivots, inv = self._solver()
-        rhs = [Fraction(root[r]) for r in pivots]
-        coeffs = [sum(inv[i][k] * rhs[k] for k in range(self.rank))
-                  for i in range(self.rank)]
-        for r, row in enumerate(rows):
-            if sum(row[k] * coeffs[k] for k in range(self.rank)) != root[r]:
-                raise RootSystemError(f"{root} is not in the root lattice span")
-        return tuple(coeffs)
+        """Coefficients of ``root`` in the simple-root basis.
+
+        A root reads its stored integers; any other vector is solved with the
+        same integer inverse and raises ``RootSystemError`` off the span of
+        the simple roots.
+        """
+        root = tuple(root)
+        coeffs = self.coefficients.get(root)
+        if coeffs is not None:
+            return tuple(Fraction(c) for c in coeffs)
+        denom = self.simple_inverse.denom
+        return tuple(Fraction(n, denom) for n in self.simple_inverse.numerators(root))
 
     def height(self, root: Vec) -> Fraction:
         return sum(self.simple_coefficients(root))
@@ -261,7 +292,7 @@ class RootSystem:
         cached = getattr(self, "_highest", None)
         if cached is not None:
             return cached
-        heights = {b: self.height(b) for b in self.positive_roots}
+        heights = {b: sum(self.coefficients[b]) for b in self.positive_roots}
         best = max(self.positive_roots, key=heights.get)
         ties = [b for b in self.positive_roots if heights[b] == heights[best]]
         if len(ties) != 1:
@@ -279,9 +310,9 @@ class RootSystem:
     def root_class(self, root: Vec) -> str:
         """Length class key: long/short or e_i/2e_i/e_i±e_j for BC."""
         if not self.label.reduced:
-            if tuple(2 * x for x in root) in self._root_set():
+            if tuple(2 * x for x in root) in self.coefficients:
                 return "e_i"
-            if all(x % 2 == 0 for x in root) and tuple(x // 2 for x in root) in self._root_set():
+            if all(x % 2 == 0 for x in root) and tuple(x // 2 for x in root) in self.coefficients:
                 return "2e_i"
             return "e_i±e_j"
         lengths = self._length_classes()
@@ -320,24 +351,33 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
         for j, x in enumerate(row):
             if i != j and x not in (0, -1, -2, -3):
                 raise RootSystemError(f"{label}: bad Cartan entry {x} at {(i, j)}")
-    rs = RootSystem(
-        label=label,
-        simple_roots=tuple(simple),
-        all_roots=tuple(roots),
-        positive_roots=(),
-        cartan_matrix=cartan,
-    )
+    simple = tuple(simple)
+    inverse = _SimpleRootInverse.of(simple)
+    coefficients = {}
     positive = []
     for b in roots:
-        coeffs = rs.simple_coefficients(b)
+        num = inverse.numerators(b)
+        if any(n % inverse.denom for n in num):
+            raise RootSystemError(
+                f"{label}: root {b} has non-integral simple-root coefficients"
+            )
+        coeffs = tuple(n // inverse.denom for n in num)
         if all(c >= 0 for c in coeffs):
             positive.append(b)
         elif not all(c <= 0 for c in coeffs):
             raise RootSystemError(f"{label}: root {b} has mixed-sign coefficients")
+        coefficients[b] = coeffs
     if 2 * len(positive) != len(roots):
         raise RootSystemError(f"{label}: positive system has wrong size")
-    object.__setattr__(rs, "positive_roots", tuple(sorted(positive)))
-    return rs
+    return RootSystem(
+        label=label,
+        simple_roots=simple,
+        all_roots=tuple(roots),
+        positive_roots=tuple(sorted(positive)),
+        cartan_matrix=cartan,
+        coefficients=coefficients,
+        simple_inverse=inverse,
+    )
 
 
 def coroot_pairing(rs: RootSystem, beta: Vec, alpha: Vec) -> int:
@@ -353,22 +393,17 @@ def coroot_pairing(rs: RootSystem, beta: Vec, alpha: Vec) -> int:
 
 
 def dual_coxeter_number(rs: RootSystem) -> int:
-    """One plus the sum of the comarks of the highest root."""
+    """One plus the sum of the comarks of the highest root.
+
+    The comark of alpha_i is psi's coefficient n_i times (alpha_i, alpha_i) /
+    (psi, psi): the coefficient of alpha_i-dual in psi-dual.
+    """
     if not rs.label.reduced:
         raise RootSystemError("dual Coxeter number is defined for reduced systems only")
     psi = rs.highest_root
-    # Expand psi-dual in the simple coroot basis.
-    n = len(psi)
-    psi_dual = [Fraction(2 * x, _dot(psi, psi)) for x in psi]
-    cols = [
-        [Fraction(2 * a[i], _dot(a, a)) for a in rs.simple_roots] for i in range(n)
-    ]
-    mat = [[cols[i][j] for j in range(rs.rank)] for i in range(n)]
-    comarks = exactla.solve(mat, psi_dual)
-    if comarks is None:
-        raise RootSystemError("highest coroot did not expand in simple coroots")
     total = 1
-    for c in comarks:
+    for n, a in zip(rs.coefficients[psi], rs.simple_roots):
+        c = Fraction(n * _dot(a, a), _dot(psi, psi))
         if c.denominator != 1 or c < 0:
             raise RootSystemError(f"non-integral comark {c}")
         total += int(c)

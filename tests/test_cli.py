@@ -87,6 +87,47 @@ def test_bad_catalog_names_invariant(tmp_path, capsys):
     assert "broken" in err and "dimension mismatch" in err
 
 
+def _flipped_su21_catalog(tmp_path):
+    """A copy of the shipped catalog with su21 marked non-hermitian."""
+    from minorbit.realform import default_catalog_path
+
+    raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+    for entry in raw:
+        if entry["id"] == "su21":
+            assert entry["hermitian"] is True
+            entry["hermitian"] = False
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def test_catalog_override_reaches_the_model_lane(tmp_path, capsys):
+    path = _flipped_su21_catalog(tmp_path)
+    assert main(["catalog", "--catalog", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--form", "su21", "--checks", "lambda", "--format", "json",
+            "--catalog", str(path)]
+    assert main(argv) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["weight_negation_dichotomy"]["status"] == "fail"
+    assert "hermitian: False" in checks["weight_negation_dichotomy"]["detail"]
+    # the shipped catalog still passes in the same process
+    assert main(argv[:-2]) == 0
+
+
+def test_catalog_override_keys_the_model_caches(tmp_path):
+    from minorbit.matmodel import analyze
+    from minorbit.numeric import numerics
+
+    path = _flipped_su21_catalog(tmp_path)
+    assert analyze("su21").descriptor.hermitian is True
+    assert analyze("su21", None) is analyze("su21")
+    assert analyze("su21", path).descriptor.hermitian is False
+    assert analyze("su21", str(path)) is analyze("su21", path)
+    assert numerics("su21", path).analysis is analyze("su21", path)
+    assert numerics("su21").analysis is analyze("su21")
+
+
 def test_verify_exact_checks(capsys):
     assert main(["verify", "--form", "sl3R", "--checks", "striple,cayley"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Exact-lane reports compared byte for byte with stored fixtures.
+"""Exact-lane and catalog-lane reports compared byte for byte with stored fixtures.
 
 The fixtures in ``data/golden`` were written by an earlier version of the
 package; a refactor that changes any exact result, or how it is rendered,
@@ -24,4 +24,21 @@ def test_exact_report_matches_golden(command, form_id, capsys):
         argv += ["--checks", EXACT_CHECKS]
     assert main(argv) == 0
     expected = (GOLDEN / f"{command}_{form_id}.json").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("fmt", ("md", "json"))
+@pytest.mark.parametrize(
+    "command, form_id",
+    [("catalog", None), ("table", None)]
+    + [("invariants", f) for f in ("sl2R", "su32", "g2-split", "e8-split")],
+)
+def test_catalog_report_matches_golden(command, form_id, fmt, capsys):
+    argv = [command, "--format", fmt]
+    name = command
+    if form_id is not None:
+        argv += ["--form", form_id]
+        name += f"_{form_id}"
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from minorbit.rootsys import (
@@ -226,3 +229,130 @@ def test_root_classes():
     assert bc2.class_counts() == {"e_i": 4, "2e_i": 4, "e_i±e_j": 4}
     a2 = rs("A2")
     assert a2.class_counts() == {"long": 6}
+
+
+# --- stored simple-root coefficients ----------------------------------------
+
+COEFF_LABELS = (
+    [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 7)]
+    + [f"C{r}" for r in range(3, 7)] + [f"D{r}" for r in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"] + [f"BC{r}" for r in range(1, 5)]
+)
+
+
+def reference_solve(simple_roots, v):
+    """Fractions c with sum_i c_i simple_i == v by Gauss-Jordan, or None."""
+    rank = len(simple_roots)
+    rows = [[Fraction(s[r]) for s in simple_roots] + [Fraction(v[r])]
+            for r in range(len(v))]
+    for col in range(rank):
+        p = next(i for i in range(col, len(rows)) if rows[i][col])
+        rows[col], rows[p] = rows[p], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(len(rows)):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    if any(row[-1] for row in rows[rank:]):
+        return None
+    return tuple(row[-1] for row in rows[:rank])
+
+
+def fundamental_weight_multiples(system):
+    """(m, m * omega_i, m * c) with m * omega_i integral, omega_i = sum_k c_k alpha_k."""
+    rank = system.rank
+    out = []
+    for i in range(rank):
+        # <omega_i, alpha_j coroot> = sum_k c_k cartan[k][j] = delta_ij
+        coeffs = reference_solve(system.cartan_matrix, [int(i == j) for j in range(rank)])
+        ambient = [sum(c * s[r] for c, s in zip(coeffs, system.simple_roots))
+                   for r in range(len(system.simple_roots[0]))]
+        m = math.lcm(*(x.denominator for x in ambient))
+        out.append((m, tuple(int(m * x) for x in ambient), tuple(m * c for c in coeffs)))
+    return out
+
+
+@pytest.mark.parametrize("text", COEFF_LABELS)
+def test_stored_coefficients_are_integers_of_one_sign(text):
+    system = rs(text)
+    assert set(system.coefficients) == set(system.all_roots)
+    positive = set(system.positive_roots)
+    for root, coeffs in system.coefficients.items():
+        assert len(coeffs) == system.rank
+        assert all(type(c) is int for c in coeffs)
+        if root in positive:
+            assert all(c >= 0 for c in coeffs) and any(coeffs)
+        else:
+            assert all(c <= 0 for c in coeffs) and any(coeffs)
+
+
+@pytest.mark.parametrize("text", COEFF_LABELS)
+def test_stored_coefficients_rebuild_roots_and_match_reference(text):
+    system = rs(text)
+    for root, coeffs in system.coefficients.items():
+        rebuilt = tuple(
+            sum(c * s[r] for c, s in zip(coeffs, system.simple_roots))
+            for r in range(len(root))
+        )
+        assert rebuilt == root
+        reference = reference_solve(system.simple_roots, root)
+        assert coeffs == reference
+        assert system.simple_coefficients(root) == reference
+        assert system.simple_coefficients(list(root)) == reference
+        assert system.height(root) == sum(reference)
+
+
+@pytest.mark.parametrize("text", [t for t in COEFF_LABELS if not t.startswith("BC")])
+def test_highest_root_height_is_coxeter_number_minus_one(text):
+    system = rs(text)
+    psi = system.highest_root
+    assert system.height(psi) == len(system.all_roots) // system.rank - 1
+    assert all(system.height(b) < system.height(psi)
+               for b in system.positive_roots if b != psi)
+
+
+@pytest.mark.parametrize("text", COEFF_LABELS)
+def test_lattice_vectors_get_reference_fractions(text):
+    system = rs(text)
+    for i, (m, v, expected) in enumerate(fundamental_weight_multiples(system)):
+        for j, alpha in enumerate(system.simple_roots):
+            pairing = Fraction(2 * sum(a * b for a, b in zip(v, alpha)),
+                               sum(a * a for a in alpha))
+            assert pairing == (m if i == j else 0)
+        assert reference_solve(system.simple_roots, v) == expected
+        assert system.simple_coefficients(v) == expected
+        assert all(type(c) is Fraction for c in system.simple_coefficients(v))
+    n = len(system.simple_roots[0])
+    for k in range(n):
+        unit = tuple(int(j == k) for j in range(n))
+        reference = reference_solve(system.simple_roots, unit)
+        if reference is None:
+            with pytest.raises(RootSystemError):
+                system.simple_coefficients(unit)
+        else:
+            assert system.simple_coefficients(unit) == reference
+
+
+def test_simple_coefficients_examples():
+    assert rs("D4").simple_coefficients((1, 0, 0, 0)) == (
+        1, 1, Fraction(1, 2), Fraction(1, 2))
+    assert rs("C3").simple_coefficients((0, 0, 1)) == (0, 0, Fraction(1, 2))
+    a2 = rs("A2")
+    for off_span in [(1, 0, 0), (0, 0, 1), (1, 1, 1)]:
+        with pytest.raises(RootSystemError, match="not in the root lattice span"):
+            a2.simple_coefficients(off_span)
+    with pytest.raises(RootSystemError):
+        a2.simple_coefficients((1, -1))
+    assert a2.simple_coefficients((2, -1, -1)) == (2, 1)
+
+
+def test_root_with_non_integral_coefficients_is_rejected(monkeypatch):
+    from minorbit import rootsys
+
+    classical = rootsys._classical_roots
+    c3 = RootSystemLabel("C", 3)
+    # C3's simple roots with B3's roots: the short root e_3 is alpha_3 / 2
+    mixed = (classical(c3)[0], classical(RootSystemLabel("B", 3))[1])
+    monkeypatch.setattr(rootsys, "_classical_roots", lambda label: mixed)
+    with pytest.raises(RootSystemError, match="non-integral simple-root coefficients"):
+        build_root_system.__wrapped__(c3)
