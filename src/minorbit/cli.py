@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,15 +19,6 @@ from .matmodel.triples import cayley_violations, s_triple_violations
 from .numeric import numerics
 from .realform import CatalogError
 from .report import CheckItem, GramReport, ReportDocument
-
-# finite-difference checks default to a looser tolerance than closed forms
-DEFAULT_TOLS = {
-    "beta": sympver.DEFAULT_TOL_CLOSED,
-    "ks": sympver.DEFAULT_TOL_CLOSED,
-    "moment": sympver.DEFAULT_TOL_CLOSED,
-    "poisson": sympver.DEFAULT_TOL_FD,
-}
-
 
 @dataclass
 class RunConfig:
@@ -55,8 +47,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 def _load_catalog(config: RunConfig):
@@ -180,10 +172,12 @@ def cmd_model_check(config: RunConfig) -> ReportDocument:
 
 
 def _exact_check(name: str, violations):
-    """An exact identity check reported as one sample, inf deviation on failure."""
+    """An exact identity check reported as one sample, inf deviation on
+    failure; its tolerance defaults to 0."""
 
-    def run(analysis, config: RunConfig, tol: float) -> list[GramReport]:
+    def run(analysis, config: RunConfig) -> list[GramReport]:
         problems = violations(analysis)
+        tol = 0.0 if config.tol is None else config.tol
         return [
             GramReport(
                 check_name=name,
@@ -200,11 +194,13 @@ def _exact_check(name: str, violations):
 
 
 def _sampled_check(function_name: str):
-    """``sympver.<function_name>``, looked up per call so module wrappers see it."""
+    """``sympver.<function_name>``, looked up per call so module wrappers see
+    it; every sampled check's tolerance defaults to the closed-form one."""
 
-    def run(analysis, config: RunConfig, tol: float) -> list[GramReport]:
+    def run(analysis, config: RunConfig) -> list[GramReport]:
         check = getattr(sympver, function_name)
         num = numerics(config.form_id, config.catalog_path)
+        tol = sympver.DEFAULT_TOL_CLOSED if config.tol is None else config.tol
         result = check(num, config.samples, tol, config.seed)
         return result if isinstance(result, list) else [result]
 
@@ -214,13 +210,13 @@ def _sampled_check(function_name: str):
 CHECK_RUNNERS = {
     "striple": _exact_check("striple", lambda a: s_triple_violations(a.striple)),
     "cayley": _exact_check("cayley", lambda a: cayley_violations(a.cayley)),
-    "spectra": lambda a, config, tol: spectral_checks(
+    "spectra": lambda a, config: spectral_checks(
         a.model, a.datum, a.striple, a.cayley
     ),
-    "centralizers": lambda a, config, tol: centralizer_checks(
+    "centralizers": lambda a, config: centralizer_checks(
         a.model, a.datum, a.striple, a.cayley, a.descriptor.hermitian
     ),
-    "lambda": lambda a, config, tol: a.lambda_data().checks,
+    "lambda": lambda a, config: a.lambda_data().checks,
     "beta": _sampled_check("verify_beta_symplectic"),
     "ks": _sampled_check("ks_correspondence_check"),
     "poisson": _sampled_check("poisson_identities_check"),
@@ -231,8 +227,7 @@ VERIFY_CHECKS = tuple(CHECK_RUNNERS)
 
 def _run_verify_check(name: str, config: RunConfig, doc: ReportDocument) -> None:
     analysis = matmodel.analyze(config.form_id, config.catalog_path)
-    tol = config.tol if config.tol is not None else DEFAULT_TOLS.get(name, 0.0)
-    doc.checks.extend(CHECK_RUNNERS[name](analysis, config, tol))
+    doc.checks.extend(CHECK_RUNNERS[name](analysis, config))
 
 
 def cmd_verify(config: RunConfig) -> ReportDocument:

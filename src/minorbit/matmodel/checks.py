@@ -281,14 +281,16 @@ def lambda_data(
     simple = [r for r in positive if r not in sums]
 
     def dominant(vec):
+        # each reflection removes one positive root pairing negatively with
+        # cur, so |Phi+| of them reach the dominant chamber
         cur = list(vec)
-        for _ in range(100000):
+        for _ in range(len(positive) + 1):
             neg = next((s for s in simple if ip(cur, s) < 0), None)
             if neg is None:
                 return tuple(cur)
             coef = 2 * ip(cur, neg) / ip(neg, neg)
             cur = [a - coef * b for a, b in zip(cur, neg)]
-        raise ModelError(f"{model.form_id}: dominance reduction diverged")
+        raise ModelError(f"{model.form_id}: dominance reduction exceeded |Phi+| steps")
 
     dom_plus = dominant(lam_vec)
     dom_minus = dominant([-x for x in lam_vec])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -37,17 +38,23 @@ class GramReport:
     events: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
+        # JSON has no inf or NaN (RFC 8259, section 6): such a deviation is
+        # written as null, with its value in the detail
+        dev, detail = self.max_abs_deviation, self.detail
+        if not math.isfinite(dev):
+            reason = f"non-finite deviation: {dev!r}"
+            dev, detail = None, f"{detail}; {reason}" if detail else reason
         return {
             "name": self.check_name,
             "status": "pass" if self.passed else "fail",
             "samples": self.sample_count,
-            "max_abs_deviation": self.max_abs_deviation,
+            "max_abs_deviation": dev,
             "tolerance": self.tolerance,
             "seed": self.seed,
             # elapsed stays out of serialized reports so identical runs are
             # byte-identical
             "elapsed": None,
-            "detail": self.detail,
+            "detail": detail,
             "events": list(self.events),
         }
 
@@ -76,7 +83,7 @@ class ReportDocument:
             "pass": self.overall_pass,
             "elapsed_ms": None,
         }
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
     def to_markdown(self) -> str:
         lines = [f"# report (schema {SCHEMA_VERSION}, version {self.version})", ""]

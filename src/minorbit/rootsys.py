@@ -426,8 +426,9 @@ class Weight:
 def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
     """Unique dominant Weyl-chamber representative of ``weight``.
 
-    Repeatedly reflects at a negative simple coordinate; terminates because
-    each step strictly increases the pairing with the positive-coroot sum.
+    Repeatedly reflects at a negative simple coordinate.  Each reflection
+    removes exactly one positive root from those pairing negatively with the
+    weight, so at most |Phi+| steps are taken; more would be a bug.
     """
     if not rs.label.reduced:
         raise RootSystemError("dominant representatives require a reduced system")
@@ -437,13 +438,10 @@ def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
     if len(coords) != rs.rank:
         raise RootSystemError("weight length must equal the rank")
     cartan = rs.cartan_matrix
-    guard = 0
-    while True:
+    for _ in range(len(rs.positive_roots) + 1):
         i = next((k for k, c in enumerate(coords) if c < 0), None)
         if i is None:
             return Weight(tuple(coords))
         ci = coords[i]
         coords = [c - ci * cartan[i][j] for j, c in enumerate(coords)]
-        guard += 1
-        if guard > 100000:
-            raise RootSystemError("dominance reduction failed to terminate")
+    raise RootSystemError("dominance reduction exceeded |Phi+| reflections")

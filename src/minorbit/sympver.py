@@ -15,8 +15,8 @@ isomorphism; the distinguished 2x2 base-point block must equal
 [[0, -2/pi], [2/pi, 0]].
 
 Poisson-bracket identities are checked numerically by assembling the induced
-Gram in a frame, inverting it, and contracting finite-difference directional
-derivatives of test functions along the frame curves.
+Gram in a frame, factoring it, and contracting exact tangent derivatives of
+test functions along the frame curves: no frame curve is exponentiated.
 
 Shared values are computed once, at the widest scope where they are the same
 value, and reused by the very same float operations, so every deviation is
@@ -29,8 +29,10 @@ bit-identical to recomputing them:
   Grams of a beta sample;
 * per sample, the group exponentials (`GroupElement`: points derived from a
   sample share one element, and products reuse their factors'
-  exponentials) and the frame-curve endpoints of the Poisson check, on
-  which all five test functions are evaluated.
+  exponentials);
+* per Poisson sample, the stacked frame-curve tangents, against which each
+  of the five test-function gradients is one contraction, and one
+  factorization of the induced Gram, shared by all five identities.
 """
 
 from __future__ import annotations
@@ -41,16 +43,15 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .numeric import GroupElement, ModelNumerics
 from .report import GramReport
 
 PI = math.pi
-FD_STEP = 1e-6
 COND_LIMIT = 1e8
 
 DEFAULT_TOL_CLOSED = 1e-9
+# no check defaults to it; perfbench/worker.py reads it as poisson's tolerance
 DEFAULT_TOL_FD = 1e-6
 
 
@@ -375,45 +376,51 @@ def _isotropy_sample(num: ModelNumerics, rng) -> np.ndarray | None:
     return sum(c * m for c, m in zip(coeffs, mats))
 
 
-def _frame_curve_endpoints(u0, b0, directions, h: float) -> list:
-    """Both ends ((u, b) at +h, (u, b) at -h) of each frame curve through
-    (u0, b0): the doubled radial curve first, then the transport by
-    exp(-s a) for each group direction a."""
-    up, bp = math.exp(-2 * h) * u0, math.exp(-2 * h) * b0
-    um, bm = math.exp(2 * h) * u0, math.exp(2 * h) * b0
-    curves = [((up, bp), (um, bm))]
-    for a in directions:
-        ep, em = expm(-h * a), expm(h * a)
-        curves.append(
-            ((ep @ u0 @ em, ep @ b0 @ em), (em @ u0 @ ep, em @ b0 @ ep))
-        )
-    return curves
+def _poisson_gradients(num: ModelNumerics, u0, b0, directions, w, x, y) -> np.ndarray:
+    """Gradients of r, phi_x, s~, r phi_x and r phi_y (rows) along the frame
+    curves through (u0, b0) (columns), from the curves' exact tangents at
+    h = 0: (-2 u0, -2 b0) for the doubled radial curve and (-[a, u0], -[a, b0])
+    for the transport by exp(-h a) along each group direction a, since
+    d/dh Ad(exp(-h a)) X = -[a, X].
 
-
-def _fd_gradient(fun, curves: list, h: float) -> np.ndarray:
-    """Central differences of fun(u, b) along each frame curve."""
-    return np.array(
-        [(fun(*plus) - fun(*minus)) / (2 * h) for plus, minus in curves],
-        dtype=complex,
-    )
+    Every test function is real-linear in the tangent or follows from one
+    that is, so each row is one contraction over the stacked tangents.
+    """
+    A = np.array(directions)
+    tan_u = np.concatenate([[-2 * u0], u0 @ A - A @ u0])
+    tan_b = np.concatenate([[-2 * b0], b0 @ A - A @ b0])
+    # P(X, Y) = -c tr(X sigma_u(Y)) is Hermitian: P(w, T) = conj P(T, w)
+    sig = np.array([num.sigma_u(u0), num.sigma_u(w)])
+    pair_u, pair_w = -num.c * np.einsum("kij,fji->fk", tan_u, sig)
+    # the projection onto k is B-self-adjoint: B(k(T), x) = B(T, k(x))
+    kxy = np.array([num.k_component(x), num.k_component(y)])
+    rphi_x, rphi_y = (num.c / PI) * np.einsum("kij,fji->fk", tan_b, kxy).real
+    # r = sqrt(Re P(u, u)): dr = Re(P(T, u0) + P(u0, T)) / 2 r0 = Re P(T, u0) / r0
+    r0 = math.sqrt(num.hermitian_pairing(u0, u0).real)
+    d_r = pair_u.real / r0
+    phi_x = num.B(kxy[0], b0).real / (PI * r0)
+    d_phi_x = (rphi_x - phi_x * d_r) / r0
+    return np.array([d_r, d_phi_x, pair_w.conj(), rphi_x, rphi_y])
 
 
 def _poisson_bracket(gram: np.ndarray, grads_f: np.ndarray, grads_g: np.ndarray):
-    inv = np.linalg.inv(gram)
-    return grads_f @ inv @ grads_g
+    """Brackets {f_i, g_j} = grad f_i . gram^-1 . grad g_j of stacked
+    gradients, from one factorization of the Gram."""
+    return grads_f @ np.linalg.solve(gram, grads_g.T)
 
 
 def poisson_identities_check(
     num: ModelNumerics,
     samples: int = 50,
-    tol: float = DEFAULT_TOL_FD,
+    tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
 ) -> GramReport:
-    """Finite-difference verification of the Poisson-bracket identities.
+    """Verification of the Poisson-bracket identities from exact tangents.
 
-    At each sample the induced Gram is inverted and directional derivatives
-    along the frame curves are contracted.  The asserted identities: the
-    radial coordinate Poisson-commutes with pulled-back functions and acts as
+    At each sample the induced Gram is factored once and contracted against
+    the exact tangent derivatives of the test functions along the frame
+    curves (`_poisson_gradients`).  The asserted identities: the radial
+    coordinate Poisson-commutes with pulled-back functions and acts as
     2 pi i on equivariant sections; momentum functions close under bracket;
     bracketing a momentum function against a section is the group derivative.
     The check fails when every sample was rejected.
@@ -422,7 +429,6 @@ def poisson_identities_check(
     accepted = 0
     max_rel = 0.0
     events: list[str] = []
-    h = FD_STEP
     for index in range(samples):
         rng = _rng(seed, index)
         for attempt in range(4):
@@ -447,51 +453,25 @@ def poisson_identities_check(
         x = num.sample_k(rng, scale=0.8)
         y = num.sample_k(rng, scale=0.8)
         w = num.sample_pc(rng, scale=0.8)
-
-        def fun_r(u, b):
-            return math.sqrt(num.hermitian_pairing(u, u).real)
-
-        def fun_phi(xelt):
-            def phi(u, b):
-                r = math.sqrt(num.hermitian_pairing(u, u).real)
-                return num.B(num.k_component(b), xelt).real / (PI * r)
-
-            return phi
-
-        def fun_rphi(xelt):
-            def rphi(u, b):
-                return num.B(num.k_component(b), xelt).real / PI
-
-            return rphi
-
-        def fun_section(u, b):
-            return num.hermitian_pairing(w, u)
-
-        curves = _frame_curve_endpoints(u0, b0, frame.k_directions, h)
-        g_r = _fd_gradient(fun_r, curves, h)
-        g_sec = _fd_gradient(fun_section, curves, h)
-        g_phix = _fd_gradient(fun_phi(x), curves, h)
-        g_rphix = _fd_gradient(fun_rphi(x), curves, h)
-        g_rphiy = _fd_gradient(fun_rphi(y), curves, h)
-
-        def rel(lhs, rhs):
-            return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-        # [r, r] = 0 and [r, phi~] = 0
-        max_rel = _worst(max_rel, float(rel(_poisson_bracket(gram, g_r, g_r), 0.0)))
-        max_rel = _worst(max_rel, float(rel(_poisson_bracket(gram, g_r, g_phix), 0.0)))
-        # [r, s~] = 2 pi i s~
-        s0 = num.hermitian_pairing(w, u0)
-        lhs = _poisson_bracket(gram, g_r, g_sec)
-        max_rel = _worst(max_rel, float(rel(lhs, 2j * PI * s0)))
-        # momentum functions close under bracket
-        lhs = _poisson_bracket(gram, g_rphix, g_rphiy)
-        rhs = num.B(num.k_component(b0), num.bracket(x, y)).real / PI
-        max_rel = _worst(max_rel, float(rel(lhs, rhs)))
-        # bracketing against a section is the group derivative
-        lhs = _poisson_bracket(gram, g_rphix, g_sec)
-        rhs = -num.hermitian_pairing(w, num.bracket(x, u0))
-        max_rel = _worst(max_rel, float(rel(lhs, rhs)))
+        grads = _poisson_gradients(num, u0, b0, frame.k_directions, w, x, y)
+        br = _poisson_bracket(gram, grads, grads)
+        r, phi_x, sec, rphi_x, rphi_y = range(5)
+        identities = (
+            # [r, r] = 0 and [r, phi~] = 0
+            (br[r, r], 0.0),
+            (br[r, phi_x], 0.0),
+            # [r, s~] = 2 pi i s~
+            (br[r, sec], 2j * PI * num.hermitian_pairing(w, u0)),
+            # momentum functions close under bracket
+            (br[rphi_x, rphi_y],
+             num.B(num.k_component(b0), num.bracket(x, y)).real / PI),
+            # bracketing against a section is the group derivative
+            (br[rphi_x, sec], -num.hermitian_pairing(w, num.bracket(x, u0))),
+        )
+        for lhs, rhs in identities:
+            max_rel = _worst(
+                max_rel, float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+            )
     return GramReport(
         check_name="poisson_identities",
         sample_count=samples,
@@ -500,7 +480,7 @@ def poisson_identities_check(
         passed=accepted > 0 and max_rel <= tol,
         seed=seed,
         elapsed=time.perf_counter() - start,
-        detail="relative deviations; finite-difference class"
+        detail="relative deviations; closed-form class"
         + ("" if accepted else "; no sample accepted"),
         events=events,
     )

@@ -120,7 +120,7 @@ def test_criterion_07_poisson_identities():
     ok = True
     for form_id in ("sl2R", "sl3R"):
         report = poisson_identities_check(
-            numerics(form_id), samples=50, tol=1e-6, seed=42
+            numerics(form_id), samples=50, tol=1e-9, seed=42
         )
         ok = ok and report.passed
         results.append(f"{form_id}:{report.max_abs_deviation:.2e}")

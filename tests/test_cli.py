@@ -158,6 +158,55 @@ def test_verify_check_error_keeps_other_results(capsys, monkeypatch):
     assert "error: Singular matrix" in checks["poisson"]["detail"]
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failing_exact_check_report_is_strict_json(capsys, monkeypatch):
+    from minorbit import cli
+
+    monkeypatch.setattr(cli, "s_triple_violations", lambda striple: ["[h, e] != 2e"])
+    argv = ["verify", "--form", "sl2R", "--checks", "striple,cayley", "--format", "json"]
+    assert main(argv) == 1
+    checks = {c["name"]: c for c in _strict_json(capsys.readouterr().out)["checks"]}
+    assert checks["striple"]["status"] == "fail"
+    assert checks["striple"]["max_abs_deviation"] is None
+    assert checks["striple"]["detail"] == (
+        "exact arithmetic; [h, e] != 2e; non-finite deviation: inf"
+    )
+    assert checks["cayley"]["max_abs_deviation"] == 0.0
+    assert checks["cayley"]["detail"] == "exact arithmetic"
+
+
+def test_nan_deviation_report_is_strict_json(capsys, monkeypatch):
+    import copy
+
+    import numpy as np
+
+    from minorbit import cli
+    from minorbit.numeric import numerics
+
+    broken = copy.copy(numerics("sl2R"))
+    broken.v = np.full_like(broken.v, np.nan)
+    monkeypatch.setattr(cli, "numerics", lambda form_id, catalog=None: broken)
+    argv = ["verify", "--form", "sl2R", "--checks", "ks", "--samples", "3",
+            "--format", "json"]
+    assert main(argv) == 1
+    (ks,) = _strict_json(capsys.readouterr().out)["checks"]
+    assert ks["status"] == "fail" and ks["max_abs_deviation"] is None
+    assert ks["detail"] == "non-finite deviation: nan"
+
+
+def test_verify_rejects_non_finite_tol(capsys):
+    for tol in ("nan", "inf", "0", "-1e-9"):
+        argv = ["verify", "--form", "sl2R", "--checks", "striple", f"--tol={tol}"]
+        assert main(argv) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_verify_rejects_unmodeled_form(capsys):
     assert main(["verify", "--form", "e8-split"]) == 2
     assert "no matrix model" in capsys.readouterr().err

@@ -202,6 +202,21 @@ def test_dominant_idempotent_and_symmetric():
                 assert dominant_representative(system, other) == dom
 
 
+def test_dominant_reduces_minus_rho_in_exactly_phi_plus_steps():
+    """-rho pairs negatively with every positive root, so its reduction takes
+    all |Phi+| reflections the bound allows, E8's 120 included."""
+    labels = REDUCED_LABELS + [
+        f"{family}{rank}"
+        for family, low in (("A", 5), ("B", 4), ("C", 4), ("D", 5))
+        for rank in range(low, 9)
+    ]
+    for text in labels:
+        system = rs(text)
+        rho = Weight((1,) * system.rank)
+        assert dominant_representative(system, -rho) == rho, text
+    assert len(rs("E8").positive_roots) == 120
+
+
 def test_dominant_rejects_bad_input():
     with pytest.raises(RootSystemError):
         dominant_representative(rs("BC1"), Weight((1,)))
