@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from minorbit.cli import main
+from minorbit.matmodel import MODEL_IDS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 EXACT_CHECKS = "striple,cayley,spectra,centralizers,lambda"
 
 
-@pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R", "sl2H"))
+@pytest.mark.parametrize("form_id", MODEL_IDS)
 @pytest.mark.parametrize("command", ("verify", "model-check"))
 def test_exact_report_matches_golden(command, form_id, capsys):
     argv = [command, "--form", form_id, "--format", "json"]
