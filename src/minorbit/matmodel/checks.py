@@ -16,6 +16,7 @@ import numpy as np
 from .. import exactla
 from ..exactla import QI
 from ..report import CheckItem
+from ..rootsys import dominant
 from . import qmat
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
@@ -280,20 +281,8 @@ def lambda_data(
     sums = {tuple(a + b for a, b in zip(r1, r2)) for r1 in positive for r2 in positive}
     simple = [r for r in positive if r not in sums]
 
-    def dominant(vec):
-        # each reflection removes one positive root pairing negatively with
-        # cur, so |Phi+| of them reach the dominant chamber
-        cur = list(vec)
-        for _ in range(len(positive) + 1):
-            neg = next((s for s in simple if ip(cur, s) < 0), None)
-            if neg is None:
-                return tuple(cur)
-            coef = 2 * ip(cur, neg) / ip(neg, neg)
-            cur = [a - coef * b for a, b in zip(cur, neg)]
-        raise ModelError(f"{model.form_id}: dominance reduction exceeded |Phi+| steps")
-
-    dom_plus = dominant(lam_vec)
-    dom_minus = dominant([-x for x in lam_vec])
+    dom_plus = dominant(lam_vec, simple, ip, len(positive))
+    dom_minus = dominant([-x for x in lam_vec], simple, ip, len(positive))
     x_eq = dom_plus == dom_minus
     add(
         "weight_negation_dichotomy",

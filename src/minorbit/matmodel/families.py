@@ -2,21 +2,21 @@
 
 Each builder returns the raw ingredients of a model: a real basis of the
 algebra inside gl(n, C), split into compact and noncompact generators, the
-standard maximal abelian subspace inside the noncompact part, and the Cartan
-involution theta and the conjugation sigma of the real form.
+standard maximal abelian subspace inside the noncompact part, and the
+conjugation sigma of the real form.
 
-Both involutions are data, an :class:`~.qmat.Involution` spec
-``(sign, transpose, conjugate, J)`` meaning X -> sign * J op(X) J^T.  The exact
-lane applies the spec with ``qmat`` and the float lane with numpy, so each
-involution is written down once.  Conventions:
+Every model is closed under conjugate transpose: the compact generators are
+anti-Hermitian and the noncompact ones Hermitian, so the Cartan involution is
+theta(X) = -X^* on every model and is not part of the family data.  sigma
+does differ by real form; it is an :class:`~.qmat.Involution` spec
+``(sign, transpose, conjugate, J)`` meaning X -> sign * J op(X) J^T, applied
+by ``qmat`` in the exact lane and by numpy in the float lane:
 
-* real-matrix forms (sl(n,R), sp(4,R), so(p,q)) use theta(X) = -X^T and
-  sigma(X) = conj(X);
-* su(p,q) is presented with the signature form J = diag(I_p, -I_q), where the
-  complex-linear Cartan involution is X -> JXJ and sigma(X) = -J X^* J;
+* real-matrix forms (sl(n,R), sp(4,R), so(p,q)) use sigma(X) = conj(X);
+* su(p,q) is presented with the signature form J = diag(I_p, -I_q), and
+  sigma(X) = -J X^* J;
 * sl(2,H) consists of blocks [[P, Q], [-conj(Q), conj(P)]] with Re tr P = 0,
-  the complex-linear involution is X -> -Jq X^T Jq^T and
-  sigma(X) = Jq conj(X) Jq^T.
+  and sigma(X) = Jq conj(X) Jq^T.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ class ModelError(ValueError):
     pass
 
 
-# theta and sigma of the real-matrix forms sl(n,R), sp(4,R) and so(p,q)
-MINUS_TRANSPOSE = Involution(-1, transpose=True)
+# sigma of the real-matrix forms sl(n,R), sp(4,R) and so(p,q)
 CONJUGATE = Involution(1, conjugate=True)
 
 
@@ -68,7 +67,6 @@ class FamilyData:
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]  # positions of the abelian generators inside basis
-    theta: Involution
     sigma: Involution
     # eigenvalues each a-generator can have in the defining representation
     defining_eigs: list[set[Fraction]] = field(default_factory=list)
@@ -112,7 +110,6 @@ def _sl_n_real(form_id: str, n: int) -> FamilyData:
         k_indices=k_idx,
         p_indices=p_idx,
         a_indices=a_idx,
-        theta=MINUS_TRANSPOSE,
         sigma=CONJUGATE,
         defining_eigs=eigs,
         positivity_key=_sl_chain_key,
@@ -152,12 +149,11 @@ def _su_pq(form_id: str, p: int, q: int) -> FamilyData:
     # a_i couples index i with n+1-i; these sit among the symmetric generators.
     for i in range(q):
         target = qmat.add(qmat.unit(n, i, n - 1 - i), qmat.unit(n, n - 1 - i, i))
-        pos = next(k for k in p_idx if qmat.equal(basis[k], target))
+        pos = next(k for k in p_idx if basis[k] == target)
         a_idx.append(pos)
-    theta = Involution(1, J=J)
     sigma = Involution(-1, transpose=True, conjugate=True, J=J)
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
-    return FamilyData(form_id, "su", n, basis, k_idx, p_idx, a_idx, theta, sigma, eigs)
+    return FamilyData(form_id, "su", n, basis, k_idx, p_idx, a_idx, sigma, eigs)
 
 
 def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
@@ -177,7 +173,7 @@ def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
             basis.append(qmat.add(qmat.unit(n, a, b), qmat.unit(n, b, a)))
     for i in range(q):
         target = qmat.add(qmat.unit(n, i, p + i), qmat.unit(n, p + i, i))
-        pos = next(k for k in p_idx if qmat.equal(basis[k], target))
+        pos = next(k for k in p_idx if basis[k] == target)
         a_idx.append(pos)
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
     return FamilyData(
@@ -188,7 +184,6 @@ def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
         k_idx,
         p_idx,
         a_idx,
-        MINUS_TRANSPOSE,
         CONJUGATE,
         eigs,
     )
@@ -242,7 +237,7 @@ def _sp4_real(form_id: str) -> FamilyData:
         basis.append(X)
     for i in range(2):
         target = embed_a(qmat.unit(2, i, i))
-        pos = next(k for k in p_idx if qmat.equal(basis[k], target))
+        pos = next(k for k in p_idx if basis[k] == target)
         a_idx.append(pos)
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(2)]
     return FamilyData(
@@ -253,7 +248,6 @@ def _sp4_real(form_id: str) -> FamilyData:
         k_idx,
         p_idx,
         a_idx,
-        MINUS_TRANSPOSE,
         CONJUGATE,
         eigs,
     )
@@ -265,7 +259,6 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
     for i in range(2):
         Jq[i][2 + i] = QI(-1)
         Jq[2 + i][i] = QI(1)
-    theta = Involution(-1, transpose=True, J=Jq)
     sigma = Involution(1, conjugate=True, J=Jq)
 
     def embed(P: Mat, Q: Mat) -> Mat:
@@ -309,18 +302,13 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
         qmat.sub(qmat.unit(2, 0, 1, QI_I), qmat.unit(2, 1, 0, QI_I)),
     ):
         basis.append(embed(z2, Q))
-    k_idx, p_idx = [], []
-    for idx, X in enumerate(basis):
-        if qmat.equal(theta.apply(X), X):
-            k_idx.append(idx)
-        elif qmat.equal(theta.apply(X), qmat.neg(X)):
-            p_idx.append(idx)
-        else:
-            raise ModelError("sl2H generator not theta-homogeneous")
+    # a generator in neither list fails the model's partition check
+    k_idx = [i for i, X in enumerate(basis) if qmat.adjoint(X) == qmat.neg(X)]
+    p_idx = [i for i, X in enumerate(basis) if qmat.adjoint(X) == X]
     target = embed(qmat.sub(qmat.unit(2, 0, 0), qmat.unit(2, 1, 1)), z2)
-    a_idx = [next(k for k in p_idx if qmat.equal(basis[k], target))]
+    a_idx = [next(k for k in p_idx if basis[k] == target)]
     eigs = [{Fraction(1), Fraction(-1)}]
-    return FamilyData(form_id, "sl2H", n, basis, k_idx, p_idx, a_idx, theta, sigma, eigs)
+    return FamilyData(form_id, "sl2H", n, basis, k_idx, p_idx, a_idx, sigma, eigs)
 
 
 def family_data(form_id: str) -> FamilyData:

@@ -9,10 +9,10 @@ rational or Gaussian-rational arithmetic in coordinates.
 Coordinates come from the trace form: coordinate i of X is tr(d_i X), where
 the trace-dual basis d_i applies the exact inverse of the Gram matrix
 tr(b_i b_j) to the basis, and the expansion is accepted only if it rebuilds X
-exactly.  The involutions
-theta and sigma are the family's :class:`~.qmat.Involution` specs; theta is
-stored in coordinates once, and joint eigenspaces of commuting ad-operators
-are refined by one routine, :meth:`LieAlgebraModel.joint_eigenspaces`.
+exactly.  The conjugation sigma (an :class:`~.qmat.Involution` spec) fixes
+every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
+sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Joint
+eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`.
 
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
@@ -98,12 +98,10 @@ class LieAlgebraModel:
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]
-    theta_spec: Involution
     sigma_spec: Involution
     defining_eigs: list[set[Fraction]]
     positivity_key: Callable[[tuple], tuple] = lambda values: values
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
-    theta_coords: list[list[Fraction]] = field(repr=False, default_factory=list)
     tr_gram: list[list[Fraction]] = field(repr=False, default_factory=list)
     m_basis: list[Coords] = field(repr=False, default_factory=list)
     c: Fraction | None = None  # invariant-form normalization, set by the root datum
@@ -141,7 +139,7 @@ class LieAlgebraModel:
         traces = [qmat.trace_product(d, X) for d in self._dual_entries]
         sol = [t.re for t in traces]
         # the trace form sees only a projection; confirm X is in the real span
-        if any(t.im for t in traces) or not qmat.equal(self.matrix(sol), X):
+        if any(t.im for t in traces) or self.matrix(sol) != X:
             raise ModelError(f"{self.form_id}: element is not in span(basis)")
         return sol
 
@@ -171,7 +169,9 @@ class LieAlgebraModel:
         return [[(r, v) for r, v in col.items() if v] for col in cols]
 
     def theta(self, x: Coords) -> Coords:
-        return exactla.mat_vec(self.theta_coords, x)
+        """theta(X) = -X^*: fixes the k generators and negates the p ones."""
+        p = set(self.p_indices)
+        return [-xi if i in p else xi for i, xi in enumerate(x)]
 
     def sigma(self, x: Coords) -> Coords:
         return [xi.conjugate() if isinstance(xi, QI) else xi for xi in x]
@@ -297,7 +297,6 @@ def _build(form_id: str) -> LieAlgebraModel:
         k_indices=fam.k_indices,
         p_indices=fam.p_indices,
         a_indices=fam.a_indices,
-        theta_spec=fam.theta,
         sigma_spec=fam.sigma,
         defining_eigs=fam.defining_eigs,
         positivity_key=fam.positivity_key,
@@ -338,10 +337,6 @@ def _build(form_id: str) -> LieAlgebraModel:
         for i in range(N)
     ]
 
-    # Cartan involution in coordinates
-    theta_cols = [model.coords(fam.theta.apply(b)) for b in model.basis]
-    model.theta_coords = [[theta_cols[j][r] for j in range(N)] for r in range(N)]
-
     _validate_model(model)
     model.m_basis = model.centralizer_in_span(
         model.subspace_units(model.a_indices),
@@ -352,26 +347,24 @@ def _build(form_id: str) -> LieAlgebraModel:
 
 def _validate_model(model: LieAlgebraModel) -> None:
     N = model.dim
-    Th = model.theta_coords
-    # theta is an involutive automorphism preserving the trace form
-    for j, col in enumerate(zip(*Th)):
-        if exactla.mat_vec(Th, col) != model.unit_coords(j):
-            raise ModelError(f"{model.form_id}: theta^2 != id")
-    for i in model.k_indices:
-        col = [Th[r][i] for r in range(N)]
-        if col != model.unit_coords(i):
-            raise ModelError(f"{model.form_id}: k generator not theta-fixed")
-    for i in model.p_indices:
-        col = [Th[r][i] for r in range(N)]
-        if col != [-x for x in model.unit_coords(i)]:
-            raise ModelError(f"{model.form_id}: p generator not theta-negated")
-    # theta is diagonal +-1 on the basis (checked above), so the automorphism
-    # identity theta[x,y] = [theta x, theta y] is the Cartan grading:
+    sigma = model.sigma_spec
+    # sigma is the conjugation of this real form: antilinear, fixing the basis
+    if not sigma.conjugate:
+        raise ModelError(f"{model.form_id}: sigma is not antilinear")
+    if any(sigma.apply(b) != b for b in model.basis):
+        raise ModelError(f"{model.form_id}: sigma does not fix the real basis")
+    # theta(X) = -X^* is +1 on k and -1 on p exactly when k and p partition
+    # the basis into anti-Hermitian and Hermitian matrices
+    if sorted(model.k_indices + model.p_indices) != list(range(N)):
+        raise ModelError(f"{model.form_id}: k and p do not partition the basis")
+    in_k = [i in model.k_indices for i in range(N)]
+    for b, compact in zip(model.basis, in_k):
+        if qmat.adjoint(b) != (qmat.neg(b) if compact else b):
+            raise ModelError(f"{model.form_id}: k not anti-Hermitian, p not Hermitian")
+    # theta is diagonal +-1 on the basis, so the automorphism identity
+    # theta[x,y] = [theta x, theta y] is the Cartan grading:
     # [k,k] in k, [k,p] in p, [p,p] in k; likewise B(theta x, theta y) = B(x,y)
     # is the vanishing of the k/p off-diagonal block of the trace form.
-    in_k = [False] * N
-    for i in model.k_indices:
-        in_k[i] = True
     for i in range(N):
         for j in range(i + 1, N):
             target_k = in_k[i] == in_k[j]

@@ -1,4 +1,4 @@
-"""Small dense matrices over Gaussian rationals, and involutions acting on them."""
+"""Small dense matrices over Gaussian rationals, and the conjugation of a real form."""
 
 from __future__ import annotations
 
@@ -65,12 +65,13 @@ def conj(a: Mat) -> Mat:
     return [[x.conjugate() for x in row] for row in a]
 
 
+def adjoint(a: Mat) -> Mat:
+    """The conjugate transpose a^*."""
+    return conj(transpose(a))
+
+
 def neg(a: Mat) -> Mat:
     return [[-x for x in row] for row in a]
-
-
-def equal(a: Mat, b: Mat) -> bool:
-    return a == b
 
 
 def lincomb(coeffs, mats) -> Mat:
@@ -93,11 +94,12 @@ def to_complex(a: Mat) -> list[list[complex]]:
 
 @dataclass(frozen=True)
 class Involution:
-    """The map X -> sign * J op(X) J^T on matrices.
+    """The conjugation sigma of a real form: X -> sign * J op(X) J^T.
 
     ``op`` transposes and/or conjugates entrywise; ``J`` is orthogonal, and
     None stands for the identity.  The spec is plain data so that the exact
     lane (``apply``) and the float lane (``numeric``) read one description.
+    The Cartan involution needs no spec: it is -X^* on every model.
     """
 
     sign: int

@@ -3,6 +3,11 @@
 The exact layer fixes every distinguished element; this module converts them
 to numpy arrays once per form and provides the group action, the invariant
 form, the compact projection, and the unitary pairing at float precision.
+
+The compact conjugation is sigma_u(X) = -X^* on g_C, the same formula on every
+model; the conjugation sigma of the real form is the model's
+:class:`~.matmodel.qmat.Involution` spec.  The Cartan involution is the
+complex-linear theta = sigma_u o sigma, which is -X^* on g itself.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ def _as_array(mat) -> np.ndarray:
 
 
 def involution(spec: qmat.Involution):
-    """The float form of an exact involution spec, X -> sign * J op(X) J^T."""
+    """The float form of an exact conjugation spec, X -> sign * J op(X) J^T."""
     J = None if spec.J is None else _as_array(spec.J)
 
     def apply(X: np.ndarray) -> np.ndarray:
@@ -98,7 +103,6 @@ class ModelNumerics:
         self.x_psi = mat(analysis.striple.x)
         self.z = mat(compact_partner(analysis.cayley))
         self.v = mat(analysis.cayley.v)
-        self.theta = involution(model.theta_spec)
         self.sigma = involution(model.sigma_spec)
 
         self.k_basis = [mat(model.unit_coords(i)) for i in model.k_indices]
@@ -149,14 +153,17 @@ class ModelNumerics:
         return self.c * np.trace(X @ Y)
 
     def sigma_u(self, X):
-        return self.theta(self.sigma(X))
+        """The compact conjugation -X^* (antilinear)."""
+        return -X.conj().T
 
     def hermitian_pairing(self, X, Y) -> complex:
         """Invariant Hilbert pairing {X, Y} = -B(X, sigma_u(Y))."""
         return -self.B(X, self.sigma_u(Y))
 
     def k_component(self, X):
-        return (X + self.theta(X)) / 2.0
+        """(X + theta X) / 2 with the complex-linear theta = sigma_u o sigma,
+        so that complex points of p_C project to zero."""
+        return (X - self.sigma(X).conj().T) / 2.0
 
     def sample_k(self, rng, scale: float = 1.0) -> np.ndarray:
         coeffs = rng.standard_normal(len(self.k_basis)) * scale

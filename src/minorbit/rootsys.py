@@ -410,38 +410,18 @@ def dual_coxeter_number(rs: RootSystem) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Integer vector in the fundamental-weight basis of a root system."""
+def dominant(weight, simple_roots, inner, bound: int) -> tuple:
+    """Dominant Weyl-chamber representative of ``weight``, in exact arithmetic.
 
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coords))
-
-
-def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
-    """Unique dominant Weyl-chamber representative of ``weight``.
-
-    Repeatedly reflects at a negative simple coordinate.  Each reflection
-    removes exactly one positive root from those pairing negatively with the
-    weight, so at most |Phi+| steps are taken; more would be a bug.
+    Reflects at a simple root pairing negatively with the weight under
+    ``inner``.  Each reflection removes one positive root from those pairing
+    negatively, so ``bound`` = |Phi+| reflections suffice; more are a bug.
     """
-    if not rs.label.reduced:
-        raise RootSystemError("dominant representatives require a reduced system")
-    if rs.rank > 8:
-        raise RootSystemError("rank must be at most 8")
-    coords = list(weight.coords)
-    if len(coords) != rs.rank:
-        raise RootSystemError("weight length must equal the rank")
-    cartan = rs.cartan_matrix
-    for _ in range(len(rs.positive_roots) + 1):
-        i = next((k for k, c in enumerate(coords) if c < 0), None)
-        if i is None:
-            return Weight(tuple(coords))
-        ci = coords[i]
-        coords = [c - ci * cartan[i][j] for j, c in enumerate(coords)]
+    cur = list(weight)
+    for _ in range(bound + 1):
+        neg = next((s for s in simple_roots if inner(cur, s) < 0), None)
+        if neg is None:
+            return tuple(cur)
+        coef = Fraction(2 * inner(cur, neg), inner(neg, neg))
+        cur = [a - coef * b for a, b in zip(cur, neg)]
     raise RootSystemError("dominance reduction exceeded |Phi+| reflections")

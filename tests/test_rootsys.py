@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from minorbit.rootsys import (
     RootSystemError,
     RootSystemLabel,
-    Weight,
     build_root_system,
     coroot_pairing,
-    dominant_representative,
+    dominant,
     dual_coxeter_number,
 )
 
@@ -154,16 +154,23 @@ def test_coroot_pairing_ranges():
 
 # --- dominant representatives ------------------------------------------------
 
+def dom(system, weight):
+    """Dominant representative of an ambient-coordinate weight."""
+    return dominant(
+        weight, system.simple_roots, system.inner, len(system.positive_roots)
+    )
+
+
 def brute_force_orbit(system, weight):
-    """Weyl orbit by BFS over simple reflections in weight coordinates."""
-    cartan = system.cartan_matrix
-    seen = {weight}
-    frontier = [weight]
+    """Weyl orbit by BFS over simple reflections in ambient coordinates."""
+    seen = {tuple(Fraction(x) for x in weight)}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for w in frontier:
-            for i in range(system.rank):
-                r = tuple(w[j] - w[i] * cartan[i][j] for j in range(system.rank))
+            for a in system.simple_roots:
+                c = Fraction(2 * system.inner(w, a), system.inner(a, a))
+                r = tuple(x - c * y for x, y in zip(w, a))
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
@@ -173,33 +180,35 @@ def brute_force_orbit(system, weight):
 
 def test_dominant_rank1():
     a1 = rs("A1")
-    assert dominant_representative(a1, Weight((-3,))).coords == (3,)
-    assert dominant_representative(a1, Weight((5,))).coords == (5,)
+    assert dom(a1, (-3, 3)) == (3, -3)
+    assert dom(a1, (5, 0)) == (5, 0)
 
 
 def test_dominant_matches_brute_force_orbit():
     a2 = rs("A2")
-    for coords in [(-1, 0), (2, -3), (-4, -5), (0, 0), (7, 1)]:
-        orbit = brute_force_orbit(a2, coords)
-        dominant = [w for w in orbit if all(c >= 0 for c in w)]
-        assert len(dominant) == 1
-        assert dominant_representative(a2, Weight(coords)).coords == dominant[0]
+    for weight in [(0, 1, -1), (2, -3, 1), (-4, -5, 9), (0, 0, 0), (7, 1, -8)]:
+        orbit = brute_force_orbit(a2, weight)
+        # the Weyl group of A2 permutes the three coordinates
+        assert orbit == {tuple(Fraction(x) for x in p) for p in permutations(weight)}
+        chamber = [
+            w for w in orbit if all(a2.inner(w, a) >= 0 for a in a2.simple_roots)
+        ]
+        assert len(chamber) == 1
+        assert dom(a2, weight) == chamber[0]
 
 
 def test_dominant_idempotent_and_symmetric():
     for text in ["A2", "B2", "G2", "A3"]:
         system = rs(text)
+        ambient = len(system.simple_roots[0])
         grid = range(-3, 4)
         for c0 in grid:
             for c1 in grid:
-                coords = (c0, c1) + (0,) * (system.rank - 2)
-                w = Weight(coords)
-                dom = dominant_representative(system, w)
-                assert dominant_representative(system, dom) == dom
-                other = dominant_representative(
-                    system, -dominant_representative(system, -w)
-                )
-                assert dominant_representative(system, other) == dom
+                w = (c0, c1) + (0,) * (ambient - 2)
+                d = dom(system, w)
+                assert dom(system, d) == d
+                other = dom(system, [-x for x in dom(system, [-x for x in w])])
+                assert dom(system, other) == d
 
 
 def test_dominant_reduces_minus_rho_in_exactly_phi_plus_steps():
@@ -212,16 +221,14 @@ def test_dominant_reduces_minus_rho_in_exactly_phi_plus_steps():
     ]
     for text in labels:
         system = rs(text)
-        rho = Weight((1,) * system.rank)
-        assert dominant_representative(system, -rho) == rho, text
+        two_rho = [sum(col) for col in zip(*system.positive_roots)]
+        assert dom(system, [-x for x in two_rho]) == tuple(two_rho), text
+        positive = len(system.positive_roots)
+        with pytest.raises(RootSystemError):
+            dominant(
+                [-x for x in two_rho], system.simple_roots, system.inner, positive - 1
+            )
     assert len(rs("E8").positive_roots) == 120
-
-
-def test_dominant_rejects_bad_input():
-    with pytest.raises(RootSystemError):
-        dominant_representative(rs("BC1"), Weight((1,)))
-    with pytest.raises(RootSystemError):
-        dominant_representative(rs("A2"), Weight((1,)))
 
 
 def test_highest_root_examples():
