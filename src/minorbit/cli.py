@@ -300,13 +300,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config.validate()
         doc = COMMANDS[config.command](config)
+        text = doc.to_json() if config.format == "json" else doc.to_markdown()
+        if config.out:
+            Path(config.out).write_text(text, encoding="utf-8")
     except (CatalogError, ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = doc.to_json() if config.format == "json" else doc.to_markdown()
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
-    else:
+    if not config.out:
         sys.stdout.write(text)
     return 0 if doc.overall_pass else 1
 

@@ -119,19 +119,24 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
             entry_id,
             f"mult keys {sorted(mults)} do not match {sorted(expected)} for {restricted}",
         )
+    # type(...) is int, since bool is an int subclass and true is no count
     for key, val in mults.items():
-        if not isinstance(val, int) or val < 1:
+        if type(val) is not int or val < 1:
             raise CatalogError(entry_id, f"mult {key!r} must be a positive integer")
     dim_m = raw["dim_m"]
-    if not isinstance(dim_m, int) or dim_m < 0:
+    if type(dim_m) is not int or dim_m < 0:
         raise CatalogError(entry_id, "dim_m must be a nonnegative integer")
+    if not isinstance(raw["hermitian"], bool):
+        raise CatalogError(entry_id, "hermitian must be true or false")
+    if not isinstance(raw["k_name"], str):
+        raise CatalogError(entry_id, "k_name must be a string")
     desc = RealFormDescriptor(
         id=entry_id,
         gc_label=gc,
         restricted_label=restricted,
         mults=dict(mults),
         dim_m=dim_m,
-        hermitian=bool(raw["hermitian"]),
+        hermitian=raw["hermitian"],
         k_name=raw["k_name"],
         k_root_label=k_root_label,
         jordan_algebra=raw.get("jordan_algebra"),

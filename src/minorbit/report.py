@@ -37,6 +37,10 @@ class GramReport:
     detail: str = ""
     events: list[str] = field(default_factory=list)
 
+    @property
+    def failed(self) -> bool:
+        return not self.passed
+
     def as_dict(self) -> dict:
         # JSON has no inf or NaN (RFC 8259, section 6): such a deviation is
         # written as null, with its value in the detail
@@ -67,12 +71,7 @@ class ReportDocument:
 
     @property
     def overall_pass(self) -> bool:
-        for item in self.checks:
-            if isinstance(item, CheckItem) and item.failed:
-                return False
-            if isinstance(item, GramReport) and not item.passed:
-                return False
-        return True
+        return not any(c.failed for c in self.checks)
 
     def to_json(self) -> str:
         doc = {

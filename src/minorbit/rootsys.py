@@ -58,6 +58,8 @@ class RootSystemLabel:
 
     @staticmethod
     def parse(text: str) -> "RootSystemLabel":
+        if not isinstance(text, str) or not text:
+            raise RootSystemError(f"cannot parse label {text!r}")
         fam = "BC" if text.startswith("BC") else text[0]
         try:
             rank = int(text[len(fam):])

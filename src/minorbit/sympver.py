@@ -25,7 +25,7 @@ bit-identical to recomputing them:
 * per form, the isotropy basis of e in k (``ModelNumerics.isotropy_basis``,
   solved exactly on first use);
 * per frame, the pair brackets [d_j, d_i] and the rank test of the
-  directions (`FramePairs`), shared by the induced Gram and both coadjoint
+  directions (`Frame`), shared by the induced Gram and both coadjoint
   Grams of a beta sample;
 * per sample, the group exponentials (`GroupElement`: points derived from a
   sample share one element, and products reuse their factors'
@@ -57,42 +57,39 @@ DEFAULT_TOL_FD = 1e-6
 
 @dataclass
 class OrbitPointParam:
-    """A sampled point: group part as exp-factors in k, plus a scale t > 0.
+    """A sampled point: a group element of K, a scale t > 0 and a side.
 
-    The group element is built once; points derived with
-    ``dataclasses.replace`` or `at` share it and its exponentials.
+    The default is the base point.  Points derived with
+    ``dataclasses.replace`` share the group element and its exponentials.
     """
 
-    k_factors: list[np.ndarray] = field(default_factory=list)
+    element: GroupElement = field(default_factory=GroupElement, repr=False)
     t: float = 1.0
-    side: str = "Xtilde"  # Xtilde | Z | E | O
-    element: GroupElement | None = field(default=None, repr=False, compare=False)
+    side: str = "Xtilde"  # Xtilde | Z | E
 
     def __post_init__(self):
         if self.t <= 0:
             raise ValueError("t must be positive")
-        if self.element is None:
-            self.element = GroupElement(list(self.k_factors))
-
-    @classmethod
-    def at(cls, element: GroupElement, t: float, side: str) -> OrbitPointParam:
-        """The point with group part ``element``, which it shares."""
-        return cls(element.factors, t, side, element)
-
-    def group(self) -> GroupElement:
-        return self.element
 
 
-class FramePairs:
-    """Directions d_0..d_{m-1} with their pair brackets and rank test.
+class Frame:
+    """Transported directions at a sample: x_psi, then the k directions.
 
-    Each bracket [d_j, d_i] and the independence test are computed once, on
-    first use, and shared by every Gram assembled over these directions.
+    Each pair bracket [d_j, d_i] and the independence test are computed once,
+    on first use, and shared by every Gram assembled over the frame.
     """
 
     def __init__(self, directions: list[np.ndarray]):
         self.directions = directions
         self._brackets: dict[tuple[int, int], np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.directions)
+
+    @property
+    def k_directions(self) -> list[np.ndarray]:
+        """The group directions: z, then a basis transverse to the isotropy."""
+        return self.directions[1:]
 
     @cached_property
     def independent(self) -> bool:
@@ -108,87 +105,48 @@ class FramePairs:
         return self._brackets[key]
 
 
-@dataclass
-class TangentFrame:
-    """Transported frame at a sample: group directions plus the radial one."""
-
-    base: OrbitPointParam
-    k_directions: list[np.ndarray]  # elements of k, already transported
-    radial_partner: np.ndarray | None = None  # transported x_psi on the orbit side
-
-    def size(self) -> int:
-        return len(self.k_directions) + 1
-
-    @cached_property
-    def pairs(self) -> FramePairs:
-        """The radial partner, then the group directions, as `FramePairs`."""
-        return FramePairs([self.radial_partner] + list(self.k_directions))
-
-
 def realize(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
     """Matrix realizing the point on its side."""
-    g = point.group()
     if point.side == "E":
-        return point.t * g.ad(num.v)
-    if point.side == "O":
-        return point.t * g.ad(num.e)
+        return point.t * point.element.ad(num.v)
     if point.side == "Z":
-        return (point.t / PI) * g.ad(num.e)
+        return (point.t / PI) * point.element.ad(num.e)
     raise ValueError(f"side {point.side!r} has no matrix realization")
 
 
-def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> TangentFrame:
-    """Radial direction, then the z direction, then a basis transverse to the
-    isotropy, all transported by the group part of the point."""
-    g = point.group()
-    dirs = [g.ad(num.z)] + [g.ad(x) for x in num.k_nu_perp_basis]
-    return TangentFrame(
-        base=point, k_directions=dirs, radial_partner=g.ad(num.x_psi)
-    )
+def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> Frame:
+    """x_psi, the z direction, then a basis transverse to the isotropy, all
+    transported by the group part of the point."""
+    g = point.element
+    return Frame([g.ad(x) for x in (num.x_psi, num.z, *num.k_nu_perp_basis)])
 
 
-def kks_gram(
-    num: ModelNumerics, point: OrbitPointParam, directions: list[np.ndarray]
-) -> np.ndarray:
-    """Canonical-form pairings <rho, [x_j, x_i]> at a realized orbit point."""
-    return _kks_gram(num, point, FramePairs(directions))
-
-
-def _kks_gram(num: ModelNumerics, point: OrbitPointParam, pairs: FramePairs):
+def kks_gram(num: ModelNumerics, point: OrbitPointParam, frame: Frame) -> np.ndarray:
+    """Canonical-form pairings <rho, [d_j, d_i]> at a realized orbit point."""
     if point.side != "Z":
         raise ValueError("kks_gram expects a point on the coadjoint side")
-    if not pairs.independent:
+    if not frame.independent:
         raise ValueError("rank-deficient frame: directions are linearly dependent")
     F = realize(num, point)
-    m = len(pairs.directions)
+    m = len(frame)
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            val = num.B(F, pairs.bracket(i, j))
+            val = num.B(F, frame.bracket(i, j))
             out[i, j] = val.real
             out[j, i] = -val.real
     return out
 
 
-def coadjoint_frame_gram(
-    num: ModelNumerics, point: OrbitPointParam, frame: TangentFrame
-) -> np.ndarray:
-    """KKS Gram in the frame (radial partner first, then group directions)."""
-    return _kks_gram(num, point, frame.pairs)
-
-
-def induced_gram(
-    num: ModelNumerics, point: OrbitPointParam, frame: TangentFrame
-) -> np.ndarray:
+def induced_gram(num: ModelNumerics, point: OrbitPointParam, frame: Frame) -> np.ndarray:
     """Induced-form pairings in the frame, from the compact-side closed forms.
 
     Row and column 0 belong to the doubled inward radial direction; entry
     (0, j) is 2t <k.nu, a_j> and the group block is t <k.nu, [a_j, a_i]>.
     """
-    g = point.group()
     t = point.t
-    zk = g.ad(num.z)
-    m = frame.size()
+    zk = point.element.ad(num.z)
+    m = len(frame)
     out = np.zeros((m, m))
     for i, a in enumerate(frame.k_directions, start=1):
         val = (t / PI) * num.B(zk, a).real
@@ -196,7 +154,7 @@ def induced_gram(
         out[i, 0] = -val
     for i in range(1, m):
         for j in range(i + 1, m):
-            val = (t / (2 * PI)) * num.B(zk, frame.pairs.bracket(i, j)).real
+            val = (t / (2 * PI)) * num.B(zk, frame.bracket(i, j)).real
             out[i, j] = val
             out[j, i] = -val
     return out
@@ -206,7 +164,7 @@ def _sample_point(num: ModelNumerics, rng, t_range=(0.25, 4.0)) -> OrbitPointPar
     kappa = num.sample_k(rng, scale=0.7)
     log_lo, log_hi = math.log(t_range[0]), math.log(t_range[1])
     t = math.exp(rng.uniform(log_lo, log_hi))
-    return OrbitPointParam(k_factors=[kappa], t=t, side="Xtilde")
+    return OrbitPointParam(GroupElement([kappa]), t)
 
 
 def _worst(acc: float, *devs) -> float:
@@ -220,6 +178,50 @@ def _worst(acc: float, *devs) -> float:
 
 def _rng(seed: int, index: int, *extra: int):
     return np.random.default_rng([seed & 0xFFFFFFFF, index, *extra])
+
+
+def _accepted_samples(num, samples, seed, t_range, rejects, texts, events):
+    """Yield ``(index, rng, point, frame, gram)`` for each accepted sample.
+
+    Sample 0 is the base point; any other is drawn from ``_rng(seed, index,
+    attempt)``.  A sample whose induced Gram ``rejects(gram, frame)`` is
+    redrawn, up to four attempts, and then given up; ``texts`` names the
+    rejection and the giving up in ``events``.  The yielded rng is the
+    sample's own stream for the check's further draws.
+    """
+    rejected, given_up = texts
+    for index in range(samples):
+        for attempt in range(4):
+            if index == 0:
+                point = OrbitPointParam()
+            else:
+                point = _sample_point(num, _rng(seed, index, attempt), t_range)
+            frame = standard_frame(num, point)
+            gram = induced_gram(num, point, frame)
+            if not rejects(gram, frame):
+                yield index, _rng(seed, index), point, frame, gram
+                break
+            events.append(f"sample {index}: {rejected}, resampled")
+        else:
+            events.append(f"sample {index}: {given_up}")
+
+
+def _report(name, samples, accepted, max_dev, tol, seed, start, detail="",
+            events=()) -> GramReport:
+    """The record of a sampled check; ``accepted`` counts or lists the
+    accepted samples.  A check that accepted none has tested nothing, so it
+    fails and says so in its detail."""
+    return GramReport(
+        check_name=name,
+        sample_count=samples,
+        max_abs_deviation=max_dev,
+        tolerance=tol,
+        passed=bool(accepted) and max_dev <= tol,
+        seed=seed,
+        elapsed=time.perf_counter() - start,
+        detail=detail + ("" if accepted else "; no sample accepted"),
+        events=list(events),
+    )
 
 
 BASE_BLOCK_TOL = 1e-12
@@ -244,25 +246,16 @@ def verify_beta_symplectic(
     accepted: list[int] = []
     max_dev = 0.0
     base_block_dev = 0.0
-    for index in range(samples):
-        rng = _rng(seed, index)
-        for attempt in range(4):
-            if index == 0:
-                point = OrbitPointParam(k_factors=[], t=1.0, side="Xtilde")
-            else:
-                point = _sample_point(num, _rng(seed, index, attempt))
-            frame = standard_frame(num, point)
-            gram_x = induced_gram(num, point, frame)
-            if np.linalg.matrix_rank(gram_x, tol=1e-10) < frame.size():
-                events.append(f"sample {index}: degenerate frame, resampled")
-                continue
-            break
-        else:
-            events.append(f"sample {index}: frame degenerate after retries")
-            continue
+
+    def degenerate(gram, frame):
+        return np.linalg.matrix_rank(gram, tol=1e-10) < len(frame)
+
+    for index, rng, point, frame, gram_x in _accepted_samples(
+        num, samples, seed, (0.25, 4.0), degenerate,
+        ("degenerate frame", "frame degenerate after retries"), events,
+    ):
         accepted.append(index)
-        z_point = replace(point, side="Z")
-        gram_z = coadjoint_frame_gram(num, z_point, frame)
+        gram_z = kks_gram(num, replace(point, side="Z"), frame)
         dev = float(np.max(np.abs(gram_x - gram_z)))
         max_dev = _worst(max_dev, dev)
         if index == 0:
@@ -272,21 +265,12 @@ def verify_beta_symplectic(
         # coadjoint-side scaling law on an independent factor
         s = float(math.exp(rng.uniform(math.log(0.25), math.log(4.0))))
         scaled = replace(point, t=point.t * s, side="Z")
-        gram_scaled = coadjoint_frame_gram(num, scaled, frame)
+        gram_scaled = kks_gram(num, scaled, frame)
         max_dev = _worst(max_dev, float(np.max(np.abs(gram_scaled - s * gram_z))))
-    elapsed = time.perf_counter() - start
     return [
-        GramReport(
-            check_name="beta_symplectic",
-            sample_count=samples,
-            max_abs_deviation=max_dev,
-            tolerance=tol,
-            passed=bool(accepted) and max_dev <= tol,
-            seed=seed,
-            elapsed=elapsed,
-            detail="entrywise Gram agreement plus coadjoint scaling law"
-            + ("" if accepted else "; no sample accepted"),
-            events=events,
+        _report(
+            "beta_symplectic", samples, accepted, max_dev, tol, seed, start,
+            "entrywise Gram agreement plus coadjoint scaling law", events,
         ),
         GramReport(
             check_name="beta_base_block",
@@ -303,7 +287,7 @@ def verify_beta_symplectic(
 
 def nilpotent_of(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
     """The correspondence image of a realized cone point, t Ad k (e)."""
-    return point.t * point.group().ad(num.e)
+    return point.t * point.element.ad(num.e)
 
 
 def ks_correspondence_check(
@@ -316,14 +300,12 @@ def ks_correspondence_check(
     correspondence between extremal-weight points and nilpotent points."""
     start = time.perf_counter()
     max_dev = 0.0
-    events: list[str] = []
     for index in range(samples):
         rng = _rng(seed, index)
         if index == 0:
-            point = OrbitPointParam(k_factors=[], t=1.0, side="E")
+            point = OrbitPointParam(side="E")
         else:
-            point = _sample_point(num, rng)
-            point.side = "E"
+            point = replace(_sample_point(num, rng), side="E")
         u = realize(num, point)
         t = point.t
         norm_u = math.sqrt(num.hermitian_pairing(u, u).real)
@@ -336,7 +318,7 @@ def ks_correspondence_check(
         # equivariance on a composed sample
         kappa2 = num.sample_k(rng, scale=0.7)
         g2 = GroupElement([kappa2])
-        moved = OrbitPointParam.at(g2 * point.group(), t, side="E")
+        moved = OrbitPointParam(g2 * point.element, t, "E")
         dev_eq = float(np.max(np.abs(nilpotent_of(num, moved) - g2.ad(b_u))))
         max_dev = _worst(max_dev, dev_eq)
         # homogeneity
@@ -349,22 +331,11 @@ def ks_correspondence_check(
         if num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis):
             iso = _isotropy_sample(num, rng)
             if iso is not None:
-                repar = OrbitPointParam.at(
-                    point.group() * GroupElement([iso]), t, side="E"
-                )
+                repar = OrbitPointParam(point.element * GroupElement([iso]), t, "E")
                 dev_pt = float(np.max(np.abs(realize(num, repar) - u)))
                 dev_b = float(np.max(np.abs(nilpotent_of(num, repar) - b_u)))
                 max_dev = _worst(max_dev, dev_pt, dev_b)
-    return GramReport(
-        check_name="ks_correspondence",
-        sample_count=samples,
-        max_abs_deviation=max_dev,
-        tolerance=tol,
-        passed=max_dev <= tol,
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-        events=events,
-    )
+    return _report("ks_correspondence", samples, samples, max_dev, tol, seed, start)
 
 
 def _isotropy_sample(num: ModelNumerics, rng) -> np.ndarray | None:
@@ -429,27 +400,17 @@ def poisson_identities_check(
     accepted = 0
     max_rel = 0.0
     events: list[str] = []
-    for index in range(samples):
-        rng = _rng(seed, index)
-        for attempt in range(4):
-            point = (
-                OrbitPointParam(k_factors=[], t=1.0, side="Xtilde")
-                if index == 0
-                else _sample_point(num, _rng(seed, index, attempt), t_range=(0.5, 2.0))
-            )
-            frame = standard_frame(num, point)
-            gram = induced_gram(num, point, frame)
-            if np.linalg.cond(gram) > COND_LIMIT:
-                events.append(f"sample {index}: ill-conditioned Gram, resampled")
-                continue
-            break
-        else:
-            events.append(f"sample {index}: no well-conditioned sample found")
-            continue
+
+    def ill_conditioned(gram, frame):
+        return np.linalg.cond(gram) > COND_LIMIT
+
+    for index, rng, point, frame, gram in _accepted_samples(
+        num, samples, seed, (0.5, 2.0), ill_conditioned,
+        ("ill-conditioned Gram", "no well-conditioned sample found"), events,
+    ):
         accepted += 1
-        g = point.group()
-        u0 = point.t * g.ad(num.v)
-        b0 = point.t * g.ad(num.e)
+        u0 = point.t * point.element.ad(num.v)
+        b0 = nilpotent_of(num, point)
         x = num.sample_k(rng, scale=0.8)
         y = num.sample_k(rng, scale=0.8)
         w = num.sample_pc(rng, scale=0.8)
@@ -472,17 +433,9 @@ def poisson_identities_check(
             max_rel = _worst(
                 max_rel, float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
             )
-    return GramReport(
-        check_name="poisson_identities",
-        sample_count=samples,
-        max_abs_deviation=max_rel,
-        tolerance=tol,
-        passed=accepted > 0 and max_rel <= tol,
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-        detail="relative deviations; closed-form class"
-        + ("" if accepted else "; no sample accepted"),
-        events=events,
+    return _report(
+        "poisson_identities", samples, accepted, max_rel, tol, seed, start,
+        "relative deviations; closed-form class", events,
     )
 
 
@@ -502,7 +455,6 @@ def moment_cone_check(
     """
     start = time.perf_counter()
     max_dev = 0.0
-    events: list[str] = []
     rank_one = len(num.a_basis) == 1
     z = num.z
     Bzz = num.B(z, z).real
@@ -546,14 +498,4 @@ def moment_cone_check(
     label = "full membership (restricted rank 1)" if rank_one else (
         "spectral test only: necessary, not sufficient"
     )
-    return GramReport(
-        check_name="moment_cone",
-        sample_count=samples,
-        max_abs_deviation=max_dev,
-        tolerance=tol,
-        passed=max_dev <= tol,
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-        detail=label,
-        events=events,
-    )
+    return _report("moment_cone", samples, samples, max_dev, tol, seed, start, label)

@@ -87,6 +87,20 @@ def test_bad_catalog_names_invariant(tmp_path, capsys):
     assert "broken" in err and "dimension mismatch" in err
 
 
+def test_mistyped_catalog_field_exits_2(tmp_path, capsys):
+    from minorbit.realform import default_catalog_path
+
+    raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
+    for entry in raw:
+        if entry["id"] == "su21":
+            entry["hermitian"] = "false"
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["catalog", "--catalog", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "su21" in err and "hermitian must be true or false" in err
+
+
 def _flipped_su21_catalog(tmp_path):
     """A copy of the shipped catalog with su21 marked non-hermitian."""
     from minorbit.realform import default_catalog_path
@@ -230,6 +244,17 @@ def test_out_flag(tmp_path):
     assert payload["pass"] is True
     assert payload["checks"][0]["name"] == "beta_symplectic"
     assert payload["elapsed_ms"] is None
+
+
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["verify", "--form", "sl2R", "--checks", "striple",
+                 "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.out == ""
+    assert not target.exists()
 
 
 def test_verify_byte_identical_subprocess():

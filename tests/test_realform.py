@@ -187,3 +187,22 @@ def test_exceptional_table_requires_all_entries(catalog):
 def test_exceptional_ids_present(catalog_map):
     for form_id in EXCEPTIONAL_TABLE_IDS:
         assert form_id in catalog_map
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"hermitian": "false"}, "hermitian must be true or false"),
+        ({"hermitian": 1}, "hermitian must be true or false"),
+        ({"k_name": 7}, "k_name must be a string"),
+        ({"dim_m": True}, "dim_m must be a nonnegative integer"),
+        ({"mults": {"e_i": 2, "2e_i": True}}, "mult '2e_i' must be a positive integer"),
+        ({"gc_label": 7}, "cannot parse label 7"),
+        ({"k_root_label": ["A1"]}, "cannot parse label ['A1']"),
+    ],
+)
+def test_rejects_mistyped_fields(tmp_path, override, message):
+    path = write_catalog(tmp_path, [entry_dict(**override)])
+    with pytest.raises(CatalogError) as err:
+        load_catalog(path)
+    assert message in str(err.value)

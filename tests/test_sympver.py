@@ -10,8 +10,8 @@ from minorbit.matmodel import analyze
 from minorbit.matmodel.model import LieAlgebraModel
 from minorbit.numeric import GroupElement, ModelNumerics, numerics
 from minorbit.sympver import (
+    Frame,
     OrbitPointParam,
-    coadjoint_frame_gram,
     induced_gram,
     kks_gram,
     ks_correspondence_check,
@@ -27,14 +27,14 @@ VERIFY_FORMS = ("sl2R", "sl3R", "su21", "sp4R")
 
 
 def base_point(side="Xtilde"):
-    return OrbitPointParam(k_factors=[], t=1.0, side=side)
+    return OrbitPointParam(GroupElement(), t=1.0, side=side)
 
 
 # --- canonical-form Gram -----------------------------------------------------
 
 def test_kks_distinguished_entry_sl2R():
     num = numerics("sl2R")
-    gram = kks_gram(num, base_point("Z"), [num.x_psi, num.z])
+    gram = kks_gram(num, base_point("Z"), Frame([num.x_psi, num.z]))
     assert abs(gram[0, 1] - (-2.0 / PI)) < 1e-14
     assert abs(gram[1, 0] - (2.0 / PI)) < 1e-14
 
@@ -43,7 +43,7 @@ def test_kks_antisymmetry_and_diagonal():
     num = numerics("sl3R")
     rng = np.random.default_rng(5)
     dirs = [num.sample_k(rng) for _ in range(3)] + [num.x_psi]
-    gram = kks_gram(num, base_point("Z"), dirs)
+    gram = kks_gram(num, base_point("Z"), Frame(dirs))
     assert np.allclose(gram, -gram.T, atol=1e-13)
     assert np.allclose(np.diag(gram), 0.0)
 
@@ -52,9 +52,9 @@ def test_kks_frame_permutation_covariance():
     num = numerics("su21")
     rng = np.random.default_rng(6)
     dirs = [num.sample_k(rng) for _ in range(4)]
-    gram = kks_gram(num, base_point("Z"), dirs)
+    gram = kks_gram(num, base_point("Z"), Frame(dirs))
     perm = [2, 0, 3, 1]
-    gram_p = kks_gram(num, base_point("Z"), [dirs[i] for i in perm])
+    gram_p = kks_gram(num, base_point("Z"), Frame([dirs[i] for i in perm]))
     P = np.zeros((4, 4))
     for new, old in enumerate(perm):
         P[new, old] = 1.0
@@ -66,7 +66,7 @@ def test_kks_rejects_dependent_directions():
     rng = np.random.default_rng(8)
     x = num.sample_k(rng)
     with pytest.raises(ValueError, match="rank-deficient"):
-        kks_gram(num, base_point("Z"), [x, 2.0 * x])
+        kks_gram(num, base_point("Z"), Frame([x, 2.0 * x]))
 
 
 def test_compact_block_agrees_across_sides_sl3R():
@@ -74,7 +74,7 @@ def test_compact_block_agrees_across_sides_sl3R():
     num = numerics("sl3R")
     rng = np.random.default_rng(7)
     dirs = [num.sample_k(rng) for _ in range(3)]
-    gram_z = kks_gram(num, base_point("Z"), dirs)
+    gram_z = kks_gram(num, base_point("Z"), Frame(dirs))
     t = base_point()
     zk = num.z
     for i in range(3):
@@ -97,8 +97,8 @@ def test_induced_scaling_in_t():
     num = numerics("su21")
     rng = np.random.default_rng(11)
     kappa = num.sample_k(rng)
-    p1 = OrbitPointParam([kappa], 1.0, "Xtilde")
-    p3 = OrbitPointParam([kappa], 3.0, "Xtilde")
+    p1 = OrbitPointParam(GroupElement([kappa]), 1.0, "Xtilde")
+    p3 = OrbitPointParam(GroupElement([kappa]), 3.0, "Xtilde")
     frame = standard_frame(num, p1)
     g1 = induced_gram(num, p1, frame)
     g3 = induced_gram(num, p3, standard_frame(num, p3))
@@ -109,7 +109,7 @@ def test_frame_rank_is_dim_Z():
     for form_id in VERIFY_FORMS:
         num = numerics(form_id)
         frame = standard_frame(num, base_point())
-        assert frame.size() == num.dim_Z == num.dim_X + 2
+        assert len(frame) == num.dim_Z == num.dim_X + 2
         gram = induced_gram(num, base_point(), frame)
         assert np.linalg.matrix_rank(gram, tol=1e-10) == num.dim_Z
 
@@ -139,7 +139,7 @@ def test_beta_seed_determinism():
 
     p7 = _sample_point(num, _rng(7, 1, 0))
     p8 = _sample_point(num, _rng(8, 1, 0))
-    assert not np.allclose(p7.k_factors[0], p8.k_factors[0])
+    assert not np.allclose(p7.element.factors[0], p8.element.factors[0])
 
 
 # --- the orbit correspondence ------------------------------------------------
@@ -157,7 +157,7 @@ def test_ks_unit_norm_scaling():
     rng = np.random.default_rng(3)
     kappa = num.sample_k(rng)
     for t in (0.5, 1.0, 2.5):
-        u = realize(num, OrbitPointParam([kappa], t, "E"))
+        u = realize(num, OrbitPointParam(GroupElement([kappa]), t, "E"))
         norm2 = num.hermitian_pairing(u, u).real
         assert abs(norm2 - t * t) < 1e-12
 
@@ -173,7 +173,7 @@ def test_nan_deviation_fails_the_check():
 
 def test_beta_fails_when_every_frame_is_degenerate(monkeypatch):
     def degenerate(num, point, frame):
-        return np.zeros((frame.size(), frame.size()))
+        return np.zeros((len(frame), len(frame)))
 
     monkeypatch.setattr(sympver, "induced_gram", degenerate)
     main, base = verify_beta_symplectic(numerics("sl2R"), samples=3, seed=42)
@@ -189,6 +189,46 @@ def test_poisson_fails_when_every_sample_is_rejected(monkeypatch):
     assert report.max_abs_deviation == 0.0
     assert not report.passed
     assert "no sample accepted" in report.detail
+
+
+@pytest.mark.parametrize(
+    "check",
+    (verify_beta_symplectic, ks_correspondence_check, poisson_identities_check,
+     moment_cone_check),
+)
+def test_zero_samples_fail_every_check(check):
+    result = check(numerics("sl2R"), samples=0, seed=42)
+    report = result[0] if isinstance(result, list) else result
+    assert not report.passed
+    assert "no sample accepted" in report.detail
+
+
+@pytest.mark.parametrize(
+    "check, first_attempt_rejected",
+    [
+        (verify_beta_symplectic, "sample 1: degenerate frame, resampled"),
+        (poisson_identities_check, "sample 1: ill-conditioned Gram, resampled"),
+    ],
+)
+def test_one_rejected_attempt_is_redrawn(monkeypatch, check, first_attempt_rejected):
+    """Only sample 1's first attempt gets a zero Gram: that attempt is
+    redrawn, the redraw is accepted and the check still passes."""
+    exact = sympver.induced_gram
+    calls = []
+
+    def zero_on_second_call(num, point, frame):
+        calls.append(1)
+        gram = exact(num, point, frame)
+        # call 1 is the base point (sample 0), call 2 sample 1's attempt 0
+        return np.zeros_like(gram) if len(calls) == 2 else gram
+
+    monkeypatch.setattr(sympver, "induced_gram", zero_on_second_call)
+    result = check(numerics("sl2R"), samples=4, seed=42)
+    report = result[0] if isinstance(result, list) else result
+    assert report.events == [first_attempt_rejected]
+    assert report.passed
+    assert report.sample_count == 4
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
@@ -308,9 +348,9 @@ def test_coadjoint_frame_gram_matches_fresh_kks_gram():
     point = sympver._sample_point(num, sympver._rng(42, 3, 0))
     frame = standard_frame(num, point)
     induced_gram(num, point, frame)  # fills the frame's bracket cache
-    z_point = OrbitPointParam(point.k_factors, point.t, side="Z")
-    dirs = [frame.radial_partner] + frame.k_directions
-    fresh = kks_gram(num, z_point, dirs)
+    z_point = OrbitPointParam(GroupElement(point.element.factors), point.t, side="Z")
+    dirs = list(frame.directions)
+    fresh = kks_gram(num, z_point, Frame(dirs))
     F = realize(num, z_point)
     written_out = np.zeros_like(fresh)
     for i in range(len(dirs)):
@@ -318,8 +358,8 @@ def test_coadjoint_frame_gram_matches_fresh_kks_gram():
             val = num.B(F, num.bracket(dirs[j], dirs[i])).real
             written_out[i, j], written_out[j, i] = val, -val
     assert np.array_equal(fresh, written_out)
-    assert np.array_equal(coadjoint_frame_gram(num, z_point, frame), fresh)
-    assert np.array_equal(coadjoint_frame_gram(num, z_point, frame), fresh)
+    assert np.array_equal(kks_gram(num, z_point, frame), fresh)
+    assert np.array_equal(kks_gram(num, z_point, frame), fresh)
 
 
 @pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R"))
@@ -333,7 +373,7 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
             num, sympver._rng(42, index, 0), t_range=(0.5, 2.0)
         )
         frame = standard_frame(num, point)
-        g = point.group()
+        g = point.element
         u0, b0 = point.t * g.ad(num.v), point.t * g.ad(num.e)
         rng = np.random.default_rng(43 + index)
         x, y = num.sample_k(rng, scale=0.8), num.sample_k(rng, scale=0.8)
