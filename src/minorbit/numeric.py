@@ -8,16 +8,29 @@ The compact conjugation is sigma_u(X) = -X^* on g_C, the same formula on every
 model; the conjugation sigma of the real form is the model's
 :class:`~.matmodel.qmat.Involution` spec.  The Cartan involution is the
 complex-linear theta = sigma_u o sigma, which is -X^* on g itself.
+
+Group elements are products of exponentials of three kinds of factor, and
+`expm` tells them apart by a property that holds exactly in floating point,
+since real combinations of exactly (anti-)Hermitian basis matrices stay
+exactly (anti-)Hermitian:
+
+* k factors and isotropy factors are anti-Hermitian: with one ``eigh`` of
+  the Hermitian i X = V diag(lambda) V^*, exp(X) = V exp(-i lambda) V^* is
+  unitary and exp(-X) is its adjoint;
+* a factors are Hermitian: with one ``eigh`` of X,
+  exp(+-X) = V exp(+-lambda) V^*;
+* n factors are nilpotent: exp(+-X) is the terminating series
+  sum_{j<n} (+-X)^j / j!, after a test that X^n vanishes to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import exactla
 from .matmodel import ModelAnalysis, analyze, catalog_key, compact_partner
@@ -44,21 +57,58 @@ def involution(spec: qmat.Involution):
     return apply
 
 
+NILPOTENT_RTOL = 1e-12
+
+
+def expm(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (exp(X), exp(-X)) from one decomposition of X.
+
+    Spectral for exactly anti-Hermitian or Hermitian X, the terminating
+    series otherwise; raises ValueError when X is none of the three kinds,
+    i.e. when X^n does not vanish to relative NILPOTENT_RTOL.
+    """
+    Xh = X.conj().T
+    if np.array_equal(X, -Xh):
+        lam, V = np.linalg.eigh(1j * X)  # X = -i V diag(lam) V^*
+        unitary = (V * np.exp(-1j * lam)) @ V.conj().T
+        return unitary, unitary.conj().T
+    if np.array_equal(X, Xh):
+        lam, V = np.linalg.eigh(X)
+        Vh = V.conj().T
+        return (V * np.exp(lam)) @ Vh, (V * np.exp(-lam)) @ Vh
+    n = X.shape[0]
+    term = np.eye(n, dtype=np.result_type(X, float))
+    plus, minus = term.copy(), term.copy()
+    for j in range(1, n):
+        term = term @ X / j  # X^j / j!
+        plus += term
+        minus += term if j % 2 == 0 else -term
+    # ||X^n|| <= NILPOTENT_RTOL ||X||^n, both sides divided by (n-1)!
+    bound = NILPOTENT_RTOL * np.linalg.norm(X) ** n / math.factorial(n - 1)
+    if np.linalg.norm(term @ X) > bound:
+        raise ValueError(
+            "expm: matrix is neither anti-Hermitian, Hermitian nor nilpotent"
+        )
+    return plus, minus
+
+
 @dataclass
 class GroupElement:
     """Product of exponentials of algebra elements, with exact inverse.
 
-    exp(f) and exp(-f) of each factor, the matrix and its inverse are each
-    computed once per element; a product ``g * h`` reuses the factor
-    exponentials of both sides, so they agree bit for bit with a freshly
-    built element.
+    Each factor is a k or isotropy factor (anti-Hermitian), an a factor
+    (Hermitian) or an n factor (nilpotent); `expm` returns exp(f) and exp(-f)
+    of a factor from one decomposition.  The factor exponentials, the matrix
+    and its inverse are each computed once per element; a product ``g * h``
+    reuses the factor exponentials of both sides, so they agree bit for bit
+    with a freshly built element.
     """
 
     factors: list[np.ndarray] = field(default_factory=list)
 
     @cached_property
     def _exps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(expm(f), expm(-f)) for f in self.factors]
+        return [expm(f) for f in self.factors]
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         product = GroupElement(self.factors + other.factors)
@@ -150,7 +200,8 @@ class ModelNumerics:
         return X @ Y - Y @ X
 
     def B(self, X, Y) -> complex:
-        return self.c * np.trace(X @ Y)
+        # tr(XY) without forming XY
+        return self.c * (X.ravel() @ Y.T.ravel())
 
     def sigma_u(self, X):
         """The compact conjugation -X^* (antilinear)."""

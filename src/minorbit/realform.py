@@ -130,6 +130,12 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
         raise CatalogError(entry_id, "hermitian must be true or false")
     if not isinstance(raw["k_name"], str):
         raise CatalogError(entry_id, "k_name must be a string")
+    jordan = raw.get("jordan_algebra")
+    if jordan is not None and not isinstance(jordan, str):
+        raise CatalogError(entry_id, "jordan_algebra must be a string or null")
+    notes = raw.get("notes", "")
+    if not isinstance(notes, str):
+        raise CatalogError(entry_id, "notes must be a string")
     desc = RealFormDescriptor(
         id=entry_id,
         gc_label=gc,
@@ -139,8 +145,8 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
         hermitian=raw["hermitian"],
         k_name=raw["k_name"],
         k_root_label=k_root_label,
-        jordan_algebra=raw.get("jordan_algebra"),
-        notes=raw.get("notes") or "",
+        jordan_algebra=jordan,
+        notes=notes,
     )
     _validate(desc)
     return desc

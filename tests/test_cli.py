@@ -272,3 +272,22 @@ def test_cli_module_invocation_emits_json():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["pass"] is True
+
+
+def test_commands_do_not_import_scipy():
+    """numpy is the only runtime dependency: verify with all nine checks and
+    catalog, in one fresh process, leave scipy unimported."""
+    code = (
+        "import sys\n"
+        "from minorbit.cli import main\n"
+        "codes = [main(['verify', '--form', 'sl2R']), main(['catalog'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("beta_symplectic", "ks_correspondence", "poisson_identities",
+                 "moment_cone"):
+        assert f"| {name} | pass |" in proc.stdout

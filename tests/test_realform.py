@@ -199,6 +199,8 @@ def test_exceptional_ids_present(catalog_map):
         ({"mults": {"e_i": 2, "2e_i": True}}, "mult '2e_i' must be a positive integer"),
         ({"gc_label": 7}, "cannot parse label 7"),
         ({"k_root_label": ["A1"]}, "cannot parse label ['A1']"),
+        ({"notes": 5}, "notes must be a string"),
+        ({"jordan_algebra": 3}, "jordan_algebra must be a string or null"),
     ],
 )
 def test_rejects_mistyped_fields(tmp_path, override, message):

@@ -445,8 +445,8 @@ def test_poisson_exponentiates_only_the_group_part(monkeypatch):
     samples = 4
     report = poisson_identities_check(num, samples=samples, seed=42)
     attempted = samples + len(report.events)
-    # exp(+-kappa) of the one group factor; none per frame direction
-    assert len(calls) <= 2 * attempted
+    # one call, exp(+-kappa), for the one group factor; none per frame direction
+    assert len(calls) <= attempted
 
 
 def test_isotropy_basis_solved_once_per_form(monkeypatch):
