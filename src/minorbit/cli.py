@@ -49,6 +49,8 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if self.tol is not None and not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _load_catalog(config: RunConfig):

@@ -3,6 +3,8 @@
 The exact layer fixes every distinguished element; this module converts them
 to numpy arrays once per form and provides the group action, the invariant
 form, the compact projection, and the unitary pairing at float precision.
+Every operation takes a matrix or a stack ``(..., n, n)`` of them and
+broadcasts over the leading axes, one call for a chunk of samples.
 
 The compact conjugation is sigma_u(X) = -X^* on g_C, the same formula on every
 model; the conjugation sigma of the real form is the model's
@@ -12,7 +14,7 @@ complex-linear theta = sigma_u o sigma, which is -X^* on g itself.
 Group elements are products of exponentials of three kinds of factor, and
 `expm` tells them apart by a property that holds exactly in floating point,
 since real combinations of exactly (anti-)Hermitian basis matrices stay
-exactly (anti-)Hermitian:
+exactly (anti-)Hermitian.  A stacked factor holds one kind:
 
 * k factors and isotropy factors are anti-Hermitian: with one ``eigh`` of
   the Hermitian i X = V diag(lambda) V^*, exp(X) = V exp(-i lambda) V^* is
@@ -20,14 +22,14 @@ exactly (anti-)Hermitian:
 * a factors are Hermitian: with one ``eigh`` of X,
   exp(+-X) = V exp(+-lambda) V^*;
 * n factors are nilpotent: exp(+-X) is the terminating series
-  sum_{j<n} (+-X)^j / j!, after a test that X^n vanishes to rounding.
+  sum_{j<n} (+-X)^j / j!, after a test that each X^n vanishes to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,7 @@ def involution(spec: qmat.Involution):
 
     def apply(X: np.ndarray) -> np.ndarray:
         if spec.transpose:
-            X = X.T
+            X = X.swapaxes(-1, -2)
         if spec.conjugate:
             X = X.conj()
         if J is not None:
@@ -57,35 +59,51 @@ def involution(spec: qmat.Involution):
     return apply
 
 
+def adjoint(X: np.ndarray) -> np.ndarray:
+    """The conjugate transpose X^* of each matrix of a stack."""
+    return X.conj().swapaxes(-1, -2)
+
+
+def trace_pairs(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """tr(P_i Q_j) for all pairs of two stacks (..., p, n, n), (..., q, n, n):
+    one product of the flattened matrices, (..., p, q), forming no P_i Q_j."""
+    n2 = P.shape[-2] * P.shape[-1]
+    Qt = Q.swapaxes(-1, -2).reshape(*Q.shape[:-2], n2)
+    return P.reshape(*P.shape[:-2], n2) @ Qt.swapaxes(-1, -2)
+
+
 NILPOTENT_RTOL = 1e-12
 
 
 def expm(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (exp(X), exp(-X)) from one decomposition of X.
+    """The pair (exp(X), exp(-X)) from one decomposition of each matrix of X.
 
-    Spectral for exactly anti-Hermitian or Hermitian X, the terminating
-    series otherwise; raises ValueError when X is none of the three kinds,
-    i.e. when X^n does not vanish to relative NILPOTENT_RTOL.
+    Spectral when all of the stack X is exactly anti-Hermitian, or exactly
+    Hermitian; the terminating series otherwise, which raises ValueError when
+    some X^n does not vanish to relative NILPOTENT_RTOL, i.e. when a matrix
+    of X is none of the three kinds.
     """
-    Xh = X.conj().T
+    Xh = adjoint(X)
     if np.array_equal(X, -Xh):
         lam, V = np.linalg.eigh(1j * X)  # X = -i V diag(lam) V^*
-        unitary = (V * np.exp(-1j * lam)) @ V.conj().T
-        return unitary, unitary.conj().T
+        unitary = (V * np.exp(-1j * lam)[..., None, :]) @ adjoint(V)
+        return unitary, adjoint(unitary)
     if np.array_equal(X, Xh):
         lam, V = np.linalg.eigh(X)
-        Vh = V.conj().T
-        return (V * np.exp(lam)) @ Vh, (V * np.exp(-lam)) @ Vh
-    n = X.shape[0]
-    term = np.eye(n, dtype=np.result_type(X, float))
-    plus, minus = term.copy(), term.copy()
-    for j in range(1, n):
+        Vh = adjoint(V)
+        return ((V * np.exp(lam)[..., None, :]) @ Vh,
+                (V * np.exp(-lam)[..., None, :]) @ Vh)
+    n = X.shape[-1]
+    eye = np.eye(n)
+    term, plus, minus = X, eye + X, eye - X
+    for j in range(2, n):
         term = term @ X / j  # X^j / j!
-        plus += term
-        minus += term if j % 2 == 0 else -term
+        plus = plus + term
+        minus = minus + term if j % 2 == 0 else minus - term
     # ||X^n|| <= NILPOTENT_RTOL ||X||^n, both sides divided by (n-1)!
-    bound = NILPOTENT_RTOL * np.linalg.norm(X) ** n / math.factorial(n - 1)
-    if np.linalg.norm(term @ X) > bound:
+    norm = np.linalg.norm(X, axis=(-2, -1))
+    bound = NILPOTENT_RTOL * norm**n / math.factorial(n - 1)
+    if np.any(np.linalg.norm(term @ X, axis=(-2, -1)) > bound):
         raise ValueError(
             "expm: matrix is neither anti-Hermitian, Hermitian nor nilpotent"
         )
@@ -94,14 +112,13 @@ def expm(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GroupElement:
-    """Product of exponentials of algebra elements, with exact inverse.
+    """Products of exponentials of algebra elements, with exact inverses.
 
-    Each factor is a k or isotropy factor (anti-Hermitian), an a factor
-    (Hermitian) or an n factor (nilpotent); `expm` returns exp(f) and exp(-f)
-    of a factor from one decomposition.  The factor exponentials, the matrix
-    and its inverse are each computed once per element; a product ``g * h``
-    reuses the factor exponentials of both sides, so they agree bit for bit
-    with a freshly built element.
+    Each factor is a matrix or an (S, n, n) stack, one per sample, of one
+    kind: k or isotropy (anti-Hermitian), a (Hermitian) or n (nilpotent); one
+    `expm` call gives exp(f) and exp(-f) of the whole stack.  These, the
+    matrices and their inverses are computed once per element; a product
+    ``g * h`` reuses the factor exponentials of both sides, bit for bit.
     """
 
     factors: list[np.ndarray] = field(default_factory=list)
@@ -116,25 +133,17 @@ class GroupElement:
         return product
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        n = self.factors[0].shape[0] if self.factors else 1
-        out = np.eye(n, dtype=complex)
-        for exp_f, _ in self._exps:
-            out = out @ exp_f
-        return out
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        n = self.factors[0].shape[0] if self.factors else 1
-        out = np.eye(n, dtype=complex)
-        for _, exp_neg_f in reversed(self._exps):
-            out = out @ exp_neg_f
-        return out
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices g and g^-1."""
+        return (reduce(np.matmul, [plus for plus, _ in self._exps]),
+                reduce(np.matmul, [minus for _, minus in reversed(self._exps)]))
 
     def ad(self, X: np.ndarray) -> np.ndarray:
+        """g X g^-1, broadcast between the element's and X's leading axes."""
         if not self.factors:
             return X
-        return self.matrix @ X @ self.inverse
+        g, g_inv = self._ends
+        return g @ X @ g_inv
 
 
 class ModelNumerics:
@@ -195,41 +204,51 @@ class ModelNumerics:
         iso = model.centralizer_in_span([self.analysis.striple.e], k_units)
         return [_as_array(model.matrix(vec)) for vec in iso]
 
-    # -- operations ----------------------------------------------------------
+    # -- operations, each over any leading axes --------------------------------
     def bracket(self, X, Y):
         return X @ Y - Y @ X
 
-    def B(self, X, Y) -> complex:
-        # tr(XY) without forming XY
-        return self.c * (X.ravel() @ Y.T.ravel())
+    def B(self, X, Y):
+        """c tr(XY), without forming XY."""
+        return self.c * trace_pairs(X[..., None, :, :], Y[..., None, :, :])[..., 0, 0]
 
     def sigma_u(self, X):
         """The compact conjugation -X^* (antilinear)."""
-        return -X.conj().T
+        return -adjoint(X)
 
-    def hermitian_pairing(self, X, Y) -> complex:
+    def hermitian_pairing(self, X, Y):
         """Invariant Hilbert pairing {X, Y} = -B(X, sigma_u(Y))."""
         return -self.B(X, self.sigma_u(Y))
 
     def k_component(self, X):
         """(X + theta X) / 2 with the complex-linear theta = sigma_u o sigma,
         so that complex points of p_C project to zero."""
-        return (X - self.sigma(X).conj().T) / 2.0
+        return (X - adjoint(self.sigma(X))) / 2.0
 
-    def sample_k(self, rng, scale: float = 1.0) -> np.ndarray:
-        coeffs = rng.standard_normal(len(self.k_basis)) * scale
-        return sum(c * b for c, b in zip(coeffs, self.k_basis))
+    # -- sampling: one stacked element per sequence of generators --------------
+    @staticmethod
+    def _span(coeffs: np.ndarray, basis) -> np.ndarray:
+        """sum_k coeffs[:, k] basis[k] per row, summed in basis order."""
+        return sum(coeffs[:, k, None, None] * b for k, b in enumerate(basis))
 
-    def sample_span(self, rng, basis, scale: float = 1.0) -> np.ndarray:
-        coeffs = rng.standard_normal(len(basis)) * scale
-        return sum(c * b for c, b in zip(coeffs, basis))
+    def sample_span(self, rngs, basis, scale: float = 1.0) -> np.ndarray:
+        """A random real combination of ``basis`` per generator, stacked
+        (S, n, n); each generator draws len(basis) normal coefficients, and a
+        None in place of a generator draws nothing and gives zero."""
+        d = len(basis)
+        coeffs = [np.zeros(d) if rng is None else rng.standard_normal(d) for rng in rngs]
+        return self._span(np.reshape(coeffs, (len(rngs), d)) * scale, basis)
 
-    def sample_pc(self, rng, scale: float = 1.0) -> np.ndarray:
-        re = rng.standard_normal(len(self.p_basis))
-        im = rng.standard_normal(len(self.p_basis))
-        return sum(
-            (complex(a, b) * scale) * m for a, b, m in zip(re, im, self.p_basis)
-        )
+    def sample_k(self, rngs, scale: float = 1.0) -> np.ndarray:
+        return self.sample_span(rngs, self.k_basis, scale)
+
+    def sample_pc(self, rngs, scale: float = 1.0) -> np.ndarray:
+        """A random complex point of p_C per generator: each draws the real
+        parts of its coefficients, then the imaginary parts."""
+        d = len(self.p_basis)
+        re, im = np.reshape([(rng.standard_normal(d), rng.standard_normal(d))
+                             for rng in rngs], (len(rngs), 2, d)).transpose(1, 0, 2)
+        return self._span((re + 1j * im) * scale, self.p_basis)
 
 
 def numerics(form_id: str, catalog: str | Path | None = None) -> ModelNumerics:

@@ -36,6 +36,9 @@ class GramReport:
     elapsed: float | None = None
     detail: str = ""
     events: list[str] = field(default_factory=list)
+    # sampled checks only: accepted samples, index of the largest deviation
+    accepted: int | None = None
+    worst_sample: int | None = None
 
     @property
     def failed(self) -> bool:
@@ -60,6 +63,8 @@ class GramReport:
             "elapsed": None,
             "detail": detail,
             "events": list(self.events),
+            **({} if self.accepted is None else
+               {"accepted": self.accepted, "worst_sample": self.worst_sample}),
         }
 
 

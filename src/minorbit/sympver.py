@@ -18,21 +18,14 @@ Poisson-bracket identities are checked numerically by assembling the induced
 Gram in a frame, factoring it, and contracting exact tangent derivatives of
 test functions along the frame curves: no frame curve is exponentiated.
 
-Shared values are computed once, at the widest scope where they are the same
-value, and reused by the very same float operations, so every deviation is
-bit-identical to recomputing them:
-
-* per form, the isotropy basis of e in k (``ModelNumerics.isotropy_basis``,
-  solved exactly on first use);
-* per frame, the pair brackets [d_j, d_i] and the rank test of the
-  directions (`Frame`), shared by the induced Gram and both coadjoint
-  Grams of a beta sample;
-* per sample, the group exponentials (`GroupElement`: points derived from a
-  sample share one element, and products reuse their factors'
-  exponentials);
-* per Poisson sample, the stacked frame-curve tangents, against which each
-  of the five test-function gradients is one contraction, and one
-  factorization of the induced Gram, shared by all five identities.
+Every sampled quantity carries a leading sample axis: a check takes CHUNK
+samples at a time, each chunk in a few stacked numpy calls.  Sample i still
+draws from its own streams ``_rng(seed, i, attempt)`` and ``_rng(seed, i)``,
+so it is the same point whatever the chunk; sample 0, the base point, has
+the zero factor.  A frame is an (S, m, n, n) stack, and every Gram comes from
+the pair traces T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) =
+c (T_ij - T_ji).  A chunk reduces to one deviation per sample, of which the
+check keeps the largest and its index; a NaN counts as the largest.
 """
 
 from __future__ import annotations
@@ -40,15 +33,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from .numeric import GroupElement, ModelNumerics
+from .numeric import GroupElement, ModelNumerics, trace_pairs
 from .report import GramReport
 
 PI = math.pi
 COND_LIMIT = 1e8
+# samples per stacked pass: memory stays bounded whatever the sample count
+CHUNK = 128
 
 DEFAULT_TOL_CLOSED = 1e-9
 # no check defaults to it; perfbench/worker.py reads it as poisson's tolerance
@@ -57,170 +51,176 @@ DEFAULT_TOL_FD = 1e-6
 
 @dataclass
 class OrbitPointParam:
-    """A sampled point: a group element of K, a scale t > 0 and a side.
+    """Sampled points: a group element of K, scales t > 0 and a side.
 
-    The default is the base point.  Points derived with
+    The element may stack one factor per sample, with ``t`` then an (S,)
+    array.  The default is the base point.  Points derived with
     ``dataclasses.replace`` share the group element and its exponentials.
     """
 
     element: GroupElement = field(default_factory=GroupElement, repr=False)
-    t: float = 1.0
+    t: float | np.ndarray = 1.0
     side: str = "Xtilde"  # Xtilde | Z | E
 
     def __post_init__(self):
-        if self.t <= 0:
+        if np.any(np.asarray(self.t) <= 0):
             raise ValueError("t must be positive")
 
 
-class Frame:
-    """Transported directions at a sample: x_psi, then the k directions.
+def _scale(t, X: np.ndarray) -> np.ndarray:
+    """t X, one scale per sample of a stack."""
+    return np.asarray(t)[..., None, None] * X
 
-    Each pair bracket [d_j, d_i] and the independence test are computed once,
-    on first use, and shared by every Gram assembled over the frame.
-    """
 
-    def __init__(self, directions: list[np.ndarray]):
-        self.directions = directions
-        self._brackets: dict[tuple[int, int], np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-    @property
-    def k_directions(self) -> list[np.ndarray]:
-        """The group directions: z, then a basis transverse to the isotropy."""
-        return self.directions[1:]
-
-    @cached_property
-    def independent(self) -> bool:
-        stacked = np.array([d.ravel() for d in self.directions])
-        return np.linalg.matrix_rank(stacked, tol=1e-10) >= len(self.directions)
-
-    def bracket(self, i: int, j: int) -> np.ndarray:
-        """[d_j, d_i]."""
-        key = (i, j)
-        if key not in self._brackets:
-            dj, di = self.directions[j], self.directions[i]
-            self._brackets[key] = dj @ di - di @ dj
-        return self._brackets[key]
+def _max_abs(X: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each matrix of a stack."""
+    return np.max(np.abs(X), axis=(-2, -1))
 
 
 def realize(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
     """Matrix realizing the point on its side."""
     if point.side == "E":
-        return point.t * point.element.ad(num.v)
+        return _scale(point.t, point.element.ad(num.v))
     if point.side == "Z":
-        return (point.t / PI) * point.element.ad(num.e)
+        return _scale(point.t / PI, point.element.ad(num.e))
     raise ValueError(f"side {point.side!r} has no matrix realization")
 
 
-def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> Frame:
-    """x_psi, the z direction, then a basis transverse to the isotropy, all
-    transported by the group part of the point."""
-    g = point.element
-    return Frame([g.ad(x) for x in (num.x_psi, num.z, *num.k_nu_perp_basis)])
+def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
+    """The (S, m, n, n) frame: x_psi, z, then a basis transverse to the
+    isotropy, all transported by the group part of the point."""
+    directions = np.array([num.x_psi, num.z, *num.k_nu_perp_basis])
+    # (m, 1, n, n) against the (S, n, n) element broadcasts to (m, S, n, n)
+    return np.ascontiguousarray(point.element.ad(directions[:, None]).swapaxes(0, 1))
 
 
-def kks_gram(num: ModelNumerics, point: OrbitPointParam, frame: Frame) -> np.ndarray:
-    """Canonical-form pairings <rho, [d_j, d_i]> at a realized orbit point."""
+def _bracket_gram(num: ModelNumerics, F: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """B(F, [d_j, d_i]) for every pair of directions of the frame, from the
+    pair traces U[j, i] = tr(F d_j d_i)."""
+    U = trace_pairs(F[..., None, :, :] @ frame, frame)
+    return (num.c * (U.swapaxes(-1, -2) - U)).real
+
+
+def kks_gram(num: ModelNumerics, point: OrbitPointParam, frame: np.ndarray) -> np.ndarray:
+    """Canonical-form pairings <rho, [d_j, d_i]> at realized orbit points."""
     if point.side != "Z":
         raise ValueError("kks_gram expects a point on the coadjoint side")
-    if not frame.independent:
+    flat = frame.reshape(*frame.shape[:-2], -1)
+    if np.any(np.linalg.matrix_rank(flat, tol=1e-10) < frame.shape[-3]):
         raise ValueError("rank-deficient frame: directions are linearly dependent")
-    F = realize(num, point)
-    m = len(frame)
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = num.B(F, frame.bracket(i, j))
-            out[i, j] = val.real
-            out[j, i] = -val.real
-    return out
+    return _bracket_gram(num, realize(num, point), frame)
 
 
-def induced_gram(num: ModelNumerics, point: OrbitPointParam, frame: Frame) -> np.ndarray:
+def induced_gram(num: ModelNumerics, point: OrbitPointParam, frame: np.ndarray) -> np.ndarray:
     """Induced-form pairings in the frame, from the compact-side closed forms.
 
     Row and column 0 belong to the doubled inward radial direction; entry
     (0, j) is 2t <k.nu, a_j> and the group block is t <k.nu, [a_j, a_i]>.
     """
-    t = point.t
+    t = np.asarray(point.t)[..., None]
     zk = point.element.ad(num.z)
-    m = len(frame)
-    out = np.zeros((m, m))
-    for i, a in enumerate(frame.k_directions, start=1):
-        val = (t / PI) * num.B(zk, a).real
-        out[0, i] = val
-        out[i, 0] = -val
-    for i in range(1, m):
-        for j in range(i + 1, m):
-            val = (t / (2 * PI)) * num.B(zk, frame.bracket(i, j)).real
-            out[i, j] = val
-            out[j, i] = -val
+    k_directions = frame[..., 1:, :, :]
+    m = frame.shape[-3]
+    out = np.zeros((*frame.shape[:-3], m, m))
+    radial = (t / PI) * num.B(zk[..., None, :, :], k_directions).real
+    out[..., 0, 1:] = radial
+    out[..., 1:, 0] = -radial
+    out[..., 1:, 1:] = (t / (2 * PI))[..., None] * _bracket_gram(num, zk, k_directions)
     return out
 
 
-def _sample_point(num: ModelNumerics, rng, t_range=(0.25, 4.0)) -> OrbitPointParam:
-    kappa = num.sample_k(rng, scale=0.7)
+def _sample_points(num: ModelNumerics, rngs, t_range=(0.25, 4.0)) -> OrbitPointParam:
+    """One point per generator, stacked; a None generator gives the base
+    point (zero factor, t = 1) and draws nothing."""
+    kappa = num.sample_k(rngs, scale=0.7)
     log_lo, log_hi = math.log(t_range[0]), math.log(t_range[1])
-    t = math.exp(rng.uniform(log_lo, log_hi))
-    return OrbitPointParam(GroupElement([kappa]), t)
-
-
-def _worst(acc: float, *devs) -> float:
-    """Running maximum of deviations that keeps a NaN, which max() drops."""
-    for dev in devs:
-        dev = float(dev)
-        if dev > acc or math.isnan(dev):
-            acc = dev
-    return acc
+    t = [1.0 if rng is None else math.exp(rng.uniform(log_lo, log_hi)) for rng in rngs]
+    return OrbitPointParam(GroupElement([kappa]), np.array(t))
 
 
 def _rng(seed: int, index: int, *extra: int):
-    return np.random.default_rng([seed & 0xFFFFFFFF, index, *extra])
+    """The stream of one sample.  A seed below 2**32 is keyed as the entropy
+    words [seed, index, *extra]; the higher words of a larger seed go into
+    the spawn key, so no two seeds share a stream."""
+    high = seed >> 32
+    return np.random.default_rng(np.random.SeedSequence(
+        [seed & 0xFFFFFFFF, index, *extra], spawn_key=(high,) if high else ()
+    ))
+
+
+def _chunks(samples: int):
+    return (np.arange(lo, min(lo + CHUNK, samples)) for lo in range(0, samples, CHUNK))
+
+
+@dataclass
+class _Deviations:
+    """The accepted samples of a check: their count, and the largest
+    per-sample deviation with its sample index; the first NaN, or else the
+    first largest value folded in, is kept."""
+
+    accepted: int = 0
+    value: float = 0.0
+    index: int | None = None
+
+    def add(self, indices: np.ndarray, dev: np.ndarray) -> None:
+        """Fold in the deviations ``dev`` of the samples ``indices``."""
+        self.accepted += len(indices)
+        if len(indices):
+            k = int(np.argmax(dev))  # the first NaN, if there is one
+            value = float(dev[k])
+            if (self.index is None or value > self.value
+                    or math.isnan(value) and not math.isnan(self.value)):
+                self.value, self.index = value, int(indices[k])
 
 
 def _accepted_samples(num, samples, seed, t_range, rejects, texts, events):
-    """Yield ``(index, rng, point, frame, gram)`` for each accepted sample.
+    """Yield ``(indices, point, frame, gram)`` stacks of accepted samples.
 
     Sample 0 is the base point; any other is drawn from ``_rng(seed, index,
-    attempt)``.  A sample whose induced Gram ``rejects(gram, frame)`` is
-    redrawn, up to four attempts, and then given up; ``texts`` names the
-    rejection and the giving up in ``events``.  The yielded rng is the
-    sample's own stream for the check's further draws.
+    attempt)``.  The samples of a chunk whose induced Gram ``rejects(gram,
+    frame)`` (a flag per sample) are redrawn together, up to four attempts,
+    then given up; ``texts`` names both in ``events``, by index then attempt.
     """
     rejected, given_up = texts
-    for index in range(samples):
+    for pending in _chunks(samples):
+        notes = []
         for attempt in range(4):
-            if index == 0:
-                point = OrbitPointParam()
-            else:
-                point = _sample_point(num, _rng(seed, index, attempt), t_range)
+            rngs = [_rng(seed, i, attempt) if i else None for i in pending]
+            point = _sample_points(num, rngs, t_range)
             frame = standard_frame(num, point)
             gram = induced_gram(num, point, frame)
-            if not rejects(gram, frame):
-                yield index, _rng(seed, index), point, frame, gram
+            bad = np.asarray(rejects(gram, frame))
+            if not bad.any():
+                yield pending, point, frame, gram
+            elif not bad.all():
+                ok = ~bad
+                element = GroupElement([f[ok] for f in point.element.factors])
+                yield pending[ok], OrbitPointParam(element, point.t[ok]), frame[ok], gram[ok]
+            notes += [(i, attempt, f"sample {i}: {rejected}, resampled")
+                      for i in pending[bad]]
+            pending = pending[bad]
+            if not len(pending):
                 break
-            events.append(f"sample {index}: {rejected}, resampled")
-        else:
-            events.append(f"sample {index}: {given_up}")
+        notes += [(i, 4, f"sample {i}: {given_up}") for i in pending]
+        events.extend(text for *_, text in sorted(notes))
 
 
-def _report(name, samples, accepted, max_dev, tol, seed, start, detail="",
+def _report(name, samples, devs: _Deviations, tol, seed, start, detail="",
             events=()) -> GramReport:
-    """The record of a sampled check; ``accepted`` counts or lists the
-    accepted samples.  A check that accepted none has tested nothing, so it
-    fails and says so in its detail."""
+    """The record of a sampled check.  A check that accepted no sample has
+    tested nothing, so it fails and says so in its detail."""
     return GramReport(
         check_name=name,
         sample_count=samples,
-        max_abs_deviation=max_dev,
+        max_abs_deviation=devs.value,
         tolerance=tol,
-        passed=bool(accepted) and max_dev <= tol,
+        passed=bool(devs.accepted) and devs.value <= tol,
         seed=seed,
         elapsed=time.perf_counter() - start,
-        detail=detail + ("" if accepted else "; no sample accepted"),
+        detail=detail + ("" if devs.accepted else "; no sample accepted"),
         events=list(events),
+        accepted=devs.accepted,
+        worst_sample=devs.index,
     )
 
 
@@ -243,51 +243,46 @@ def verify_beta_symplectic(
     """
     start = time.perf_counter()
     events: list[str] = []
-    accepted: list[int] = []
-    max_dev = 0.0
-    base_block_dev = 0.0
+    devs = _Deviations()
+    base = _Deviations()
+    log_s = (math.log(0.25), math.log(4.0))
 
     def degenerate(gram, frame):
-        return np.linalg.matrix_rank(gram, tol=1e-10) < len(frame)
+        return np.linalg.matrix_rank(gram, tol=1e-10) < frame.shape[-3]
 
-    for index, rng, point, frame, gram_x in _accepted_samples(
+    for indices, point, frame, gram_x in _accepted_samples(
         num, samples, seed, (0.25, 4.0), degenerate,
         ("degenerate frame", "frame degenerate after retries"), events,
     ):
-        accepted.append(index)
         gram_z = kks_gram(num, replace(point, side="Z"), frame)
-        dev = float(np.max(np.abs(gram_x - gram_z)))
-        max_dev = _worst(max_dev, dev)
-        if index == 0:
-            block = gram_x[:2, :2]
-            target = np.array([[0.0, -2.0 / PI], [2.0 / PI, 0.0]])
-            base_block_dev = float(np.max(np.abs(block - target)))
         # coadjoint-side scaling law on an independent factor
-        s = float(math.exp(rng.uniform(math.log(0.25), math.log(4.0))))
-        scaled = replace(point, t=point.t * s, side="Z")
-        gram_scaled = kks_gram(num, scaled, frame)
-        max_dev = _worst(max_dev, float(np.max(np.abs(gram_scaled - s * gram_z))))
+        s = np.array([math.exp(_rng(seed, i).uniform(*log_s)) for i in indices])
+        gram_scaled = kks_gram(num, replace(point, t=point.t * s, side="Z"), frame)
+        devs.add(indices, np.maximum(
+            _max_abs(gram_x - gram_z), _max_abs(gram_scaled - _scale(s, gram_z))
+        ))
+        if indices[0] == 0:
+            target = np.array([[0.0, -2.0 / PI], [2.0 / PI, 0.0]])
+            base.add(indices[:1], _max_abs(gram_x[:1, :2, :2] - target))
     return [
         _report(
-            "beta_symplectic", samples, accepted, max_dev, tol, seed, start,
+            "beta_symplectic", samples, devs, tol, seed, start,
             "entrywise Gram agreement plus coadjoint scaling law", events,
         ),
-        GramReport(
-            check_name="beta_base_block",
-            sample_count=1,
-            max_abs_deviation=base_block_dev,
-            tolerance=BASE_BLOCK_TOL,
-            passed=accepted[:1] == [0] and base_block_dev <= BASE_BLOCK_TOL,
-            seed=seed,
-            elapsed=0.0,
-            detail="distinguished block vs [[0, -2/pi], [2/pi, 0]]",
+        _report(
+            "beta_base_block", 1, base, BASE_BLOCK_TOL, seed, start,
+            "distinguished block vs [[0, -2/pi], [2/pi, 0]]",
         ),
     ]
 
 
 def nilpotent_of(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
     """The correspondence image of a realized cone point, t Ad k (e)."""
-    return point.t * point.element.ad(num.e)
+    return _scale(point.t, point.element.ad(num.e))
+
+
+def _norm(num: ModelNumerics, X: np.ndarray) -> np.ndarray:
+    return np.sqrt(num.hermitian_pairing(X, X).real)
 
 
 def ks_correspondence_check(
@@ -299,52 +294,33 @@ def ks_correspondence_check(
     """Unit-sphere slicing, homogeneity, and well-definedness of the
     correspondence between extremal-weight points and nilpotent points."""
     start = time.perf_counter()
-    max_dev = 0.0
-    for index in range(samples):
-        rng = _rng(seed, index)
-        if index == 0:
-            point = OrbitPointParam(side="E")
-        else:
-            point = replace(_sample_point(num, rng), side="E")
-        u = realize(num, point)
+    devs = _Deviations()
+    for indices in _chunks(samples):
+        rngs = [_rng(seed, i) for i in indices]
+        base_or_drawn = [rng if i else None for i, rng in zip(indices, rngs)]
+        point = replace(_sample_points(num, base_or_drawn), side="E")
         t = point.t
-        norm_u = math.sqrt(num.hermitian_pairing(u, u).real)
-        max_dev = _worst(max_dev, float(abs(norm_u - t)))
+        u = realize(num, point)
         b_u = nilpotent_of(num, point)
-        norm_b = math.sqrt(num.hermitian_pairing(b_u, b_u).real)
-        max_dev = _worst(max_dev, float(abs(norm_b - t)))
-        if index == 0:
-            max_dev = _worst(max_dev, float(np.max(np.abs(b_u - num.e))))
+        dev = [np.abs(_norm(num, u) - t), np.abs(_norm(num, b_u) - t),
+               np.where(indices == 0, _max_abs(b_u - num.e), 0.0)]
         # equivariance on a composed sample
-        kappa2 = num.sample_k(rng, scale=0.7)
-        g2 = GroupElement([kappa2])
+        g2 = GroupElement([num.sample_k(rngs, scale=0.7)])
         moved = OrbitPointParam(g2 * point.element, t, "E")
-        dev_eq = float(np.max(np.abs(nilpotent_of(num, moved) - g2.ad(b_u))))
-        max_dev = _worst(max_dev, dev_eq)
+        dev.append(_max_abs(nilpotent_of(num, moved) - g2.ad(b_u)))
         # homogeneity
-        s = float(math.exp(rng.uniform(-1.0, 1.0)))
+        s = np.array([math.exp(rng.uniform(-1.0, 1.0)) for rng in rngs])
         scaled = replace(point, t=s * t)
-        max_dev = _worst(
-            max_dev, float(np.max(np.abs(nilpotent_of(num, scaled) - s * b_u)))
-        )
+        dev.append(_max_abs(nilpotent_of(num, scaled) - _scale(s, b_u)))
         # well-definedness across isotropy factors: eta centralizes both v and e
-        if num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis):
-            iso = _isotropy_sample(num, rng)
-            if iso is not None:
-                repar = OrbitPointParam(point.element * GroupElement([iso]), t, "E")
-                dev_pt = float(np.max(np.abs(realize(num, repar) - u)))
-                dev_b = float(np.max(np.abs(nilpotent_of(num, repar) - b_u)))
-                max_dev = _worst(max_dev, dev_pt, dev_b)
-    return _report("ks_correspondence", samples, samples, max_dev, tol, seed, start)
-
-
-def _isotropy_sample(num: ModelNumerics, rng) -> np.ndarray | None:
-    """Random element of the isotropy algebra of v (equivalently of e)."""
-    mats = num.isotropy_basis
-    if not mats:
-        return None
-    coeffs = rng.standard_normal(len(mats))
-    return sum(c * m for c, m in zip(coeffs, mats))
+        if (num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis)
+                and num.isotropy_basis):
+            iso = GroupElement([num.sample_span(rngs, num.isotropy_basis)])
+            repar = OrbitPointParam(point.element * iso, t, "E")
+            dev.append(_max_abs(realize(num, repar) - u))
+            dev.append(_max_abs(nilpotent_of(num, repar) - b_u))
+        devs.add(indices, np.max(dev, axis=0))
+    return _report("ks_correspondence", samples, devs, tol, seed, start)
 
 
 def _poisson_gradients(num: ModelNumerics, u0, b0, directions, w, x, y) -> np.ndarray:
@@ -352,32 +328,40 @@ def _poisson_gradients(num: ModelNumerics, u0, b0, directions, w, x, y) -> np.nd
     curves through (u0, b0) (columns), from the curves' exact tangents at
     h = 0: (-2 u0, -2 b0) for the doubled radial curve and (-[a, u0], -[a, b0])
     for the transport by exp(-h a) along each group direction a, since
-    d/dh Ad(exp(-h a)) X = -[a, X].
+    d/dh Ad(exp(-h a)) X = -[a, X].  Stacked: (S, 5, m) for S samples.
 
     Every test function is real-linear in the tangent or follows from one
-    that is, so each row is one contraction over the stacked tangents.
+    that is, so each row is one contraction tr(T Q), which is
+    tr(a [Q, u0]) on a transport tangent: no tangent is formed.
     """
-    A = np.array(directions)
-    tan_u = np.concatenate([[-2 * u0], u0 @ A - A @ u0])
-    tan_b = np.concatenate([[-2 * b0], b0 @ A - A @ b0])
+
+    def along_frame(X, Q):
+        # tr(T_k Q_f) over the tangents T_k of X and a stack of Q_f
+        X = X[..., None, :, :]
+        return np.concatenate(
+            [-2 * trace_pairs(X, Q), trace_pairs(directions, Q @ X - X @ Q)], axis=-2
+        )
+
     # P(X, Y) = -c tr(X sigma_u(Y)) is Hermitian: P(w, T) = conj P(T, w)
-    sig = np.array([num.sigma_u(u0), num.sigma_u(w)])
-    pair_u, pair_w = -num.c * np.einsum("kij,fji->fk", tan_u, sig)
+    sig = np.stack([num.sigma_u(u0), num.sigma_u(w)], axis=-3)
+    pair = -num.c * along_frame(u0, sig)
     # the projection onto k is B-self-adjoint: B(k(T), x) = B(T, k(x))
-    kxy = np.array([num.k_component(x), num.k_component(y)])
-    rphi_x, rphi_y = (num.c / PI) * np.einsum("kij,fji->fk", tan_b, kxy).real
+    kxy = np.stack([num.k_component(x), num.k_component(y)], axis=-3)
+    rphi = (num.c / PI) * along_frame(b0, kxy).real
     # r = sqrt(Re P(u, u)): dr = Re(P(T, u0) + P(u0, T)) / 2 r0 = Re P(T, u0) / r0
-    r0 = math.sqrt(num.hermitian_pairing(u0, u0).real)
-    d_r = pair_u.real / r0
-    phi_x = num.B(kxy[0], b0).real / (PI * r0)
-    d_phi_x = (rphi_x - phi_x * d_r) / r0
-    return np.array([d_r, d_phi_x, pair_w.conj(), rphi_x, rphi_y])
+    r0 = _norm(num, u0)[..., None]
+    d_r = pair[..., 0].real / r0
+    phi_x = num.B(kxy[..., 0, :, :], b0).real[..., None] / (PI * r0)
+    d_phi_x = (rphi[..., 0] - phi_x * d_r) / r0
+    return np.stack(
+        [d_r, d_phi_x, pair[..., 1].conj(), rphi[..., 0], rphi[..., 1]], axis=-2
+    )
 
 
 def _poisson_bracket(gram: np.ndarray, grads_f: np.ndarray, grads_g: np.ndarray):
     """Brackets {f_i, g_j} = grad f_i . gram^-1 . grad g_j of stacked
-    gradients, from one factorization of the Gram."""
-    return grads_f @ np.linalg.solve(gram, grads_g.T)
+    gradients, from one factorization of each Gram."""
+    return grads_f @ np.linalg.solve(gram, grads_g.swapaxes(-1, -2))
 
 
 def poisson_identities_check(
@@ -397,44 +381,42 @@ def poisson_identities_check(
     The check fails when every sample was rejected.
     """
     start = time.perf_counter()
-    accepted = 0
-    max_rel = 0.0
+    devs = _Deviations()
     events: list[str] = []
 
     def ill_conditioned(gram, frame):
         return np.linalg.cond(gram) > COND_LIMIT
 
-    for index, rng, point, frame, gram in _accepted_samples(
+    for indices, point, frame, gram in _accepted_samples(
         num, samples, seed, (0.5, 2.0), ill_conditioned,
         ("ill-conditioned Gram", "no well-conditioned sample found"), events,
     ):
-        accepted += 1
-        u0 = point.t * point.element.ad(num.v)
+        rngs = [_rng(seed, i) for i in indices]
+        u0 = realize(num, replace(point, side="E"))
         b0 = nilpotent_of(num, point)
-        x = num.sample_k(rng, scale=0.8)
-        y = num.sample_k(rng, scale=0.8)
-        w = num.sample_pc(rng, scale=0.8)
-        grads = _poisson_gradients(num, u0, b0, frame.k_directions, w, x, y)
+        x, y = (num.sample_k(rngs, scale=0.8) for _ in range(2))
+        w = num.sample_pc(rngs, scale=0.8)
+        grads = _poisson_gradients(num, u0, b0, frame[:, 1:], w, x, y)
         br = _poisson_bracket(gram, grads, grads)
         r, phi_x, sec, rphi_x, rphi_y = range(5)
         identities = (
             # [r, r] = 0 and [r, phi~] = 0
-            (br[r, r], 0.0),
-            (br[r, phi_x], 0.0),
+            (br[:, r, r], 0.0),
+            (br[:, r, phi_x], 0.0),
             # [r, s~] = 2 pi i s~
-            (br[r, sec], 2j * PI * num.hermitian_pairing(w, u0)),
+            (br[:, r, sec], 2j * PI * num.hermitian_pairing(w, u0)),
             # momentum functions close under bracket
-            (br[rphi_x, rphi_y],
+            (br[:, rphi_x, rphi_y],
              num.B(num.k_component(b0), num.bracket(x, y)).real / PI),
             # bracketing against a section is the group derivative
-            (br[rphi_x, sec], -num.hermitian_pairing(w, num.bracket(x, u0))),
+            (br[:, rphi_x, sec], -num.hermitian_pairing(w, num.bracket(x, u0))),
         )
-        for lhs, rhs in identities:
-            max_rel = _worst(
-                max_rel, float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-            )
+        devs.add(indices, np.max([
+            np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            for lhs, rhs in identities
+        ], axis=0))
     return _report(
-        "poisson_identities", samples, accepted, max_rel, tol, seed, start,
+        "poisson_identities", samples, devs, tol, seed, start,
         "relative deviations; closed-form class", events,
     )
 
@@ -454,7 +436,7 @@ def moment_cone_check(
     compact orbit; otherwise it is necessary only and labeled as such.
     """
     start = time.perf_counter()
-    max_dev = 0.0
+    devs = _Deviations()
     rank_one = len(num.a_basis) == 1
     z = num.z
     Bzz = num.B(z, z).real
@@ -463,39 +445,31 @@ def moment_cone_check(
         # compact elements have purely imaginary spectrum; order by the
         # imaginary part so float noise in the real parts cannot reshuffle
         eig = np.linalg.eigvals(X)
-        return eig[np.argsort(eig.imag, kind="stable")]
+        order = np.argsort(eig.imag, axis=-1, kind="stable")
+        return np.take_along_axis(eig, order, axis=-1)
 
     eig_z = sorted_spectrum(z)
-    for index in range(samples):
-        rng = _rng(seed, index)
-        if index == 0:
-            f = num.e.copy()
-        else:
-            kappa = num.sample_k(rng, scale=0.7)
-            alpha = num.sample_span(rng, num.a_basis, scale=0.5)
-            nelt = num.sample_span(rng, num.n_basis, scale=0.7)
-            unipotent = GroupElement([nelt])
-            g = GroupElement([kappa, alpha]) * unipotent
-            f = g.ad(num.e)
-            # the nilpositive element is fixed by the unipotent factor
-            max_dev = _worst(
-                max_dev, float(np.max(np.abs(unipotent.ad(num.e) - num.e)))
-            )
+    for indices in _chunks(samples):
+        # sample 0 is the nilpositive element itself: zero factors, no draws
+        rngs = [_rng(seed, i) if i else None for i in indices]
+        kappa = num.sample_k(rngs, scale=0.7)
+        alpha = num.sample_span(rngs, num.a_basis, scale=0.5)
+        unipotent = GroupElement([num.sample_span(rngs, num.n_basis, scale=0.7)])
+        f = (GroupElement([kappa, alpha]) * unipotent).ad(num.e)
+        # the nilpositive element is fixed by the unipotent factor
+        dev = [_max_abs(unipotent.ad(num.e) - num.e)]
         kc = num.k_component(f)
-        s = math.sqrt(num.B(kc, kc).real / Bzz)
-        if index == 0:
-            max_dev = _worst(max_dev, float(np.max(np.abs(kc - z / 2.0))))
+        s = np.sqrt(num.B(kc, kc).real / Bzz)
+        dev.append(np.where(indices == 0, _max_abs(kc - z / 2.0), 0.0))
         eig = sorted_spectrum(kc)
-        max_dev = _worst(max_dev, float(np.max(np.abs(eig - s * eig_z))))
+        dev.append(np.max(np.abs(eig - s[:, None] * eig_z), axis=-1))
         if rank_one:
             for c0 in num.center_k_basis:
-                max_dev = _worst(
-                    max_dev,
-                    float(abs(num.B(kc, c0).real - s * num.B(z, c0).real)),
-                )
+                dev.append(np.abs(num.B(kc, c0).real - s * num.B(z, c0).real))
             if len(num.k_basis) == 1:
-                max_dev = _worst(max_dev, float(np.max(np.abs(kc - s * z))))
+                dev.append(_max_abs(kc - _scale(s, z)))
+        devs.add(indices, np.max(dev, axis=0))
     label = "full membership (restricted rank 1)" if rank_one else (
         "spectral test only: necessary, not sufficient"
     )
-    return _report("moment_cone", samples, samples, max_dev, tol, seed, start, label)
+    return _report("moment_cone", samples, devs, tol, seed, start, label)

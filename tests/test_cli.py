@@ -221,6 +221,28 @@ def test_verify_rejects_non_finite_tol(capsys):
         assert "tol must be positive and finite" in capsys.readouterr().err
 
 
+def test_verify_rejects_negative_seed(capsys):
+    argv = ["verify", "--form", "sl2R", "--checks", "beta", "--seed", "-1"]
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_seeds_equal_modulo_2_32_draw_different_samples(capsys):
+    """42 and 2**32 + 42 were one stream each time; the report must not
+    claim a seed whose samples it did not draw."""
+    deviations = {}
+    for seed in (42, 2**32 + 42):
+        argv = ["verify", "--form", "sl2R", "--checks", "beta,ks,poisson,moment",
+                "--samples", "20", "--seed", str(seed), "--format", "json"]
+        assert main(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert {c["seed"] for c in checks} == {seed}
+        deviations[seed] = [c["max_abs_deviation"] for c in checks
+                            if c["name"] != "beta_base_block"]
+    first, second = deviations.values()
+    assert all(a != b for a, b in zip(first, second)), deviations
+
+
 def test_verify_rejects_unmodeled_form(capsys):
     assert main(["verify", "--form", "e8-split"]) == 2
     assert "no matrix model" in capsys.readouterr().err

@@ -5,35 +5,47 @@ from scipy.linalg import expm as scipy_expm
 from minorbit import numeric
 from minorbit.matmodel import MODEL_IDS
 from minorbit.numeric import numerics
-from minorbit.sympver import _isotropy_sample
 
 
-def _factors(num, rng):
-    """Seeded k, a, n and (where the isotropy algebra is nonzero) isotropy
-    factors, drawn as the sampled checks draw them."""
+def _factors(num, rngs):
+    """Seeded stacks of k, a, n and (where the isotropy algebra is nonzero)
+    isotropy factors, one matrix per generator, drawn as the sampled checks
+    draw them."""
     factors = {
-        "k": num.sample_k(rng, scale=0.7),
-        "a": num.sample_span(rng, num.a_basis, scale=0.5),
-        "n": num.sample_span(rng, num.n_basis, scale=0.7),
+        "k": num.sample_k(rngs, scale=0.7),
+        "a": num.sample_span(rngs, num.a_basis, scale=0.5),
+        "n": num.sample_span(rngs, num.n_basis, scale=0.7),
     }
-    iso = _isotropy_sample(num, rng)
-    if iso is not None:
-        factors["isotropy"] = iso
+    if num.isotropy_basis:
+        factors["isotropy"] = num.sample_span(rngs, num.isotropy_basis)
     return factors
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
 def test_expm_matches_scipy_on_every_factor_kind(form_id):
     num = numerics(form_id)
-    rng = np.random.default_rng(61)
-    for _ in range(4):
-        for kind, X in _factors(num, rng).items():
-            plus, minus = numeric.expm(X)
-            for mine, ref in ((plus, scipy_expm(X)), (minus, scipy_expm(-X))):
+    rngs = [np.random.default_rng([61, i]) for i in range(4)]
+    for kind, stack in _factors(num, rngs).items():
+        assert stack.shape == (4, *num.e.shape)
+        plus, minus = numeric.expm(stack)
+        for X, p, m in zip(stack, plus, minus):
+            for mine, ref in ((p, scipy_expm(X)), (m, scipy_expm(-X))):
                 rel = np.linalg.norm(mine - ref) / np.linalg.norm(ref)
                 assert rel <= 1e-12, (kind, rel)
             identity = np.eye(X.shape[0])
-            assert np.max(np.abs(plus @ minus - identity)) <= 1e-12, kind
+            assert np.max(np.abs(p @ m - identity)) <= 1e-12, kind
+
+
+@pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R", "sl2H"))
+def test_stacked_expm_matches_one_matrix_at_a_time(form_id):
+    """Each matrix of a stack gets the exponentials it gets on its own."""
+    num = numerics(form_id)
+    rngs = [np.random.default_rng([62, i]) for i in range(5)]
+    for kind, stack in _factors(num, rngs).items():
+        plus, minus = numeric.expm(stack)
+        for X, p, m in zip(stack, plus, minus):
+            alone_p, alone_m = numeric.expm(X)
+            assert np.array_equal(p, alone_p) and np.array_equal(m, alone_m), kind
 
 
 def test_expm_series_is_exact_on_integer_nilpotents():
@@ -55,3 +67,13 @@ def test_expm_series_is_exact_on_integer_nilpotents():
 def test_expm_rejects_matrices_of_no_factor_kind(X):
     with pytest.raises(ValueError, match="nilpotent"):
         numeric.expm(X)
+
+
+def test_expm_series_rejects_one_bad_matrix_in_a_stack():
+    nilpotent = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+    bad = nilpotent.copy()
+    bad[2, 0] = 1e-3  # X^3 no longer vanishes
+    stack = np.array([nilpotent, 2 * nilpotent, bad, 3 * nilpotent])
+    numeric.expm(stack[[0, 1, 3]])
+    with pytest.raises(ValueError, match="nilpotent"):
+        numeric.expm(stack)

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from minorbit.matmodel import analyze
 from minorbit.matmodel.model import LieAlgebraModel
 from minorbit.numeric import GroupElement, ModelNumerics, numerics
 from minorbit.sympver import (
-    Frame,
+    CHUNK,
     OrbitPointParam,
     induced_gram,
     kks_gram,
@@ -34,7 +35,7 @@ def base_point(side="Xtilde"):
 
 def test_kks_distinguished_entry_sl2R():
     num = numerics("sl2R")
-    gram = kks_gram(num, base_point("Z"), Frame([num.x_psi, num.z]))
+    gram = kks_gram(num, base_point("Z"), np.array([num.x_psi, num.z]))
     assert abs(gram[0, 1] - (-2.0 / PI)) < 1e-14
     assert abs(gram[1, 0] - (2.0 / PI)) < 1e-14
 
@@ -42,8 +43,8 @@ def test_kks_distinguished_entry_sl2R():
 def test_kks_antisymmetry_and_diagonal():
     num = numerics("sl3R")
     rng = np.random.default_rng(5)
-    dirs = [num.sample_k(rng) for _ in range(3)] + [num.x_psi]
-    gram = kks_gram(num, base_point("Z"), Frame(dirs))
+    dirs = [*num.sample_k([rng] * 3), num.x_psi]
+    gram = kks_gram(num, base_point("Z"), np.array(dirs))
     assert np.allclose(gram, -gram.T, atol=1e-13)
     assert np.allclose(np.diag(gram), 0.0)
 
@@ -51,10 +52,10 @@ def test_kks_antisymmetry_and_diagonal():
 def test_kks_frame_permutation_covariance():
     num = numerics("su21")
     rng = np.random.default_rng(6)
-    dirs = [num.sample_k(rng) for _ in range(4)]
-    gram = kks_gram(num, base_point("Z"), Frame(dirs))
+    dirs = num.sample_k([rng] * 4)
+    gram = kks_gram(num, base_point("Z"), dirs)
     perm = [2, 0, 3, 1]
-    gram_p = kks_gram(num, base_point("Z"), Frame([dirs[i] for i in perm]))
+    gram_p = kks_gram(num, base_point("Z"), dirs[perm])
     P = np.zeros((4, 4))
     for new, old in enumerate(perm):
         P[new, old] = 1.0
@@ -64,17 +65,17 @@ def test_kks_frame_permutation_covariance():
 def test_kks_rejects_dependent_directions():
     num = numerics("sl3R")
     rng = np.random.default_rng(8)
-    x = num.sample_k(rng)
+    (x,) = num.sample_k([rng])
     with pytest.raises(ValueError, match="rank-deficient"):
-        kks_gram(num, base_point("Z"), Frame([x, 2.0 * x]))
+        kks_gram(num, base_point("Z"), np.array([x, 2.0 * x]))
 
 
 def test_compact_block_agrees_across_sides_sl3R():
     """Pairings of compact directions agree at the base points of both sides."""
     num = numerics("sl3R")
     rng = np.random.default_rng(7)
-    dirs = [num.sample_k(rng) for _ in range(3)]
-    gram_z = kks_gram(num, base_point("Z"), Frame(dirs))
+    dirs = num.sample_k([rng] * 3)
+    gram_z = kks_gram(num, base_point("Z"), dirs)
     t = base_point()
     zk = num.z
     for i in range(3):
@@ -88,7 +89,7 @@ def test_compact_block_agrees_across_sides_sl3R():
 def test_induced_base_block_sl2R():
     num = numerics("sl2R")
     frame = standard_frame(num, base_point())
-    gram = induced_gram(num, base_point(), frame)
+    gram = induced_gram(num, base_point(), frame)[0]
     target = np.array([[0.0, -2.0 / PI], [2.0 / PI, 0.0]])
     assert np.max(np.abs(gram[:2, :2] - target)) < 1e-15
 
@@ -96,7 +97,7 @@ def test_induced_base_block_sl2R():
 def test_induced_scaling_in_t():
     num = numerics("su21")
     rng = np.random.default_rng(11)
-    kappa = num.sample_k(rng)
+    (kappa,) = num.sample_k([rng])
     p1 = OrbitPointParam(GroupElement([kappa]), 1.0, "Xtilde")
     p3 = OrbitPointParam(GroupElement([kappa]), 3.0, "Xtilde")
     frame = standard_frame(num, p1)
@@ -109,8 +110,8 @@ def test_frame_rank_is_dim_Z():
     for form_id in VERIFY_FORMS:
         num = numerics(form_id)
         frame = standard_frame(num, base_point())
-        assert len(frame) == num.dim_Z == num.dim_X + 2
-        gram = induced_gram(num, base_point(), frame)
+        assert frame.shape[-3] == num.dim_Z == num.dim_X + 2
+        (gram,) = induced_gram(num, base_point(), frame)
         assert np.linalg.matrix_rank(gram, tol=1e-10) == num.dim_Z
 
 
@@ -135,10 +136,10 @@ def test_beta_seed_determinism():
     assert r1.as_dict() == r2.as_dict()
     assert b1.as_dict() == b2.as_dict()
     # distinct seeds draw distinct sample points
-    from minorbit.sympver import _rng, _sample_point
+    from minorbit.sympver import _rng, _sample_points
 
-    p7 = _sample_point(num, _rng(7, 1, 0))
-    p8 = _sample_point(num, _rng(8, 1, 0))
+    p7 = _sample_points(num, [_rng(7, 1, 0)])
+    p8 = _sample_points(num, [_rng(8, 1, 0)])
     assert not np.allclose(p7.element.factors[0], p8.element.factors[0])
 
 
@@ -155,7 +156,7 @@ def test_ks_base_case():
 def test_ks_unit_norm_scaling():
     num = numerics("su21")
     rng = np.random.default_rng(3)
-    kappa = num.sample_k(rng)
+    (kappa,) = num.sample_k([rng])
     for t in (0.5, 1.0, 2.5):
         u = realize(num, OrbitPointParam(GroupElement([kappa]), t, "E"))
         norm2 = num.hermitian_pairing(u, u).real
@@ -173,7 +174,8 @@ def test_nan_deviation_fails_the_check():
 
 def test_beta_fails_when_every_frame_is_degenerate(monkeypatch):
     def degenerate(num, point, frame):
-        return np.zeros((len(frame), len(frame)))
+        m = frame.shape[-3]
+        return np.zeros((*frame.shape[:-3], m, m))
 
     monkeypatch.setattr(sympver, "induced_gram", degenerate)
     main, base = verify_beta_symplectic(numerics("sl2R"), samples=3, seed=42)
@@ -216,19 +218,22 @@ def test_one_rejected_attempt_is_redrawn(monkeypatch, check, first_attempt_rejec
     exact = sympver.induced_gram
     calls = []
 
-    def zero_on_second_call(num, point, frame):
-        calls.append(1)
+    def zero_sample_1_on_first_call(num, point, frame):
         gram = exact(num, point, frame)
-        # call 1 is the base point (sample 0), call 2 sample 1's attempt 0
-        return np.zeros_like(gram) if len(calls) == 2 else gram
+        calls.append(len(gram))
+        # call 1 stacks attempt 0 of samples 0-3, so row 1 is sample 1
+        if len(calls) == 1:
+            gram[1] = 0.0
+        return gram
 
-    monkeypatch.setattr(sympver, "induced_gram", zero_on_second_call)
+    monkeypatch.setattr(sympver, "induced_gram", zero_sample_1_on_first_call)
     result = check(numerics("sl2R"), samples=4, seed=42)
     report = result[0] if isinstance(result, list) else result
     assert report.events == [first_attempt_rejected]
     assert report.passed
     assert report.sample_count == 4
-    assert len(calls) == 5
+    # five Grams: four first attempts, then sample 1's redraw on its own
+    assert calls == [4, 1]
 
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
@@ -252,7 +257,7 @@ def test_section_circle_derivative_sl2R():
     derivative, pinning the vertical normalization of the connection."""
     num = numerics("sl2R")
     rng = np.random.default_rng(19)
-    w = num.sample_pc(rng)
+    (w,) = num.sample_pc([rng])
     h = 1e-6
 
     def section(u):
@@ -269,10 +274,10 @@ def test_poisson_radial_bracket_value_sl2R():
     """[r, s] / s = 2 pi i, to finite-difference accuracy."""
     num = numerics("sl2R")
     point = base_point()
-    frame = standard_frame(num, point)
+    (frame,) = standard_frame(num, point)
     gram = induced_gram(num, point, frame)
     rng = np.random.default_rng(23)
-    w = num.sample_pc(rng)
+    (w,) = num.sample_pc([rng])
     h = 1e-6
     u0 = num.v
 
@@ -284,7 +289,7 @@ def test_poisson_radial_bracket_value_sl2R():
 
     grads_r = [(-2.0) * 1.0]  # d/ds of r along the doubled radial curve at t=1
     grads_s = [(section(radial_curve(h)) - section(radial_curve(-h))) / (2 * h)]
-    for a in frame.k_directions:
+    for a in frame[1:]:
         ep, em = expm(-h * a), expm(h * a)
         grads_r.append(0.0)
         grads_s.append((section(ep @ u0 @ em) - section(em @ u0 @ ep)) / (2 * h))
@@ -304,7 +309,7 @@ def test_moment_identity_point():
 def test_moment_unipotent_fixes_e():
     num = numerics("sl3R")
     rng = np.random.default_rng(31)
-    nelt = num.sample_span(rng, num.n_basis)
+    (nelt,) = num.sample_span([rng], num.n_basis)
     g = expm(nelt)
     moved = g @ num.e @ np.linalg.inv(g)
     assert np.max(np.abs(moved - num.e)) < 1e-12
@@ -328,38 +333,45 @@ def test_moment_determinism():
     assert r1.as_dict() == r2.as_dict()
 
 
-# --- shared work: computed once, bit-identical to recomputing ----------------
+# --- stacked samples: each sample as if computed on its own ------------------
 
-def test_group_element_reuse_is_bitwise():
+def test_group_element_rows_and_products_are_bitwise():
+    """A sample of a stacked element and a product transport exactly as the
+    element built from that sample alone."""
     num = numerics("su21")
     rng = np.random.default_rng(41)
-    k1, k2 = num.sample_k(rng), num.sample_k(rng)
+    k1, k2 = num.sample_k([rng] * 5), num.sample_k([rng] * 5)
     g = GroupElement([k1, k2])
-    first = g.ad(num.e)
-    again = g.ad(num.e)
-    fresh = GroupElement([k1, k2]).ad(num.e)
-    assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+    stacked = g.ad(num.e)
+    for i in range(5):
+        alone = GroupElement([k1[i:i + 1], k2[i:i + 1]]).ad(num.e)
+        assert np.array_equal(stacked[i:i + 1], alone)
     product = GroupElement([k1]) * GroupElement([k2])
-    assert np.array_equal(product.ad(num.v), GroupElement([k1, k2]).ad(num.v))
+    assert np.array_equal(product.ad(num.v), g.ad(num.v))
 
 
-def test_coadjoint_frame_gram_matches_fresh_kks_gram():
-    num = numerics("sp4R")
-    point = sympver._sample_point(num, sympver._rng(42, 3, 0))
+@pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R"))
+def test_pair_trace_grams_match_written_out_brackets(form_id):
+    """The Grams from pair traces tr(F d_j d_i) against B(F, [d_j, d_i])
+    written out entry by entry, sample by sample."""
+    num = numerics(form_id)
+    rngs = [sympver._rng(42, i, 0) for i in range(1, 6)]
+    point = sympver._sample_points(num, rngs)
     frame = standard_frame(num, point)
-    induced_gram(num, point, frame)  # fills the frame's bracket cache
-    z_point = OrbitPointParam(GroupElement(point.element.factors), point.t, side="Z")
-    dirs = list(frame.directions)
-    fresh = kks_gram(num, z_point, Frame(dirs))
-    F = realize(num, z_point)
-    written_out = np.zeros_like(fresh)
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            val = num.B(F, num.bracket(dirs[j], dirs[i])).real
-            written_out[i, j], written_out[j, i] = val, -val
-    assert np.array_equal(fresh, written_out)
-    assert np.array_equal(kks_gram(num, z_point, frame), fresh)
-    assert np.array_equal(kks_gram(num, z_point, frame), fresh)
+    z_point = OrbitPointParam(point.element, point.t, side="Z")
+    kks, induced = kks_gram(num, z_point, frame), induced_gram(num, point, frame)
+    F, zk = realize(num, z_point), point.element.ad(num.z)
+    m = frame.shape[1]
+    for s in range(len(rngs)):
+        d, t = frame[s], point.t[s]
+        for i in range(m):
+            for j in range(m):
+                assert abs(kks[s, i, j] - num.B(F[s], num.bracket(d[j], d[i])).real) < 1e-13
+                if i and j:
+                    pair = num.B(zk[s], num.bracket(d[j], d[i])).real * t / (2 * PI)
+                    assert abs(induced[s, i, j] - pair) < 1e-13
+            if i:
+                assert abs(induced[s, 0, i] - (t / PI) * num.B(zk[s], d[i]).real) < 1e-13
 
 
 @pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R"))
@@ -369,15 +381,18 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
     num = numerics(form_id)
     h = 1e-6
     for index in (1, 2, 3):
-        point = sympver._sample_point(
-            num, sympver._rng(42, index, 0), t_range=(0.5, 2.0)
+        point = sympver._sample_points(
+            num, [sympver._rng(42, index, 0)], t_range=(0.5, 2.0)
         )
         frame = standard_frame(num, point)
-        g = point.element
-        u0, b0 = point.t * g.ad(num.v), point.t * g.ad(num.e)
+        u0, b0 = realize(num, replace(point, side="E")), sympver.nilpotent_of(num, point)
         rng = np.random.default_rng(43 + index)
-        x, y = num.sample_k(rng, scale=0.8), num.sample_k(rng, scale=0.8)
-        w = num.sample_pc(rng, scale=0.8)
+        x, y = num.sample_k([rng] * 2, scale=0.8)
+        w = num.sample_pc([rng], scale=0.8)
+        exact = sympver._poisson_gradients(
+            num, u0, b0, frame[:, 1:], w, x[None], y[None]
+        )[0]
+        u0, b0, w = u0[0], b0[0], w[0]
 
         def radius(u, b):
             return math.sqrt(num.hermitian_pairing(u, u).real)
@@ -396,7 +411,7 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
                 (fun(math.exp(-2 * h) * u0, math.exp(-2 * h) * b0)
                  - fun(math.exp(2 * h) * u0, math.exp(2 * h) * b0)) / (2 * h)
             ]
-            for a in frame.k_directions:
+            for a in frame[0, 1:]:
                 ep, em = expm(-h * a), expm(h * a)
                 out.append(
                     (fun(ep @ u0 @ em, ep @ b0 @ em) - fun(em @ u0 @ ep, em @ b0 @ ep))
@@ -404,10 +419,92 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
                 )
             return np.array(out, dtype=complex)
 
-        exact = sympver._poisson_gradients(num, u0, b0, frame.k_directions, w, x, y)
         for row, fun in zip(exact, (radius, phi_x, section, momentum(x), momentum(y))):
             ref = central(fun)
             assert np.max(np.abs(row - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
+
+
+SAMPLED_CHECKS = (verify_beta_symplectic, ks_correspondence_check,
+                  poisson_identities_check, moment_cone_check)
+
+
+def _per_sample_deviations(monkeypatch, check, num, samples, seed=42):
+    """The stacked deviations a check folds in, by sample index (beta's
+    sample 0 also feeds the base-block record)."""
+    seen = {}
+    add = sympver._Deviations.add
+
+    def record(self, indices, dev):
+        for i, d in zip(indices.tolist(), dev.tolist()):
+            seen.setdefault(i, []).append(d)
+        add(self, indices, dev)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sympver._Deviations, "add", record)
+        check(num, samples=samples, seed=seed)
+    return seen
+
+
+@pytest.mark.parametrize("check", SAMPLED_CHECKS)
+def test_per_sample_deviations_do_not_depend_on_the_batch(monkeypatch, check):
+    """Sample i's deviation is bit for bit the same whatever the sample
+    count, also when the run spans two chunks."""
+    num = numerics("su21")
+    ten = _per_sample_deviations(monkeypatch, check, num, 10)
+    hundred = _per_sample_deviations(monkeypatch, check, num, 100)
+    two_chunks = _per_sample_deviations(monkeypatch, check, num, CHUNK + 3)
+    assert sorted(ten) == list(range(10))
+    assert sorted(two_chunks) == list(range(CHUNK + 3))
+    for i in range(10):
+        assert ten[i] == hundred[i] == two_chunks[i], i
+
+
+@pytest.mark.parametrize("check", SAMPLED_CHECKS)
+def test_worst_sample_reruns_to_the_same_deviation(check):
+    num = numerics("sp4R")
+    result = check(num, samples=40, seed=42)
+    report = result[0] if isinstance(result, list) else result
+    assert report.accepted == 40 and 0 <= report.worst_sample < 40
+    line = report.as_dict()
+    assert (line["accepted"], line["worst_sample"]) == (40, report.worst_sample)
+    again = check(num, samples=report.worst_sample + 1, seed=42)
+    again = again[0] if isinstance(again, list) else again
+    assert again.max_abs_deviation == report.max_abs_deviation
+    assert again.worst_sample == report.worst_sample
+
+
+@pytest.mark.parametrize(
+    "check, target",
+    [(verify_beta_symplectic, "kks_gram"), (ks_correspondence_check, "realize"),
+     (poisson_identities_check, "_poisson_bracket")],
+)
+def test_nan_in_one_sample_of_a_chunk_fails_the_check(monkeypatch, check, target):
+    original = getattr(sympver, target)
+
+    def nan_at_sample_5(*args, **kwargs):
+        out = original(*args, **kwargs).copy()
+        out[5] = np.nan
+        return out
+
+    monkeypatch.setattr(sympver, target, nan_at_sample_5)
+    result = check(numerics("su21"), samples=20, seed=42)
+    report = result[0] if isinstance(result, list) else result
+    assert not report.passed
+    assert math.isnan(report.max_abs_deviation)
+    assert report.worst_sample == 5 and report.accepted == 20
+
+
+def test_rng_streams_keyed_on_the_full_seed():
+    """Seeds below 2**32 keep the streams [seed, index, *extra]; a seed that
+    agrees with one of them modulo 2**32 gets streams of its own."""
+    for seed in (0, 42, 2**32 - 1):
+        ref = np.random.default_rng([seed, 3, 1]).standard_normal(4)
+        assert np.array_equal(sympver._rng(seed, 3, 1).standard_normal(4), ref)
+    draws = {
+        seed: sympver._rng(seed, 3, 1).standard_normal(4)
+        for seed in (42, 2**32 + 42, 2**33 + 42, 2**64 + 42)
+    }
+    assert len({d.tobytes() for d in draws.values()}) == len(draws)
 
 
 def test_poisson_sees_a_relative_error_of_1e_8(monkeypatch):
