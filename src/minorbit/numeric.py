@@ -173,24 +173,13 @@ class ModelNumerics:
         self.k_nu_basis = [mat(v) for v in lam.k_nu_basis]
         self.center_k_basis = [mat(v) for v in lam.center_basis]
 
-        # B-orthogonal complement of k_nu inside k, computed exactly
+        # B-orthogonal complement of k_nu inside k, computed exactly; k_nu
+        # holds z, so the system has at least one row
         k_units = model.subspace_units(model.k_indices)
-        gram_rows = [
-            [model.B(y, x) for x in k_units] for y in lam.k_nu_basis
-        ]
-        if gram_rows:
-            sol = exactla.kernel_basis(gram_rows)
-            perp_coords = []
-            for t in sol:
-                vec = [0] * model.dim
-                for coef, unit in zip(t, k_units):
-                    for r in range(model.dim):
-                        vec[r] = vec[r] + coef * unit[r]
-                perp_coords.append(vec)
-        else:
-            perp_coords = list(k_units)
-        perp_coords = exactla.orthogonalize(perp_coords, model.B)
-        self.k_nu_perp_basis = [mat(v) for v in perp_coords]
+        gram_rows = [[model.B(y, x) for x in k_units] for y in lam.k_nu_basis]
+        columns = list(zip(*k_units))
+        perp = [exactla.mat_vec(columns, t) for t in exactla.kernel_basis(gram_rows)]
+        self.k_nu_perp_basis = [mat(v) for v in exactla.orthogonalize(perp, model.B)]
 
     @cached_property
     def isotropy_basis(self) -> list[np.ndarray]:
@@ -225,30 +214,9 @@ class ModelNumerics:
         so that complex points of p_C project to zero."""
         return (X - adjoint(self.sigma(X))) / 2.0
 
-    # -- sampling: one stacked element per sequence of generators --------------
-    @staticmethod
-    def _span(coeffs: np.ndarray, basis) -> np.ndarray:
+    def span(self, coeffs: np.ndarray, basis) -> np.ndarray:
         """sum_k coeffs[:, k] basis[k] per row, summed in basis order."""
         return sum(coeffs[:, k, None, None] * b for k, b in enumerate(basis))
-
-    def sample_span(self, rngs, basis, scale: float = 1.0) -> np.ndarray:
-        """A random real combination of ``basis`` per generator, stacked
-        (S, n, n); each generator draws len(basis) normal coefficients, and a
-        None in place of a generator draws nothing and gives zero."""
-        d = len(basis)
-        coeffs = [np.zeros(d) if rng is None else rng.standard_normal(d) for rng in rngs]
-        return self._span(np.reshape(coeffs, (len(rngs), d)) * scale, basis)
-
-    def sample_k(self, rngs, scale: float = 1.0) -> np.ndarray:
-        return self.sample_span(rngs, self.k_basis, scale)
-
-    def sample_pc(self, rngs, scale: float = 1.0) -> np.ndarray:
-        """A random complex point of p_C per generator: each draws the real
-        parts of its coefficients, then the imaginary parts."""
-        d = len(self.p_basis)
-        re, im = np.reshape([(rng.standard_normal(d), rng.standard_normal(d))
-                             for rng in rngs], (len(rngs), 2, d)).transpose(1, 0, 2)
-        return self._span((re + 1j * im) * scale, self.p_basis)
 
 
 def numerics(form_id: str, catalog: str | Path | None = None) -> ModelNumerics:

@@ -19,13 +19,13 @@ Gram in a frame, factoring it, and contracting exact tangent derivatives of
 test functions along the frame curves: no frame curve is exponentiated.
 
 Every sampled quantity carries a leading sample axis: a check takes CHUNK
-samples at a time, each chunk in a few stacked numpy calls.  Sample i still
-draws from its own streams ``_rng(seed, i, attempt)`` and ``_rng(seed, i)``,
-so it is the same point whatever the chunk; sample 0, the base point, has
-the zero factor.  A frame is an (S, m, n, n) stack, and every Gram comes from
-the pair traces T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) =
-c (T_ij - T_ji).  A chunk reduces to one deviation per sample, of which the
-check keeps the largest and its index; a NaN counts as the largest.
+samples at a time, each chunk in a few stacked numpy calls.  Each draw is a
+pure function of the seed, sample index, purpose, attempt and position
+(``draw``), so sample i is the same point whatever the chunk; sample 0, the
+base point, has the zero factor.  A frame is an (S, m, n, n) stack, and
+every Gram comes from the pair traces T[s, i, j] = tr(F d_j d_i), as
+B(F, [d_j, d_i]) = c (T_ij - T_ji).  A chunk reduces to one deviation per
+sample; the check keeps the largest, a NaN first, and its sample index.
 """
 
 from __future__ import annotations
@@ -129,23 +129,52 @@ def induced_gram(num: ModelNumerics, point: OrbitPointParam, frame: np.ndarray) 
     return out
 
 
-def _sample_points(num: ModelNumerics, rngs, t_range=(0.25, 4.0)) -> OrbitPointParam:
-    """One point per generator, stacked; a None generator gives the base
-    point (zero factor, t = 1) and draws nothing."""
-    kappa = num.sample_k(rngs, scale=0.7)
-    log_lo, log_hi = math.log(t_range[0]), math.log(t_range[1])
-    t = [1.0 if rng is None else math.exp(rng.uniform(log_lo, log_hi)) for rng in rngs]
-    return OrbitPointParam(GroupElement([kappa]), np.array(t))
+# the purposes of a sample's draws: each is a field of its stream's key
+POINT, SCALE, FACTOR, ISOTROPY, TEST_FUNCTIONS = range(5)
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _rng(seed: int, index: int, *extra: int):
-    """The stream of one sample.  A seed below 2**32 is keyed as the entropy
-    words [seed, index, *extra]; the higher words of a larger seed go into
-    the spawn key, so no two seeds share a stream."""
-    high = seed >> 32
-    return np.random.default_rng(np.random.SeedSequence(
-        [seed & 0xFFFFFFFF, index, *extra], spawn_key=(high,) if high else ()
-    ))
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser (Steele, Lea, Flood, OOPSLA 2014) on uint64."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def draw(seed: int, indices: np.ndarray, purpose: int, attempt: int,
+         count: int) -> np.ndarray:
+    """(S, count) uniforms in [0, 1): positions 0 to count - 1 of the stream
+    of each sample of ``indices`` for ``purpose`` and ``attempt``, in integer
+    arithmetic.  The key folds in every 64-bit word of the seed; a stream
+    starts at the key mixed with the fixed-width fields index << 16 |
+    purpose << 8 | attempt (index < 2**48), and position j of it is the
+    SplitMix64 output mix(start + (j + 1) GAMMA)."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    key = np.zeros(1, np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix((key + GAMMA) ^ np.uint64(seed >> shift & (1 << 64) - 1))
+    fields = np.asarray(indices, np.uint64) << np.uint64(16)
+    start = _mix(key ^ fields ^ np.uint64(purpose << 8 | attempt))
+    bits = _mix(start[:, None] + np.arange(1, count + 1, dtype=np.uint64) * GAMMA)
+    return (bits >> np.uint64(11)) * 2.0**-53
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    """(S, c) normals by Box-Muller: radii from u[:, :c], angles from u[:, c:]."""
+    c = u.shape[1] // 2
+    return np.sqrt(-2.0 * np.log1p(-u[:, :c])) * np.cos(2 * PI * u[:, c:])
+
+
+def _sample_points(num: ModelNumerics, seed: int, indices: np.ndarray, attempt: int,
+                   spread: float = 4.0) -> OrbitPointParam:
+    """The points of samples ``indices`` at one attempt: k factors and t
+    log-uniform in [1/spread, spread); sample 0 is the base point (t = 1)."""
+    u = draw(seed, indices, POINT, attempt, 2 * len(num.k_basis) + 1)
+    coeffs = 0.7 * _normals(u[:, 1:])
+    coeffs[indices == 0] = 0.0
+    t = np.where(indices == 0, 1.0, spread ** (2 * u[:, 0] - 1))
+    return OrbitPointParam(GroupElement([num.span(coeffs, num.k_basis)]), t)
 
 
 def _chunks(samples: int):
@@ -173,11 +202,11 @@ class _Deviations:
                 self.value, self.index = value, int(indices[k])
 
 
-def _accepted_samples(num, samples, seed, t_range, rejects, texts, events):
+def _accepted_samples(num, samples, seed, spread, rejects, texts, events):
     """Yield ``(indices, point, frame, gram)`` stacks of accepted samples.
 
-    Sample 0 is the base point; any other is drawn from ``_rng(seed, index,
-    attempt)``.  The samples of a chunk whose induced Gram ``rejects(gram,
+    Sample 0 is the base point; any other is the POINT draw of its index at
+    the attempt.  The samples of a chunk whose induced Gram ``rejects(gram,
     frame)`` (a flag per sample) are redrawn together, up to four attempts,
     then given up; ``texts`` names both in ``events``, by index then attempt.
     """
@@ -185,17 +214,15 @@ def _accepted_samples(num, samples, seed, t_range, rejects, texts, events):
     for pending in _chunks(samples):
         notes = []
         for attempt in range(4):
-            rngs = [_rng(seed, i, attempt) if i else None for i in pending]
-            point = _sample_points(num, rngs, t_range)
+            point = _sample_points(num, seed, pending, attempt, spread)
             frame = standard_frame(num, point)
             gram = induced_gram(num, point, frame)
             bad = np.asarray(rejects(gram, frame))
             if not bad.any():
                 yield pending, point, frame, gram
             elif not bad.all():
-                ok = ~bad
-                element = GroupElement([f[ok] for f in point.element.factors])
-                yield pending[ok], OrbitPointParam(element, point.t[ok]), frame[ok], gram[ok]
+                ok = pending[~bad]  # their points again, drawn alone
+                yield ok, _sample_points(num, seed, ok, attempt, spread), frame[~bad], gram[~bad]
             notes += [(i, attempt, f"sample {i}: {rejected}, resampled")
                       for i in pending[bad]]
             pending = pending[bad]
@@ -245,18 +272,17 @@ def verify_beta_symplectic(
     events: list[str] = []
     devs = _Deviations()
     base = _Deviations()
-    log_s = (math.log(0.25), math.log(4.0))
 
     def degenerate(gram, frame):
         return np.linalg.matrix_rank(gram, tol=1e-10) < frame.shape[-3]
 
     for indices, point, frame, gram_x in _accepted_samples(
-        num, samples, seed, (0.25, 4.0), degenerate,
+        num, samples, seed, 4.0, degenerate,
         ("degenerate frame", "frame degenerate after retries"), events,
     ):
         gram_z = kks_gram(num, replace(point, side="Z"), frame)
         # coadjoint-side scaling law on an independent factor
-        s = np.array([math.exp(_rng(seed, i).uniform(*log_s)) for i in indices])
+        s = 4.0 ** (2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
         gram_scaled = kks_gram(num, replace(point, t=point.t * s, side="Z"), frame)
         devs.add(indices, np.maximum(
             _max_abs(gram_x - gram_z), _max_abs(gram_scaled - _scale(s, gram_z))
@@ -296,26 +322,26 @@ def ks_correspondence_check(
     start = time.perf_counter()
     devs = _Deviations()
     for indices in _chunks(samples):
-        rngs = [_rng(seed, i) for i in indices]
-        base_or_drawn = [rng if i else None for i, rng in zip(indices, rngs)]
-        point = replace(_sample_points(num, base_or_drawn), side="E")
+        point = replace(_sample_points(num, seed, indices, 0), side="E")
         t = point.t
         u = realize(num, point)
         b_u = nilpotent_of(num, point)
         dev = [np.abs(_norm(num, u) - t), np.abs(_norm(num, b_u) - t),
                np.where(indices == 0, _max_abs(b_u - num.e), 0.0)]
         # equivariance on a composed sample
-        g2 = GroupElement([num.sample_k(rngs, scale=0.7)])
+        kappa = 0.7 * _normals(draw(seed, indices, FACTOR, 0, 2 * len(num.k_basis)))
+        g2 = GroupElement([num.span(kappa, num.k_basis)])
         moved = OrbitPointParam(g2 * point.element, t, "E")
         dev.append(_max_abs(nilpotent_of(num, moved) - g2.ad(b_u)))
         # homogeneity
-        s = np.array([math.exp(rng.uniform(-1.0, 1.0)) for rng in rngs])
+        s = np.exp(2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
         scaled = replace(point, t=s * t)
         dev.append(_max_abs(nilpotent_of(num, scaled) - _scale(s, b_u)))
         # well-definedness across isotropy factors: eta centralizes both v and e
         if (num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis)
                 and num.isotropy_basis):
-            iso = GroupElement([num.sample_span(rngs, num.isotropy_basis)])
+            eta = _normals(draw(seed, indices, ISOTROPY, 0, 2 * len(num.isotropy_basis)))
+            iso = GroupElement([num.span(eta, num.isotropy_basis)])
             repar = OrbitPointParam(point.element * iso, t, "E")
             dev.append(_max_abs(realize(num, repar) - u))
             dev.append(_max_abs(nilpotent_of(num, repar) - b_u))
@@ -388,14 +414,15 @@ def poisson_identities_check(
         return np.linalg.cond(gram) > COND_LIMIT
 
     for indices, point, frame, gram in _accepted_samples(
-        num, samples, seed, (0.5, 2.0), ill_conditioned,
+        num, samples, seed, 2.0, ill_conditioned,
         ("ill-conditioned Gram", "no well-conditioned sample found"), events,
     ):
-        rngs = [_rng(seed, i) for i in indices]
         u0 = realize(num, replace(point, side="E"))
         b0 = nilpotent_of(num, point)
-        x, y = (num.sample_k(rngs, scale=0.8) for _ in range(2))
-        w = num.sample_pc(rngs, scale=0.8)
+        k, p = num.k_basis, num.p_basis
+        coeffs = 0.8 * _normals(draw(seed, indices, TEST_FUNCTIONS, 0, 4 * len(k + p)))
+        x, y, re, im = np.split(coeffs, np.cumsum([len(k), len(k), len(p)]), axis=1)
+        x, y, w = num.span(x, k), num.span(y, k), num.span(re + 1j * im, p)
         grads = _poisson_gradients(num, u0, b0, frame[:, 1:], w, x, y)
         br = _poisson_bracket(gram, grads, grads)
         r, phi_x, sec, rphi_x, rphi_y = range(5)
@@ -449,19 +476,24 @@ def moment_cone_check(
         return np.take_along_axis(eig, order, axis=-1)
 
     eig_z = sorted_spectrum(z)
+    da = len(num.a_basis)
     for indices in _chunks(samples):
-        # sample 0 is the nilpositive element itself: zero factors, no draws
-        rngs = [_rng(seed, i) if i else None for i in indices]
-        kappa = num.sample_k(rngs, scale=0.7)
-        alpha = num.sample_span(rngs, num.a_basis, scale=0.5)
-        unipotent = GroupElement([num.sample_span(rngs, num.n_basis, scale=0.7)])
-        f = (GroupElement([kappa, alpha]) * unipotent).ad(num.e)
+        # g = k a n with k the sample's point; g = 1 for sample 0, so f = e there
+        k = _sample_points(num, seed, indices, 0).element
+        coeffs = _normals(draw(seed, indices, FACTOR, 0, 2 * (da + len(num.n_basis))))
+        coeffs[indices == 0] = 0.0
+        a = GroupElement([num.span(0.5 * coeffs[:, :da], num.a_basis)])
+        unipotent = GroupElement([num.span(0.7 * coeffs[:, da:], num.n_basis)])
+        f = nilpotent_of(num, OrbitPointParam(k * a * unipotent))
         # the nilpositive element is fixed by the unipotent factor
         dev = [_max_abs(unipotent.ad(num.e) - num.e)]
         kc = num.k_component(f)
         s = np.sqrt(num.B(kc, kc).real / Bzz)
         dev.append(np.where(indices == 0, _max_abs(kc - z / 2.0), 0.0))
-        eig = sorted_spectrum(kc)
+        # eigvals refuses a NaN anywhere in the stack: such a sample deviates by NaN
+        finite = np.isfinite(kc).all(axis=(-2, -1))
+        eig = np.full(kc.shape[:-1], np.nan, dtype=complex)
+        eig[finite] = sorted_spectrum(kc[finite])
         dev.append(np.max(np.abs(eig - s[:, None] * eig_z), axis=-1))
         if rank_one:
             for c0 in num.center_k_basis:

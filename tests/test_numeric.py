@@ -9,16 +9,16 @@ from minorbit.numeric import numerics
 
 def _factors(num, rngs):
     """Seeded stacks of k, a, n and (where the isotropy algebra is nonzero)
-    isotropy factors, one matrix per generator, drawn as the sampled checks
-    draw them."""
-    factors = {
-        "k": num.sample_k(rngs, scale=0.7),
-        "a": num.sample_span(rngs, num.a_basis, scale=0.5),
-        "n": num.sample_span(rngs, num.n_basis, scale=0.7),
-    }
+    isotropy factors, one matrix per generator, at the scales of the sampled
+    checks; each generator draws the coefficients of its factors in turn."""
+    bases = {"k": (num.k_basis, 0.7), "a": (num.a_basis, 0.5), "n": (num.n_basis, 0.7)}
     if num.isotropy_basis:
-        factors["isotropy"] = num.sample_span(rngs, num.isotropy_basis)
-    return factors
+        bases["isotropy"] = (num.isotropy_basis, 1.0)
+    widths = [len(basis) for basis, _ in bases.values()]
+    coeffs = np.array([rng.standard_normal(sum(widths)) for rng in rngs])
+    blocks = np.split(coeffs, np.cumsum(widths)[:-1], axis=1)
+    return {kind: num.span(scale * block, basis)
+            for (kind, (basis, scale)), block in zip(bases.items(), blocks)}
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)

@@ -12,7 +12,13 @@ from minorbit.matmodel.model import LieAlgebraModel
 from minorbit.numeric import GroupElement, ModelNumerics, numerics
 from minorbit.sympver import (
     CHUNK,
+    FACTOR,
+    ISOTROPY,
+    POINT,
+    SCALE,
+    TEST_FUNCTIONS,
     OrbitPointParam,
+    draw,
     induced_gram,
     kks_gram,
     ks_correspondence_check,
@@ -31,6 +37,17 @@ def base_point(side="Xtilde"):
     return OrbitPointParam(GroupElement(), t=1.0, side=side)
 
 
+def _spans(num, rng, basis, count=1, scale=1.0):
+    """``count`` normal combinations of ``basis`` drawn from ``rng``."""
+    return num.span(scale * rng.standard_normal((count, len(basis))), basis)
+
+
+def _pc_point(num, rng, scale=1.0):
+    """A normal complex point of p_C: real parts first, then imaginary parts."""
+    re, im = rng.standard_normal((2, len(num.p_basis)))
+    return num.span(scale * (re + 1j * im)[None], num.p_basis)[0]
+
+
 # --- canonical-form Gram -----------------------------------------------------
 
 def test_kks_distinguished_entry_sl2R():
@@ -42,8 +59,7 @@ def test_kks_distinguished_entry_sl2R():
 
 def test_kks_antisymmetry_and_diagonal():
     num = numerics("sl3R")
-    rng = np.random.default_rng(5)
-    dirs = [*num.sample_k([rng] * 3), num.x_psi]
+    dirs = [*_spans(num, np.random.default_rng(5), num.k_basis, 3), num.x_psi]
     gram = kks_gram(num, base_point("Z"), np.array(dirs))
     assert np.allclose(gram, -gram.T, atol=1e-13)
     assert np.allclose(np.diag(gram), 0.0)
@@ -51,8 +67,7 @@ def test_kks_antisymmetry_and_diagonal():
 
 def test_kks_frame_permutation_covariance():
     num = numerics("su21")
-    rng = np.random.default_rng(6)
-    dirs = num.sample_k([rng] * 4)
+    dirs = _spans(num, np.random.default_rng(6), num.k_basis, 4)
     gram = kks_gram(num, base_point("Z"), dirs)
     perm = [2, 0, 3, 1]
     gram_p = kks_gram(num, base_point("Z"), dirs[perm])
@@ -64,8 +79,7 @@ def test_kks_frame_permutation_covariance():
 
 def test_kks_rejects_dependent_directions():
     num = numerics("sl3R")
-    rng = np.random.default_rng(8)
-    (x,) = num.sample_k([rng])
+    (x,) = _spans(num, np.random.default_rng(8), num.k_basis)
     with pytest.raises(ValueError, match="rank-deficient"):
         kks_gram(num, base_point("Z"), np.array([x, 2.0 * x]))
 
@@ -73,8 +87,7 @@ def test_kks_rejects_dependent_directions():
 def test_compact_block_agrees_across_sides_sl3R():
     """Pairings of compact directions agree at the base points of both sides."""
     num = numerics("sl3R")
-    rng = np.random.default_rng(7)
-    dirs = num.sample_k([rng] * 3)
+    dirs = _spans(num, np.random.default_rng(7), num.k_basis, 3)
     gram_z = kks_gram(num, base_point("Z"), dirs)
     t = base_point()
     zk = num.z
@@ -96,8 +109,7 @@ def test_induced_base_block_sl2R():
 
 def test_induced_scaling_in_t():
     num = numerics("su21")
-    rng = np.random.default_rng(11)
-    (kappa,) = num.sample_k([rng])
+    (kappa,) = _spans(num, np.random.default_rng(11), num.k_basis)
     p1 = OrbitPointParam(GroupElement([kappa]), 1.0, "Xtilde")
     p3 = OrbitPointParam(GroupElement([kappa]), 3.0, "Xtilde")
     frame = standard_frame(num, p1)
@@ -136,10 +148,8 @@ def test_beta_seed_determinism():
     assert r1.as_dict() == r2.as_dict()
     assert b1.as_dict() == b2.as_dict()
     # distinct seeds draw distinct sample points
-    from minorbit.sympver import _rng, _sample_points
-
-    p7 = _sample_points(num, [_rng(7, 1, 0)])
-    p8 = _sample_points(num, [_rng(8, 1, 0)])
+    p7 = sympver._sample_points(num, 7, np.array([1]), 0)
+    p8 = sympver._sample_points(num, 8, np.array([1]), 0)
     assert not np.allclose(p7.element.factors[0], p8.element.factors[0])
 
 
@@ -155,8 +165,7 @@ def test_ks_base_case():
 
 def test_ks_unit_norm_scaling():
     num = numerics("su21")
-    rng = np.random.default_rng(3)
-    (kappa,) = num.sample_k([rng])
+    (kappa,) = _spans(num, np.random.default_rng(3), num.k_basis)
     for t in (0.5, 1.0, 2.5):
         u = realize(num, OrbitPointParam(GroupElement([kappa]), t, "E"))
         norm2 = num.hermitian_pairing(u, u).real
@@ -256,8 +265,7 @@ def test_section_circle_derivative_sl2R():
     """The z-direction derivative of a section is -1/pi times its circle
     derivative, pinning the vertical normalization of the connection."""
     num = numerics("sl2R")
-    rng = np.random.default_rng(19)
-    (w,) = num.sample_pc([rng])
+    w = _pc_point(num, np.random.default_rng(19))
     h = 1e-6
 
     def section(u):
@@ -276,8 +284,7 @@ def test_poisson_radial_bracket_value_sl2R():
     point = base_point()
     (frame,) = standard_frame(num, point)
     gram = induced_gram(num, point, frame)
-    rng = np.random.default_rng(23)
-    (w,) = num.sample_pc([rng])
+    w = _pc_point(num, np.random.default_rng(23))
     h = 1e-6
     u0 = num.v
 
@@ -308,8 +315,7 @@ def test_moment_identity_point():
 
 def test_moment_unipotent_fixes_e():
     num = numerics("sl3R")
-    rng = np.random.default_rng(31)
-    (nelt,) = num.sample_span([rng], num.n_basis)
+    (nelt,) = _spans(num, np.random.default_rng(31), num.n_basis)
     g = expm(nelt)
     moved = g @ num.e @ np.linalg.inv(g)
     assert np.max(np.abs(moved - num.e)) < 1e-12
@@ -340,7 +346,7 @@ def test_group_element_rows_and_products_are_bitwise():
     element built from that sample alone."""
     num = numerics("su21")
     rng = np.random.default_rng(41)
-    k1, k2 = num.sample_k([rng] * 5), num.sample_k([rng] * 5)
+    k1, k2 = _spans(num, rng, num.k_basis, 5), _spans(num, rng, num.k_basis, 5)
     g = GroupElement([k1, k2])
     stacked = g.ad(num.e)
     for i in range(5):
@@ -355,14 +361,13 @@ def test_pair_trace_grams_match_written_out_brackets(form_id):
     """The Grams from pair traces tr(F d_j d_i) against B(F, [d_j, d_i])
     written out entry by entry, sample by sample."""
     num = numerics(form_id)
-    rngs = [sympver._rng(42, i, 0) for i in range(1, 6)]
-    point = sympver._sample_points(num, rngs)
+    point = sympver._sample_points(num, 42, np.arange(1, 6), 0)
     frame = standard_frame(num, point)
     z_point = OrbitPointParam(point.element, point.t, side="Z")
     kks, induced = kks_gram(num, z_point, frame), induced_gram(num, point, frame)
     F, zk = realize(num, z_point), point.element.ad(num.z)
     m = frame.shape[1]
-    for s in range(len(rngs)):
+    for s in range(5):
         d, t = frame[s], point.t[s]
         for i in range(m):
             for j in range(m):
@@ -381,18 +386,16 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
     num = numerics(form_id)
     h = 1e-6
     for index in (1, 2, 3):
-        point = sympver._sample_points(
-            num, [sympver._rng(42, index, 0)], t_range=(0.5, 2.0)
-        )
+        point = sympver._sample_points(num, 42, np.array([index]), 0, spread=2.0)
         frame = standard_frame(num, point)
         u0, b0 = realize(num, replace(point, side="E")), sympver.nilpotent_of(num, point)
         rng = np.random.default_rng(43 + index)
-        x, y = num.sample_k([rng] * 2, scale=0.8)
-        w = num.sample_pc([rng], scale=0.8)
+        x, y = _spans(num, rng, num.k_basis, 2, scale=0.8)
+        w = _pc_point(num, rng, scale=0.8)
         exact = sympver._poisson_gradients(
-            num, u0, b0, frame[:, 1:], w, x[None], y[None]
+            num, u0, b0, frame[:, 1:], w[None], x[None], y[None]
         )[0]
-        u0, b0, w = u0[0], b0[0], w[0]
+        u0, b0 = u0[0], b0[0]
 
         def radius(u, b):
             return math.sqrt(num.hermitian_pairing(u, u).real)
@@ -476,7 +479,7 @@ def test_worst_sample_reruns_to_the_same_deviation(check):
 @pytest.mark.parametrize(
     "check, target",
     [(verify_beta_symplectic, "kks_gram"), (ks_correspondence_check, "realize"),
-     (poisson_identities_check, "_poisson_bracket")],
+     (poisson_identities_check, "_poisson_bracket"), (moment_cone_check, "nilpotent_of")],
 )
 def test_nan_in_one_sample_of_a_chunk_fails_the_check(monkeypatch, check, target):
     original = getattr(sympver, target)
@@ -495,16 +498,110 @@ def test_nan_in_one_sample_of_a_chunk_fails_the_check(monkeypatch, check, target
 
 
 def test_rng_streams_keyed_on_the_full_seed():
-    """Seeds below 2**32 keep the streams [seed, index, *extra]; a seed that
-    agrees with one of them modulo 2**32 gets streams of its own."""
-    for seed in (0, 42, 2**32 - 1):
-        ref = np.random.default_rng([seed, 3, 1]).standard_normal(4)
-        assert np.array_equal(sympver._rng(seed, 3, 1).standard_normal(4), ref)
+    """Seeds that agree modulo 2**32 or 2**64 get streams of their own, and a
+    negative seed is refused."""
     draws = {
-        seed: sympver._rng(seed, 3, 1).standard_normal(4)
-        for seed in (42, 2**32 + 42, 2**33 + 42, 2**64 + 42)
+        seed: draw(seed, np.array([3]), POINT, 1, 4).tobytes()
+        for seed in (42, 2**32 + 42, 2**33 + 42, 2**64 + 42, 2**128 + 42)
     }
-    assert len({d.tobytes() for d in draws.values()}) == len(draws)
+    assert len(set(draws.values())) == len(draws)
+    with pytest.raises(ValueError, match="non-negative"):
+        draw(-1, np.array([3]), POINT, 1, 4)
+
+
+# --- the draw function ----------------------------------------------------------
+
+def _draw_reference(seed, index, purpose, attempt, position):
+    """The raw 64 bits of one draw, in Python integers."""
+    word, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(x):
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & word
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & word
+        return x ^ x >> 31
+
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = mix((key + gamma & word) ^ (seed >> shift & word))
+    start = mix(key ^ (index << 16 | purpose << 8 | attempt))
+    return mix(start + (position + 1) * gamma & word)
+
+
+def test_draw_known_answers():
+    # the finaliser: the first three outputs of SplitMix64 seeded with 0
+    gammas = np.arange(1, 4, dtype=np.uint64) * sympver.GAMMA
+    assert sympver._mix(gammas).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+    pinned = {  # (seed, index, purpose, attempt, position): (bits, uniform)
+        (42, 5, POINT, 0, 0): (0xFF81BDBF6498931A, 0.9980734436290695),
+        (42, 5, SCALE, 0, 0): (0xF3D4C4770D6E6881, 0.9524653235106882),
+        (7, 130, TEST_FUNCTIONS, 3, 9): (0x1C9103BC9FB4A685, 0.1115877471454092),
+        (2**64 + 42, 0, ISOTROPY, 0, 2): (0x22E8C84D366F62BE, 0.13636447796892304),
+    }
+    for (seed, index, purpose, attempt, position), (bits, u) in pinned.items():
+        assert _draw_reference(seed, index, purpose, attempt, position) == bits
+        drawn = draw(seed, np.array([index]), purpose, attempt, position + 1)
+        assert drawn[0, position] == u == (bits >> 11) * 2.0**-53
+    # whole chunks against the reference, draw by draw
+    for seed in (0, 42, 2**32 + 42, 2**64 + 42):
+        indices = np.array([0, 1, 127, 128, 2**40])
+        drawn = draw(seed, indices, FACTOR, 2, 5)
+        for row, index in zip(drawn, indices.tolist()):
+            ref = [_draw_reference(seed, index, FACTOR, 2, j) >> 11 for j in range(5)]
+            assert (row * 2.0**53).tolist() == ref
+
+
+def test_draw_normals_are_standard():
+    from scipy import stats
+
+    u = draw(2024, np.arange(25_000), SCALE, 0, 8)
+    normals = sympver._normals(u).ravel()
+    assert normals.size == 100_000
+    assert abs(normals.mean()) < 5 / math.sqrt(normals.size)
+    assert abs(normals.var() - 1) < 5 * math.sqrt(2 / normals.size)
+    assert stats.kstest(normals, "norm").pvalue > 1e-3
+    assert stats.kstest(u.ravel(), "uniform").pvalue > 1e-3
+
+
+def test_draws_differ_across_purposes_attempts_indices_and_seeds():
+    """Every pair of streams differs in every position and is uncorrelated."""
+    indices = np.arange(1, 2001)
+    streams = {
+        **{("purpose", p): draw(42, indices, p, 0, 8)
+           for p in (POINT, SCALE, FACTOR, ISOTROPY, TEST_FUNCTIONS)},
+        **{("attempt", a): draw(42, indices, POINT, a, 8) for a in (1, 2, 3)},
+        ("indices", 2001): draw(42, indices + 2000, POINT, 0, 8),
+        ("seed", 43): draw(43, indices, POINT, 0, 8),
+    }
+    labels = list(streams)
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            assert not np.any(streams[a] == streams[b]), (a, b)
+            corr = np.corrcoef(streams[a].ravel(), streams[b].ravel())[0, 1]
+            assert abs(corr) < 0.05, (a, b, corr)
+
+
+def test_poisson_test_functions_do_not_replay_the_point(monkeypatch):
+    """Poisson's test function x comes from a stream of its own: with the
+    point's stream, x would be the point's k factor rescaled, 0.7 x = 0.8 kappa."""
+    seen = {}
+    frame_of, gradients_of = sympver.standard_frame, sympver._poisson_gradients
+
+    def frame(num, point):
+        seen.setdefault("kappa", point.element.factors[0])
+        return frame_of(num, point)
+
+    def gradients(num, u0, b0, directions, w, x, y):
+        seen.setdefault("x", x)
+        return gradients_of(num, u0, b0, directions, w, x, y)
+
+    monkeypatch.setattr(sympver, "standard_frame", frame)
+    monkeypatch.setattr(sympver, "_poisson_gradients", gradients)
+    report = poisson_identities_check(numerics("su21"), samples=6, seed=42)
+    assert report.accepted == 6 and not report.events
+    for kappa, x in zip(seen["kappa"][1:], seen["x"][1:]):
+        assert not np.allclose(0.7 * x, 0.8 * kappa)
 
 
 def test_poisson_sees_a_relative_error_of_1e_8(monkeypatch):
