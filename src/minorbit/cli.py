@@ -147,29 +147,28 @@ def cmd_model_check(config: RunConfig) -> ReportDocument:
     analysis = matmodel.analyze(desc.id, config.catalog_path)
     model, datum = analysis.model, analysis.datum
 
-    def add(name, ok, detail=""):
-        doc.checks.append(CheckItem(name, "pass" if ok else "fail", detail))
-
-    add(
+    doc.checks.append(CheckItem.verdict(
         "model_dimensions",
         model.dim == analysis.invariants.dim_g and model.dim_m == desc.dim_m,
         f"dim g = {model.dim}, dim k = {model.dim_k}, dim a = {model.dim_a}, "
         f"dim m = {model.dim_m}",
-    )
-    add(
+    ))
+    doc.checks.append(CheckItem.verdict(
         "restricted_multiplicities",
         datum.class_mults() == desc.mults,
         f"model {datum.class_mults()} vs catalog {desc.mults}",
-    )
+    ))
     inv = analysis.invariants
     model_m = eigenvalue_multiplicities(datum)
-    add("eigenvalue_multiplicities", model_m == inv.m, f"{model_m}")
+    doc.checks.append(CheckItem.verdict(
+        "eigenvalue_multiplicities", model_m == inv.m, f"{model_m}"
+    ))
     dim_z_model = model.dim - kernel_ad_e_dimension(datum, analysis.striple.e)
-    add(
+    doc.checks.append(CheckItem.verdict(
         "orbit_dimension_oracle",
         dim_z_model == inv.dim_Z,
         f"dim from ad-e kernel {dim_z_model}, combinatorial {inv.dim_Z}",
-    )
+    ))
     return doc
 
 

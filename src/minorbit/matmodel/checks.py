@@ -17,7 +17,6 @@ from .. import exactla
 from ..exactla import QI
 from ..report import CheckItem
 from ..rootsys import dominant
-from . import qmat
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
@@ -40,9 +39,6 @@ def spectral_checks(
 ) -> list[CheckItem]:
     checks: list[CheckItem] = []
 
-    def add(name, ok, detail=""):
-        checks.append(CheckItem(name, "pass" if ok else "fail", detail))
-
     full = [model.unit_coords(i) for i in range(model.dim)]
     k_units = model.subspace_units(model.k_indices)
     p_units = model.subspace_units(model.p_indices)
@@ -50,47 +46,51 @@ def spectral_checks(
 
     ad_x = model.ad_matrix(striple.x)
     dims_x = _eig_dims(model, ad_x, full, [-2, -1, 0, 1, 2])
-    add(
+    checks.append(CheckItem.verdict(
         "adx_spectrum_in_range",
         sum(dims_x.values()) == model.dim,
         f"eigendims {dims_x}",
-    )
-    add(
+    ))
+    checks.append(CheckItem.verdict(
         "adx_multiplicities",
         {j: dims_x[j] for j in (-2, -1, 0, 1, 2)} == m_expected,
         f"kernel dims {dims_x} vs root-space count {m_expected}",
-    )
+    ))
     top = model.eigenspace(ad_x, 2, full)
     psi_space = datum.root_spaces[datum.psi]
-    add(
+    checks.append(CheckItem.verdict(
         "adx_top_space_is_g_psi",
         exactla.same_span(top, psi_space),
         f"dim {len(top)}",
-    )
+    ))
 
     ad_h = model.ad_matrix(cayley.h)
     dims_h = _eig_dims(model, ad_h, full, [QI(j) for j in (-2, -1, 0, 1, 2)])
-    add(
+    checks.append(CheckItem.verdict(
         "adh_multiplicities_match_adx",
         {j: dims_h[QI(j)] for j in (-2, -1, 0, 1, 2)} == m_expected
         and sum(dims_h.values()) == model.dim,
         f"{ {j: dims_h[QI(j)] for j in (-2, -1, 0, 1, 2)} }",
-    )
+    ))
     p_top = model.eigenspace(ad_h, QI(2), p_units)
     ok_line = len(p_top) == 1 and exactla.span_contains(
         [[QI.of(x) for x in vec] for vec in p_top], cayley.v
     )
-    add("adh_p_top_is_line_v", ok_line, f"dim {len(p_top)}")
+    checks.append(CheckItem.verdict(
+        "adh_p_top_is_line_v", ok_line, f"dim {len(p_top)}"
+    ))
     k_top = model.eigenspace(ad_h, QI(2), k_units)
     d = len(psi_space)
-    add("adh_k_top_dim_d_minus_1", len(k_top) == d - 1, f"dim {len(k_top)} d={d}")
+    checks.append(CheckItem.verdict(
+        "adh_k_top_dim_d_minus_1", len(k_top) == d - 1, f"dim {len(k_top)} d={d}"
+    ))
     if d == 1:
         dims_hk = _eig_dims(model, ad_h, k_units, [QI(j) for j in (-1, 0, 1)])
-        add(
+        checks.append(CheckItem.verdict(
             "adh_k_spectrum_within_1",
             sum(dims_hk.values()) == model.dim_k,
             f"{ {j: dims_hk[QI(j)] for j in (-1, 0, 1)} } of dim k {model.dim_k}",
-        )
+        ))
     else:
         checks.append(
             CheckItem("adh_k_spectrum_within_1", "skipped", "not omin-split")
@@ -107,9 +107,6 @@ def centralizer_checks(
 ) -> list[CheckItem]:
     checks: list[CheckItem] = []
 
-    def add(name, ok, detail=""):
-        checks.append(CheckItem(name, "pass" if ok else "fail", detail))
-
     k_units = model.subspace_units(model.k_indices)
     theta_e = model.theta(striple.e)
 
@@ -124,35 +121,35 @@ def centralizer_checks(
         and exactla.same_span(z_v, z_e)
         and exactla.same_span(z_e, z_triple)
     )
-    add(
+    checks.append(CheckItem.verdict(
         "isotropy_subalgebras_agree",
         same,
         f"dims v/e/triple = {len(z_v)}/{len(z_e)}/{len(z_triple)}",
-    )
+    ))
 
     d = len(datum.root_spaces[datum.psi])
     images = [model.bracket(mv, striple.e) for mv in model.m_basis]
     images = [im for im in images if any(im)]
     rank_me = exactla.rank(images) if images else 0
-    add(
+    checks.append(CheckItem.verdict(
         "m_bracket_e_rank",
         rank_me == d - 1,
         f"dim span [m,e] = {rank_me}, d-1 = {d - 1}"
         + (" (degenerate: m = 0)" if not model.m_basis else ""),
-    )
-    add(
+    ))
+    checks.append(CheckItem.verdict(
         "m_acts_trivially_iff_d1",
         (rank_me == 0) == (d == 1),
         f"[m,e] rank {rank_me}, d = {d}",
-    )
+    ))
 
     cent = model.centralizer_in_span(k_units, k_units)
     expected = 1 if hermitian else 0
-    add(
+    checks.append(CheckItem.verdict(
         "center_of_k_dimension",
         len(cent) == expected,
         f"dim Cent k = {len(cent)}, hermitian = {hermitian}",
-    )
+    ))
     return checks
 
 
@@ -200,12 +197,11 @@ def _defining_imag_eigs(model: LieAlgebraModel, t_vec: Coords) -> list[Fraction]
     X = model.matrix(t_vec)
     proposals = sorted({
         Fraction(float(ev.imag)).limit_denominator(PROPOSAL_DENOMINATOR)
-        for ev in np.linalg.eigvals(np.array(qmat.to_complex(X)))
+        for ev in np.linalg.eigvals(X.astype(complex))
     })
     found: list[Fraction] = []
     for q in proposals:
-        shifted = [[x - QI(0, q) if r == c else x for c, x in enumerate(row)]
-                   for r, row in enumerate(X)]
+        shifted = X - np.diag([QI(0, q)] * model.n)
         found.extend([q] * len(exactla.kernel_basis(shifted)))
     if len(found) != model.n:
         raise ModelError(
@@ -224,18 +220,15 @@ def lambda_data(
 ) -> LambdaData:
     checks: list[CheckItem] = []
 
-    def add(name, ok, detail=""):
-        checks.append(CheckItem(name, "pass" if ok else "fail", detail))
-
     z = compact_partner(cayley)
     k_units = model.subspace_units(model.k_indices)
     k_nu = model.centralizer_in_span([z], k_units)
     dim_X = model.dim_k - len(k_nu)
-    add(
+    checks.append(CheckItem.verdict(
         "orbit_dimension",
         dim_X == expected_dim_X,
         f"dim k - dim k_nu = {dim_X}, catalog dim_X = {expected_dim_X}",
-    )
+    ))
 
     # the isotropy algebra acts on v through the pairing with h
     ok_weight = True
@@ -246,7 +239,9 @@ def lambda_data(
         if lhs != rhs:
             ok_weight = False
             break
-    add("isotropy_weight_action", ok_weight, "[x,v] = B(h,x) v on k_nu")
+    checks.append(CheckItem.verdict(
+        "isotropy_weight_action", ok_weight, "[x,v] = B(h,x) v on k_nu"
+    ))
 
     t_basis = _cartan_of_k(model, z)
     lam_vec = [Fraction(model.B(z, t)) for t in t_basis]
@@ -265,11 +260,11 @@ def lambda_data(
     labels = [tuple(lam.im for lam in label) for label, _ in spaces]
     k_roots = sorted(q for q in labels if any(q))
     zero_dim = sum(len(s) for q, (_, s) in zip(labels, spaces) if not any(q))
-    add(
+    checks.append(CheckItem.verdict(
         "cartan_is_self_centralizing",
         zero_dim == len(t_basis),
         f"zero space dim {zero_dim}, rank {len(t_basis)}",
-    )
+    ))
 
     gram_t = [[Fraction(model.B(a, b)) for b in t_basis] for a in t_basis]
 
@@ -284,23 +279,25 @@ def lambda_data(
     dom_plus = dominant(lam_vec, simple, ip, len(positive))
     dom_minus = dominant([-x for x in lam_vec], simple, ip, len(positive))
     x_eq = dom_plus == dom_minus
-    add(
+    checks.append(CheckItem.verdict(
         "weight_negation_dichotomy",
         x_eq != hermitian,
         f"dominant(l) == dominant(-l): {x_eq}; hermitian: {hermitian}",
-    )
+    ))
 
     center = model.centralizer_in_span(k_units, k_units)
     if hermitian:
         central_ok = len(center) == 1 and model.B(z, center[0]) != 0
-        add(
+        checks.append(CheckItem.verdict(
             "central_character_nonzero",
             central_ok,
             "weight separates the center of k",
-        )
+        ))
     else:
         central_ok = len(center) == 0
-        add("center_trivial", central_ok, f"dim Cent k = {len(center)}")
+        checks.append(CheckItem.verdict(
+            "center_trivial", central_ok, f"dim Cent k = {len(center)}"
+        ))
 
     return LambdaData(
         model=model,

@@ -1,16 +1,18 @@
 """Matrix realizations of the supported classical real forms.
 
 Each builder returns the raw ingredients of a model: a real basis of the
-algebra inside gl(n, C), split into compact and noncompact generators, the
+algebra inside gl(n, C), as one (N, n, n) complex array whose entries are
+Gaussian integers, split into compact and noncompact generators, the
 standard maximal abelian subspace inside the noncompact part, and the
 conjugation sigma of the real form.
 
 Every model is closed under conjugate transpose: the compact generators are
 anti-Hermitian and the noncompact ones Hermitian, so the Cartan involution is
 theta(X) = -X^* on every model and is not part of the family data.  sigma
-does differ by real form; it is an :class:`~.qmat.Involution` spec
-``(sign, transpose, conjugate, J)`` meaning X -> sign * J op(X) J^T, applied
-by ``qmat`` in the exact lane and by numpy in the float lane:
+does differ by real form; it is an :class:`Involution` spec
+``(sign, transpose, conjugate, J)`` meaning X -> sign * J op(X) J^T, whose one
+numpy ``apply`` serves both lanes, on object arrays of exact entries and on
+complex stacks alike:
 
 * real-matrix forms (sl(n,R), sp(4,R), so(p,q)) use sigma(X) = conj(X);
 * su(p,q) is presented with the signature form J = diag(I_p, -I_q), and
@@ -26,9 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from ..exactla import QI, QI_I
-from . import qmat
-from .qmat import Involution, Mat
+import numpy as np
 
 MODEL_IDS = (
     "sl2R",
@@ -54,6 +54,32 @@ class ModelError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Involution:
+    """The conjugation sigma of a real form: X -> sign * J op(X) J^T.
+
+    ``op`` transposes and/or conjugates entrywise; ``J`` is an orthogonal
+    integer matrix, and None stands for the identity.  ``apply`` acts on the
+    last two axes, so it takes one matrix or a stack, of complex floats or of
+    exact :class:`~minorbit.exactla.QI` objects.  The Cartan involution needs
+    no spec: it is -X^* on every model.
+    """
+
+    sign: int
+    transpose: bool = False
+    conjugate: bool = False
+    J: np.ndarray | None = None
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        if self.transpose:
+            X = X.swapaxes(-1, -2)
+        if self.conjugate:
+            X = X.conj()
+        if self.J is not None:
+            X = self.J @ X @ self.J.T
+        return -X if self.sign < 0 else X
+
+
 # sigma of the real-matrix forms sl(n,R), sp(4,R) and so(p,q)
 CONJUGATE = Involution(1, conjugate=True)
 
@@ -63,7 +89,7 @@ class FamilyData:
     form_id: str
     family: str
     n: int
-    basis: list[Mat]
+    basis: np.ndarray  # (N, n, n), Gaussian-integer entries
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]  # positions of the abelian generators inside basis
@@ -86,27 +112,45 @@ def _sl_chain_key(values: tuple) -> tuple:
     return tuple(p - shift for p in partial)
 
 
+def _unit(n: int, i: int, j: int, value: complex = 1) -> np.ndarray:
+    out = np.zeros((n, n), dtype=complex)
+    out[i, j] = value
+    return out
+
+
+def _sym(n: int, i: int, j: int, value: complex = 1) -> np.ndarray:
+    return _unit(n, i, j, value) + _unit(n, j, i, value)
+
+
+def _antisym(n: int, i: int, j: int, value: complex = 1) -> np.ndarray:
+    return _unit(n, i, j, value) - _unit(n, j, i, value)
+
+
+def _position(basis: list[np.ndarray], indices: list[int], target: np.ndarray) -> int:
+    return next(k for k in indices if np.array_equal(basis[k], target))
+
+
 def _sl_n_real(form_id: str, n: int) -> FamilyData:
-    basis: list[Mat] = []
+    basis: list[np.ndarray] = []
     k_idx, p_idx, a_idx = [], [], []
     for i in range(n):
         for j in range(i + 1, n):
             k_idx.append(len(basis))
-            basis.append(qmat.sub(qmat.unit(n, i, j), qmat.unit(n, j, i)))
+            basis.append(_antisym(n, i, j))
     for i in range(n):
         for j in range(i + 1, n):
             p_idx.append(len(basis))
-            basis.append(qmat.add(qmat.unit(n, i, j), qmat.unit(n, j, i)))
+            basis.append(_sym(n, i, j))
     for i in range(n - 1):
         a_idx.append(len(basis))
         p_idx.append(len(basis))
-        basis.append(qmat.sub(qmat.unit(n, i, i), qmat.unit(n, i + 1, i + 1)))
+        basis.append(_unit(n, i, i) - _unit(n, i + 1, i + 1))
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(n - 1)]
     return FamilyData(
         form_id=form_id,
         family="slR",
         n=n,
-        basis=basis,
+        basis=np.array(basis),
         k_indices=k_idx,
         p_indices=p_idx,
         a_indices=a_idx,
@@ -118,47 +162,8 @@ def _sl_n_real(form_id: str, n: int) -> FamilyData:
 
 def _su_pq(form_id: str, p: int, q: int) -> FamilyData:
     n = p + q
-    J = qmat.zeros(n)
-    for i in range(n):
-        J[i][i] = QI(1) if i < p else QI(-1)
-    basis: list[Mat] = []
-    k_idx, p_idx, a_idx = [], [], []
-    blocks = [range(p), range(p, n)]
-    for block in blocks:
-        block = list(block)
-        for ai in range(len(block)):
-            for bi in range(ai + 1, len(block)):
-                a, b = block[ai], block[bi]
-                k_idx.append(len(basis))
-                basis.append(qmat.sub(qmat.unit(n, a, b), qmat.unit(n, b, a)))
-                k_idx.append(len(basis))
-                basis.append(
-                    qmat.add(qmat.unit(n, a, b, QI_I), qmat.unit(n, b, a, QI_I))
-                )
-    for j in range(n - 1):
-        k_idx.append(len(basis))
-        basis.append(
-            qmat.sub(qmat.unit(n, j, j, QI_I), qmat.unit(n, j + 1, j + 1, QI_I))
-        )
-    for a in range(p):
-        for b in range(p, n):
-            p_idx.append(len(basis))
-            basis.append(qmat.add(qmat.unit(n, a, b), qmat.unit(n, b, a)))
-            p_idx.append(len(basis))
-            basis.append(qmat.sub(qmat.unit(n, a, b, QI_I), qmat.unit(n, b, a, QI_I)))
-    # a_i couples index i with n+1-i; these sit among the symmetric generators.
-    for i in range(q):
-        target = qmat.add(qmat.unit(n, i, n - 1 - i), qmat.unit(n, n - 1 - i, i))
-        pos = next(k for k in p_idx if basis[k] == target)
-        a_idx.append(pos)
-    sigma = Involution(-1, transpose=True, conjugate=True, J=J)
-    eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
-    return FamilyData(form_id, "su", n, basis, k_idx, p_idx, a_idx, sigma, eigs)
-
-
-def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
-    n = p + q
-    basis: list[Mat] = []
+    J = np.diag([1] * p + [-1] * q)
+    basis: list[np.ndarray] = []
     k_idx, p_idx, a_idx = [], [], []
     for block in (range(p), range(p, n)):
         block = list(block)
@@ -166,149 +171,104 @@ def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
             for bi in range(ai + 1, len(block)):
                 a, b = block[ai], block[bi]
                 k_idx.append(len(basis))
-                basis.append(qmat.sub(qmat.unit(n, a, b), qmat.unit(n, b, a)))
+                basis.append(_antisym(n, a, b))
+                k_idx.append(len(basis))
+                basis.append(_sym(n, a, b, 1j))
+    for j in range(n - 1):
+        k_idx.append(len(basis))
+        basis.append(_unit(n, j, j, 1j) - _unit(n, j + 1, j + 1, 1j))
     for a in range(p):
         for b in range(p, n):
             p_idx.append(len(basis))
-            basis.append(qmat.add(qmat.unit(n, a, b), qmat.unit(n, b, a)))
-    for i in range(q):
-        target = qmat.add(qmat.unit(n, i, p + i), qmat.unit(n, p + i, i))
-        pos = next(k for k in p_idx if basis[k] == target)
-        a_idx.append(pos)
+            basis.append(_sym(n, a, b))
+            p_idx.append(len(basis))
+            basis.append(_antisym(n, a, b, 1j))
+    # a_i couples index i with n+1-i; these sit among the symmetric generators.
+    a_idx = [_position(basis, p_idx, _sym(n, i, n - 1 - i)) for i in range(q)]
+    sigma = Involution(-1, transpose=True, conjugate=True, J=J)
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
     return FamilyData(
-        form_id,
-        "so",
-        n,
-        basis,
-        k_idx,
-        p_idx,
-        a_idx,
-        CONJUGATE,
-        eigs,
+        form_id, "su", n, np.array(basis), k_idx, p_idx, a_idx, sigma, eigs
+    )
+
+
+def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
+    n = p + q
+    basis: list[np.ndarray] = []
+    k_idx, p_idx = [], []
+    for block in (range(p), range(p, n)):
+        block = list(block)
+        for ai in range(len(block)):
+            for bi in range(ai + 1, len(block)):
+                k_idx.append(len(basis))
+                basis.append(_antisym(n, block[ai], block[bi]))
+    for a in range(p):
+        for b in range(p, n):
+            p_idx.append(len(basis))
+            basis.append(_sym(n, a, b))
+    a_idx = [_position(basis, p_idx, _sym(n, i, p + i)) for i in range(q)]
+    eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
+    return FamilyData(
+        form_id, "so", n, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE, eigs
     )
 
 
 def _sp4_real(form_id: str) -> FamilyData:
-    n = 4
-    basis: list[Mat] = []
-    k_idx, p_idx, a_idx = [], [], []
+    z2 = np.zeros((2, 2))
+    sym = [_unit(2, 0, 0), _unit(2, 1, 1), _sym(2, 0, 1)]
 
-    def embed_a(A: Mat) -> Mat:
-        X = qmat.zeros(n)
-        for i in range(2):
-            for j in range(2):
-                X[i][j] = A[i][j]
-                X[2 + j][2 + i] = -A[i][j]
-        return X
-
-    sym = [
-        qmat.unit(2, 0, 0),
-        qmat.unit(2, 1, 1),
-        qmat.add(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0)),
-    ]
-
-    def embed_b(S: Mat) -> Mat:
-        X = qmat.zeros(n)
-        for i in range(2):
-            for j in range(2):
-                X[i][2 + j] = S[i][j]
-        return X
-
-    def embed_c(S: Mat) -> Mat:
-        X = qmat.zeros(n)
-        for i in range(2):
-            for j in range(2):
-                X[2 + i][j] = S[i][j]
-        return X
+    def embed_a(A: np.ndarray) -> np.ndarray:
+        return np.block([[A, z2], [z2, -A.T]])
 
     # compact part: antisymmetric members, u(2) inside sp(4)
-    k_members = [embed_a(qmat.sub(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0)))]
-    k_members += [qmat.sub(embed_b(S), embed_c(S)) for S in sym]
+    k_members = [embed_a(_antisym(2, 0, 1))]
+    k_members += [np.block([[z2, S], [-S, z2]]) for S in sym]
     # noncompact part: symmetric members
-    p_members = [embed_a(qmat.unit(2, 0, 0)), embed_a(qmat.unit(2, 1, 1))]
-    p_members.append(embed_a(qmat.add(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0))))
-    p_members += [qmat.add(embed_b(S), embed_c(S)) for S in sym]
-    for X in k_members:
-        k_idx.append(len(basis))
-        basis.append(X)
-    for X in p_members:
-        p_idx.append(len(basis))
-        basis.append(X)
-    for i in range(2):
-        target = embed_a(qmat.unit(2, i, i))
-        pos = next(k for k in p_idx if basis[k] == target)
-        a_idx.append(pos)
+    p_members = [embed_a(_unit(2, 0, 0)), embed_a(_unit(2, 1, 1))]
+    p_members.append(embed_a(_sym(2, 0, 1)))
+    p_members += [np.block([[z2, S], [S, z2]]) for S in sym]
+    basis = k_members + p_members
+    k_idx = list(range(len(k_members)))
+    p_idx = list(range(len(k_members), len(basis)))
+    a_idx = [_position(basis, p_idx, embed_a(_unit(2, i, i))) for i in range(2)]
     eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(2)]
     return FamilyData(
-        form_id,
-        "spR",
-        n,
-        basis,
-        k_idx,
-        p_idx,
-        a_idx,
-        CONJUGATE,
-        eigs,
+        form_id, "spR", 4, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE, eigs
     )
 
 
 def _sl2_quaternion(form_id: str) -> FamilyData:
-    n = 4
-    Jq = qmat.zeros(n)
-    for i in range(2):
-        Jq[i][2 + i] = QI(-1)
-        Jq[2 + i][i] = QI(1)
+    I2 = np.eye(2, dtype=int)
+    Jq = np.block([[0 * I2, -I2], [I2, 0 * I2]])
     sigma = Involution(1, conjugate=True, J=Jq)
 
-    def embed(P: Mat, Q: Mat) -> Mat:
-        X = qmat.zeros(n)
-        for i in range(2):
-            for j in range(2):
-                X[i][j] = P[i][j]
-                X[i][2 + j] = Q[i][j]
-                X[2 + i][j] = -Q[i][j].conjugate()
-                X[2 + i][2 + j] = P[i][j].conjugate()
-        return X
+    def embed(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        return np.block([[P, Q], [-Q.conj(), P.conj()]])
 
-    z2 = qmat.zeros(2)
-    basis: list[Mat] = []
+    z2 = np.zeros((2, 2), dtype=complex)
     # anti-Hermitian members (compact): P in u(2), Q symmetric
-    for P in (
-        qmat.sub(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0)),
-        qmat.add(qmat.unit(2, 0, 1, QI_I), qmat.unit(2, 1, 0, QI_I)),
-        qmat.unit(2, 0, 0, QI_I),
-        qmat.unit(2, 1, 1, QI_I),
-    ):
-        basis.append(embed(P, z2))
-    for Q in (
-        qmat.unit(2, 0, 0),
-        qmat.unit(2, 1, 1),
-        qmat.add(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0)),
-        qmat.unit(2, 0, 0, QI_I),
-        qmat.unit(2, 1, 1, QI_I),
-        qmat.add(qmat.unit(2, 0, 1, QI_I), qmat.unit(2, 1, 0, QI_I)),
-    ):
-        basis.append(embed(z2, Q))
+    basis = [
+        embed(P, z2)
+        for P in (_antisym(2, 0, 1), _sym(2, 0, 1, 1j), _unit(2, 0, 0, 1j),
+                  _unit(2, 1, 1, 1j))
+    ]
+    basis += [
+        embed(z2, Q)
+        for Q in (_unit(2, 0, 0), _unit(2, 1, 1), _sym(2, 0, 1), _unit(2, 0, 0, 1j),
+                  _unit(2, 1, 1, 1j), _sym(2, 0, 1, 1j))
+    ]
     # Hermitian members (noncompact): P Hermitian traceless, Q antisymmetric
-    for P in (
-        qmat.add(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0)),
-        qmat.sub(qmat.unit(2, 0, 1, QI_I), qmat.unit(2, 1, 0, QI_I)),
-        qmat.sub(qmat.unit(2, 0, 0), qmat.unit(2, 1, 1)),
-    ):
-        basis.append(embed(P, z2))
-    for Q in (
-        qmat.sub(qmat.unit(2, 0, 1), qmat.unit(2, 1, 0)),
-        qmat.sub(qmat.unit(2, 0, 1, QI_I), qmat.unit(2, 1, 0, QI_I)),
-    ):
-        basis.append(embed(z2, Q))
+    diagonal = _unit(2, 0, 0) - _unit(2, 1, 1)
+    basis += [embed(P, z2) for P in (_sym(2, 0, 1), _antisym(2, 0, 1, 1j), diagonal)]
+    basis += [embed(z2, Q) for Q in (_antisym(2, 0, 1), _antisym(2, 0, 1, 1j))]
     # a generator in neither list fails the model's partition check
-    k_idx = [i for i, X in enumerate(basis) if qmat.adjoint(X) == qmat.neg(X)]
-    p_idx = [i for i, X in enumerate(basis) if qmat.adjoint(X) == X]
-    target = embed(qmat.sub(qmat.unit(2, 0, 0), qmat.unit(2, 1, 1)), z2)
-    a_idx = [next(k for k in p_idx if basis[k] == target)]
+    k_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, -X)]
+    p_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, X)]
+    a_idx = [_position(basis, p_idx, embed(diagonal, z2))]
     eigs = [{Fraction(1), Fraction(-1)}]
-    return FamilyData(form_id, "sl2H", n, basis, k_idx, p_idx, a_idx, sigma, eigs)
+    return FamilyData(
+        form_id, "sl2H", 4, np.array(basis), k_idx, p_idx, a_idx, sigma, eigs
+    )
 
 
 def family_data(form_id: str) -> FamilyData:

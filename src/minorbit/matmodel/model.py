@@ -6,10 +6,12 @@ rational coordinates with respect to the chosen real basis (used for every
 structural computation).  All brackets, involutions and forms reduce to exact
 rational or Gaussian-rational arithmetic in coordinates.
 
-Coordinates come from the trace form: coordinate i of X is tr(d_i X), where
-the trace-dual basis d_i applies the exact inverse of the Gram matrix
-tr(b_i b_j) to the basis, and the expansion is accepted only if it rebuilds X
-exactly.  The conjugation sigma (an :class:`~.qmat.Involution` spec) fixes
+The basis is one (N, n, n) complex array whose entries are Gaussian integers,
+which floating point holds and multiplies exactly.  numpy forms the trace
+Gram G = tr(b_i b_j) and the tensor T[k, i, j] = tr(b_k [b_i, b_j]) as
+integers; G is inverted once in rationals, and the structure constants
+ad = G^-1 T are accepted only if sum_r ad[r, i, j] b_r = [b_i, b_j] holds
+exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
 every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
 sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Joint
 eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`.
@@ -22,16 +24,17 @@ every structure constant is zero and no routine here touches those zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .. import exactla
 from ..exactla import QI, QI_ONE, QI_ZERO
-from . import qmat
-from .families import FamilyData, ModelError, family_data
-from .qmat import Involution, Mat
+from .families import FamilyData, Involution, ModelError, family_data
 
 Coords = list  # list[Fraction] for real elements, list[QI] for complexified ones
 SparseOp = list  # column j: [(row, value), ...] over the nonzero entries
@@ -94,7 +97,7 @@ class LieAlgebraModel:
     form_id: str
     family: str
     n: int
-    basis: list[Mat]
+    basis: np.ndarray  # (N, n, n) complex, Gaussian-integer entries
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]
@@ -103,6 +106,7 @@ class LieAlgebraModel:
     positivity_key: Callable[[tuple], tuple] = lambda values: values
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_gram: list[list[Fraction]] = field(repr=False, default_factory=list)
+    entries: list[list[tuple]] = field(repr=False, default_factory=list)  # of b_i
     m_basis: list[Coords] = field(repr=False, default_factory=list)
     c: Fraction | None = None  # invariant-form normalization, set by the root datum
 
@@ -132,16 +136,15 @@ class LieAlgebraModel:
     def subspace_units(self, indices: Sequence[int]) -> list[Coords]:
         return [self.unit_coords(i) for i in indices]
 
-    def matrix(self, coords: Coords) -> Mat:
-        return qmat.lincomb(coords, self.basis)
-
-    def coords(self, X: Mat) -> list[Fraction]:
-        traces = [qmat.trace_product(d, X) for d in self._dual_entries]
-        sol = [t.re for t in traces]
-        # the trace form sees only a projection; confirm X is in the real span
-        if any(t.im for t in traces) or self.matrix(sol) != X:
-            raise ModelError(f"{self.form_id}: element is not in span(basis)")
-        return sol
+    def matrix(self, coords: Coords) -> np.ndarray:
+        """sum_i coords[i] b_i as an (n, n) object array of exact QI entries;
+        ``.astype(complex)`` rounds each entry once."""
+        out = np.full((self.n, self.n), QI_ZERO, dtype=object)
+        for c, entries in zip(coords, self.entries):
+            if c:
+                for r, s, x in entries:
+                    out[r, s] = out[r, s] + c * x
+        return out
 
     # -- algebra operations in coordinates ----------------------------------
     def bracket(self, x: Coords, y: Coords) -> Coords:
@@ -301,40 +304,54 @@ def _build(form_id: str) -> LieAlgebraModel:
         defining_eigs=fam.defining_eigs,
         positivity_key=fam.positivity_key,
     )
-    N = model.dim
-    # trace form, and for coords() the trace-dual basis tr(d_i b_j) = delta_ij
-    basis_entries = [qmat.entries(b) for b in model.basis]
-    model.tr_gram = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            t = qmat.trace_product(basis_entries[i], model.basis[j])
-            if t.im:
-                raise ModelError(f"{form_id}: trace form is not real on the basis")
-            row.append(t.re)
-        model.tr_gram.append(row)
+    basis, N, n = model.basis, model.dim, model.n
+    re, im = basis.real.astype(np.int64), basis.imag.astype(np.int64)
+    if not np.array_equal(re + 1j * im, basis):
+        raise ModelError(f"{form_id}: basis entries are not Gaussian integers")
+    # every integer below is a sum of products of entries; each guard bounds
+    # the sum of their absolute values by 2**53, so that float64 and int64
+    # hold it exactly: 2 n^3 bmax^3 for G and T, then N max|D ad| bmax for
+    # the closure sums and 2 D n bmax^2 for D [b_i, b_j]
+    bmax = int(np.abs(re).max() + np.abs(im).max())
+    if 2 * n**3 * bmax**3 >= 2**53:
+        raise ModelError(f"{form_id}: basis entries too large for exact arithmetic")
+    model.entries = [
+        [(r, s, QI(int(x.real), int(x.imag))) for (r, s), x in np.ndenumerate(b) if x]
+        for b in basis
+    ]
+
+    gram = np.einsum("iab,jba->ij", basis, basis)
+    brackets = basis[:, None] @ basis[None, :]
+    brackets -= brackets.swapaxes(0, 1)  # [b_i, b_j] = b_i b_j - b_j b_i
+    T = np.einsum("kab,ijba->kij", basis, brackets)
+    if np.any(gram.imag):
+        raise ModelError(f"{form_id}: trace form is not real on the basis")
+    if np.any(T.imag):
+        raise ModelError(f"{form_id}: a bracket leaves the real span of the basis")
+    model.tr_gram = [
+        [Fraction(g) for g in row] for row in gram.real.astype(np.int64).tolist()
+    ]
     aug = [row + [Fraction(int(i == j)) for j in range(N)]
            for i, row in enumerate(model.tr_gram)]
     red, pivots = exactla.rref(aug)
     if pivots != list(range(N)):
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")
-    model._dual_entries = [qmat.entries(model.matrix(row[N:])) for row in red]
-
-    # structure constants (closure is verified inside coords())
-    struct: dict[tuple[int, int], list[Fraction]] = {}
-    for i in range(N):
-        for j in range(i + 1, N):
-            struct[(i, j)] = model.coords(
-                qmat.commutator(model.basis[i], model.basis[j])
-            )
-    model.ad = [
-        [
-            [] if i == j
-            else [(r, x) for r, x in enumerate(struct[(i, j)]) if x] if i < j
-            else [(r, -x) for r, x in enumerate(struct[(j, i)]) if x]
-            for j in range(N)
-        ]
+    # ad = G^-1 T, carried as the integers D ad over the common denominator D
+    D = math.lcm(*(x.denominator for row in red for x in row[N:]))
+    inverse = [[int(x * D) for x in row[N:]] for row in red]
+    ad_max = N * max(abs(x) for row in inverse for x in row) * int(np.abs(T).max())
+    if max(N * ad_max * bmax, 2 * D * n * bmax**2) >= 2**53:
+        raise ModelError(f"{form_id}: brackets too large for exact arithmetic")
+    scaled = np.tensordot(np.array(inverse), T.real.astype(np.int64), axes=1)
+    # one row i at a time keeps the temporaries at N n^2 entries
+    if not all(
+        np.array_equal(np.tensordot(scaled[:, i], basis, axes=(0, 0)), D * brackets[i])
         for i in range(N)
+    ):
+        raise ModelError(f"{form_id}: basis is not closed under the bracket")
+    model.ad = [
+        [[(r, Fraction(x, D)) for r, x in enumerate(column) if x] for column in row]
+        for row in np.moveaxis(scaled, 0, -1).tolist()
     ]
 
     _validate_model(model)
@@ -351,16 +368,16 @@ def _validate_model(model: LieAlgebraModel) -> None:
     # sigma is the conjugation of this real form: antilinear, fixing the basis
     if not sigma.conjugate:
         raise ModelError(f"{model.form_id}: sigma is not antilinear")
-    if any(sigma.apply(b) != b for b in model.basis):
+    if not np.array_equal(sigma.apply(model.basis), model.basis):
         raise ModelError(f"{model.form_id}: sigma does not fix the real basis")
     # theta(X) = -X^* is +1 on k and -1 on p exactly when k and p partition
     # the basis into anti-Hermitian and Hermitian matrices
     if sorted(model.k_indices + model.p_indices) != list(range(N)):
         raise ModelError(f"{model.form_id}: k and p do not partition the basis")
     in_k = [i in model.k_indices for i in range(N)]
-    for b, compact in zip(model.basis, in_k):
-        if qmat.adjoint(b) != (qmat.neg(b) if compact else b):
-            raise ModelError(f"{model.form_id}: k not anti-Hermitian, p not Hermitian")
+    signs = np.where(in_k, -1, 1)[:, None, None]
+    if not np.array_equal(model.basis.conj().swapaxes(-1, -2), signs * model.basis):
+        raise ModelError(f"{model.form_id}: k not anti-Hermitian, p not Hermitian")
     # theta is diagonal +-1 on the basis, so the automorphism identity
     # theta[x,y] = [theta x, theta y] is the Cartan grading:
     # [k,k] in k, [k,p] in p, [p,p] in k; likewise B(theta x, theta y) = B(x,y)

@@ -30,6 +30,7 @@ class RestrictedRootDatum:
     psi: Root
     x_psi: Coords
     c: Fraction
+    a_gram: list[list[Fraction]]  # trace form on the a-generators
     mult: dict[Root, int] = field(default_factory=dict)
     m_basis: list[Coords] = field(default_factory=list)
     n_basis: list[Coords] = field(default_factory=list)
@@ -40,10 +41,7 @@ class RestrictedRootDatum:
 
     def root_value(self, root: Root, a_coords: Coords) -> Fraction:
         """Evaluate the root functional on an element of a."""
-        vals = []
-        for pos, idx in enumerate(self.model.a_indices):
-            vals.append(a_coords[idx])
-        return sum(r * v for r, v in zip(root, vals))
+        return sum(r * a_coords[idx] for r, idx in zip(root, self.model.a_indices))
 
     def root_class(self, root: Root) -> str:
         root_set = set(self.roots)
@@ -59,13 +57,8 @@ class RestrictedRootDatum:
         return "e_i±e_j"  # middle length of a non-reduced system
 
     def _length2(self, root: Root) -> Fraction:
-        gram = self._a_gram()
-        dual = exactla.solve(gram, list(root))
+        dual = exactla.solve(self.a_gram, list(root))
         return sum(r * d for r, d in zip(root, dual))
-
-    def _a_gram(self) -> list[list[Fraction]]:
-        idx = self.model.a_indices
-        return [[self.model.tr_gram[i][j] for j in idx] for i in idx]
 
     def class_mults(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -184,6 +177,7 @@ def restricted_root_datum(
         psi=psi,
         x_psi=x_psi,
         c=c,
+        a_gram=gram_a,
         mult={r: len(s) for r, s in root_spaces.items()},
         m_basis=list(model.m_basis),
         n_basis=[v for r in positive for v in root_spaces[r]],

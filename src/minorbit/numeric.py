@@ -7,9 +7,10 @@ Every operation takes a matrix or a stack ``(..., n, n)`` of them and
 broadcasts over the leading axes, one call for a chunk of samples.
 
 The compact conjugation is sigma_u(X) = -X^* on g_C, the same formula on every
-model; the conjugation sigma of the real form is the model's
-:class:`~.matmodel.qmat.Involution` spec.  The Cartan involution is the
-complex-linear theta = sigma_u o sigma, which is -X^* on g itself.
+model; the conjugation sigma of the real form is the ``apply`` of the model's
+:class:`~.matmodel.families.Involution` spec, the one the exact lane uses.
+The Cartan involution is the complex-linear theta = sigma_u o sigma, which is
+-X^* on g itself.
 
 Group elements are products of exponentials of three kinds of factor, and
 `expm` tells them apart by a property that holds exactly in floating point,
@@ -36,27 +37,6 @@ import numpy as np
 
 from . import exactla
 from .matmodel import ModelAnalysis, analyze, catalog_key, compact_partner
-from .matmodel import qmat
-
-
-def _as_array(mat) -> np.ndarray:
-    return np.array(qmat.to_complex(mat), dtype=complex)
-
-
-def involution(spec: qmat.Involution):
-    """The float form of an exact conjugation spec, X -> sign * J op(X) J^T."""
-    J = None if spec.J is None else _as_array(spec.J)
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        if spec.transpose:
-            X = X.swapaxes(-1, -2)
-        if spec.conjugate:
-            X = X.conj()
-        if J is not None:
-            X = J @ X @ J.T
-        return -X if spec.sign < 0 else X
-
-    return apply
 
 
 def adjoint(X: np.ndarray) -> np.ndarray:
@@ -157,12 +137,12 @@ class ModelNumerics:
         self.dim_Z = analysis.invariants.dim_Z
         self.dim_X = analysis.invariants.dim_X
 
-        mat = lambda coords: _as_array(model.matrix(coords))
+        mat = lambda coords: model.matrix(coords).astype(complex)
         self.e = mat(analysis.striple.e)
         self.x_psi = mat(analysis.striple.x)
         self.z = mat(compact_partner(analysis.cayley))
         self.v = mat(analysis.cayley.v)
-        self.sigma = involution(model.sigma_spec)
+        self.sigma = model.sigma_spec.apply
 
         self.k_basis = [mat(model.unit_coords(i)) for i in model.k_indices]
         self.p_basis = [mat(model.unit_coords(i)) for i in model.p_indices]
@@ -191,7 +171,7 @@ class ModelNumerics:
         model = self.analysis.model
         k_units = model.subspace_units(model.k_indices)
         iso = model.centralizer_in_span([self.analysis.striple.e], k_units)
-        return [_as_array(model.matrix(vec)) for vec in iso]
+        return [model.matrix(vec).astype(complex) for vec in iso]
 
     # -- operations, each over any leading axes --------------------------------
     def bracket(self, X, Y):

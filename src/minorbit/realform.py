@@ -92,6 +92,8 @@ def expected_mult_keys(label: RootSystemLabel) -> set[str]:
 
 
 def _parse_entry(raw: dict) -> RealFormDescriptor:
+    if not isinstance(raw, dict):
+        raise CatalogError("<entry>", f"entry must be a JSON object, got {raw!r}")
     entry_id = raw.get("id", "<missing id>")
     if not isinstance(entry_id, str) or not entry_id:
         raise CatalogError(str(entry_id), "id must be a non-empty string")
@@ -256,44 +258,49 @@ def cross_checks(desc: RealFormDescriptor, inv: DerivedInvariants) -> list[Check
     """Named identity checks relating the derived invariants."""
     checks: list[CheckItem] = []
 
-    def add(name: str, ok: bool, detail: str = ""):
-        checks.append(CheckItem(name, "pass" if ok else "fail", detail))
-
     def skip(name: str, detail: str):
         checks.append(CheckItem(name, "skipped", detail))
 
-    add(
+    checks.append(CheckItem.verdict(
         "eigenvalue_symmetry",
         all(inv.m[j] == inv.m[-j] for j in (1, 2)),
         f"m={inv.m}",
-    )
-    add("top_eigenspace_is_d", inv.m[2] == inv.d, f"m2={inv.m[2]} d={inv.d}")
-    add(
+    ))
+    checks.append(CheckItem.verdict(
+        "top_eigenspace_is_d", inv.m[2] == inv.d, f"m2={inv.m[2]} d={inv.d}"
+    ))
+    checks.append(CheckItem.verdict(
         "dimension_partition",
         sum(inv.m.values()) == inv.dim_g,
         f"sum m_j = {sum(inv.m.values())}, dim g = {inv.dim_g}",
-    )
-    add("orbit_gap", inv.dim_X == inv.dim_Z - 2, f"dim_X={inv.dim_X} dim_Z={inv.dim_Z}")
+    ))
+    checks.append(CheckItem.verdict(
+        "orbit_gap", inv.dim_X == inv.dim_Z - 2, f"dim_X={inv.dim_X} dim_Z={inv.dim_Z}"
+    ))
     if inv.omin_split:
-        add(
+        checks.append(CheckItem.verdict(
             "minimal_orbit_dim",
             inv.dim_Z == 2 * inv.h_vee - 2,
             f"dim_Z={inv.dim_Z} vs 2h^v-2={2 * inv.h_vee - 2}",
-        )
-        add(
+        ))
+        checks.append(CheckItem.verdict(
             "compact_orbit_dim",
             inv.dim_X == 2 * inv.h_vee - 4,
             f"dim_X={inv.dim_X} vs 2h^v-4={2 * inv.h_vee - 4}",
-        )
+        ))
     else:
         skip("minimal_orbit_dim", "not omin-split")
         skip("compact_orbit_dim", "not omin-split")
     if desc.is_split_mults:
-        add("split_implies_omin_split", inv.omin_split, f"d={inv.d}")
+        checks.append(CheckItem.verdict(
+            "split_implies_omin_split", inv.omin_split, f"d={inv.d}"
+        ))
     else:
         skip("split_implies_omin_split", "multiplicities not all 1")
     if desc.hermitian:
-        add("hermitian_implies_d1", inv.d == 1, f"d={inv.d}")
+        checks.append(CheckItem.verdict(
+            "hermitian_implies_d1", inv.d == 1, f"d={inv.d}"
+        ))
     else:
         skip("hermitian_implies_d1", "not hermitian")
     return checks

@@ -15,6 +15,11 @@ class CheckItem:
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
 
+    @classmethod
+    def verdict(cls, name: str, ok: bool, detail: str = "") -> CheckItem:
+        """A pass or a fail, as ``ok`` says."""
+        return cls(name, "pass" if ok else "fail", detail)
+
     @property
     def failed(self) -> bool:
         return self.status == "fail"

@@ -87,6 +87,13 @@ def test_bad_catalog_names_invariant(tmp_path, capsys):
     assert "broken" in err and "dimension mismatch" in err
 
 
+def test_catalog_entry_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "numbers.json"
+    path.write_text("[1]", encoding="utf-8")
+    assert main(["catalog", "--catalog", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_mistyped_catalog_field_exits_2(tmp_path, capsys):
     from minorbit.realform import default_catalog_path
 

@@ -14,12 +14,11 @@ from minorbit.matmodel import (
     make_s_triple,
     restricted_root_datum,
 )
-from minorbit.matmodel import qmat
 from minorbit.matmodel.triples import cayley_violations, s_triple_violations
 
 
 def as_complex(model, coords):
-    return qmat.to_complex(model.matrix(coords))
+    return model.matrix(coords).astype(complex).tolist()
 
 
 def test_build_model_rejects_unsupported():

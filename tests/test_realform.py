@@ -82,6 +82,13 @@ def test_rejects_unknown_keys_and_duplicates(tmp_path):
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", [1, None, "sl2R"])
+def test_rejects_an_entry_that_is_not_an_object(tmp_path, entry):
+    path = write_catalog(tmp_path, [entry])
+    with pytest.raises(CatalogError, match="must be a JSON object"):
+        load_catalog(path)
+
+
 def test_rejects_wrong_mult_keys(tmp_path):
     path = write_catalog(tmp_path, [entry_dict(mults={"short": 2, "long": 1})])
     with pytest.raises(CatalogError):

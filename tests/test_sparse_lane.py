@@ -3,10 +3,11 @@ exact eigenvalues of compact elements in the defining representation."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from minorbit.exactla import QI, QI_I, kernel_basis, mat_vec
-from minorbit.matmodel import ModelError, analyze, qmat
+from minorbit.exactla import QI, kernel_basis, mat_vec
+from minorbit.matmodel import ModelError, analyze
 from minorbit.matmodel.checks import _defining_imag_eigs
 
 FORMS = ("sl2R", "su21", "sp4R", "su22", "sl2H")
@@ -110,11 +111,9 @@ def test_irrational_eigenvalues_raise():
     # i diag(1, -1) + (E01 - E10) in the su(2) block of su(2,1): eigenvalues
     # 0 and +-i sqrt(2)
     model = analyze("su21").model
-    X = qmat.add(
-        qmat.sub(qmat.unit(3, 0, 0, QI_I), qmat.unit(3, 1, 1, QI_I)),
-        qmat.sub(qmat.unit(3, 0, 1), qmat.unit(3, 1, 0)),
-    )
-    t = model.coords(X)
+    t = [a + b for a, b in zip(model.unit_coords(0), model.unit_coords(2))]
+    X = np.array([[1j, 1, 0], [-1, -1j, 0], [0, 0, 0]])
+    assert np.array_equal(model.matrix(t).astype(complex), X)
     assert model.theta(t) == t
     with pytest.raises(ModelError, match="rational"):
         _defining_imag_eigs(model, t)
