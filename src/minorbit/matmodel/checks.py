@@ -11,20 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .. import exactla
 from ..exactla import QI
 from ..report import CheckItem
-from ..rootsys import dominant
+from ..rootsys import dominant, indecomposable
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
 from .triples import CayleyTriple, STriple, compact_partner
-
-# float eigenvalues are rounded to the nearest rational of at most this
-# denominator; two such rationals differ by at least its inverse square
-PROPOSAL_DENOMINATOR = 1000
 
 
 def _eig_dims(model, op, span, eigenvalues):
@@ -188,28 +182,6 @@ def _cartan_of_k(model: LieAlgebraModel, z: Coords) -> list[Coords]:
             raise ModelError(f"{model.form_id}: could not extend to a Cartan of k")
 
 
-def _defining_imag_eigs(model: LieAlgebraModel, t_vec: Coords) -> list[Fraction]:
-    """Eigenvalues (divided by i) of a compact element in the defining rep.
-
-    Float eigenvalues propose rationals; each one counts only with the
-    multiplicity of its exact kernel, and the kernels must fill C^n.
-    """
-    X = model.matrix(t_vec)
-    proposals = sorted({
-        Fraction(float(ev.imag)).limit_denominator(PROPOSAL_DENOMINATOR)
-        for ev in np.linalg.eigvals(X.astype(complex))
-    })
-    found: list[Fraction] = []
-    for q in proposals:
-        shifted = X - np.diag([QI(0, q)] * model.n)
-        found.extend([q] * len(exactla.kernel_basis(shifted)))
-    if len(found) != model.n:
-        raise ModelError(
-            f"{model.form_id}: defining eigenvalues are not all rational multiples of i"
-        )
-    return found
-
-
 def lambda_data(
     model: LieAlgebraModel,
     datum: RestrictedRootDatum,
@@ -246,17 +218,9 @@ def lambda_data(
     t_basis = _cartan_of_k(model, z)
     lam_vec = [Fraction(model.B(z, t)) for t in t_basis]
 
-    # root decomposition of the complexified k under t: the eigenvalues of
-    # ad t are i*q, q a difference of defining eigenvalues of t divided by i
-    candidates = []
-    for t_vec in t_basis:
-        defining = _defining_imag_eigs(model, t_vec)
-        candidates.append(
-            [QI(0, q) for q in sorted({a - b for a in defining for b in defining})]
-        )
-    spaces = model.joint_eigenspaces(
-        [model.ad_matrix(t) for t in t_basis], candidates, k_units
-    )
+    # root decomposition of the complexified k under t; each eigenvalue of ad t
+    # is i times a rational, and the label keeps the rational
+    spaces = model.torus_spaces(t_basis, k_units, imaginary=True)
     labels = [tuple(lam.im for lam in label) for label, _ in spaces]
     k_roots = sorted(q for q in labels if any(q))
     zero_dim = sum(len(s) for q, (_, s) in zip(labels, spaces) if not any(q))
@@ -273,8 +237,7 @@ def lambda_data(
         return -sum(a * b for a, b in zip(u, dual))
 
     positive = [r for r in k_roots if next(x for x in r if x) > 0]
-    sums = {tuple(a + b for a, b in zip(r1, r2)) for r1 in positive for r2 in positive}
-    simple = [r for r in positive if r not in sums]
+    simple = indecomposable(positive)
 
     dom_plus = dominant(lam_vec, simple, ip, len(positive))
     dom_minus = dominant([-x for x in lam_vec], simple, ip, len(positive))

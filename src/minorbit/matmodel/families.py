@@ -4,7 +4,8 @@ Each builder returns the raw ingredients of a model: a real basis of the
 algebra inside gl(n, C), as one (N, n, n) complex array whose entries are
 Gaussian integers, split into compact and noncompact generators, the
 standard maximal abelian subspace inside the noncompact part, and the
-conjugation sigma of the real form.
+conjugation sigma of the real form.  Eigenvalues are not data: the model
+computes them from the basis.
 
 Every model is closed under conjugate transpose: the compact generators are
 anti-Hermitian and the noncompact ones Hermitian, so the Cartan involution is
@@ -24,7 +25,7 @@ complex stacks alike:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -94,8 +95,6 @@ class FamilyData:
     p_indices: list[int]
     a_indices: list[int]  # positions of the abelian generators inside basis
     sigma: Involution
-    # eigenvalues each a-generator can have in the defining representation
-    defining_eigs: list[set[Fraction]] = field(default_factory=list)
     # maps the a-eigenvalue vector of a root to the coordinates used for the
     # lexicographic positivity choice (identity unless the a-basis is a chain
     # whose raw values would order the roots away from the standard system)
@@ -145,7 +144,6 @@ def _sl_n_real(form_id: str, n: int) -> FamilyData:
         a_idx.append(len(basis))
         p_idx.append(len(basis))
         basis.append(_unit(n, i, i) - _unit(n, i + 1, i + 1))
-    eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(n - 1)]
     return FamilyData(
         form_id=form_id,
         family="slR",
@@ -155,7 +153,6 @@ def _sl_n_real(form_id: str, n: int) -> FamilyData:
         p_indices=p_idx,
         a_indices=a_idx,
         sigma=CONJUGATE,
-        defining_eigs=eigs,
         positivity_key=_sl_chain_key,
     )
 
@@ -186,10 +183,7 @@ def _su_pq(form_id: str, p: int, q: int) -> FamilyData:
     # a_i couples index i with n+1-i; these sit among the symmetric generators.
     a_idx = [_position(basis, p_idx, _sym(n, i, n - 1 - i)) for i in range(q)]
     sigma = Involution(-1, transpose=True, conjugate=True, J=J)
-    eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
-    return FamilyData(
-        form_id, "su", n, np.array(basis), k_idx, p_idx, a_idx, sigma, eigs
-    )
+    return FamilyData(form_id, "su", n, np.array(basis), k_idx, p_idx, a_idx, sigma)
 
 
 def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
@@ -207,10 +201,7 @@ def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
             p_idx.append(len(basis))
             basis.append(_sym(n, a, b))
     a_idx = [_position(basis, p_idx, _sym(n, i, p + i)) for i in range(q)]
-    eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(q)]
-    return FamilyData(
-        form_id, "so", n, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE, eigs
-    )
+    return FamilyData(form_id, "so", n, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
 
 
 def _sp4_real(form_id: str) -> FamilyData:
@@ -231,10 +222,7 @@ def _sp4_real(form_id: str) -> FamilyData:
     k_idx = list(range(len(k_members)))
     p_idx = list(range(len(k_members), len(basis)))
     a_idx = [_position(basis, p_idx, embed_a(_unit(2, i, i))) for i in range(2)]
-    eigs = [{Fraction(1), Fraction(-1), Fraction(0)} for _ in range(2)]
-    return FamilyData(
-        form_id, "spR", 4, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE, eigs
-    )
+    return FamilyData(form_id, "spR", 4, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
 
 
 def _sl2_quaternion(form_id: str) -> FamilyData:
@@ -265,10 +253,7 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
     k_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, -X)]
     p_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, X)]
     a_idx = [_position(basis, p_idx, embed(diagonal, z2))]
-    eigs = [{Fraction(1), Fraction(-1)}]
-    return FamilyData(
-        form_id, "sl2H", 4, np.array(basis), k_idx, p_idx, a_idx, sigma, eigs
-    )
+    return FamilyData(form_id, "sl2H", 4, np.array(basis), k_idx, p_idx, a_idx, sigma)
 
 
 def family_data(form_id: str) -> FamilyData:

@@ -14,7 +14,9 @@ ad = G^-1 T are accepted only if sum_r ad[r, i, j] b_r = [b_i, b_j] holds
 exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
 every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
 sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Joint
-eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`.
+eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`,
+and ``torus_spaces`` feeds it the differences of the defining eigenvalues,
+which ``defining_eigenvalues`` computes exactly for the tori a and t alike.
 
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
@@ -39,6 +41,10 @@ from .families import FamilyData, Involution, ModelError, family_data
 Coords = list  # list[Fraction] for real elements, list[QI] for complexified ones
 SparseOp = list  # column j: [(row, value), ...] over the nonzero entries
 
+# float eigenvalues are rounded to the nearest rational of at most this
+# denominator; two such rationals differ by at least its inverse square
+PROPOSAL_DENOMINATOR = 1000
+
 
 def _has_qi(values) -> bool:
     return any(isinstance(x, QI) for x in values)
@@ -61,34 +67,22 @@ def _apply(op: SparseOp, nonzero: list[tuple], shift) -> dict:
     return out
 
 
-def _det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def _definite(gram: list[list[Fraction]], sign: int) -> bool:
-    """Leading-principal-minor test; sign=+1 positive, -1 negative definite."""
-    for k in range(1, len(gram) + 1):
-        minor = _det([row[:k] for row in gram[:k]])
-        if sign > 0 and minor <= 0:
+    """Whether sign * gram is positive definite (sign=+1 positive, -1 negative).
+
+    Symmetric elimination without row exchanges: the pivots are the ratios of
+    consecutive leading principal minors (Sylvester), so the form is definite
+    exactly when every pivot is positive.
+    """
+    rows = [[sign * x for x in row] for row in gram]
+    for c in range(len(rows)):
+        pivot = rows[c]
+        if pivot[c] <= 0:
             return False
-        if sign < 0 and (minor if k % 2 == 0 else -minor) <= 0:
-            return False
+        for i in range(c + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / pivot[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
     return True
 
 
@@ -102,7 +96,6 @@ class LieAlgebraModel:
     p_indices: list[int]
     a_indices: list[int]
     sigma_spec: Involution
-    defining_eigs: list[set[Fraction]]
     positivity_key: Callable[[tuple], tuple] = lambda values: values
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_gram: list[list[Fraction]] = field(repr=False, default_factory=list)
@@ -283,6 +276,46 @@ class LieAlgebraModel:
             spaces = refined
         return spaces
 
+    def defining_eigenvalues(self, x: Coords, imaginary: bool = False) -> list[Fraction]:
+        """Exact eigenvalues of x in the defining representation, sorted.
+
+        x is Hermitian (in p), or with ``imaginary`` anti-Hermitian (in k),
+        whose eigenvalues are returned divided by i.  Float eigenvalues
+        propose rationals; each one counts only with the multiplicity of its
+        exact kernel, and the kernels must fill C^n.
+        """
+        X = self.matrix(x)
+        proposals = sorted({
+            Fraction(float(ev.imag if imaginary else ev.real))
+            .limit_denominator(PROPOSAL_DENOMINATOR)
+            for ev in np.linalg.eigvals(X.astype(complex))
+        })
+        found: list[Fraction] = []
+        for q in proposals:
+            shifted = X - np.diag([QI(0, q) if imaginary else QI(q)] * self.n)
+            found.extend([q] * len(exactla.kernel_basis(shifted)))
+        if len(found) != self.n:
+            raise ModelError(
+                f"{self.form_id}: defining eigenvalues are not all rational"
+                + (" multiples of i" if imaginary else "")
+            )
+        return found
+
+    def torus_spaces(
+        self, torus: Sequence[Coords], span: Sequence[Coords], imaginary: bool = False
+    ) -> list[tuple[tuple, list[Coords]]]:
+        """Joint eigenspaces in span(span) of ad t for the commuting t in ``torus``.
+
+        The eigenvalues of ad t are the differences of the defining
+        eigenvalues of t, times i when ``imaginary`` (t compact).
+        """
+        candidates = []
+        for t in torus:
+            eigs = self.defining_eigenvalues(t, imaginary)
+            diffs = sorted({a - b for a in eigs for b in eigs})
+            candidates.append([QI(0, q) for q in diffs] if imaginary else diffs)
+        return self.joint_eigenspaces([self.ad_matrix(t) for t in torus], candidates, span)
+
     def centralizer_in_span(
         self, elements: Sequence[Coords], span: Sequence[Coords], real: bool = True
     ) -> list[Coords]:
@@ -301,7 +334,6 @@ def _build(form_id: str) -> LieAlgebraModel:
         p_indices=fam.p_indices,
         a_indices=fam.a_indices,
         sigma_spec=fam.sigma,
-        defining_eigs=fam.defining_eigs,
         positivity_key=fam.positivity_key,
     )
     basis, N, n = model.basis, model.dim, model.n

@@ -1,18 +1,22 @@
 """Restricted root decomposition of a matrix model.
 
-The commuting family ad(a_1), ..., ad(a_r) is diagonalized exactly: candidate
-eigenvalues are differences of defining-representation eigenvalues of the
-a-generators, and joint eigenspaces are exact kernels.  The highest root, its
-coroot element, and the normalization of the invariant form all come out as
-rationals.
+The commuting family ad(a_1), ..., ad(a_r) is diagonalized exactly by
+:meth:`~.model.LieAlgebraModel.torus_spaces`: candidate eigenvalues are
+differences of the computed defining-representation eigenvalues of the
+a-generators, and joint eigenspaces are exact kernels.  Root classes, simple
+roots and the highest root come from the routines of :mod:`minorbit.rootsys`,
+computed once per datum.  The highest root, its coroot element, and the
+normalization of the invariant form all come out as rationals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import exactla
+from ..rootsys import RootSystemError, highest_root, indecomposable, root_classes
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 
@@ -30,7 +34,7 @@ class RestrictedRootDatum:
     psi: Root
     x_psi: Coords
     c: Fraction
-    a_gram: list[list[Fraction]]  # trace form on the a-generators
+    classes: dict[Root, str]  # length class of each root, see rootsys.root_classes
     mult: dict[Root, int] = field(default_factory=dict)
     m_basis: list[Coords] = field(default_factory=list)
     n_basis: list[Coords] = field(default_factory=list)
@@ -43,41 +47,18 @@ class RestrictedRootDatum:
         """Evaluate the root functional on an element of a."""
         return sum(r * a_coords[idx] for r, idx in zip(root, self.model.a_indices))
 
-    def root_class(self, root: Root) -> str:
-        root_set = set(self.roots)
-        if tuple(2 * x for x in root) in root_set:
-            return "e_i"
-        if tuple(x / 2 for x in root) in root_set:
-            return "2e_i"
-        lengths = sorted({self._length2(b) for b in self.roots})
-        if len(lengths) == 1:
-            return "long"
-        if len(lengths) == 2:
-            return "short" if self._length2(root) == lengths[0] else "long"
-        return "e_i±e_j"  # middle length of a non-reduced system
-
-    def _length2(self, root: Root) -> Fraction:
-        dual = exactla.solve(self.a_gram, list(root))
-        return sum(r * d for r, d in zip(root, dual))
-
     def class_mults(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for root in self.roots:
-            key = self.root_class(root)
+        for root, key in self.classes.items():
             m = self.mult[root]
-            if key in out and out[key] != m:
+            if out.setdefault(key, m) != m:
                 raise ModelError(
                     f"{self.model.form_id}: inconsistent multiplicity in class {key}"
                 )
-            out[key] = m
         return out
 
     def class_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for root in self.roots:
-            key = self.root_class(root)
-            out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(self.classes.values()))
 
     def pairing_with_psi(self, root: Root) -> Fraction:
         """Value of the root on x_psi, an integer in -2..2."""
@@ -100,10 +81,8 @@ def restricted_root_datum(
     if order not in ("lex", "revlex"):
         raise ModelError(f"unknown positivity order {order!r}")
     N = model.dim
-    spaces = model.joint_eigenspaces(
-        [model.ad[i] for i in model.a_indices],
-        [sorted({x - y for x in eigs for y in eigs}) for eigs in model.defining_eigs],
-        [model.unit_coords(i) for i in range(N)],
+    spaces = model.torus_spaces(
+        model.subspace_units(model.a_indices), [model.unit_coords(i) for i in range(N)]
     )
 
     root_spaces: dict[Root, list[Coords]] = {}
@@ -124,38 +103,26 @@ def restricted_root_datum(
     if 2 * len(positive) != len(roots):
         raise ModelError(f"{model.form_id}: positivity did not split the roots")
 
-    # simple roots: positive roots that are not sums of two positive roots
-    pos_set = set(positive)
-    sums = set()
-    for r1 in positive:
-        for r2 in positive:
-            sums.add(tuple(x + y for x, y in zip(r1, r2)))
-    simple = [r for r in positive if r not in sums]
+    # the highest root, from the simple-root coefficients of the positive roots
+    simple = indecomposable(positive)
+    if not len(simple) == exactla.rank(simple) == model.dim_a:
+        raise ModelError(f"{model.form_id}: simple roots are not a basis of a*")
+    simple_cols = [[s[i] for s in simple] for i in range(model.dim_a)]
+    try:
+        psi = highest_root({r: exactla.solve(simple_cols, list(r)) for r in positive})
+    except RootSystemError as exc:
+        raise ModelError(f"{model.form_id}: {exc}") from exc
 
-    # the highest root dominates every positive root
-    def dominates(a: Root, b: Root) -> bool:
-        diff = [x - y for x, y in zip(a, b)]
-        mat = [[s[i] for s in simple] for i in range(len(diff))]
-        sol = exactla.solve(mat, diff)
-        return sol is not None and all(c >= 0 for c in sol)
-
-    maximal = [r for r in positive if all(dominates(r, b) for b in positive)]
-    if len(maximal) != 1:
-        raise ModelError(
-            f"{model.form_id}: positive system has {len(maximal)} maximal roots"
-        )
-    psi = maximal[0]
-
-    # x_psi: the multiple of the trace-dual of psi with psi(x_psi) = 2
+    # squared lengths and x_psi come from the trace-duals of the roots; the
+    # trace form on a is a block of the form on p, which is definite
     a_idx = model.a_indices
     gram_a = [[model.tr_gram[i][j] for j in a_idx] for i in a_idx]
-    dual = exactla.solve(gram_a, list(psi))
-    if dual is None:
-        raise ModelError(f"{model.form_id}: trace form degenerate on a")
-    psi_of_dual = sum(p * d for p, d in zip(psi, dual))
-    factor = Fraction(2) / psi_of_dual
+    dual = {r: exactla.solve(gram_a, list(r)) for r in roots}
+    classes = root_classes(roots, lambda r: sum(x * d for x, d in zip(r, dual[r])))
+    # x_psi: the multiple of the trace-dual of psi with psi(x_psi) = 2
+    factor = Fraction(2) / sum(p * d for p, d in zip(psi, dual[psi]))
     x_psi = [Fraction(0)] * N
-    for coef, idx in zip(dual, a_idx):
+    for coef, idx in zip(dual[psi], a_idx):
         x_psi[idx] = coef * factor
     # normalize the invariant form so that B(x_psi, x_psi) = 2
     tr_xx = model._tr_form(x_psi, x_psi)
@@ -177,7 +144,7 @@ def restricted_root_datum(
         psi=psi,
         x_psi=x_psi,
         c=c,
-        a_gram=gram_a,
+        classes=classes,
         mult={r: len(s) for r, s in root_spaces.items()},
         m_basis=list(model.m_basis),
         n_basis=[v for r in positive for v in root_spaces[r]],

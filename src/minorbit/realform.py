@@ -81,16 +81,6 @@ class RealFormDescriptor:
         return self.dim_m + rs.rank + sum(self.mult_of(b) for b in rs.all_roots)
 
 
-def expected_mult_keys(label: RootSystemLabel) -> set[str]:
-    if label.family == "BC":
-        keys = {"e_i", "2e_i"}
-        if label.rank >= 2:
-            keys.add("e_i±e_j")
-        return keys
-    counts = build_root_system(label).class_counts()
-    return set(counts)
-
-
 def _parse_entry(raw: dict) -> RealFormDescriptor:
     if not isinstance(raw, dict):
         raise CatalogError("<entry>", f"entry must be a JSON object, got {raw!r}")
@@ -115,7 +105,7 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
     mults = raw["mults"]
     if not isinstance(mults, dict) or not mults:
         raise CatalogError(entry_id, "mults must be a non-empty map")
-    expected = expected_mult_keys(restricted)
+    expected = set(build_root_system(restricted).class_counts())
     if set(mults) != expected:
         raise CatalogError(
             entry_id,

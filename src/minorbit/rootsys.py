@@ -10,15 +10,21 @@ Simple-root coefficients are integer data as well: ``build_root_system``
 inverts the simple-root matrix once, as integers over one common denominator,
 and stores every root's coefficients as integers on the ``RootSystem``.  The
 positivity test, heights and the highest root read those stored integers.
+
+Three module routines take any positive system, with any exact coordinates:
+``indecomposable`` (its simple roots), ``highest_root`` and ``root_classes``.
+The catalog's systems, the restricted roots of a matrix model and the roots of
+its compact part all call them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import exactla
 
@@ -261,6 +267,7 @@ class RootSystem:
     cartan_matrix: tuple[tuple[int, ...], ...]
     coefficients: dict[Vec, tuple[int, ...]] = field(repr=False, compare=False)
     simple_inverse: _SimpleRootInverse = field(repr=False, compare=False)
+    classes: dict[Vec, str] = field(repr=False, compare=False)  # see root_classes
 
     @property
     def rank(self) -> int:
@@ -289,45 +296,63 @@ class RootSystem:
     def height(self, root: Vec) -> Fraction:
         return sum(self.simple_coefficients(root))
 
-    @property
+    @cached_property
     def highest_root(self) -> Vec:
-        cached = getattr(self, "_highest", None)
-        if cached is not None:
-            return cached
-        heights = {b: sum(self.coefficients[b]) for b in self.positive_roots}
-        best = max(self.positive_roots, key=heights.get)
-        ties = [b for b in self.positive_roots if heights[b] == heights[best]]
-        if len(ties) != 1:
-            raise RootSystemError(f"{self.label}: highest root is not unique")
-        object.__setattr__(self, "_highest", best)
-        return best
-
-    def _length_classes(self) -> list[int]:
-        cached = getattr(self, "_lengths", None)
-        if cached is None:
-            cached = sorted({_dot(b, b) for b in self.all_roots})
-            object.__setattr__(self, "_lengths", cached)
-        return cached
+        return highest_root({b: self.coefficients[b] for b in self.positive_roots})
 
     def root_class(self, root: Vec) -> str:
         """Length class key: long/short or e_i/2e_i/e_i±e_j for BC."""
-        if not self.label.reduced:
-            if tuple(2 * x for x in root) in self.coefficients:
-                return "e_i"
-            if all(x % 2 == 0 for x in root) and tuple(x // 2 for x in root) in self.coefficients:
-                return "2e_i"
-            return "e_i±e_j"
-        lengths = self._length_classes()
-        if len(lengths) == 1:
-            return "long"
-        return "short" if _dot(root, root) == lengths[0] else "long"
+        key = self.classes.get(tuple(root))
+        if key is None:
+            raise RootSystemError(f"{tuple(root)} is not a root of {self.label}")
+        return key
 
     def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for b in self.all_roots:
-            key = self.root_class(b)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return dict(Counter(self.classes.values()))
+
+
+def indecomposable(positive) -> list:
+    """The simple roots of a positive system: those not a sum of two positive roots."""
+    sums = {tuple(x + y for x, y in zip(a, b)) for a in positive for b in positive}
+    return [r for r in positive if r not in sums]
+
+
+def highest_root(coefficients: dict):
+    """The positive root of maximal height, given each positive root's
+    simple-root coefficients; it must dominate every positive root
+    coefficient by coefficient, or ``RootSystemError`` is raised."""
+    best = max(coefficients, key=lambda b: sum(coefficients[b]))
+    top = coefficients[best]
+    for coeffs in coefficients.values():
+        if any(t < c for t, c in zip(top, coeffs)):
+            raise RootSystemError("no positive root dominates every positive root")
+    return best
+
+
+def root_classes(roots, length2) -> dict:
+    """Length class of every root, with ``length2`` its squared length.
+
+    A root whose double is a root is "e_i" and the double of a root is
+    "2e_i"; the others are "long", or "short"/"long" when the system has two
+    lengths, or "e_i±e_j" when it has three (the middle length of BC).
+    """
+    root_set = set(roots)
+    doubles = {tuple(2 * x for x in r) for r in roots}
+    lengths = {r: length2(r) for r in roots}
+    levels = sorted(set(lengths.values()))
+    classes = {}
+    for r in roots:
+        if tuple(2 * x for x in r) in root_set:
+            classes[r] = "e_i"
+        elif r in doubles:
+            classes[r] = "2e_i"
+        elif len(levels) == 3:
+            classes[r] = "e_i±e_j"
+        elif len(levels) == 2 and lengths[r] == levels[0]:
+            classes[r] = "short"
+        else:
+            classes[r] = "long"
+    return classes
 
 
 @lru_cache(maxsize=None)
@@ -379,6 +404,7 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
         cartan_matrix=cartan,
         coefficients=coefficients,
         simple_inverse=inverse,
+        classes=root_classes(roots, lambda b: _dot(b, b)),
     )
 
 

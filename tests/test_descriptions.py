@@ -144,3 +144,38 @@ def test_joint_eigenspaces_needs_every_eigenvalue():
     full = [model.unit_coords(i) for i in range(model.dim)]
     with pytest.raises(ModelError):
         model.joint_eigenspaces(ad_a, [[Fraction(-2), Fraction(0)]], full)
+
+
+def leading_minor_definite(gram, sign):
+    """Reference: sign * gram is positive definite iff every leading
+    principal minor of sign * gram is positive (Sylvester)."""
+
+    def det(m):
+        if not m:
+            return Fraction(1)
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    scaled = [[sign * x for x in row] for row in gram]
+    return all(det([row[:k] for row in scaled[:k]]) > 0 for k in range(1, len(gram) + 1))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A A^T (definite, or semidefinite when A has dependent rows), or a raw
+    symmetric matrix (mostly indefinite), with small rational entries."""
+    n = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, n + 1))
+        a = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+        return [[sum(x * y for x, y in zip(u, v)) for v in a] for u in a]
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram=symmetric_matrices(), sign=st.sampled_from([1, -1]))
+def test_definite_matches_leading_minors(gram, sign):
+    for g in (gram, [[-x for x in row] for row in gram]):
+        assert model_module._definite(g, sign) == leading_minor_definite(g, sign)

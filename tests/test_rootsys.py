@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from minorbit.realform import catalog_by_id
 from minorbit.rootsys import (
     RootSystemError,
     RootSystemLabel,
@@ -11,6 +12,8 @@ from minorbit.rootsys import (
     coroot_pairing,
     dominant,
     dual_coxeter_number,
+    highest_root,
+    indecomposable,
 )
 
 ALL_LABELS = [
@@ -251,6 +254,31 @@ def test_root_classes():
     assert bc2.class_counts() == {"e_i": 4, "2e_i": 4, "e_i±e_j": 4}
     a2 = rs("A2")
     assert a2.class_counts() == {"long": 6}
+    assert rs("BC1").class_counts() == {"e_i": 2, "2e_i": 2}
+    assert rs("BC3").class_counts() == {"e_i": 6, "2e_i": 6, "e_i±e_j": 12}
+    assert rs("C3").class_counts() == {"short": 12, "long": 6}
+    assert rs("F4").class_counts() == {"short": 24, "long": 24}
+    assert rs("G2").class_counts() == {"short": 6, "long": 6}
+
+
+def test_root_class_rejects_vectors_that_are_not_roots():
+    for text, vector in (("B2", (5, 0)), ("B2", (0, 0)), ("BC2", (7, 3))):
+        with pytest.raises(RootSystemError, match="not a root"):
+            rs(text).root_class(vector)
+    with pytest.raises(RootSystemError, match="not a root"):
+        catalog_by_id()["su21"].mult_of((3,))
+
+
+def test_highest_root_needs_a_dominating_root():
+    # A1 x A1: neither positive root dominates the other
+    with pytest.raises(RootSystemError):
+        highest_root({(1, 0): (1, 0), (0, 1): (0, 1)})
+
+
+def test_indecomposable_positive_roots_are_the_simple_roots():
+    for text in ALL_LABELS:
+        system = rs(text)
+        assert set(indecomposable(system.positive_roots)) == set(system.simple_roots)
 
 
 # --- stored simple-root coefficients ----------------------------------------

@@ -1,5 +1,6 @@
 """The sparse exact lane against dense references, and the float-proposed
-exact eigenvalues of compact elements in the defining representation."""
+exact eigenvalues of compact and Hermitian elements in the defining
+representation."""
 
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ import pytest
 
 from minorbit.exactla import QI, kernel_basis, mat_vec
 from minorbit.matmodel import ModelError, analyze
-from minorbit.matmodel.checks import _defining_imag_eigs
 
 FORMS = ("sl2R", "su21", "sp4R", "su22", "sl2H")
 
@@ -102,9 +102,9 @@ def test_eigenvalues_outside_any_fixed_grid_are_found():
     model = analyze("sl2R").model
     k0 = model.k_indices[0]
     t = [10 * x for x in model.unit_coords(k0)]
-    assert _defining_imag_eigs(model, t) == [Fraction(-10), Fraction(10)]
+    assert model.defining_eigenvalues(t, imaginary=True) == [Fraction(-10), Fraction(10)]
     t = [Fraction(7, 9) * x for x in model.unit_coords(k0)]
-    assert _defining_imag_eigs(model, t) == [Fraction(-7, 9), Fraction(7, 9)]
+    assert model.defining_eigenvalues(t, imaginary=True) == [Fraction(-7, 9), Fraction(7, 9)]
 
 
 def test_irrational_eigenvalues_raise():
@@ -116,4 +116,21 @@ def test_irrational_eigenvalues_raise():
     assert np.array_equal(model.matrix(t).astype(complex), X)
     assert model.theta(t) == t
     with pytest.raises(ModelError, match="rational"):
-        _defining_imag_eigs(model, t)
+        model.defining_eigenvalues(t, imaginary=True)
+
+
+def test_defining_eigenvalues_of_hermitian_elements():
+    model = analyze("sl2R").model
+    a = model.unit_coords(model.a_indices[0])
+    assert model.defining_eigenvalues([Fraction(7, 9) * x for x in a]) == [
+        Fraction(-7, 9), Fraction(7, 9)
+    ]
+    su21 = analyze("su21").model
+    assert su21.defining_eigenvalues(su21.unit_coords(su21.a_indices[0])) == [
+        Fraction(-1), Fraction(0), Fraction(1)
+    ]
+    # diag(1, -1) + (E01 + E10): eigenvalues +-sqrt(2)
+    x = [p + q for p, q in zip(a, model.unit_coords(model.p_indices[0]))]
+    assert np.array_equal(model.matrix(x).astype(complex), [[1, 1], [1, -1]])
+    with pytest.raises(ModelError, match="rational"):
+        model.defining_eigenvalues(x)
