@@ -237,11 +237,13 @@ def cmd_verify(config: RunConfig) -> ReportDocument:
     if not matmodel.has_matrix_model(desc.id):
         raise ModelError(f"form {desc.id!r} has no matrix model")
     names = config.check_names or VERIFY_CHECKS
-    for name in names:
+    for i, name in enumerate(names):
         if name not in VERIFY_CHECKS:
             raise ValueError(
                 f"unknown check {name!r}; choose from {', '.join(VERIFY_CHECKS)}"
             )
+        if name in names[:i]:
+            raise ValueError(f"check {name!r} is given more than once")
     # one check's error (ValueError covers numpy's LinAlgError and a
     # rank-deficient frame) fails that check; the others still run
     for name in names:

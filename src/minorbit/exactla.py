@@ -99,7 +99,6 @@ class QI:
 
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
-QI_I = QI(0, 1)
 
 
 def exact_sqrt(q: Fraction) -> Fraction | None:

@@ -203,16 +203,13 @@ def lambda_data(
     ))
 
     # the isotropy algebra acts on v through the pairing with h
-    ok_weight = True
-    for x in k_nu:
-        lhs = model.bracket([QI.of(c) for c in x], cayley.v)
-        lam = model.B(cayley.h, [QI.of(c) for c in x])
-        rhs = [lam * a for a in cayley.v]
-        if lhs != rhs:
-            ok_weight = False
-            break
+    def weight_holds(x):
+        x = [QI.of(c) for c in x]
+        lam = model.B(cayley.h, x)
+        return model.bracket(x, cayley.v) == [lam * a for a in cayley.v]
+
     checks.append(CheckItem.verdict(
-        "isotropy_weight_action", ok_weight, "[x,v] = B(h,x) v on k_nu"
+        "isotropy_weight_action", all(map(weight_holds, k_nu)), "[x,v] = B(h,x) v on k_nu"
     ))
 
     t_basis = _cartan_of_k(model, z)

@@ -21,7 +21,10 @@ which ``defining_eigenvalues`` computes exactly for the tori a and t alike.
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
 nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
-every structure constant is zero and no routine here touches those zeros.
+every structure constant is zero and no routine here touches those zeros:
+the trace form reads the nonzero entries of G and ``kernel_in_span`` combines
+the nonzero entries of its span.  A subspace is split into eigenspaces only
+until the spaces found fill it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ class LieAlgebraModel:
     positivity_key: Callable[[tuple], tuple] = lambda values: values
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_gram: list[list[Fraction]] = field(repr=False, default_factory=list)
+    tr_entries: list[tuple] = field(repr=False, default_factory=list)  # (i, j, G_ij), G_ij != 0
     entries: list[list[tuple]] = field(repr=False, default_factory=list)  # of b_i
     m_basis: list[Coords] = field(repr=False, default_factory=list)
     c: Fraction | None = None  # invariant-form normalization, set by the root datum
@@ -122,9 +126,7 @@ class LieAlgebraModel:
 
     # -- coordinates --------------------------------------------------------
     def unit_coords(self, index: int) -> Coords:
-        v = [Fraction(0)] * self.dim
-        v[index] = Fraction(1)
-        return v
+        return [Fraction(int(i == index)) for i in range(self.dim)]
 
     def subspace_units(self, indices: Sequence[int]) -> list[Coords]:
         return [self.unit_coords(i) for i in indices]
@@ -181,7 +183,9 @@ class LieAlgebraModel:
         return self.c * self._tr_form(x, y)
 
     def _tr_form(self, x: Coords, y: Coords):
-        return exactla.dot(x, exactla.mat_vec(self.tr_gram, y))
+        """tr(XY) = x^T G y over the nonzero entries of the trace Gram G."""
+        terms = [x[i] * g * y[j] for i, j, g in self.tr_entries if x[i] and y[j]]
+        return sum(terms[1:], terms[0]) if terms else 0 * x[0] * y[0]
 
     def H(self, x: Coords, y: Coords):
         """Invariant Hilbert pairing -B(x, sigma_u(y)); positive definite."""
@@ -207,15 +211,15 @@ class LieAlgebraModel:
         """
         if not span:
             return []
-        cols = list(span)
+        span_qi = [_has_qi(v) for v in span]
         qi = (
             isinstance(shift, QI)
-            or any(_has_qi(v) for v in cols)
+            or any(span_qi)
             or any(_has_qi(x for _, x in col) for op in operators for col in op)
         )
         zero = QI_ZERO if qi else Fraction(0)
         shift = QI.of(shift) if qi else Fraction(shift)
-        nonzero = [[(j, x) for j, x in enumerate(v) if x] for v in cols]
+        nonzero = [[(j, x) for j, x in enumerate(v) if x] for v in span]
         rows: list[list] = []
         for op in operators:
             images = [_apply(op, nz, shift) for nz in nonzero]
@@ -231,14 +235,17 @@ class LieAlgebraModel:
             sol_basis = exactla.kernel_basis(rows)
         else:
             one = QI_ONE if qi and not real else Fraction(1)
-            sol_basis = [[one if i == j else 0 for i in range(len(cols))]
-                         for j in range(len(cols))]
+            sol_basis = [[one if i == j else 0 for i in range(len(span))]
+                         for j in range(len(span))]
+        # sum_k t_k span[k] from nonzero entries; all QI if a used t_k or span[k] is
         out = []
         for t in sol_basis:
-            vec = [Fraction(0)] * self.dim
-            for coef, base_vec in zip(t, cols):
-                if coef:
-                    vec = [a + coef * b for a, b in zip(vec, base_vec)]
+            used = [(k, coef) for k, coef in enumerate(t) if coef]
+            qi_out = any(isinstance(coef, QI) or span_qi[k] for k, coef in used)
+            vec = [QI_ZERO if qi_out else Fraction(0)] * self.dim
+            for k, coef in used:
+                for j, x in nonzero[k]:
+                    vec[j] = vec[j] + coef * x
             out.append(vec)
         return out
 
@@ -256,7 +263,8 @@ class LieAlgebraModel:
 
         ``candidates[i]`` lists the possible eigenvalues of ``ops[i]``; each
         space is labelled by its tuple of eigenvalues.  Raises if the
-        candidates do not recover all of the span.
+        candidates do not recover all of the span.  Spaces of distinct
+        eigenvalues are independent, so a filled subspace tries no more.
         """
         spaces: list[tuple[tuple, list[Coords]]] = [((), list(span))]
         for op, eigenvalues in zip(ops, candidates):
@@ -264,6 +272,8 @@ class LieAlgebraModel:
             for label, sub in spaces:
                 found = 0
                 for lam in eigenvalues:
+                    if found == len(sub):
+                        break
                     eig = self.eigenspace(op, lam, sub)
                     if eig:
                         refined.append((label + (lam,), eig))
@@ -363,8 +373,9 @@ def _build(form_id: str) -> LieAlgebraModel:
     model.tr_gram = [
         [Fraction(g) for g in row] for row in gram.real.astype(np.int64).tolist()
     ]
-    aug = [row + [Fraction(int(i == j)) for j in range(N)]
-           for i, row in enumerate(model.tr_gram)]
+    model.tr_entries = [(i, j, g) for i, row in enumerate(model.tr_gram)
+                        for j, g in enumerate(row) if g]
+    aug = [row + model.unit_coords(i) for i, row in enumerate(model.tr_gram)]
     red, pivots = exactla.rref(aug)
     if pivots != list(range(N)):
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")

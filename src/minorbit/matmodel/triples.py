@@ -157,6 +157,4 @@ def cayley_violations(ct: CayleyTriple) -> list[str]:
 
 def compact_partner(ct: CayleyTriple) -> Coords:
     """The real compact element z = e + theta(e) = -i h."""
-    model = ct.model
-    st = ct.source
-    return [a - b for a, b in zip(st.e, st.f)]
+    return [a - b for a, b in zip(ct.source.e, ct.source.f)]

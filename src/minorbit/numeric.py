@@ -144,9 +144,10 @@ class ModelNumerics:
         self.v = mat(analysis.cayley.v)
         self.sigma = model.sigma_spec.apply
 
-        self.k_basis = [mat(model.unit_coords(i)) for i in model.k_indices]
-        self.p_basis = [mat(model.unit_coords(i)) for i in model.p_indices]
-        self.a_basis = [mat(model.unit_coords(i)) for i in model.a_indices]
+        # + 0 turns the basis' -0.0 parts into the +0.0 that `mat` gives
+        self.k_basis = [model.basis[i] + 0 for i in model.k_indices]
+        self.p_basis = [model.basis[i] + 0 for i in model.p_indices]
+        self.a_basis = [model.basis[i] + 0 for i in model.a_indices]
         self.n_basis = [mat(v) for v in analysis.datum.n_basis]
 
         lam = analysis.lambda_data()

@@ -161,6 +161,14 @@ def test_verify_unknown_check(capsys):
     assert main(["verify", "--form", "sl2R", "--checks", "striple,bogus"]) == 2
 
 
+def test_verify_repeated_check_exits_2(capsys):
+    assert main(["verify", "--form", "sl2R", "--checks", "striple,striple"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'striple' is given more than once" in captured.err
+    assert main(["verify", "--form", "sl2R", "--checks", "striple,beta, striple"]) == 2
+
+
 def test_verify_check_error_keeps_other_results(capsys, monkeypatch):
     import numpy as np
 

@@ -1,14 +1,16 @@
-"""The sparse exact lane against dense references, and the float-proposed
-exact eigenvalues of compact and Hermitian elements in the defining
-representation."""
+"""The sparse exact lane against dense references, the early exit of the
+joint eigenspace refinement, and the float-proposed exact eigenvalues of
+compact and Hermitian elements in the defining representation."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minorbit.exactla import QI, kernel_basis, mat_vec
-from minorbit.matmodel import ModelError, analyze
+from minorbit.exactla import QI, dot, kernel_basis, mat_vec
+from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 
 FORMS = ("sl2R", "su21", "sp4R", "su22", "sl2H")
 
@@ -69,6 +71,15 @@ def cases(form_id):
     yield [model.ad_matrix(a.cayley.v)], 0, k_units, True
     yield [model.ad_matrix(v) for v in datum.n_basis], 0, datum.n_basis, False
     yield [], 0, datum.n_basis, False
+    # Gaussian span vectors: Fraction coefficients (real=True, or no
+    # constraint) must still give QI entries, zeros included
+    gaussian = [a.cayley.v, a.cayley.w]
+    k_qi = [[QI.of(x) for x in u] for u in k_units]
+    yield [ad_h], QI(2), gaussian, False
+    yield [ad_h], QI(-2), gaussian, True
+    yield [], 0, gaussian, True
+    yield [ad_z], QI(0, 1), k_qi, False
+    yield [ad_z], QI(0), k_qi, True
 
 
 @pytest.mark.parametrize("form_id", FORMS)
@@ -80,7 +91,67 @@ def test_sparse_kernel_matches_dense_reference(form_id):
             model, [dense(model, op, shift) for op in ops], span, real=real
         )
         # equal values and scalar types, hence equal reprs
+        assert sparse == reference
         assert repr(sparse) == repr(reference)
+
+
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+ENTRIES = st.one_of(st.just(Fraction(0)), FRACTIONS)
+
+
+@st.composite
+def coordinates(draw, dim):
+    """A real or a complexified coordinate vector (one scalar type), sparse
+    or all zero."""
+    if draw(st.booleans()):
+        return draw(st.lists(ENTRIES, min_size=dim, max_size=dim))
+    parts = st.lists(ENTRIES, min_size=dim, max_size=dim)
+    return [QI(a, b) for a, b in zip(draw(parts), draw(parts))]
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_trace_form_matches_dense_gram(form_id, data):
+    model = build_model(form_id)
+    x, y = (data.draw(st.one_of(coordinates(model.dim),
+                                st.just([Fraction(0)] * model.dim),
+                                st.just([QI(0)] * model.dim)))
+            for _ in range(2))
+    reference = dot(x, mat_vec(model.tr_gram, y))
+    value = model._tr_form(x, y)
+    assert value == reference
+    assert repr(value) == repr(reference)
+
+
+def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
+    """Spaces of distinct eigenvalues are independent, so the refinement of a
+    subspace ends with the solve that fills it."""
+    solves = []
+    eigenspace = LieAlgebraModel.eigenspace
+
+    def recorded(self, op, lam, span):
+        out = eigenspace(self, op, lam, span)
+        solves.append((span, len(out)))
+        return out
+
+    monkeypatch.setattr(LieAlgebraModel, "eigenspace", recorded)
+    a = analyze("su41")
+    model = a.model
+    full = [model.unit_coords(i) for i in range(model.dim)]
+    model.torus_spaces(model.subspace_units(model.a_indices), full)
+    model.torus_spaces(a.lambda_data().t_basis, model.subspace_units(model.k_indices),
+                       imaginary=True)
+    runs = []  # consecutive solves on one subspace
+    for span, found in solves:
+        if runs and runs[-1][0] is span:
+            runs[-1][1].append(found)
+        else:
+            runs.append((span, [found]))
+    assert len(runs) > 2
+    for span, found in runs:
+        assert sum(found) == len(span)
+        assert found[-1] > 0
 
 
 @pytest.mark.parametrize("form_id", FORMS)
