@@ -18,7 +18,7 @@ from .matmodel.restricted import (
 from .matmodel.triples import cayley_violations, s_triple_violations
 from .numeric import numerics
 from .realform import CatalogError
-from .report import CheckItem, GramReport, ReportDocument
+from .report import CheckItem, ReportDocument
 
 @dataclass
 class RunConfig:
@@ -53,14 +53,9 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _load_catalog(config: RunConfig):
-    return realform.load_catalog(config.catalog_path)
-
-
 def cmd_catalog(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
-    entries = _load_catalog(config)
-    for desc in entries:
+    for desc in realform.load_catalog(config.catalog_path):
         inv = realform.derive_invariants(desc)
         doc.checks.append(
             CheckItem(
@@ -78,9 +73,11 @@ def cmd_catalog(config: RunConfig) -> ReportDocument:
 
 
 def _find_descriptor(config: RunConfig) -> realform.RealFormDescriptor:
-    entries = {e.id: e for e in _load_catalog(config)}
+    if config.form_id is None:
+        raise ValueError(f"--form is required for {config.command}")
+    entries = realform.catalog_by_id(config.catalog_path)
     if config.form_id not in entries:
-        raise CatalogError(config.form_id or "<none>", "unknown form id")
+        raise CatalogError(config.form_id, "unknown form id")
     return entries[config.form_id]
 
 
@@ -104,7 +101,7 @@ def cmd_invariants(config: RunConfig) -> ReportDocument:
 
 def cmd_table(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
-    table = realform.exceptional_table(_load_catalog(config))
+    table = realform.exceptional_table(realform.load_catalog(config.catalog_path))
     for row in table.as_dicts():
         doc.checks.append(
             CheckItem(
@@ -176,20 +173,17 @@ def _exact_check(name: str, violations):
     """An exact identity check reported as one sample, inf deviation on
     failure; its tolerance defaults to 0."""
 
-    def run(analysis, config: RunConfig) -> list[GramReport]:
+    def run(analysis, config: RunConfig) -> list[CheckItem]:
         problems = violations(analysis)
-        tol = 0.0 if config.tol is None else config.tol
-        return [
-            GramReport(
-                check_name=name,
-                sample_count=1,
-                max_abs_deviation=0.0 if not problems else float("inf"),
-                tolerance=tol,
-                passed=not problems,
-                seed=config.seed,
-                detail="exact arithmetic" + ("; " + "; ".join(problems) if problems else ""),
-            )
-        ]
+        return [CheckItem.verdict(
+            name,
+            not problems,
+            "; ".join(["exact arithmetic", *problems]),
+            sample_count=1,
+            max_abs_deviation=float("inf") if problems else 0.0,
+            tolerance=0.0 if config.tol is None else config.tol,
+            seed=config.seed,
+        )]
 
     return run
 
@@ -198,7 +192,7 @@ def _sampled_check(function_name: str):
     """``sympver.<function_name>``, looked up per call so module wrappers see
     it; every sampled check's tolerance defaults to the closed-form one."""
 
-    def run(analysis, config: RunConfig) -> list[GramReport]:
+    def run(analysis, config: RunConfig) -> list[CheckItem]:
         check = getattr(sympver, function_name)
         num = numerics(config.form_id, config.catalog_path)
         tol = sympver.DEFAULT_TOL_CLOSED if config.tol is None else config.tol

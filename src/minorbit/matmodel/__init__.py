@@ -11,6 +11,7 @@ from ..realform import (
     DerivedInvariants,
     RealFormDescriptor,
     catalog_by_id,
+    catalog_key,
     derive_invariants,
 )
 from .checks import LambdaData, centralizer_checks, lambda_data, spectral_checks
@@ -76,11 +77,6 @@ class ModelAnalysis:
 
     def lambda_data(self) -> LambdaData:
         return _lambda_cached(self.form_id, self.catalog)
-
-
-def catalog_key(catalog: str | Path | None) -> str | None:
-    """Cache key of a catalog source; None is the shipped catalog."""
-    return None if catalog is None else str(catalog)
 
 
 def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -181,8 +182,20 @@ def load_catalog(source: str | Path | None = None) -> list[RealFormDescriptor]:
     return entries
 
 
+def catalog_key(source: str | Path | None) -> str | None:
+    """Cache key of a catalog source; None is the shipped catalog."""
+    return None if source is None else str(source)
+
+
 def catalog_by_id(source: str | Path | None = None) -> dict[str, RealFormDescriptor]:
-    return {e.id: e for e in load_catalog(source)}
+    """The entries of a catalog by id, parsed once per source key and shared:
+    do not mutate.  ``load_catalog`` itself reads the file on every call."""
+    return _catalog_by_key(catalog_key(source))
+
+
+@lru_cache(maxsize=None)
+def _catalog_by_key(key: str | None) -> dict[str, RealFormDescriptor]:
+    return {e.id: e for e in load_catalog(key)}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,13 @@
-"""Check records and report documents shared by the library and the CLI."""
+"""The check record and the report document shared by the library and the CLI.
+
+Every line of a report is one ``CheckItem``, serialized in one of two shapes.
+A verdict line has ``name``, ``status`` and ``detail``.  A measured line (an
+exact identity, reported as one sample, or a sampled check) also has
+``samples``, ``max_abs_deviation``, ``tolerance``, ``seed``, ``elapsed`` and
+``events``; a sampled line adds ``accepted`` and ``worst_sample``.  Timing
+fields (``elapsed``, the document's ``elapsed_ms``) are always ``null``, so
+two runs with one seed are byte-identical.
+"""
 
 from __future__ import annotations
 
@@ -14,42 +23,35 @@ class CheckItem:
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
+    # a measured line only (sample_count is None on a verdict line)
+    sample_count: int | None = None
+    max_abs_deviation: float | None = None
+    tolerance: float | None = None
+    seed: int | None = None
+    events: list[str] = field(default_factory=list)
+    # a sampled line only: accepted samples, index of the largest deviation
+    accepted: int | None = None
+    worst_sample: int | None = None
 
     @classmethod
-    def verdict(cls, name: str, ok: bool, detail: str = "") -> CheckItem:
+    def verdict(cls, name: str, ok: bool, detail: str = "", **measured) -> CheckItem:
         """A pass or a fail, as ``ok`` says."""
-        return cls(name, "pass" if ok else "fail", detail)
+        return cls(name, "pass" if ok else "fail", detail, **measured)
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
     @property
     def failed(self) -> bool:
         return self.status == "fail"
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
-
-@dataclass
-class GramReport:
-    """Outcome of a seeded sampling verification run."""
-
-    check_name: str
-    sample_count: int
-    max_abs_deviation: float
-    tolerance: float
-    passed: bool
-    seed: int
-    elapsed: float | None = None
-    detail: str = ""
-    events: list[str] = field(default_factory=list)
-    # sampled checks only: accepted samples, index of the largest deviation
-    accepted: int | None = None
-    worst_sample: int | None = None
-
-    @property
-    def failed(self) -> bool:
-        return not self.passed
+    # read-only alias of name for perfbench/worker.py; goes once it reads name
+    check_name = property(lambda self: self.name)
 
     def as_dict(self) -> dict:
+        if self.sample_count is None:
+            return {"name": self.name, "status": self.status, "detail": self.detail}
         # JSON has no inf or NaN (RFC 8259, section 6): such a deviation is
         # written as null, with its value in the detail
         dev, detail = self.max_abs_deviation, self.detail
@@ -57,14 +59,12 @@ class GramReport:
             reason = f"non-finite deviation: {dev!r}"
             dev, detail = None, f"{detail}; {reason}" if detail else reason
         return {
-            "name": self.check_name,
-            "status": "pass" if self.passed else "fail",
+            "name": self.name,
+            "status": self.status,
             "samples": self.sample_count,
             "max_abs_deviation": dev,
             "tolerance": self.tolerance,
             "seed": self.seed,
-            # elapsed stays out of serialized reports so identical runs are
-            # byte-identical
             "elapsed": None,
             "detail": detail,
             "events": list(self.events),
@@ -77,7 +77,7 @@ class GramReport:
 class ReportDocument:
     version: str
     config: dict
-    checks: list = field(default_factory=list)
+    checks: list[CheckItem] = field(default_factory=list)
 
     @property
     def overall_pass(self) -> bool:
@@ -103,13 +103,13 @@ class ReportDocument:
         lines.append("|---|---|---|")
         for c in self.checks:
             d = c.as_dict()
-            detail = d.get("detail", "")
-            if "max_abs_deviation" in d:
+            detail = d["detail"]
+            if c.sample_count is not None:
                 detail = (
                     f"max_dev={d['max_abs_deviation']!r} tol={d['tolerance']!r} "
                     f"samples={d['samples']} seed={d['seed']} {detail}"
                 ).strip()
-            lines.append(f"| {d['name']} | {d['status']} | {detail} |")
+            lines.append(f"| {c.name} | {c.status} | {detail} |")
         lines.append("")
         lines.append(f"overall: {'pass' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"

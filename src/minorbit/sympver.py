@@ -31,13 +31,12 @@ sample; the check keeps the largest, a NaN first, and its sample index.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .numeric import GroupElement, ModelNumerics, trace_pairs
-from .report import GramReport
+from .report import CheckItem
 
 PI = math.pi
 COND_LIMIT = 1e8
@@ -232,19 +231,18 @@ def _accepted_samples(num, samples, seed, spread, rejects, texts, events):
         events.extend(text for *_, text in sorted(notes))
 
 
-def _report(name, samples, devs: _Deviations, tol, seed, start, detail="",
-            events=()) -> GramReport:
+def _report(name, samples, devs: _Deviations, tol, seed, detail="",
+            events=()) -> CheckItem:
     """The record of a sampled check.  A check that accepted no sample has
     tested nothing, so it fails and says so in its detail."""
-    return GramReport(
-        check_name=name,
+    return CheckItem.verdict(
+        name,
+        bool(devs.accepted) and devs.value <= tol,
+        detail + ("" if devs.accepted else "; no sample accepted"),
         sample_count=samples,
         max_abs_deviation=devs.value,
         tolerance=tol,
-        passed=bool(devs.accepted) and devs.value <= tol,
         seed=seed,
-        elapsed=time.perf_counter() - start,
-        detail=detail + ("" if devs.accepted else "; no sample accepted"),
         events=list(events),
         accepted=devs.accepted,
         worst_sample=devs.index,
@@ -259,7 +257,7 @@ def verify_beta_symplectic(
     samples: int = 100,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> list[GramReport]:
+) -> list[CheckItem]:
     """Entrywise agreement of the induced and coadjoint Grams at seeded points.
 
     Sample 0 is always the base point, where the distinguished radial/z block
@@ -268,7 +266,6 @@ def verify_beta_symplectic(
     verified on an independent factor per sample.  A record whose samples
     were all rejected fails: it has tested nothing.
     """
-    start = time.perf_counter()
     events: list[str] = []
     devs = _Deviations()
     base = _Deviations()
@@ -292,11 +289,11 @@ def verify_beta_symplectic(
             base.add(indices[:1], _max_abs(gram_x[:1, :2, :2] - target))
     return [
         _report(
-            "beta_symplectic", samples, devs, tol, seed, start,
+            "beta_symplectic", samples, devs, tol, seed,
             "entrywise Gram agreement plus coadjoint scaling law", events,
         ),
         _report(
-            "beta_base_block", 1, base, BASE_BLOCK_TOL, seed, start,
+            "beta_base_block", 1, base, BASE_BLOCK_TOL, seed,
             "distinguished block vs [[0, -2/pi], [2/pi, 0]]",
         ),
     ]
@@ -316,10 +313,9 @@ def ks_correspondence_check(
     samples: int = 100,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> GramReport:
+) -> CheckItem:
     """Unit-sphere slicing, homogeneity, and well-definedness of the
     correspondence between extremal-weight points and nilpotent points."""
-    start = time.perf_counter()
     devs = _Deviations()
     for indices in _chunks(samples):
         point = replace(_sample_points(num, seed, indices, 0), side="E")
@@ -346,7 +342,7 @@ def ks_correspondence_check(
             dev.append(_max_abs(realize(num, repar) - u))
             dev.append(_max_abs(nilpotent_of(num, repar) - b_u))
         devs.add(indices, np.max(dev, axis=0))
-    return _report("ks_correspondence", samples, devs, tol, seed, start)
+    return _report("ks_correspondence", samples, devs, tol, seed)
 
 
 def _poisson_gradients(num: ModelNumerics, u0, b0, directions, w, x, y) -> np.ndarray:
@@ -395,7 +391,7 @@ def poisson_identities_check(
     samples: int = 50,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> GramReport:
+) -> CheckItem:
     """Verification of the Poisson-bracket identities from exact tangents.
 
     At each sample the induced Gram is factored once and contracted against
@@ -406,7 +402,6 @@ def poisson_identities_check(
     bracketing a momentum function against a section is the group derivative.
     The check fails when every sample was rejected.
     """
-    start = time.perf_counter()
     devs = _Deviations()
     events: list[str] = []
 
@@ -443,7 +438,7 @@ def poisson_identities_check(
             for lhs, rhs in identities
         ], axis=0))
     return _report(
-        "poisson_identities", samples, devs, tol, seed, start,
+        "poisson_identities", samples, devs, tol, seed,
         "relative deviations; closed-form class", events,
     )
 
@@ -453,7 +448,7 @@ def moment_cone_check(
     samples: int = 200,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> GramReport:
+) -> CheckItem:
     """Compact-projection spectra of orbit points against the model ray.
 
     The compact component of any adjoint image of the nilpositive element
@@ -462,7 +457,6 @@ def moment_cone_check(
     spectral-plus-central test decides membership in the cone over the
     compact orbit; otherwise it is necessary only and labeled as such.
     """
-    start = time.perf_counter()
     devs = _Deviations()
     rank_one = len(num.a_basis) == 1
     z = num.z
@@ -504,4 +498,4 @@ def moment_cone_check(
     label = "full membership (restricted rank 1)" if rank_one else (
         "spectral test only: necessary, not sufficient"
     )
-    return _report("moment_cone", samples, devs, tol, seed, start, label)
+    return _report("moment_cone", samples, devs, tol, seed, label)

@@ -56,6 +56,14 @@ def test_unknown_form_fails(capsys):
     assert "unknown form id" in capsys.readouterr().err
 
 
+def test_missing_form_is_a_usage_error(capsys):
+    for command in ("verify", "invariants", "model-check"):
+        assert main([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --form is required for {command}\n"
+
+
 def test_table_values_and_formats(capsys):
     assert main(["table"]) == 0
     md = capsys.readouterr().out
@@ -208,6 +216,12 @@ def test_failing_exact_check_report_is_strict_json(capsys, monkeypatch):
     )
     assert checks["cayley"]["max_abs_deviation"] == 0.0
     assert checks["cayley"]["detail"] == "exact arithmetic"
+    assert main(argv[:-2]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert ("| striple | fail | max_dev=None tol=0.0 samples=1 seed=42 exact "
+            "arithmetic; [h, e] != 2e; non-finite deviation: inf |") in rows
+    assert ("| cayley | pass | max_dev=0.0 tol=0.0 samples=1 seed=42 "
+            "exact arithmetic |") in rows
 
 
 def test_nan_deviation_report_is_strict_json(capsys, monkeypatch):
@@ -227,6 +241,10 @@ def test_nan_deviation_report_is_strict_json(capsys, monkeypatch):
     (ks,) = _strict_json(capsys.readouterr().out)["checks"]
     assert ks["status"] == "fail" and ks["max_abs_deviation"] is None
     assert ks["detail"] == "non-finite deviation: nan"
+    assert main(argv[:-2]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert ("| ks_correspondence | fail | max_dev=None tol=1e-09 samples=3 "
+            "seed=42 non-finite deviation: nan |") in rows
 
 
 def test_verify_rejects_non_finite_tol(capsys):

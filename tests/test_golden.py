@@ -18,13 +18,17 @@ EXACT_CHECKS = "striple,cayley,spectra,centralizers,lambda"
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
-@pytest.mark.parametrize("command", ("verify", "model-check"))
-def test_exact_report_matches_golden(command, form_id, capsys):
-    argv = [command, "--form", form_id, "--format", "json"]
+@pytest.mark.parametrize("command, fmt", [
+    pytest.param("verify", "json", id="verify"),
+    pytest.param("verify", "md", id="verify-md"),
+    pytest.param("model-check", "json", id="model-check"),
+])
+def test_exact_report_matches_golden(command, fmt, form_id, capsys):
+    argv = [command, "--form", form_id, "--format", fmt]
     if command == "verify":
         argv += ["--checks", EXACT_CHECKS]
     assert main(argv) == 0
-    expected = (GOLDEN / f"{command}_{form_id}.json").read_bytes()
+    expected = (GOLDEN / f"{command}_{form_id}.{fmt}").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

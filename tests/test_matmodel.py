@@ -186,3 +186,19 @@ def test_direct_sum_decomposition():
             vectors.extend(space)
         assert len(vectors) == model.dim
         assert exactla.rank(vectors) == model.dim
+
+
+def test_analyze_parses_the_catalog_once(tmp_path, monkeypatch):
+    from minorbit import realform
+
+    # a copy of the shipped catalog is a source key no earlier call has
+    # used, so every cache starts empty for it
+    path = tmp_path / "catalog.json"
+    path.write_bytes(realform.default_catalog_path().read_bytes())
+    parses = []
+    load = realform.load_catalog
+    monkeypatch.setattr(realform, "load_catalog",
+                        lambda source=None: parses.append(source) or load(source))
+    for form_id in MODEL_IDS:
+        analyze(form_id, path)
+    assert parses == [str(path)]
