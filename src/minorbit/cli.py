@@ -57,44 +57,32 @@ def cmd_catalog(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
     for desc in realform.load_catalog(config.catalog_path):
         inv = realform.derive_invariants(desc)
-        doc.checks.append(
-            CheckItem(
-                name=desc.id,
-                status="pass",
-                detail=(
-                    f"gc={desc.gc_label} restricted={desc.restricted_label} "
-                    f"d={inv.d} dim_Z={inv.dim_Z} dim_X={inv.dim_X} "
-                    f"omin_split={inv.omin_split} hermitian={desc.hermitian} "
-                    f"has_matrix_model={matmodel.has_matrix_model(desc.id)}"
-                ),
-            )
-        )
+        doc.checks.append(CheckItem(desc.id, "pass", (
+            f"gc={desc.gc_label} restricted={desc.restricted_label} "
+            f"d={inv.d} dim_Z={inv.dim_Z} dim_X={inv.dim_X} "
+            f"omin_split={inv.omin_split} hermitian={desc.hermitian} "
+            f"has_matrix_model={matmodel.has_matrix_model(desc.id)}"
+        )))
     return doc
 
 
-def _find_descriptor(config: RunConfig) -> realform.RealFormDescriptor:
+def _find_descriptor(config: RunConfig, modeled: bool = False) -> realform.RealFormDescriptor:
+    """The catalog entry of ``--form``; with ``modeled`` the lookup that
+    ``matmodel.analyze`` makes, which also requires a matrix model."""
     if config.form_id is None:
         raise ValueError(f"--form is required for {config.command}")
-    entries = realform.catalog_by_id(config.catalog_path)
-    if config.form_id not in entries:
-        raise CatalogError(config.form_id, "unknown form id")
-    return entries[config.form_id]
+    find = matmodel.model_descriptor if modeled else realform.find_descriptor
+    return find(config.form_id, config.catalog_path)
 
 
 def cmd_invariants(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
     desc = _find_descriptor(config)
     inv = realform.derive_invariants(desc)
-    doc.checks.append(
-        CheckItem(
-            name=f"invariants[{desc.id}]",
-            status="pass",
-            detail=(
-                f"d={inv.d} m={inv.m} dim_g={inv.dim_g} dim_Z={inv.dim_Z} "
-                f"dim_X={inv.dim_X} omin_split={inv.omin_split} h_vee={inv.h_vee}"
-            ),
-        )
-    )
+    doc.checks.append(CheckItem(f"invariants[{desc.id}]", "pass", (
+        f"d={inv.d} m={inv.m} dim_g={inv.dim_g} dim_Z={inv.dim_Z} "
+        f"dim_X={inv.dim_X} omin_split={inv.omin_split} h_vee={inv.h_vee}"
+    )))
     doc.checks.extend(realform.cross_checks(desc, inv))
     return doc
 
@@ -103,44 +91,26 @@ def cmd_table(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
     table = realform.exceptional_table(realform.load_catalog(config.catalog_path))
     for row in table.as_dicts():
-        doc.checks.append(
-            CheckItem(
-                name=f"table[{row['gc_type']}]",
-                status="pass",
-                detail=(
-                    f"K={row['K']} X={row['X']} dim_X={row['dim_X']} "
-                    f"J(X)={row['J(X)']} dim_J(X)={row['dim_J(X)']}"
-                ),
-            )
-        )
+        doc.checks.append(CheckItem(f"table[{row['gc_type']}]", "pass", (
+            f"K={row['K']} X={row['X']} dim_X={row['dim_X']} "
+            f"J(X)={row['J(X)']} dim_J(X)={row['dim_J(X)']}"
+        )))
     expected = (4, 14, 20, 32, 56)
     got = table.dim_X_values()
-    doc.checks.append(
-        CheckItem(
-            name="table[dim_X_row]",
-            status="pass" if got == expected else "fail",
-            detail=f"dim_X = {got}, expected {expected}",
-        )
-    )
-    doc.checks.append(
-        CheckItem(
-            name="table[jordan_halving]",
-            status=(
-                "pass"
-                if all(r.dim_jordan * 2 == r.dim_X for r in table.rows)
-                else "fail"
-            ),
-            detail="dim X = 2 dim J(X) on every row",
-        )
-    )
+    doc.checks.append(CheckItem.verdict(
+        "table[dim_X_row]", got == expected, f"dim_X = {got}, expected {expected}"
+    ))
+    doc.checks.append(CheckItem.verdict(
+        "table[jordan_halving]",
+        all(r.dim_jordan * 2 == r.dim_X for r in table.rows),
+        "dim X = 2 dim J(X) on every row",
+    ))
     return doc
 
 
 def cmd_model_check(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
-    desc = _find_descriptor(config)
-    if not matmodel.has_matrix_model(desc.id):
-        raise ModelError(f"form {desc.id!r} has no matrix model")
+    desc = _find_descriptor(config, modeled=True)
     analysis = matmodel.analyze(desc.id, config.catalog_path)
     model, datum = analysis.model, analysis.datum
 
@@ -227,9 +197,7 @@ def _run_verify_check(name: str, config: RunConfig, doc: ReportDocument) -> None
 
 def cmd_verify(config: RunConfig) -> ReportDocument:
     doc = ReportDocument(version=__version__, config=config.as_dict())
-    desc = _find_descriptor(config)
-    if not matmodel.has_matrix_model(desc.id):
-        raise ModelError(f"form {desc.id!r} has no matrix model")
+    _find_descriptor(config, modeled=True)
     names = config.check_names or VERIFY_CHECKS
     for i, name in enumerate(names):
         if name not in VERIFY_CHECKS:
@@ -255,46 +223,54 @@ COMMANDS = {
     "model-check": cmd_model_check,
     "verify": cmd_verify,
 }
+# the RunConfig fields each command reads besides those of every command;
+# any other option given is an error
+EVERY_COMMAND = ("command", "catalog_path", "format", "out")
+COMMAND_OPTIONS = {"catalog": (), "invariants": ("form_id",), "table": (),
+                   "model-check": ("form_id",),
+                   "verify": ("form_id", "check_names", "samples", "tol", "seed")}
+FLAGS = {"form_id": "--form", "check_names": "--checks", "catalog_path": "--catalog"}
+
+
+def _check_names(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",")) if text else ()
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option not given is absent, so main can tell it from a default;
+    # the defaults are RunConfig's
     parser = argparse.ArgumentParser(
         prog="minorbit",
         description=(
             "catalog, matrix-model and symplectic-orbit verification for "
             "minimal nilpotent coadjoint orbits"
         ),
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--form", dest="form_id", help="catalog form id")
     parser.add_argument(
-        "--checks",
+        "--checks", dest="check_names", type=_check_names,
         help=f"comma-separated subset of: {','.join(VERIFY_CHECKS)}",
     )
-    parser.add_argument("--samples", type=int, default=100)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--catalog", dest="catalog_path", default=None)
-    parser.add_argument("--format", choices=("md", "json"), default="md")
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--catalog", dest="catalog_path")
+    parser.add_argument("--format", choices=("md", "json"))
+    parser.add_argument("--out")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    checks = tuple(c.strip() for c in args.checks.split(",")) if args.checks else ()
-    config = RunConfig(
-        command=args.command,
-        form_id=args.form_id,
-        check_names=checks,
-        samples=args.samples,
-        tol=args.tol,
-        seed=args.seed,
-        catalog_path=args.catalog_path,
-        format=args.format,
-        out=args.out,
-    )
+    options = vars(build_parser().parse_args(argv))
+    config = RunConfig(**options)
     try:
+        for name in options:
+            if name not in EVERY_COMMAND + COMMAND_OPTIONS[config.command]:
+                raise ValueError(
+                    f"{config.command} does not take {FLAGS.get(name, '--' + name)}"
+                )
         config.validate()
         doc = COMMANDS[config.command](config)
         text = doc.to_json() if config.format == "json" else doc.to_markdown()

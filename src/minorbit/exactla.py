@@ -1,126 +1,203 @@
-"""Exact linear algebra over the rationals and Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
 Everything in the combinatorial and structural layers of this package runs on
 exact arithmetic so that identities either hold on the nose or fail loudly.
-Scalars are ``fractions.Fraction`` or :class:`QI` (a + bi with rational a, b);
-both support the operations the elimination routines below rely on.
+Every scalar is one :class:`GaussianRational` (a + bi)/d in Python integers;
+a real value is one with b = 0, and it orders, hashes and prints as the
+``Fraction`` of the same value.  ``int`` and ``Fraction`` operands mix in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
-Scalar = Fraction  # or QI; routines are generic over either.
+_gcd = math.gcd
 
 
-class QI:
-    """Gaussian rational a + b*i with exact Fraction components."""
+@functools.total_ordering
+class GaussianRational:
+    """(a + b i) / d in integers with gcd(a, b, d) = 1 and d > 0; real when b = 0.
 
-    __slots__ = ("re", "im")
+    The parts may be rationals: ``GaussianRational(Fraction(1, 2))`` is 1/2 and
+    ``GaussianRational(0, 1)`` is i.  A real value orders, takes ``abs``,
+    ``int`` and ``float``, hashes and prints as the ``Fraction`` a/d does.
+    """
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    __slots__ = ("a", "b", "d")
 
-    @staticmethod
-    def of(value) -> "QI":
-        if isinstance(value, QI):
-            return value
-        return QI(value)
+    def __init__(self, a=0, b=0, d=1):
+        if not type(a) is type(b) is type(d) is int:
+            re, im = Fraction(a) / d, Fraction(b) / d
+            d = math.lcm(re.denominator, im.denominator)
+            a, b = int(re * d), int(im * d)
+        elif not d:
+            raise ZeroDivisionError("Gaussian rational with zero denominator")
+        g = _gcd(a, b, d) if d > 0 else -_gcd(a, b, d)
+        self.a, self.b, self.d = a // g, b // g, d // g
 
+    # the fast paths below return parts that are already reduced
     def __add__(self, other):
-        other = QI.of(other)
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            if type(other) is int:
+                return _make(self.a + other * self.d, self.b, self.d)
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        s, t = d2 // _gcd(d1, d2), d1 // _gcd(d1, d2)
+        return _reduced(self.a * s + other.a * t, self.b * s + other.b * t, d1 * s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = QI.of(other)
-        return QI(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
-        return QI.of(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = QI.of(other)
-        if not self.im and not other.im:
-            return QI(self.re * other.re)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, d1, a2, b2, d2 = self.a, self.b, self.d, other.a, other.b, other.d
+        if b1 or b2:
+            return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        # real times real: cancel crosswise, as Fraction does
+        g1, g2 = _gcd(a1, d2), _gcd(a2, d1)
+        return _make((a1 // g1) * (a2 // g2), 0, (d1 // g2) * (d2 // g1))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QI.of(other)
-        if not other.im:
-            if not other.re:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return QI(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return QI(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a2, b2, d2 = other.a, other.b, other.d
+        if not (a2 or b2):
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        # times the conjugate d2 (a2 - b2 i), over |a2 + b2 i|^2
+        a1, b1, n = self.a * d2, self.b * d2, a2 * a2 + b2 * b2
+        if not b2:
+            a1, b1, n = (a1, b1, a2) if a2 > 0 else (-a1, -b1, -a2)
+            return _reduced(a1, b1, self.d * n)
+        return _reduced(a1 * a2 + b1 * b2, b1 * a2 - a1 * b2, self.d * n)
 
     def __rtruediv__(self, other):
-        return QI.of(other) / self
+        other = _coerce(other)
+        return NotImplemented if other is None else other / self
 
-    def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+    def conjugate(self) -> GaussianRational:
+        return _make(self.a, -self.b, self.d) if self.b else self
+
+    @property
+    def real(self) -> GaussianRational:
+        return _reduced(self.a, 0, self.d) if self.b else self
+
+    @property
+    def imag(self) -> GaussianRational:
+        return _reduced(self.b, 0, self.d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and not self.im
-        if isinstance(other, QI):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        if type(other) is not GaussianRational:
+            if type(other) is int:
+                return self.a == other and not self.b and self.d == 1
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+
+    def __lt__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.b or other.b:
+            raise TypeError("only real Gaussian rationals are ordered")
+        return self.a * other.d < other.a * self.d
+
+    def _fraction(self) -> Fraction:
+        if self.b:
+            raise TypeError(f"{self} is not real")
+        return Fraction(self.a, self.d)
+
+    def __abs__(self):
+        return _coerce(abs(self._fraction()))
+
+    def __int__(self):
+        return int(self._fraction())
+
+    def __float__(self):
+        return float(self._fraction())
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.d, self.b / self.d)
+
+    def __str__(self):
+        if not self.b:
+            return str(self.a) if self.d == 1 else f"{self.a}/{self.d}"
+        return f"({self.a}{self.b:+}i)" + (f"/{self.d}" if self.d != 1 else "")
 
     def __repr__(self):
-        if not self.im:
-            return f"QI({self.re})"
-        return f"QI({self.re}, {self.im})"
+        return f"GaussianRational({self.a}, {self.b}, {self.d})"
 
 
-QI_ZERO = QI(0)
-QI_ONE = QI(1)
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value of parts already reduced, d > 0."""
+    x = object.__new__(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
 
 
-def exact_sqrt(q: Fraction) -> Fraction | None:
-    """Square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for any d > 0, reduced by gcd(a, b, d)."""
+    g = _gcd(a, b, d)
+    return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
+
+
+def _coerce(x) -> GaussianRational | None:
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, numbers.Rational):  # int, Fraction, numpy integers
+        return _make(int(x.numerator), 0, int(x.denominator))
     return None
 
 
-def _as_rows(mat) -> list[list]:
-    return [list(row) for row in mat]
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
+
+
+def exact_sqrt(q) -> GaussianRational | None:
+    """Square root of a nonnegative rational, or None if irrational."""
+    q = _coerce(q)._fraction()
+    if q < 0:
+        raise ValueError("negative radicand")
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    exact = num * num == q.numerator and den * den == q.denominator
+    return _make(num, 0, den) if exact else None
 
 
 def rref(mat: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = _as_rows(mat)
+    rows = [list(row) for row in mat]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -135,13 +212,19 @@ def rref(mat: Sequence[Sequence]) -> tuple[list[list], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        # the systems here are mostly zeros; a zero entry leaves a row as it is
-        rows[r] = [x / pv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r]
+        # the systems here are mostly zeros: only the pivot row's nonzero
+        # columns change, in the rows copied above
+        cols = [j for j, x in enumerate(pivot) if x]
+        pv = pivot[c]
+        if pv != 1:
+            for j in cols:
+                pivot[j] = pivot[j] / pv
+        for row in rows:
+            f = row[c]
+            if f and row is not pivot:
+                for j in cols:
+                    row[j] = row[j] - f * pivot[j]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -155,36 +238,22 @@ def rank(mat: Sequence[Sequence]) -> int:
 
 def kernel_basis(mat: Sequence[Sequence], ncols: int | None = None) -> list[list]:
     """Basis of the right kernel of ``mat`` (rows = equations)."""
-    rows = _as_rows(mat)
+    rows = [list(row) for row in mat]
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty system")
-        return [_unit(ncols, j, Fraction(1)) for j in range(ncols)]
+        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
     n = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [_zero_like(rows[0][0])] * n
-        vec[fc] = _one_like(rows[0][0])
+        vec = [ZERO] * n
+        vec[fc] = ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
-
-
-def _zero_like(x):
-    return QI_ZERO if isinstance(x, QI) else Fraction(0)
-
-
-def _one_like(x):
-    return QI_ONE if isinstance(x, QI) else Fraction(1)
-
-
-def _unit(n, j, one):
-    v = [0] * n
-    v[j] = one
-    return v
 
 
 def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
@@ -195,7 +264,7 @@ def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
     for row in red:
         if not any(row[:n]) and row[n]:
             return None
-    x = [_zero_like(rows[0][0])] * n
+    x = [ZERO] * n
     for r, pc in enumerate(pivots):
         if pc == n:
             return None
@@ -204,11 +273,7 @@ def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
 
 
 def span_contains(basis: Sequence[Sequence], vec: Sequence) -> bool:
-    if not basis:
-        return not any(vec)
-    cols = [list(b) for b in basis]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(vec))]
-    return solve(mat, list(vec)) is not None
+    return rank(list(basis) + [vec]) == rank(basis)
 
 
 def same_span(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
@@ -222,11 +287,11 @@ def same_span(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
 
 def dot(u: Sequence, v: Sequence):
     """Sum of u_i v_i over the terms where both factors are nonzero."""
-    total = None
+    total = ZERO
     for a, b in zip(u, v):
         if a and b:
-            total = a * b if total is None else total + a * b
-    return u[0] * v[0] if total is None else total
+            total = total + a * b
+    return total
 
 
 def mat_vec(mat: Sequence[Sequence], v: Sequence) -> list:

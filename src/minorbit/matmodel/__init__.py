@@ -7,12 +7,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..realform import (
-    CatalogError,
     DerivedInvariants,
     RealFormDescriptor,
-    catalog_by_id,
     catalog_key,
     derive_invariants,
+    find_descriptor,
 )
 from .checks import LambdaData, centralizer_checks, lambda_data, spectral_checks
 from .families import MODEL_IDS, ModelError
@@ -52,11 +51,21 @@ __all__ = [
     "kernel_ad_e_dimension",
     "analyze",
     "has_matrix_model",
+    "model_descriptor",
 ]
 
 
 def has_matrix_model(form_id: str) -> bool:
     return form_id in MODEL_IDS
+
+
+def model_descriptor(form_id: str, catalog: str | Path | None = None) -> RealFormDescriptor:
+    """The catalog entry of a modeled form: CatalogError for a form the
+    catalog lacks, then ModelError for a catalog form with no matrix model."""
+    descriptor = find_descriptor(form_id, catalog)
+    if not has_matrix_model(form_id):
+        raise ModelError(f"form {form_id!r} has no matrix model")
+    return descriptor
 
 
 @dataclass
@@ -86,12 +95,7 @@ def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:
 
 @lru_cache(maxsize=None)
 def _analyze_cached(form_id: str, catalog: str | None) -> ModelAnalysis:
-    if not has_matrix_model(form_id):
-        raise ModelError(f"form {form_id!r} has no matrix model")
-    entries = catalog_by_id(catalog)
-    if form_id not in entries:
-        raise CatalogError(form_id, "unknown form id")
-    descriptor = entries[form_id]
+    descriptor = model_descriptor(form_id, catalog)
     invariants = derive_invariants(descriptor)
     model = build_model(form_id)
     datum = restricted_root_datum(model)

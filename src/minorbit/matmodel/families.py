@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+
+from ..exactla import ZERO
 
 MODEL_IDS = (
     "sl2R",
@@ -62,7 +63,7 @@ class Involution:
     ``op`` transposes and/or conjugates entrywise; ``J`` is an orthogonal
     integer matrix, and None stands for the identity.  ``apply`` acts on the
     last two axes, so it takes one matrix or a stack, of complex floats or of
-    exact :class:`~minorbit.exactla.QI` objects.  The Cartan involution needs
+    exact :class:`~minorbit.exactla.GaussianRational` objects.  The Cartan involution needs
     no spec: it is -X^* on every model.
     """
 
@@ -104,7 +105,7 @@ class FamilyData:
 def _sl_chain_key(values: tuple) -> tuple:
     """Diagonal coordinates of a root from its values on E_ii - E_{i+1,i+1}."""
     n = len(values) + 1
-    partial = [Fraction(0)]
+    partial = [ZERO]
     for v in values:
         partial.append(partial[-1] - v)
     shift = sum(partial) / n

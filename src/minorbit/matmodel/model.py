@@ -2,9 +2,11 @@
 
 A model keeps two views of the algebra: the defining n x n matrices (used for
 spectra in the defining representation and for the floating-point lane) and
-rational coordinates with respect to the chosen real basis (used for every
-structural computation).  All brackets, involutions and forms reduce to exact
-rational or Gaussian-rational arithmetic in coordinates.
+coordinates with respect to the chosen real basis (used for every structural
+computation).  A coordinate is one exact scalar,
+:class:`~minorbit.exactla.GaussianRational`, real for an element of g and
+complex for one of g_C; all brackets, involutions and forms are exact
+arithmetic on such coordinates.
 
 The basis is one (N, n, n) complex array whose entries are Gaussian integers,
 which floating point holds and multiplies exactly.  numpy forms the trace
@@ -38,19 +40,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import exactla
-from ..exactla import QI, QI_ONE, QI_ZERO
+from ..exactla import ONE, ZERO, GaussianRational
 from .families import FamilyData, Involution, ModelError, family_data
 
-Coords = list  # list[Fraction] for real elements, list[QI] for complexified ones
+Coords = list  # list[GaussianRational]; every imaginary part is 0 for an element of g
 SparseOp = list  # column j: [(row, value), ...] over the nonzero entries
 
 # float eigenvalues are rounded to the nearest rational of at most this
 # denominator; two such rationals differ by at least its inverse square
 PROPOSAL_DENOMINATOR = 1000
-
-
-def _has_qi(values) -> bool:
-    return any(isinstance(x, QI) for x in values)
 
 
 def _apply(op: SparseOp, nonzero: list[tuple], shift) -> dict:
@@ -70,7 +68,7 @@ def _apply(op: SparseOp, nonzero: list[tuple], shift) -> dict:
     return out
 
 
-def _definite(gram: list[list[Fraction]], sign: int) -> bool:
+def _definite(gram: list[list[GaussianRational]], sign: int) -> bool:
     """Whether sign * gram is positive definite (sign=+1 positive, -1 negative).
 
     Symmetric elimination without row exchanges: the pivots are the ratios of
@@ -101,11 +99,11 @@ class LieAlgebraModel:
     sigma_spec: Involution
     positivity_key: Callable[[tuple], tuple] = lambda values: values
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
-    tr_gram: list[list[Fraction]] = field(repr=False, default_factory=list)
+    tr_gram: list[list[GaussianRational]] = field(repr=False, default_factory=list)
     tr_entries: list[tuple] = field(repr=False, default_factory=list)  # (i, j, G_ij), G_ij != 0
     entries: list[list[tuple]] = field(repr=False, default_factory=list)  # of b_i
     m_basis: list[Coords] = field(repr=False, default_factory=list)
-    c: Fraction | None = None  # invariant-form normalization, set by the root datum
+    c: GaussianRational | None = None  # invariant-form normalization, set by the root datum
 
     # -- dimensions ---------------------------------------------------------
     @property
@@ -126,15 +124,15 @@ class LieAlgebraModel:
 
     # -- coordinates --------------------------------------------------------
     def unit_coords(self, index: int) -> Coords:
-        return [Fraction(int(i == index)) for i in range(self.dim)]
+        return [ONE if i == index else ZERO for i in range(self.dim)]
 
     def subspace_units(self, indices: Sequence[int]) -> list[Coords]:
         return [self.unit_coords(i) for i in indices]
 
     def matrix(self, coords: Coords) -> np.ndarray:
-        """sum_i coords[i] b_i as an (n, n) object array of exact QI entries;
+        """sum_i coords[i] b_i as an (n, n) object array of exact entries;
         ``.astype(complex)`` rounds each entry once."""
-        out = np.full((self.n, self.n), QI_ZERO, dtype=object)
+        out = np.full((self.n, self.n), ZERO, dtype=object)
         for c, entries in zip(coords, self.entries):
             if c:
                 for r, s, x in entries:
@@ -143,7 +141,7 @@ class LieAlgebraModel:
 
     # -- algebra operations in coordinates ----------------------------------
     def bracket(self, x: Coords, y: Coords) -> Coords:
-        out = [QI_ZERO if _has_qi(x) or _has_qi(y) else Fraction(0)] * self.dim
+        out = [ZERO] * self.dim
         y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
@@ -172,7 +170,7 @@ class LieAlgebraModel:
         return [-xi if i in p else xi for i, xi in enumerate(x)]
 
     def sigma(self, x: Coords) -> Coords:
-        return [xi.conjugate() if isinstance(xi, QI) else xi for xi in x]
+        return [xi.conjugate() for xi in x]
 
     def sigma_u(self, x: Coords) -> Coords:
         return self.theta(self.sigma(x))
@@ -184,68 +182,41 @@ class LieAlgebraModel:
 
     def _tr_form(self, x: Coords, y: Coords):
         """tr(XY) = x^T G y over the nonzero entries of the trace Gram G."""
-        terms = [x[i] * g * y[j] for i, j, g in self.tr_entries if x[i] and y[j]]
-        return sum(terms[1:], terms[0]) if terms else 0 * x[0] * y[0]
+        return sum((x[i] * g * y[j] for i, j, g in self.tr_entries if x[i] and y[j]), ZERO)
 
     def H(self, x: Coords, y: Coords):
         """Invariant Hilbert pairing -B(x, sigma_u(y)); positive definite."""
         return -self.B(x, self.sigma_u(y))
 
     # -- subspace solvers ----------------------------------------------------
-    def kernel_in_span(
-        self,
-        operators: Sequence[SparseOp],
-        span: Sequence[Coords],
-        real: bool = False,
-        shift=0,
-    ) -> list[Coords]:
+    def kernel_in_span(self, operators: Sequence[SparseOp], span: Sequence[Coords],
+                       real: bool = False, shift=0) -> list[Coords]:
         """Vectors x in span(span) with op @ x = shift * x for every operator.
 
-        The constraints live over the Gaussian rationals when any operator
-        entry, span entry or the shift is a :class:`QI`, else over the
-        rationals.  With ``real=True`` the combination coefficients are
-        restricted to the rationals even when the constraints are complex
-        (re/im parts are imposed separately).  All-zero constraint rows are
-        dropped: they leave the reduced row echelon form, and so the kernel
-        basis, unchanged.
+        With ``real=True`` the combination coefficients are rational: a
+        constraint row of entries (a_k + b_k i) / d_k splits into the real rows
+        a_k / d_k and b_k / d_k.  All-zero constraint rows are dropped: they leave the reduced
+        row echelon form, and so the kernel basis, unchanged.
         """
         if not span:
             return []
-        span_qi = [_has_qi(v) for v in span]
-        qi = (
-            isinstance(shift, QI)
-            or any(span_qi)
-            or any(_has_qi(x for _, x in col) for op in operators for col in op)
-        )
-        zero = QI_ZERO if qi else Fraction(0)
-        shift = QI.of(shift) if qi else Fraction(shift)
         nonzero = [[(j, x) for j, x in enumerate(v) if x] for v in span]
         rows: list[list] = []
         for op in operators:
             images = [_apply(op, nz, shift) for nz in nonzero]
             for r in sorted({r for img in images for r in img}):
-                row = [img.get(r, zero) for img in images]
-                if qi:
-                    row = [QI.of(x) for x in row]
-                parts = [row]
-                if real and qi:
-                    parts = [[x.re for x in row], [x.im for x in row]]
+                row = [img.get(r, ZERO) for img in images]
+                parts = ([x.real for x in row], [x.imag for x in row]) if real else (row,)
                 rows.extend(part for part in parts if any(part))
-        if rows:
-            sol_basis = exactla.kernel_basis(rows)
-        else:
-            one = QI_ONE if qi and not real else Fraction(1)
-            sol_basis = [[one if i == j else 0 for i in range(len(span))]
-                         for j in range(len(span))]
-        # sum_k t_k span[k] from nonzero entries; all QI if a used t_k or span[k] is
+        sol_basis = exactla.kernel_basis(rows, ncols=len(span))
+        # sum_k t_k span[k] from the nonzero entries
         out = []
         for t in sol_basis:
-            used = [(k, coef) for k, coef in enumerate(t) if coef]
-            qi_out = any(isinstance(coef, QI) or span_qi[k] for k, coef in used)
-            vec = [QI_ZERO if qi_out else Fraction(0)] * self.dim
-            for k, coef in used:
-                for j, x in nonzero[k]:
-                    vec[j] = vec[j] + coef * x
+            vec = [ZERO] * self.dim
+            for coef, nz in zip(t, nonzero):
+                if coef:
+                    for j, x in nz:
+                        vec[j] = vec[j] + coef * x
             out.append(vec)
         return out
 
@@ -286,7 +257,9 @@ class LieAlgebraModel:
             spaces = refined
         return spaces
 
-    def defining_eigenvalues(self, x: Coords, imaginary: bool = False) -> list[Fraction]:
+    def defining_eigenvalues(
+        self, x: Coords, imaginary: bool = False
+    ) -> list[GaussianRational]:
         """Exact eigenvalues of x in the defining representation, sorted.
 
         x is Hermitian (in p), or with ``imaginary`` anti-Hermitian (in k),
@@ -296,13 +269,13 @@ class LieAlgebraModel:
         """
         X = self.matrix(x)
         proposals = sorted({
-            Fraction(float(ev.imag if imaginary else ev.real))
-            .limit_denominator(PROPOSAL_DENOMINATOR)
+            GaussianRational(Fraction(float(ev.imag if imaginary else ev.real))
+                             .limit_denominator(PROPOSAL_DENOMINATOR))
             for ev in np.linalg.eigvals(X.astype(complex))
         })
-        found: list[Fraction] = []
+        found: list[GaussianRational] = []
         for q in proposals:
-            shifted = X - np.diag([QI(0, q) if imaginary else QI(q)] * self.n)
+            shifted = X - np.diag([q * exactla.I if imaginary else q] * self.n)
             found.extend([q] * len(exactla.kernel_basis(shifted)))
         if len(found) != self.n:
             raise ModelError(
@@ -323,7 +296,7 @@ class LieAlgebraModel:
         for t in torus:
             eigs = self.defining_eigenvalues(t, imaginary)
             diffs = sorted({a - b for a in eigs for b in eigs})
-            candidates.append([QI(0, q) for q in diffs] if imaginary else diffs)
+            candidates.append([q * exactla.I for q in diffs] if imaginary else diffs)
         return self.joint_eigenspaces([self.ad_matrix(t) for t in torus], candidates, span)
 
     def centralizer_in_span(
@@ -358,7 +331,8 @@ def _build(form_id: str) -> LieAlgebraModel:
     if 2 * n**3 * bmax**3 >= 2**53:
         raise ModelError(f"{form_id}: basis entries too large for exact arithmetic")
     model.entries = [
-        [(r, s, QI(int(x.real), int(x.imag))) for (r, s), x in np.ndenumerate(b) if x]
+        [(r, s, GaussianRational(int(x.real), int(x.imag)))
+         for (r, s), x in np.ndenumerate(b) if x]
         for b in basis
     ]
 
@@ -371,7 +345,7 @@ def _build(form_id: str) -> LieAlgebraModel:
     if np.any(T.imag):
         raise ModelError(f"{form_id}: a bracket leaves the real span of the basis")
     model.tr_gram = [
-        [Fraction(g) for g in row] for row in gram.real.astype(np.int64).tolist()
+        [GaussianRational(g) for g in row] for row in gram.real.astype(np.int64).tolist()
     ]
     model.tr_entries = [(i, j, g) for i, row in enumerate(model.tr_gram)
                         for j, g in enumerate(row) if g]
@@ -380,7 +354,7 @@ def _build(form_id: str) -> LieAlgebraModel:
     if pivots != list(range(N)):
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")
     # ad = G^-1 T, carried as the integers D ad over the common denominator D
-    D = math.lcm(*(x.denominator for row in red for x in row[N:]))
+    D = math.lcm(*(x.d for row in red for x in row[N:]))
     inverse = [[int(x * D) for x in row[N:]] for row in red]
     ad_max = N * max(abs(x) for row in inverse for x in row) * int(np.abs(T).max())
     if max(N * ad_max * bmax, 2 * D * n * bmax**2) >= 2**53:
@@ -393,7 +367,8 @@ def _build(form_id: str) -> LieAlgebraModel:
     ):
         raise ModelError(f"{form_id}: basis is not closed under the bracket")
     model.ad = [
-        [[(r, Fraction(x, D)) for r, x in enumerate(column) if x] for column in row]
+        [[(r, GaussianRational(x, 0, D)) for r, x in enumerate(column) if x]
+         for column in row]
         for row in np.moveaxis(scaled, 0, -1).tolist()
     ]
 

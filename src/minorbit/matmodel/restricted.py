@@ -6,21 +6,21 @@ differences of the computed defining-representation eigenvalues of the
 a-generators, and joint eigenspaces are exact kernels.  Root classes, simple
 roots and the highest root come from the routines of :mod:`minorbit.rootsys`,
 computed once per datum.  The highest root, its coroot element, and the
-normalization of the invariant form all come out as rationals.
+normalization of the invariant form all come out as real Gaussian rationals.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .. import exactla
+from ..exactla import ZERO, GaussianRational
 from ..rootsys import RootSystemError, highest_root, indecomposable, root_classes
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 
-Root = tuple[Fraction, ...]
+Root = tuple[GaussianRational, ...]
 
 
 @dataclass
@@ -33,7 +33,7 @@ class RestrictedRootDatum:
     simple_roots: list[Root]
     psi: Root
     x_psi: Coords
-    c: Fraction
+    c: GaussianRational
     classes: dict[Root, str]  # length class of each root, see rootsys.root_classes
     mult: dict[Root, int] = field(default_factory=dict)
     m_basis: list[Coords] = field(default_factory=list)
@@ -43,7 +43,7 @@ class RestrictedRootDatum:
     def rank(self) -> int:
         return self.model.dim_a
 
-    def root_value(self, root: Root, a_coords: Coords) -> Fraction:
+    def root_value(self, root: Root, a_coords: Coords) -> GaussianRational:
         """Evaluate the root functional on an element of a."""
         return sum(r * a_coords[idx] for r, idx in zip(root, self.model.a_indices))
 
@@ -60,7 +60,7 @@ class RestrictedRootDatum:
     def class_counts(self) -> dict[str, int]:
         return dict(Counter(self.classes.values()))
 
-    def pairing_with_psi(self, root: Root) -> Fraction:
+    def pairing_with_psi(self, root: Root) -> GaussianRational:
         """Value of the root on x_psi, an integer in -2..2."""
         return self.root_value(root, self.x_psi)
 
@@ -120,13 +120,13 @@ def restricted_root_datum(
     dual = {r: exactla.solve(gram_a, list(r)) for r in roots}
     classes = root_classes(roots, lambda r: sum(x * d for x, d in zip(r, dual[r])))
     # x_psi: the multiple of the trace-dual of psi with psi(x_psi) = 2
-    factor = Fraction(2) / sum(p * d for p, d in zip(psi, dual[psi]))
-    x_psi = [Fraction(0)] * N
+    factor = 2 / sum(p * d for p, d in zip(psi, dual[psi]))
+    x_psi = [ZERO] * N
     for coef, idx in zip(dual[psi], a_idx):
         x_psi[idx] = coef * factor
     # normalize the invariant form so that B(x_psi, x_psi) = 2
     tr_xx = model._tr_form(x_psi, x_psi)
-    c = Fraction(2) / tr_xx
+    c = 2 / tr_xx
     if c <= 0:
         raise ModelError(f"{model.form_id}: normalization scalar must be positive")
     if model.c is None:
@@ -163,7 +163,7 @@ def _validate_datum(datum: RestrictedRootDatum) -> None:
     # ker psi inside a is B-orthogonal to x_psi, so s_psi = 1 on it
     kernel_dirs = exactla.kernel_basis([list(datum.psi)])
     for t in kernel_dirs:
-        vec = [Fraction(0)] * model.dim
+        vec = [ZERO] * model.dim
         for coef, idx in zip(t, model.a_indices):
             vec[idx] = coef
         if model.B(datum.x_psi, vec) != 0:
@@ -184,7 +184,7 @@ def _validate_datum(datum: RestrictedRootDatum) -> None:
     # values of every root on x_psi lie in {-2,...,2}; only +-psi reach +-2
     for r in datum.roots:
         val = datum.pairing_with_psi(r)
-        if val.denominator != 1 or not -2 <= val <= 2:
+        if val.d != 1 or not -2 <= val <= 2:
             raise ModelError(f"{model.form_id}: root value {val} on x_psi out of range")
         if abs(val) == 2 and r not in (datum.psi, tuple(-x for x in datum.psi)):
             raise ModelError(f"{model.form_id}: non-extreme root has value +-2")

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .. import exactla
-from ..exactla import QI, exact_sqrt
+from ..exactla import I, GaussianRational, exact_sqrt
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 from .restricted import RestrictedRootDatum
+
+
+HALF = GaussianRational(1, 0, 2)
 
 
 @dataclass
@@ -27,9 +29,9 @@ class CayleyTriple:
     """Rotated triple (h, v, w) with h compact and v, w in the complexified p."""
 
     model: LieAlgebraModel
-    h: list[QI]
-    v: list[QI]
-    w: list[QI]
+    h: Coords
+    v: Coords
+    w: Coords
     source: STriple
 
 
@@ -43,7 +45,7 @@ def unit_vectors_in_psi_space(datum: RestrictedRootDatum) -> list[Coords]:
         norm2 = model.H(vec, vec)
         if norm2 <= 0:
             raise ModelError(f"{model.form_id}: Hilbert pairing not positive")
-        root = exact_sqrt(Fraction(norm2))
+        root = exact_sqrt(norm2)
         if root is None:
             raise ModelError(
                 f"{model.form_id}: psi-space vector has irrational norm {norm2}"
@@ -66,10 +68,8 @@ def make_s_triple(
     if rotated:
         if len(units) < 2:
             raise ModelError(f"{model.form_id}: rotation needs dim g_psi >= 2")
-        e = [
-            (Fraction(3, 5) * a) + (Fraction(4, 5) * b)
-            for a, b in zip(units[0], units[1])
-        ]
+        cos, sin = GaussianRational(3, 0, 5), GaussianRational(4, 0, 5)
+        e = [cos * a + sin * b for a, b in zip(units[0], units[1])]
     else:
         e = units[0]
     f = [-x for x in model.theta(e)]
@@ -82,34 +82,22 @@ def make_s_triple(
 
 def s_triple_violations(t: STriple) -> list[str]:
     model = t.model
-    out = []
-    if model.bracket(t.x, t.e) != [2 * v for v in t.e]:
-        out.append("[x,e] != 2e")
-    if model.bracket(t.x, t.f) != [-2 * v for v in t.f]:
-        out.append("[x,f] != -2f")
-    if model.bracket(t.e, t.f) != t.x:
-        out.append("[e,f] != x")
-    if t.f != [-v for v in model.theta(t.e)]:
-        out.append("f != -theta(e)")
-    if model.B(t.e, model.theta(t.e)) != -1:
-        out.append("B(e, theta e) != -1")
-    return out
-
-
-def _to_qi(coords: Coords) -> list[QI]:
-    return [QI.of(x) for x in coords]
+    identities = [
+        (model.bracket(t.x, t.e) == [2 * v for v in t.e], "[x,e] != 2e"),
+        (model.bracket(t.x, t.f) == [-2 * v for v in t.f], "[x,f] != -2f"),
+        (model.bracket(t.e, t.f) == t.x, "[e,f] != x"),
+        (t.f == [-v for v in model.theta(t.e)], "f != -theta(e)"),
+        (model.B(t.e, model.theta(t.e)) == -1, "B(e, theta e) != -1"),
+    ]
+    return [problem for holds, problem in identities if not holds]
 
 
 def cayley_transform(striple: STriple) -> CayleyTriple:
     model = striple.model
-    i = QI(0, 1)
-    x = _to_qi(striple.x)
-    e = _to_qi(striple.e)
-    f = _to_qi(striple.f)
-    h = [i * (a - b) for a, b in zip(e, f)]
-    half = QI(Fraction(1, 2))
-    v = [half * (i * xa + ea + fa) for xa, ea, fa in zip(x, e, f)]
-    w = [half * (-(i * xa) + ea + fa) for xa, ea, fa in zip(x, e, f)]
+    x, e, f = striple.x, striple.e, striple.f
+    h = [I * (a - b) for a, b in zip(e, f)]
+    v = [HALF * (I * xa + ea + fa) for xa, ea, fa in zip(x, e, f)]
+    w = [HALF * (-(I * xa) + ea + fa) for xa, ea, fa in zip(x, e, f)]
     triple = CayleyTriple(model=model, h=h, v=v, w=w, source=striple)
     problems = cayley_violations(triple)
     if problems:
@@ -119,40 +107,27 @@ def cayley_transform(striple: STriple) -> CayleyTriple:
 
 def cayley_violations(ct: CayleyTriple) -> list[str]:
     model = ct.model
-    i = QI(0, 1)
     h, v, w = ct.h, ct.v, ct.w
-    out = []
-    if model.bracket(h, v) != [2 * a for a in v]:
-        out.append("[h,v] != 2v")
-    if model.bracket(h, w) != [QI(-2) * a for a in w]:
-        out.append("[h,w] != -2w")
-    if model.bracket(v, w) != h:
-        out.append("[v,w] != h")
-    # round trip back to the source triple
-    x_back = [-(i * (a - b)) for a, b in zip(v, w)]
-    e_back = [QI(Fraction(1, 2)) * (-(i * a) + b + c) for a, b, c in zip(h, v, w)]
-    f_back = [QI(Fraction(1, 2)) * ((i * a) + b + c) for a, b, c in zip(h, v, w)]
-    if x_back != _to_qi(ct.source.x):
-        out.append("round trip lost x")
-    if e_back != _to_qi(ct.source.e):
-        out.append("round trip lost e")
-    if f_back != _to_qi(ct.source.f):
-        out.append("round trip lost f")
-    if model.theta(h) != h:
-        out.append("h not in complexified k")
-    if model.theta(v) != [-a for a in v]:
-        out.append("v not in complexified p")
-    if model.theta(w) != [-a for a in w]:
-        out.append("w not in complexified p")
-    if model.B(v, w) != 1:
-        out.append("B(v,w) != 1")
-    if model.B(h, h) != 2:
-        out.append("B(h,h) != 2")
-    if [-a for a in model.sigma_u(v)] != w:
-        out.append("w != -sigma_u(v)")
-    if model.H(v, v) != 1:
-        out.append("{v,v} != 1")
-    return out
+    # the round trip back to the source triple
+    x_back = [-(I * (a - b)) for a, b in zip(v, w)]
+    e_back = [HALF * (-(I * a) + b + c) for a, b, c in zip(h, v, w)]
+    f_back = [HALF * ((I * a) + b + c) for a, b, c in zip(h, v, w)]
+    identities = [
+        (model.bracket(h, v) == [2 * a for a in v], "[h,v] != 2v"),
+        (model.bracket(h, w) == [-2 * a for a in w], "[h,w] != -2w"),
+        (model.bracket(v, w) == h, "[v,w] != h"),
+        (x_back == ct.source.x, "round trip lost x"),
+        (e_back == ct.source.e, "round trip lost e"),
+        (f_back == ct.source.f, "round trip lost f"),
+        (model.theta(h) == h, "h not in complexified k"),
+        (model.theta(v) == [-a for a in v], "v not in complexified p"),
+        (model.theta(w) == [-a for a in w], "w not in complexified p"),
+        (model.B(v, w) == 1, "B(v,w) != 1"),
+        (model.B(h, h) == 2, "B(h,h) != 2"),
+        ([-a for a in model.sigma_u(v)] == w, "w != -sigma_u(v)"),
+        (model.H(v, v) == 1, "{v,v} != 1"),
+    ]
+    return [problem for holds, problem in identities if not holds]
 
 
 def compact_partner(ct: CayleyTriple) -> Coords:

@@ -198,6 +198,14 @@ def _catalog_by_key(key: str | None) -> dict[str, RealFormDescriptor]:
     return {e.id: e for e in load_catalog(key)}
 
 
+def find_descriptor(form_id: str, source: str | Path | None = None) -> RealFormDescriptor:
+    """The entry ``form_id`` of a catalog; CatalogError if it has none."""
+    entries = catalog_by_id(source)
+    if form_id not in entries:
+        raise CatalogError(form_id, "unknown form id")
+    return entries[form_id]
+
+
 @dataclass(frozen=True)
 class DerivedInvariants:
     d: int

@@ -450,6 +450,6 @@ def dominant(weight, simple_roots, inner, bound: int) -> tuple:
         neg = next((s for s in simple_roots if inner(cur, s) < 0), None)
         if neg is None:
             return tuple(cur)
-        coef = Fraction(2 * inner(cur, neg), inner(neg, neg))
+        coef = Fraction(2) * inner(cur, neg) / inner(neg, neg)
         cur = [a - coef * b for a, b in zip(cur, neg)]
     raise RootSystemError("dominance reduction exceeded |Phi+| reflections")

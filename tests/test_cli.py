@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from minorbit.cli import main
+from minorbit.matmodel import ModelError, analyze
+from minorbit.realform import CatalogError
 
 CLI = [sys.executable, "-m", "minorbit.cli"]
 
@@ -62,6 +66,37 @@ def test_missing_form_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --form is required for {command}\n"
+
+
+@pytest.mark.parametrize("form_id, error", [("nope", CatalogError), ("g2-split", ModelError)])
+def test_analyze_and_the_cli_look_the_form_up_alike(form_id, error, capsys):
+    """An unknown form, and a catalog form with no matrix model, get one
+    message from matmodel.analyze and from the commands that analyze."""
+    with pytest.raises(error) as raised:
+        analyze(form_id)
+    for command in ("verify", "model-check"):
+        assert main([command, "--form", form_id]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {raised.value}\n"
+
+
+UNREAD = [("--form", "sl2R"), ("--checks", "striple"), ("--samples", "3"),
+          ("--tol", "0.5"), ("--seed", "7")]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value)
+    for command in ("catalog", "table", "invariants", "model-check")
+    for option, value in UNREAD
+    if not (option == "--form" and command in ("invariants", "model-check"))
+])
+def test_an_option_the_command_does_not_read_exits_2(command, option, value, capsys):
+    form = ["--form", "sl2R"] if command in ("invariants", "model-check") else []
+    assert main([command, *form, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} does not take {option}\n"
 
 
 def test_table_values_and_formats(capsys):

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorbit.exactla import QI
+from minorbit.exactla import ZERO, GaussianRational
 from minorbit.matmodel import MODEL_IDS, ModelError, build_model
 from minorbit.matmodel import model as model_module
 from minorbit.matmodel.families import family_data
 from minorbit.numeric import numerics
 
 FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-SCALARS = st.one_of(FRACTIONS, st.builds(QI, FRACTIONS, FRACTIONS))
+SCALARS = st.one_of(st.builds(GaussianRational, FRACTIONS),
+                    st.builds(GaussianRational, FRACTIONS, FRACTIONS))
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -32,7 +33,8 @@ def test_matrix_of_bracket_is_the_commutator(form_id, data):
     x, y = (data.draw(st.lists(SCALARS, min_size=model.dim, max_size=model.dim))
             for _ in range(2))
     X, Y = model.matrix(x), model.matrix(y)
-    exact_basis = np.vectorize(lambda z: QI(int(z.real), int(z.imag)), otypes=[object])
+    exact_basis = np.vectorize(lambda z: GaussianRational(int(z.real), int(z.imag)),
+                               otypes=[object])
     assert np.array_equal(X, np.tensordot(x, exact_basis(model.basis), axes=1))
     assert np.array_equal(model.matrix(model.bracket(x, y)), X @ Y - Y @ X)
 
@@ -40,7 +42,7 @@ def test_matrix_of_bracket_is_the_commutator(form_id, data):
 def _complex_coords(rng, dim):
     """A Gaussian-rational coordinate vector with small random parts."""
     part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return [QI(part(), part()) for _ in range(dim)]
+    return [GaussianRational(part(), part()) for _ in range(dim)]
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -59,7 +61,7 @@ def test_involution_specs_agree_across_lanes(form_id, all_analyses):
         c, d = _complex_coords(rng, model.dim), _complex_coords(rng, model.dim)
         points += [c, d]
         X, Y = as_array(c), as_array(d)
-        c_k = [x if i in k else QI(0) for i, x in enumerate(c)]
+        c_k = [x if i in k else ZERO for i, x in enumerate(c)]
         np.testing.assert_allclose(num.k_component(X), as_array(c_k), atol=1e-12)
         np.testing.assert_allclose(
             num.sigma_u(X), as_array(model.sigma_u(c)), atol=1e-12
