@@ -6,10 +6,11 @@ or Cartan datum).  The non-reduced family BC is admitted because restricted
 root systems of real forms may be non-reduced; everything else follows the
 standard Bourbaki conventions, including the simple-root ordering.
 
-Simple-root coefficients are integer data as well: ``build_root_system``
-inverts the simple-root matrix once, as integers over one common denominator,
-and stores every root's coefficients as integers on the ``RootSystem``.  The
-positivity test, heights and the highest root read those stored integers.
+Each system is described once, by its simple roots.  ``build_root_system``
+closes them under the simple reflections and carries every root's simple-root
+coefficients along, so the coefficients are integers by construction and are
+stored on the ``RootSystem``.  The positivity test and the highest root read
+those stored integers.
 
 Three module routines take any positive system, with any exact coordinates:
 ``indecomposable`` (its simple roots), ``highest_root`` and ``root_classes``.
@@ -19,14 +20,11 @@ its compact part all call them.
 
 from __future__ import annotations
 
-import itertools
-import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-from . import exactla
 
 REDUCED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 FAMILIES = REDUCED_FAMILIES + ("BC",)
@@ -41,6 +39,7 @@ _RANK_BOUNDS = {
     "G": (2, 2),
     "BC": (1, None),
 }
+_LABEL = re.compile(r"(BC|[A-G])([1-9][0-9]*)")
 
 
 class RootSystemError(ValueError):
@@ -64,14 +63,10 @@ class RootSystemLabel:
 
     @staticmethod
     def parse(text: str) -> "RootSystemLabel":
-        if not isinstance(text, str) or not text:
+        match = isinstance(text, str) and _LABEL.fullmatch(text)
+        if not match:
             raise RootSystemError(f"cannot parse label {text!r}")
-        fam = "BC" if text.startswith("BC") else text[0]
-        try:
-            rank = int(text[len(fam):])
-        except ValueError as exc:
-            raise RootSystemError(f"cannot parse label {text!r}") from exc
-        return RootSystemLabel(fam, rank)
+        return RootSystemLabel(match[1], int(match[2]))
 
     @property
     def reduced(self) -> bool:
@@ -92,101 +87,70 @@ def _neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
 
 
-def _e(n: int, i: int, c: int = 1) -> Vec:
-    v = [0] * n
-    v[i] = c
-    return tuple(v)
+def _pairing(beta: Vec, alpha: Vec) -> int:
+    """The integer 2(beta, alpha)/(alpha, alpha); RootSystemError on a remainder."""
+    num, den = 2 * _dot(beta, alpha), _dot(alpha, alpha)
+    if num % den:
+        raise RootSystemError(f"pairing of {beta} with {alpha} is not an integer")
+    return num // den
 
 
-def _classical_roots(label: RootSystemLabel) -> tuple[list[Vec], list[Vec]]:
-    """(simple roots, all roots) in the fixed integer realization."""
+_E8_SIMPLE = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
+
+
+def _simple_roots(label: RootSystemLabel) -> list[Vec]:
+    """Simple roots in Bourbaki order, in the fixed integer realization.
+
+    A_r lives in Z^(r+1), B, C, D and BC in Z^r, G2 in the plane x+y+z = 0
+    of Z^3; F4 and E8 are scaled by 2, and E6, E7 are prefixes of E8.
+    """
     fam, r = label.family, label.rank
-    if fam == "A":
-        n = r + 1
-        simple = [tuple(_e(n, i)[k] - _e(n, i + 1)[k] for k in range(n)) for i in range(r)]
-        roots = [
-            tuple(_e(n, i)[k] - _e(n, j)[k] for k in range(n))
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        ]
-        return simple, roots
-    if fam in ("B", "C", "D", "BC"):
-        n = r
-        pm = [
-            tuple(si * _e(n, i)[k] + sj * _e(n, j)[k] for k in range(n))
-            for i in range(n)
-            for j in range(i + 1, n)
-            for si in (1, -1)
-            for sj in (1, -1)
-        ]
-        short = [_e(n, i, s) for i in range(n) for s in (1, -1)]
-        long2 = [_e(n, i, 2 * s) for i in range(n) for s in (1, -1)]
-        chain = [tuple(_e(n, i)[k] - _e(n, i + 1)[k] for k in range(n)) for i in range(r - 1)]
-        if fam == "B":
-            return chain + [_e(n, r - 1)], pm + short
-        if fam == "C":
-            return chain + [_e(n, r - 1, 2)], pm + long2
-        if fam == "D":
-            last = tuple(_e(n, r - 2)[k] + _e(n, r - 1)[k] for k in range(n))
-            return chain + [last], pm
-        return chain + [_e(n, r - 1)], pm + short + long2  # BC
     if fam == "G":
-        simple = [(1, -1, 0), (-2, 1, 1)]
-        roots = []
-        for i, j in itertools.permutations(range(3), 2):
-            roots.append(tuple(_e(3, i)[k] - _e(3, j)[k] for k in range(3)))
-        for i, j, k in itertools.permutations(range(3), 3):
-            if j < k:
-                w = [0, 0, 0]
-                w[i] = 2
-                w[j] = -1
-                w[k] = -1
-                roots.append(tuple(w))
-                roots.append(_neg(tuple(w)))
-        return simple, roots
+        return [(1, -1, 0), (-2, 1, 1)]
     if fam == "F":
-        # Scaled by 2 so every coordinate is an integer.
-        roots = [_e(4, i, 2 * s) for i in range(4) for s in (1, -1)]
-        roots += [
-            tuple(2 * si * _e(4, i)[k] + 2 * sj * _e(4, j)[k] for k in range(4))
-            for i in range(4)
-            for j in range(i + 1, 4)
-            for si in (1, -1)
-            for sj in (1, -1)
-        ]
-        roots += [tuple(s) for s in itertools.product((1, -1), repeat=4)]
-        simple = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-        return simple, roots
-    # E6, E7, E8 realized inside the scaled E8 lattice.
-    e8 = [
-        tuple(2 * si * _e(8, i)[k] + 2 * sj * _e(8, j)[k] for k in range(8))
-        for i in range(8)
-        for j in range(i + 1, 8)
-        for si in (1, -1)
-        for sj in (1, -1)
-    ]
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            e8.append(signs)
-    simple8 = [
-        (1, -1, -1, -1, -1, -1, -1, 1),
-        (2, 2, 0, 0, 0, 0, 0, 0),
-        (-2, 2, 0, 0, 0, 0, 0, 0),
-        (0, -2, 2, 0, 0, 0, 0, 0),
-        (0, 0, -2, 2, 0, 0, 0, 0),
-        (0, 0, 0, -2, 2, 0, 0, 0),
-        (0, 0, 0, 0, -2, 2, 0, 0),
-        (0, 0, 0, 0, 0, -2, 2, 0),
-    ]
-    if r == 8:
-        return simple8, e8
-    w7 = (0, 0, 0, 0, 0, 0, 1, 1)
-    roots7 = [b for b in e8 if _dot(b, w7) == 0]
-    if r == 7:
-        return simple8[:7], roots7
-    w6 = (0, 0, 0, 0, 0, 1, 0, 1)
-    return simple8[:6], [b for b in roots7 if _dot(b, w6) == 0]
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    if fam == "E":
+        return list(_E8_SIMPLE[:r])
+    n = r + 1 if fam == "A" else r
+    chain = [tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1)]
+    if fam == "A":
+        return chain
+    if fam == "D":
+        return chain + [tuple(int(k >= n - 2) for k in range(n))]
+    return chain + [(0,) * (n - 1) + (2 if fam == "C" else 1,)]
+
+
+def _weyl_orbit(seeds: dict, simple: list[Vec]) -> dict[Vec, tuple[int, ...]]:
+    """Closure of ``seeds`` (root -> simple-root coefficients) under the
+    simple reflections.
+
+    s_i sends beta to beta - <beta, alpha_i-dual> alpha_i, so it subtracts
+    that pairing from coefficient i.  The closure is finite: each reflection
+    keeps a vector integral (the pairing is checked) and keeps its length.
+    """
+    found = dict(seeds)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            coeffs = found[beta]
+            for i, alpha in enumerate(simple):
+                p = _pairing(beta, alpha)
+                image = tuple(b - p * a for b, a in zip(beta, alpha))
+                if image not in found:
+                    found[image] = coeffs[:i] + (coeffs[i] - p,) + coeffs[i + 1:]
+                    nxt.append(image)
+        frontier = nxt
+    return found
 
 
 _CLASSICAL_COUNTS = {
@@ -199,56 +163,6 @@ _CLASSICAL_COUNTS = {
     "F": lambda r: 48,
     "E": lambda r: {6: 72, 7: 126, 8: 240}[r],
 }
-
-
-@dataclass(frozen=True)
-class _SimpleRootInverse:
-    """Exact inverse of the simple-root matrix, as integers over one denominator.
-
-    ``pivots`` are the first ambient coordinates on which the simple roots are
-    independent; ``inverse`` is ``denom`` times the inverse of the simple-root
-    matrix restricted to those rows.
-    """
-
-    simple_roots: tuple[Vec, ...]
-    pivots: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]
-    denom: int
-
-    @staticmethod
-    def of(simple_roots: tuple[Vec, ...]) -> "_SimpleRootInverse":
-        rank = len(simple_roots)
-        _, pivots = exactla.rref([[Fraction(x) for x in s] for s in simple_roots])
-        if len(pivots) != rank:
-            raise RootSystemError("simple roots are not independent")
-        aug = [
-            [Fraction(s[p]) for s in simple_roots]
-            + [Fraction(1 if i == j else 0) for j in range(rank)]
-            for i, p in enumerate(pivots)
-        ]
-        inv = [row[rank:] for row in exactla.rref(aug)[0]]
-        denom = math.lcm(*(x.denominator for row in inv for x in row))
-        return _SimpleRootInverse(
-            simple_roots=simple_roots,
-            pivots=tuple(pivots),
-            inverse=tuple(tuple(int(x * denom) for x in row) for row in inv),
-            denom=denom,
-        )
-
-    def numerators(self, v: Vec) -> tuple[int, ...]:
-        """``denom`` times the simple-root coefficients of ``v``.
-
-        Every ambient row is checked, so a vector off the span of the simple
-        roots raises ``RootSystemError``.
-        """
-        if len(v) != len(self.simple_roots[0]):
-            raise RootSystemError(f"{v} is not in the root lattice span")
-        rhs = [v[p] for p in self.pivots]
-        num = tuple(_dot(row, rhs) for row in self.inverse)
-        for r, x in enumerate(v):
-            if sum(s[r] * n for s, n in zip(self.simple_roots, num)) != self.denom * x:
-                raise RootSystemError(f"{v} is not in the root lattice span")
-        return num
 
 
 @dataclass(frozen=True)
@@ -266,7 +180,6 @@ class RootSystem:
     positive_roots: tuple[Vec, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
     coefficients: dict[Vec, tuple[int, ...]] = field(repr=False, compare=False)
-    simple_inverse: _SimpleRootInverse = field(repr=False, compare=False)
     classes: dict[Vec, str] = field(repr=False, compare=False)  # see root_classes
 
     @property
@@ -278,23 +191,6 @@ class RootSystem:
 
     def is_root(self, v: Vec) -> bool:
         return tuple(v) in self.coefficients
-
-    def simple_coefficients(self, root: Vec) -> tuple[Fraction, ...]:
-        """Coefficients of ``root`` in the simple-root basis.
-
-        A root reads its stored integers; any other vector is solved with the
-        same integer inverse and raises ``RootSystemError`` off the span of
-        the simple roots.
-        """
-        root = tuple(root)
-        coeffs = self.coefficients.get(root)
-        if coeffs is not None:
-            return tuple(Fraction(c) for c in coeffs)
-        denom = self.simple_inverse.denom
-        return tuple(Fraction(n, denom) for n in self.simple_inverse.numerators(root))
-
-    def height(self, root: Vec) -> Fraction:
-        return sum(self.simple_coefficients(root))
 
     @cached_property
     def highest_root(self) -> Vec:
@@ -357,9 +253,27 @@ def root_classes(roots, length2) -> dict:
 
 @lru_cache(maxsize=None)
 def build_root_system(label: RootSystemLabel) -> RootSystem:
-    """Construct and validate the root system for ``label``."""
-    simple, roots = _classical_roots(label)
-    roots = sorted(set(roots))
+    """Construct and validate the root system for ``label``.
+
+    The roots are the orbit of the simple roots under the simple reflections,
+    since every root of a reduced system is W-conjugate to a simple root
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    10.3); BC adds the orbit of 2 alpha_r, the roots 2e_i.
+    """
+    simple = tuple(_simple_roots(label))
+    cartan = tuple(tuple(_pairing(ai, aj) for aj in simple) for ai in simple)
+    for i, row in enumerate(cartan):
+        if row[i] != 2:
+            raise RootSystemError(f"{label}: Cartan diagonal must be 2")
+        for j, x in enumerate(row):
+            if i != j and x not in (0, -1, -2, -3):
+                raise RootSystemError(f"{label}: bad Cartan entry {x} at {(i, j)}")
+    unit = [tuple(int(i == j) for j in range(len(simple))) for i in range(len(simple))]
+    seeds = dict(zip(simple, unit))
+    if label.family == "BC":
+        seeds[tuple(2 * x for x in simple[-1])] = tuple(2 * c for c in unit[-1])
+    orbit = _weyl_orbit(seeds, simple)
+    roots = sorted(orbit)
     expected = _CLASSICAL_COUNTS[label.family](label.rank)
     if len(roots) != expected:
         raise RootSystemError(
@@ -369,41 +283,18 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
     for b in roots:
         if _neg(b) not in root_set:
             raise RootSystemError(f"{label}: root set not closed under negation")
-    cartan = tuple(
-        tuple(2 * _dot(ai, aj) // _dot(aj, aj) for aj in simple) for ai in simple
-    )
-    for i, row in enumerate(cartan):
-        if row[i] != 2:
-            raise RootSystemError(f"{label}: Cartan diagonal must be 2")
-        for j, x in enumerate(row):
-            if i != j and x not in (0, -1, -2, -3):
-                raise RootSystemError(f"{label}: bad Cartan entry {x} at {(i, j)}")
-    simple = tuple(simple)
-    inverse = _SimpleRootInverse.of(simple)
-    coefficients = {}
-    positive = []
-    for b in roots:
-        num = inverse.numerators(b)
-        if any(n % inverse.denom for n in num):
-            raise RootSystemError(
-                f"{label}: root {b} has non-integral simple-root coefficients"
-            )
-        coeffs = tuple(n // inverse.denom for n in num)
-        if all(c >= 0 for c in coeffs):
-            positive.append(b)
-        elif not all(c <= 0 for c in coeffs):
-            raise RootSystemError(f"{label}: root {b} has mixed-sign coefficients")
-        coefficients[b] = coeffs
+    # a root with coefficients of both signs keeps it and its negative out of
+    # ``positive``, so the size check catches it
+    positive = [b for b in roots if all(c >= 0 for c in orbit[b])]
     if 2 * len(positive) != len(roots):
         raise RootSystemError(f"{label}: positive system has wrong size")
     return RootSystem(
         label=label,
         simple_roots=simple,
         all_roots=tuple(roots),
-        positive_roots=tuple(sorted(positive)),
+        positive_roots=tuple(positive),
         cartan_matrix=cartan,
-        coefficients=coefficients,
-        simple_inverse=inverse,
+        coefficients={b: orbit[b] for b in roots},
         classes=root_classes(roots, lambda b: _dot(b, b)),
     )
 
@@ -413,11 +304,7 @@ def coroot_pairing(rs: RootSystem, beta: Vec, alpha: Vec) -> int:
     beta, alpha = tuple(beta), tuple(alpha)
     if not rs.is_root(beta) or not rs.is_root(alpha):
         raise RootSystemError("coroot_pairing arguments must be roots of the system")
-    num = 2 * _dot(beta, alpha)
-    den = _dot(alpha, alpha)
-    if num % den:
-        raise RootSystemError(f"pairing of {beta} with {alpha} is not an integer")
-    return num // den
+    return _pairing(beta, alpha)
 
 
 def dual_coxeter_number(rs: RootSystem) -> int:

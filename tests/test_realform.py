@@ -208,6 +208,9 @@ def test_exceptional_ids_present(catalog_map):
         ({"k_root_label": ["A1"]}, "cannot parse label ['A1']"),
         ({"notes": 5}, "notes must be a string"),
         ({"jordan_algebra": 3}, "jordan_algebra must be a string or null"),
+        ({"gc_label": "A+2"}, "cannot parse label 'A+2'"),
+        ({"restricted_label": "BC1 "}, "cannot parse label 'BC1 '"),
+        ({"k_root_label": "A01"}, "cannot parse label 'A01'"),
     ],
 )
 def test_rejects_mistyped_fields(tmp_path, override, message):

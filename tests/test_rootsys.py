@@ -347,22 +347,22 @@ def test_stored_coefficients_rebuild_roots_and_match_reference(text):
         assert rebuilt == root
         reference = reference_solve(system.simple_roots, root)
         assert coeffs == reference
-        assert system.simple_coefficients(root) == reference
-        assert system.simple_coefficients(list(root)) == reference
-        assert system.height(root) == sum(reference)
 
 
 @pytest.mark.parametrize("text", [t for t in COEFF_LABELS if not t.startswith("BC")])
 def test_highest_root_height_is_coxeter_number_minus_one(text):
     system = rs(text)
     psi = system.highest_root
-    assert system.height(psi) == len(system.all_roots) // system.rank - 1
-    assert all(system.height(b) < system.height(psi)
-               for b in system.positive_roots if b != psi)
+    height = {b: sum(system.coefficients[b]) for b in system.positive_roots}
+    assert height[psi] == len(system.all_roots) // system.rank - 1
+    assert all(height[b] < height[psi] for b in system.positive_roots if b != psi)
 
 
 @pytest.mark.parametrize("text", COEFF_LABELS)
 def test_lattice_vectors_get_reference_fractions(text):
+    """The fundamental weights, solved from the stored Cartan matrix, pair with
+    the simple coroots as the identity: the Cartan matrix is the pairing
+    matrix of the stored simple roots, row i column j = <alpha_i, alpha_j-dual>."""
     system = rs(text)
     for i, (m, v, expected) in enumerate(fundamental_weight_multiples(system)):
         for j, alpha in enumerate(system.simple_roots):
@@ -370,39 +370,39 @@ def test_lattice_vectors_get_reference_fractions(text):
                                sum(a * a for a in alpha))
             assert pairing == (m if i == j else 0)
         assert reference_solve(system.simple_roots, v) == expected
-        assert system.simple_coefficients(v) == expected
-        assert all(type(c) is Fraction for c in system.simple_coefficients(v))
-    n = len(system.simple_roots[0])
-    for k in range(n):
-        unit = tuple(int(j == k) for j in range(n))
-        reference = reference_solve(system.simple_roots, unit)
-        if reference is None:
-            with pytest.raises(RootSystemError):
-                system.simple_coefficients(unit)
-        else:
-            assert system.simple_coefficients(unit) == reference
 
 
-def test_simple_coefficients_examples():
-    assert rs("D4").simple_coefficients((1, 0, 0, 0)) == (
-        1, 1, Fraction(1, 2), Fraction(1, 2))
-    assert rs("C3").simple_coefficients((0, 0, 1)) == (0, 0, Fraction(1, 2))
-    a2 = rs("A2")
-    for off_span in [(1, 0, 0), (0, 0, 1), (1, 1, 1)]:
-        with pytest.raises(RootSystemError, match="not in the root lattice span"):
-            a2.simple_coefficients(off_span)
-    with pytest.raises(RootSystemError):
-        a2.simple_coefficients((1, -1))
-    assert a2.simple_coefficients((2, -1, -1)) == (2, 1)
-
-
-def test_root_with_non_integral_coefficients_is_rejected(monkeypatch):
+@pytest.mark.parametrize(
+    "simple, message",
+    [
+        # alpha_1 and alpha_1 + alpha_2 span A2 but are not a base of it
+        ([(1, -1, 0), (1, 0, -1)], "bad Cartan entry 1"),
+        # A1 x A1: a valid Cartan matrix with 4 roots, not A2's 6
+        ([(1, -1, 0), (1, 1, 0)], "generated 4 roots, expected 6"),
+        # 2 (alpha_1, alpha_2) / (alpha_2, alpha_2) = 2/5
+        ([(1, 0, 0), (1, 2, 0)], "is not an integer"),
+    ],
+    ids=["non_simple_basis", "orthogonal_pair", "non_crystallographic"],
+)
+def test_bad_simple_roots_are_rejected(monkeypatch, simple, message):
     from minorbit import rootsys
 
-    classical = rootsys._classical_roots
-    c3 = RootSystemLabel("C", 3)
-    # C3's simple roots with B3's roots: the short root e_3 is alpha_3 / 2
-    mixed = (classical(c3)[0], classical(RootSystemLabel("B", 3))[1])
-    monkeypatch.setattr(rootsys, "_classical_roots", lambda label: mixed)
-    with pytest.raises(RootSystemError, match="non-integral simple-root coefficients"):
-        build_root_system.__wrapped__(c3)
+    monkeypatch.setattr(rootsys, "_simple_roots", lambda label: simple)
+    with pytest.raises(RootSystemError, match=message):
+        build_root_system.__wrapped__(RootSystemLabel("A", 2))
+
+
+# --- label parsing ------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["A1", "A10", "BC1", "BC7", "E8", "G2"])
+def test_labels_round_trip(text):
+    assert str(RootSystemLabel.parse(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A+1", "A1 ", " A1", "A1\n", "A 1", "A1_0", "A01", "BC01", "A\u0661", "E\uff18"],
+)
+def test_labels_with_a_loose_rank_are_rejected(text):
+    with pytest.raises(RootSystemError, match="cannot parse label"):
+        RootSystemLabel.parse(text)
