@@ -23,26 +23,18 @@ from .report import CheckItem, ReportDocument
 @dataclass
 class RunConfig:
     command: str
-    form_id: str | None = None
-    check_names: tuple[str, ...] = ()
+    form: str | None = None
+    checks: list[str] | None = None
     samples: int = 100
     tol: float | None = None
     seed: int = 42
-    catalog_path: str | None = None
+    catalog: str | None = None
     format: str = "md"
     out: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "form": self.form_id,
-            "checks": list(self.check_names) or None,
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "catalog": self.catalog_path,
-            "format": self.format,
-        }
+        """The report's ``config`` block: every field but ``out``."""
+        return {name: value for name, value in vars(self).items() if name != "out"}
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -53,90 +45,72 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
 
 
-def cmd_catalog(config: RunConfig) -> ReportDocument:
-    doc = ReportDocument(version=__version__, config=config.as_dict())
-    for desc in realform.load_catalog(config.catalog_path):
+def cmd_catalog(config: RunConfig) -> list[CheckItem]:
+    checks = []
+    for desc in realform.load_catalog(config.catalog):
         inv = realform.derive_invariants(desc)
-        doc.checks.append(CheckItem(desc.id, "pass", (
+        checks.append(CheckItem(desc.id, "pass", (
             f"gc={desc.gc_label} restricted={desc.restricted_label} "
             f"d={inv.d} dim_Z={inv.dim_Z} dim_X={inv.dim_X} "
             f"omin_split={inv.omin_split} hermitian={desc.hermitian} "
             f"has_matrix_model={matmodel.has_matrix_model(desc.id)}"
         )))
-    return doc
+    return checks
 
 
-def _find_descriptor(config: RunConfig, modeled: bool = False) -> realform.RealFormDescriptor:
-    """The catalog entry of ``--form``; with ``modeled`` the lookup that
-    ``matmodel.analyze`` makes, which also requires a matrix model."""
-    if config.form_id is None:
-        raise ValueError(f"--form is required for {config.command}")
-    find = matmodel.model_descriptor if modeled else realform.find_descriptor
-    return find(config.form_id, config.catalog_path)
-
-
-def cmd_invariants(config: RunConfig) -> ReportDocument:
-    doc = ReportDocument(version=__version__, config=config.as_dict())
-    desc = _find_descriptor(config)
+def cmd_invariants(config: RunConfig) -> list[CheckItem]:
+    desc = realform.find_descriptor(config.form, config.catalog)
     inv = realform.derive_invariants(desc)
-    doc.checks.append(CheckItem(f"invariants[{desc.id}]", "pass", (
+    return [CheckItem(f"invariants[{desc.id}]", "pass", (
         f"d={inv.d} m={inv.m} dim_g={inv.dim_g} dim_Z={inv.dim_Z} "
         f"dim_X={inv.dim_X} omin_split={inv.omin_split} h_vee={inv.h_vee}"
-    )))
-    doc.checks.extend(realform.cross_checks(desc, inv))
-    return doc
+    )), *realform.cross_checks(desc, inv)]
 
 
-def cmd_table(config: RunConfig) -> ReportDocument:
-    doc = ReportDocument(version=__version__, config=config.as_dict())
-    table = realform.exceptional_table(realform.load_catalog(config.catalog_path))
-    for row in table.as_dicts():
-        doc.checks.append(CheckItem(f"table[{row['gc_type']}]", "pass", (
-            f"K={row['K']} X={row['X']} dim_X={row['dim_X']} "
-            f"J(X)={row['J(X)']} dim_J(X)={row['dim_J(X)']}"
-        )))
+def cmd_table(config: RunConfig) -> list[CheckItem]:
+    table = realform.exceptional_table(realform.load_catalog(config.catalog))
+    checks = [CheckItem(f"table[{row.gc_type}]", "pass", (
+        f"K={row.k_name} X={row.x_name} dim_X={row.dim_X} "
+        f"J(X)={row.jordan_algebra} dim_J(X)={row.dim_jordan}"
+    )) for row in table.rows]
     expected = (4, 14, 20, 32, 56)
     got = table.dim_X_values()
-    doc.checks.append(CheckItem.verdict(
+    checks.append(CheckItem.verdict(
         "table[dim_X_row]", got == expected, f"dim_X = {got}, expected {expected}"
     ))
-    doc.checks.append(CheckItem.verdict(
+    checks.append(CheckItem.verdict(
         "table[jordan_halving]",
         all(r.dim_jordan * 2 == r.dim_X for r in table.rows),
         "dim X = 2 dim J(X) on every row",
     ))
-    return doc
+    return checks
 
 
-def cmd_model_check(config: RunConfig) -> ReportDocument:
-    doc = ReportDocument(version=__version__, config=config.as_dict())
-    desc = _find_descriptor(config, modeled=True)
-    analysis = matmodel.analyze(desc.id, config.catalog_path)
+def cmd_model_check(config: RunConfig) -> list[CheckItem]:
+    analysis = matmodel.analyze(config.form, config.catalog)
+    desc, inv = analysis.descriptor, analysis.invariants
     model, datum = analysis.model, analysis.datum
-
-    doc.checks.append(CheckItem.verdict(
-        "model_dimensions",
-        model.dim == analysis.invariants.dim_g and model.dim_m == desc.dim_m,
-        f"dim g = {model.dim}, dim k = {model.dim_k}, dim a = {model.dim_a}, "
-        f"dim m = {model.dim_m}",
-    ))
-    doc.checks.append(CheckItem.verdict(
-        "restricted_multiplicities",
-        datum.class_mults() == desc.mults,
-        f"model {datum.class_mults()} vs catalog {desc.mults}",
-    ))
-    inv = analysis.invariants
     model_m = eigenvalue_multiplicities(datum)
-    doc.checks.append(CheckItem.verdict(
-        "eigenvalue_multiplicities", model_m == inv.m, f"{model_m}"
-    ))
     dim_z_model = model.dim - kernel_ad_e_dimension(datum, analysis.striple.e)
-    doc.checks.append(CheckItem.verdict(
-        "orbit_dimension_oracle",
-        dim_z_model == inv.dim_Z,
-        f"dim from ad-e kernel {dim_z_model}, combinatorial {inv.dim_Z}",
-    ))
-    return doc
+    return [
+        CheckItem.verdict(
+            "model_dimensions",
+            model.dim == inv.dim_g and model.dim_m == desc.dim_m,
+            f"dim g = {model.dim}, dim k = {model.dim_k}, dim a = {model.dim_a}, "
+            f"dim m = {model.dim_m}",
+        ),
+        CheckItem.verdict(
+            "restricted_multiplicities",
+            datum.class_mults() == desc.mults,
+            f"model {datum.class_mults()} vs catalog {desc.mults}",
+        ),
+        CheckItem.verdict("eigenvalue_multiplicities", model_m == inv.m, f"{model_m}"),
+        CheckItem.verdict(
+            "orbit_dimension_oracle",
+            dim_z_model == inv.dim_Z,
+            f"dim from ad-e kernel {dim_z_model}, combinatorial {inv.dim_Z}",
+        ),
+    ]
 
 
 def _exact_check(name: str, violations):
@@ -164,7 +138,7 @@ def _sampled_check(function_name: str):
 
     def run(analysis, config: RunConfig) -> list[CheckItem]:
         check = getattr(sympver, function_name)
-        num = numerics(config.form_id, config.catalog_path)
+        num = numerics(config.form, config.catalog)
         tol = sympver.DEFAULT_TOL_CLOSED if config.tol is None else config.tol
         result = check(num, config.samples, tol, config.seed)
         return result if isinstance(result, list) else [result]
@@ -190,15 +164,9 @@ CHECK_RUNNERS = {
 VERIFY_CHECKS = tuple(CHECK_RUNNERS)
 
 
-def _run_verify_check(name: str, config: RunConfig, doc: ReportDocument) -> None:
-    analysis = matmodel.analyze(config.form_id, config.catalog_path)
-    doc.checks.extend(CHECK_RUNNERS[name](analysis, config))
-
-
-def cmd_verify(config: RunConfig) -> ReportDocument:
-    doc = ReportDocument(version=__version__, config=config.as_dict())
-    _find_descriptor(config, modeled=True)
-    names = config.check_names or VERIFY_CHECKS
+def cmd_verify(config: RunConfig) -> list[CheckItem]:
+    analysis = matmodel.analyze(config.form, config.catalog)
+    names = config.checks or VERIFY_CHECKS
     for i, name in enumerate(names):
         if name not in VERIFY_CHECKS:
             raise ValueError(
@@ -208,32 +176,28 @@ def cmd_verify(config: RunConfig) -> ReportDocument:
             raise ValueError(f"check {name!r} is given more than once")
     # one check's error (ValueError covers numpy's LinAlgError and a
     # rank-deficient frame) fails that check; the others still run
+    checks = []
     for name in names:
         try:
-            _run_verify_check(name, config, doc)
+            checks.extend(CHECK_RUNNERS[name](analysis, config))
         except (ModelError, CatalogError, ValueError) as exc:
-            doc.checks.append(CheckItem(name, "fail", f"error: {exc}"))
-    return doc
+            checks.append(CheckItem(name, "fail", f"error: {exc}"))
+    return checks
 
 
+# each command and the RunConfig fields it reads besides those every command
+# reads (command, catalog, format, out); any other option given is an error
 COMMANDS = {
-    "catalog": cmd_catalog,
-    "invariants": cmd_invariants,
-    "table": cmd_table,
-    "model-check": cmd_model_check,
-    "verify": cmd_verify,
+    "catalog": (cmd_catalog, ()),
+    "invariants": (cmd_invariants, ("form",)),
+    "table": (cmd_table, ()),
+    "model-check": (cmd_model_check, ("form",)),
+    "verify": (cmd_verify, ("form", "checks", "samples", "tol", "seed")),
 }
-# the RunConfig fields each command reads besides those of every command;
-# any other option given is an error
-EVERY_COMMAND = ("command", "catalog_path", "format", "out")
-COMMAND_OPTIONS = {"catalog": (), "invariants": ("form_id",), "table": (),
-                   "model-check": ("form_id",),
-                   "verify": ("form_id", "check_names", "samples", "tol", "seed")}
-FLAGS = {"form_id": "--form", "check_names": "--checks", "catalog_path": "--catalog"}
 
 
-def _check_names(text: str) -> tuple[str, ...]:
-    return tuple(c.strip() for c in text.split(",")) if text else ()
+def _check_names(text: str) -> list[str] | None:
+    return [c.strip() for c in text.split(",")] if text else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--form", dest="form_id", help="catalog form id")
+    parser.add_argument("--form", help="catalog form id")
     parser.add_argument(
-        "--checks", dest="check_names", type=_check_names,
+        "--checks", type=_check_names,
         help=f"comma-separated subset of: {','.join(VERIFY_CHECKS)}",
     )
     parser.add_argument("--samples", type=int)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--catalog", dest="catalog_path")
+    parser.add_argument("--catalog")
     parser.add_argument("--format", choices=("md", "json"))
     parser.add_argument("--out")
     return parser
@@ -265,14 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     options = vars(build_parser().parse_args(argv))
     config = RunConfig(**options)
+    run, reads = COMMANDS[config.command]
     try:
         for name in options:
-            if name not in EVERY_COMMAND + COMMAND_OPTIONS[config.command]:
-                raise ValueError(
-                    f"{config.command} does not take {FLAGS.get(name, '--' + name)}"
-                )
+            if name not in ("command", "catalog", "format", "out", *reads):
+                raise ValueError(f"{config.command} does not take --{name}")
         config.validate()
-        doc = COMMANDS[config.command](config)
+        if "form" in reads and config.form is None:
+            raise ValueError(f"--form is required for {config.command}")
+        doc = ReportDocument(version=__version__, config=config.as_dict(), checks=run(config))
         text = doc.to_json() if config.format == "json" else doc.to_markdown()
         if config.out:
             Path(config.out).write_text(text, encoding="utf-8")

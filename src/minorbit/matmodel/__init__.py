@@ -99,11 +99,6 @@ def _analyze_cached(form_id: str, catalog: str | None) -> ModelAnalysis:
     invariants = derive_invariants(descriptor)
     model = build_model(form_id)
     datum = restricted_root_datum(model)
-    if datum.class_mults() != descriptor.mults:
-        raise ModelError(
-            f"{form_id}: model multiplicities {datum.class_mults()} disagree "
-            f"with the catalog {descriptor.mults}"
-        )
     striple = make_s_triple(model, datum)
     cayley = cayley_transform(striple)
     return ModelAnalysis(

@@ -89,13 +89,12 @@ CONJUGATE = Involution(1, conjugate=True)
 @dataclass
 class FamilyData:
     form_id: str
-    family: str
     n: int
     basis: np.ndarray  # (N, n, n), Gaussian-integer entries
     k_indices: list[int]
     p_indices: list[int]
     a_indices: list[int]  # positions of the abelian generators inside basis
-    sigma: Involution
+    sigma_spec: Involution
     # maps the a-eigenvalue vector of a root to the coordinates used for the
     # lexicographic positivity choice (identity unless the a-basis is a chain
     # whose raw values would order the roots away from the standard system)
@@ -147,13 +146,12 @@ def _sl_n_real(form_id: str, n: int) -> FamilyData:
         basis.append(_unit(n, i, i) - _unit(n, i + 1, i + 1))
     return FamilyData(
         form_id=form_id,
-        family="slR",
         n=n,
         basis=np.array(basis),
         k_indices=k_idx,
         p_indices=p_idx,
         a_indices=a_idx,
-        sigma=CONJUGATE,
+        sigma_spec=CONJUGATE,
         positivity_key=_sl_chain_key,
     )
 
@@ -184,7 +182,7 @@ def _su_pq(form_id: str, p: int, q: int) -> FamilyData:
     # a_i couples index i with n+1-i; these sit among the symmetric generators.
     a_idx = [_position(basis, p_idx, _sym(n, i, n - 1 - i)) for i in range(q)]
     sigma = Involution(-1, transpose=True, conjugate=True, J=J)
-    return FamilyData(form_id, "su", n, np.array(basis), k_idx, p_idx, a_idx, sigma)
+    return FamilyData(form_id, n, np.array(basis), k_idx, p_idx, a_idx, sigma)
 
 
 def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
@@ -202,7 +200,7 @@ def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
             p_idx.append(len(basis))
             basis.append(_sym(n, a, b))
     a_idx = [_position(basis, p_idx, _sym(n, i, p + i)) for i in range(q)]
-    return FamilyData(form_id, "so", n, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
+    return FamilyData(form_id, n, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
 
 
 def _sp4_real(form_id: str) -> FamilyData:
@@ -223,7 +221,7 @@ def _sp4_real(form_id: str) -> FamilyData:
     k_idx = list(range(len(k_members)))
     p_idx = list(range(len(k_members), len(basis)))
     a_idx = [_position(basis, p_idx, embed_a(_unit(2, i, i))) for i in range(2)]
-    return FamilyData(form_id, "spR", 4, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
+    return FamilyData(form_id, 4, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
 
 
 def _sl2_quaternion(form_id: str) -> FamilyData:
@@ -254,7 +252,7 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
     k_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, -X)]
     p_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, X)]
     a_idx = [_position(basis, p_idx, embed(diagonal, z2))]
-    return FamilyData(form_id, "sl2H", 4, np.array(basis), k_idx, p_idx, a_idx, sigma)
+    return FamilyData(form_id, 4, np.array(basis), k_idx, p_idx, a_idx, sigma)
 
 
 def family_data(form_id: str) -> FamilyData:

@@ -35,13 +35,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import exactla
 from ..exactla import ONE, ZERO, GaussianRational
-from .families import FamilyData, Involution, ModelError, family_data
+from .families import FamilyData, ModelError, family_data
 
 Coords = list  # list[GaussianRational]; every imaginary part is 0 for an element of g
 SparseOp = list  # column j: [(row, value), ...] over the nonzero entries
@@ -88,16 +88,9 @@ def _definite(gram: list[list[GaussianRational]], sign: int) -> bool:
 
 
 @dataclass
-class LieAlgebraModel:
-    form_id: str
-    family: str
-    n: int
-    basis: np.ndarray  # (N, n, n) complex, Gaussian-integer entries
-    k_indices: list[int]
-    p_indices: list[int]
-    a_indices: list[int]
-    sigma_spec: Involution
-    positivity_key: Callable[[tuple], tuple] = lambda values: values
+class LieAlgebraModel(FamilyData):
+    """A family's basis data and the exact structure built from it."""
+
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_gram: list[list[GaussianRational]] = field(repr=False, default_factory=list)
     tr_entries: list[tuple] = field(repr=False, default_factory=list)  # (i, j, G_ij), G_ij != 0
@@ -300,25 +293,14 @@ class LieAlgebraModel:
         return self.joint_eigenspaces([self.ad_matrix(t) for t in torus], candidates, span)
 
     def centralizer_in_span(
-        self, elements: Sequence[Coords], span: Sequence[Coords], real: bool = True
+        self, elements: Sequence[Coords], span: Sequence[Coords]
     ) -> list[Coords]:
         ops = [self.ad_matrix(e) for e in elements]
-        return self.kernel_in_span(ops, span, real=real)
+        return self.kernel_in_span(ops, span, real=True)
 
 
 def _build(form_id: str) -> LieAlgebraModel:
-    fam: FamilyData = family_data(form_id)
-    model = LieAlgebraModel(
-        form_id=fam.form_id,
-        family=fam.family,
-        n=fam.n,
-        basis=fam.basis,
-        k_indices=fam.k_indices,
-        p_indices=fam.p_indices,
-        a_indices=fam.a_indices,
-        sigma_spec=fam.sigma,
-        positivity_key=fam.positivity_key,
-    )
+    model = LieAlgebraModel(**vars(family_data(form_id)))
     basis, N, n = model.basis, model.dim, model.n
     re, im = basis.real.astype(np.int64), basis.imag.astype(np.int64)
     if not np.array_equal(re + 1j * im, basis):

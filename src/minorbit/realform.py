@@ -334,19 +334,6 @@ class ExceptionalTable:
     def dim_X_values(self) -> tuple[int, ...]:
         return tuple(r.dim_X for r in self.rows)
 
-    def as_dicts(self) -> list[dict]:
-        return [
-            {
-                "gc_type": r.gc_type,
-                "K": r.k_name,
-                "X": r.x_name,
-                "dim_X": r.dim_X,
-                "J(X)": r.jordan_algebra,
-                "dim_J(X)": r.dim_jordan,
-            }
-            for r in self.rows
-        ]
-
 
 def exceptional_table(
     catalog: list[RealFormDescriptor] | None = None,

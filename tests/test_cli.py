@@ -151,22 +151,21 @@ def test_mistyped_catalog_field_exits_2(tmp_path, capsys):
     assert "su21" in err and "hermitian must be true or false" in err
 
 
-def _flipped_su21_catalog(tmp_path):
-    """A copy of the shipped catalog with su21 marked non-hermitian."""
+def _su21_catalog(tmp_path, **fields):
+    """A copy of the shipped catalog with ``fields`` set on the su21 entry."""
     from minorbit.realform import default_catalog_path
 
     raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
     for entry in raw:
         if entry["id"] == "su21":
-            assert entry["hermitian"] is True
-            entry["hermitian"] = False
-    path = tmp_path / "flipped.json"
+            entry.update(fields)
+    path = tmp_path / "su21.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
 
 
 def test_catalog_override_reaches_the_model_lane(tmp_path, capsys):
-    path = _flipped_su21_catalog(tmp_path)
+    path = _su21_catalog(tmp_path, hermitian=False)
     assert main(["catalog", "--catalog", str(path)]) == 0
     capsys.readouterr()
     argv = ["verify", "--form", "su21", "--checks", "lambda", "--format", "json",
@@ -183,13 +182,67 @@ def test_catalog_override_keys_the_model_caches(tmp_path):
     from minorbit.matmodel import analyze
     from minorbit.numeric import numerics
 
-    path = _flipped_su21_catalog(tmp_path)
+    path = _su21_catalog(tmp_path, hermitian=False)
     assert analyze("su21").descriptor.hermitian is True
     assert analyze("su21", None) is analyze("su21")
     assert analyze("su21", path).descriptor.hermitian is False
     assert analyze("su21", str(path)) is analyze("su21", path)
     assert numerics("su21", path).analysis is analyze("su21", path)
     assert numerics("su21").analysis is analyze("su21")
+
+
+def test_a_multiplicity_disagreement_is_a_failed_check(tmp_path, capsys):
+    """su21 with e_i multiplicity 1 and dim m 3 passes catalog validation but
+    disagrees with the model; both commands report failed checks (exit 1)."""
+    path = _su21_catalog(tmp_path, mults={"e_i": 1, "2e_i": 1}, dim_m=3)
+    assert main(["catalog", "--catalog", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["--form", "su21", "--catalog", str(path), "--format", "json"]
+    assert main(["model-check", *argv]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {c["status"] for c in checks.values()} == {"fail"} and len(checks) == 4
+    assert checks["restricted_multiplicities"]["detail"] == (
+        "model {'2e_i': 1, 'e_i': 2} vs catalog {'e_i': 1, '2e_i': 1}"
+    )
+    assert main(["verify", *argv, "--checks", "striple,lambda"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    (failed,) = [c for c in checks if c["status"] == "fail"]
+    assert failed["name"] == "orbit_dimension"
+    assert failed["detail"] == "dim k - dim k_nu = 2, catalog dim_X = 1"
+
+
+def test_config_block_gives_every_option_but_out(tmp_path):
+    from minorbit.realform import default_catalog_path
+
+    target = tmp_path / "report.json"
+    catalog = str(default_catalog_path())
+    assert main(["verify", "--form", "sl2R", "--checks", "striple, beta",
+                 "--samples", "5", "--tol", "0.5", "--seed", "3", "--catalog", catalog,
+                 "--format", "json", "--out", str(target)]) == 0
+    config = json.loads(target.read_text(encoding="utf-8"))["config"]
+    assert list(config.items()) == [
+        ("command", "verify"), ("form", "sl2R"), ("checks", ["striple", "beta"]),
+        ("samples", 5), ("tol", 0.5), ("seed", 3), ("catalog", catalog),
+        ("format", "json"),
+    ]
+
+
+def test_empty_checks_runs_all_nine_with_checks_null(capsys):
+    from minorbit.cli import VERIFY_CHECKS
+
+    argv = ["verify", "--form", "sl2R", "--samples", "3", "--format", "json"]
+    assert main([*argv, "--checks", ""]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["checks"] is None
+    assert main([*argv, "--checks", ",".join(VERIFY_CHECKS)]) == 0
+    assert report["checks"] == json.loads(capsys.readouterr().out)["checks"]
+
+
+def test_verify_reports_an_unknown_form_before_an_unknown_check(capsys):
+    assert main(["verify", "--form", "nope", "--checks", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: catalog entry 'nope': unknown form id\n"
 
 
 def test_verify_exact_checks(capsys):

@@ -113,7 +113,7 @@ def test_build_rejects_an_entry_that_is_not_a_gaussian_integer(monkeypatch):
 
 def test_validation_rejects_a_sigma_of_another_real_form(monkeypatch):
     def drop_j(fam):
-        return dataclasses.replace(fam, sigma=dataclasses.replace(fam.sigma, J=None))
+        return dataclasses.replace(fam, sigma_spec=dataclasses.replace(fam.sigma_spec, J=None))
 
     with pytest.raises(ModelError, match="sigma"):
         _build_with(monkeypatch, "su21", drop_j)
