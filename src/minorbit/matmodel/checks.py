@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import exactla
-from ..exactla import GaussianRational
 from ..report import CheckItem
 from ..rootsys import dominant, indecomposable
 from .families import ModelError
@@ -143,10 +142,7 @@ def centralizer_checks(
 class LambdaData:
     """Weight of the compact group attached to the Cayley triple."""
 
-    model: LieAlgebraModel
     t_basis: list[Coords]  # Cartan subalgebra of k containing z
-    lambda_on_t: list[GaussianRational]  # values B(z, t_j); the i factor is dropped
-    k_roots: list[tuple[GaussianRational, ...]]
     k_nu_basis: list[Coords] = field(default_factory=list)
     center_basis: list[Coords] = field(default_factory=list)
     dim_X: int = 0
@@ -251,10 +247,7 @@ def lambda_data(
         ))
 
     return LambdaData(
-        model=model,
         t_basis=t_basis,
-        lambda_on_t=lam_vec,
-        k_roots=k_roots,
         k_nu_basis=k_nu,
         center_basis=center,
         dim_X=dim_X,

@@ -1,11 +1,14 @@
 """Matrix realizations of the supported classical real forms.
 
-Each builder returns the raw ingredients of a model: a real basis of the
-algebra inside gl(n, C), as one (N, n, n) complex array whose entries are
-Gaussian integers, split into compact and noncompact generators, the
-standard maximal abelian subspace inside the noncompact part, and the
-conjugation sigma of the real form.  Eigenvalues are not data: the model
-computes them from the basis.
+``FAMILIES`` is the one table of modeled forms: it maps each form id to its
+builder and the builder's arguments, and ``MODEL_IDS`` is its keys, in order.
+A builder returns only what is a choice: a real basis of the algebra inside
+gl(n, C), as matrices whose entries are Gaussian integers; the generators of
+the standard maximal abelian subspace a of p, as matrices, which
+``family_data`` locates in the basis by value; the conjugation sigma of the
+real form; and, for a chain-shaped a-basis, the positivity key.  The rest is
+read off the basis, as the eigenvalues are: the model computes them, and it
+splits the basis into k and p by Hermiticity.
 
 Every model is closed under conjugate transpose: the compact generators are
 anti-Hermitian and the noncompact ones Hermitian, so the Cartan involution is
@@ -24,32 +27,13 @@ complex stacks alike:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from ..exactla import ZERO
-
-MODEL_IDS = (
-    "sl2R",
-    "sl3R",
-    "sl4R",
-    "sl5R",
-    "su21",
-    "su31",
-    "su41",
-    "su22",
-    "su32",
-    "sp4R",
-    "so32",
-    "so42",
-    "so52",
-    "so33",
-    "so43",
-    "sl2H",
-)
 
 
 class ModelError(ValueError):
@@ -91,8 +75,6 @@ class FamilyData:
     form_id: str
     n: int
     basis: np.ndarray  # (N, n, n), Gaussian-integer entries
-    k_indices: list[int]
-    p_indices: list[int]
     a_indices: list[int]  # positions of the abelian generators inside basis
     sigma_spec: Involution
     # maps the a-eigenvalue vector of a root to the coordinates used for the
@@ -125,85 +107,35 @@ def _antisym(n: int, i: int, j: int, value: complex = 1) -> np.ndarray:
     return _unit(n, i, j, value) - _unit(n, j, i, value)
 
 
-def _position(basis: list[np.ndarray], indices: list[int], target: np.ndarray) -> int:
-    return next(k for k in indices if np.array_equal(basis[k], target))
+def _sl_n_real(n: int):
+    pairs = list(combinations(range(n), 2))
+    a = [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
+    basis = [_antisym(n, i, j) for i, j in pairs] + [_sym(n, i, j) for i, j in pairs]
+    return basis + a, a, CONJUGATE, _sl_chain_key
 
 
-def _sl_n_real(form_id: str, n: int) -> FamilyData:
-    basis: list[np.ndarray] = []
-    k_idx, p_idx, a_idx = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            k_idx.append(len(basis))
-            basis.append(_antisym(n, i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            p_idx.append(len(basis))
-            basis.append(_sym(n, i, j))
-    for i in range(n - 1):
-        a_idx.append(len(basis))
-        p_idx.append(len(basis))
-        basis.append(_unit(n, i, i) - _unit(n, i + 1, i + 1))
-    return FamilyData(
-        form_id=form_id,
-        n=n,
-        basis=np.array(basis),
-        k_indices=k_idx,
-        p_indices=p_idx,
-        a_indices=a_idx,
-        sigma_spec=CONJUGATE,
-        positivity_key=_sl_chain_key,
-    )
-
-
-def _su_pq(form_id: str, p: int, q: int) -> FamilyData:
+def _su_pq(p: int, q: int):
     n = p + q
+    basis = [X for block in (range(p), range(p, n)) for a, b in combinations(block, 2)
+             for X in (_antisym(n, a, b), _sym(n, a, b, 1j))]
+    basis += [_unit(n, j, j, 1j) - _unit(n, j + 1, j + 1, 1j) for j in range(n - 1)]
+    basis += [X for a in range(p) for b in range(p, n)
+              for X in (_sym(n, a, b), _antisym(n, a, b, 1j))]
+    # a_i couples index i with n+1-i
+    a = [_sym(n, i, n - 1 - i) for i in range(q)]
     J = np.diag([1] * p + [-1] * q)
-    basis: list[np.ndarray] = []
-    k_idx, p_idx, a_idx = [], [], []
-    for block in (range(p), range(p, n)):
-        block = list(block)
-        for ai in range(len(block)):
-            for bi in range(ai + 1, len(block)):
-                a, b = block[ai], block[bi]
-                k_idx.append(len(basis))
-                basis.append(_antisym(n, a, b))
-                k_idx.append(len(basis))
-                basis.append(_sym(n, a, b, 1j))
-    for j in range(n - 1):
-        k_idx.append(len(basis))
-        basis.append(_unit(n, j, j, 1j) - _unit(n, j + 1, j + 1, 1j))
-    for a in range(p):
-        for b in range(p, n):
-            p_idx.append(len(basis))
-            basis.append(_sym(n, a, b))
-            p_idx.append(len(basis))
-            basis.append(_antisym(n, a, b, 1j))
-    # a_i couples index i with n+1-i; these sit among the symmetric generators.
-    a_idx = [_position(basis, p_idx, _sym(n, i, n - 1 - i)) for i in range(q)]
-    sigma = Involution(-1, transpose=True, conjugate=True, J=J)
-    return FamilyData(form_id, n, np.array(basis), k_idx, p_idx, a_idx, sigma)
+    return basis, a, Involution(-1, transpose=True, conjugate=True, J=J)
 
 
-def _so_pq(form_id: str, p: int, q: int) -> FamilyData:
+def _so_pq(p: int, q: int):
     n = p + q
-    basis: list[np.ndarray] = []
-    k_idx, p_idx = [], []
-    for block in (range(p), range(p, n)):
-        block = list(block)
-        for ai in range(len(block)):
-            for bi in range(ai + 1, len(block)):
-                k_idx.append(len(basis))
-                basis.append(_antisym(n, block[ai], block[bi]))
-    for a in range(p):
-        for b in range(p, n):
-            p_idx.append(len(basis))
-            basis.append(_sym(n, a, b))
-    a_idx = [_position(basis, p_idx, _sym(n, i, p + i)) for i in range(q)]
-    return FamilyData(form_id, n, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
+    basis = [_antisym(n, a, b)
+             for block in (range(p), range(p, n)) for a, b in combinations(block, 2)]
+    basis += [_sym(n, a, b) for a in range(p) for b in range(p, n)]
+    return basis, [_sym(n, i, p + i) for i in range(q)], CONJUGATE
 
 
-def _sp4_real(form_id: str) -> FamilyData:
+def _sp4_real():
     z2 = np.zeros((2, 2))
     sym = [_unit(2, 0, 0), _unit(2, 1, 1), _sym(2, 0, 1)]
 
@@ -211,23 +143,15 @@ def _sp4_real(form_id: str) -> FamilyData:
         return np.block([[A, z2], [z2, -A.T]])
 
     # compact part: antisymmetric members, u(2) inside sp(4)
-    k_members = [embed_a(_antisym(2, 0, 1))]
-    k_members += [np.block([[z2, S], [-S, z2]]) for S in sym]
+    basis = [embed_a(_antisym(2, 0, 1))] + [np.block([[z2, S], [-S, z2]]) for S in sym]
     # noncompact part: symmetric members
-    p_members = [embed_a(_unit(2, 0, 0)), embed_a(_unit(2, 1, 1))]
-    p_members.append(embed_a(_sym(2, 0, 1)))
-    p_members += [np.block([[z2, S], [S, z2]]) for S in sym]
-    basis = k_members + p_members
-    k_idx = list(range(len(k_members)))
-    p_idx = list(range(len(k_members), len(basis)))
-    a_idx = [_position(basis, p_idx, embed_a(_unit(2, i, i))) for i in range(2)]
-    return FamilyData(form_id, 4, np.array(basis), k_idx, p_idx, a_idx, CONJUGATE)
+    basis += [embed_a(S) for S in sym] + [np.block([[z2, S], [S, z2]]) for S in sym]
+    return basis, [embed_a(_unit(2, i, i)) for i in range(2)], CONJUGATE
 
 
-def _sl2_quaternion(form_id: str) -> FamilyData:
+def _sl2_quaternion():
     I2 = np.eye(2, dtype=int)
     Jq = np.block([[0 * I2, -I2], [I2, 0 * I2]])
-    sigma = Involution(1, conjugate=True, J=Jq)
 
     def embed(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.block([[P, Q], [-Q.conj(), P.conj()]])
@@ -248,32 +172,38 @@ def _sl2_quaternion(form_id: str) -> FamilyData:
     diagonal = _unit(2, 0, 0) - _unit(2, 1, 1)
     basis += [embed(P, z2) for P in (_sym(2, 0, 1), _antisym(2, 0, 1, 1j), diagonal)]
     basis += [embed(z2, Q) for Q in (_antisym(2, 0, 1), _antisym(2, 0, 1, 1j))]
-    # a generator in neither list fails the model's partition check
-    k_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, -X)]
-    p_idx = [i for i, X in enumerate(basis) if np.array_equal(X.conj().T, X)]
-    a_idx = [_position(basis, p_idx, embed(diagonal, z2))]
-    return FamilyData(form_id, 4, np.array(basis), k_idx, p_idx, a_idx, sigma)
+    return basis, [embed(diagonal, z2)], Involution(1, conjugate=True, J=Jq)
+
+
+FAMILIES = {
+    "sl2R": (_sl_n_real, 2),
+    "sl3R": (_sl_n_real, 3),
+    "sl4R": (_sl_n_real, 4),
+    "sl5R": (_sl_n_real, 5),
+    "su21": (_su_pq, 2, 1),
+    "su31": (_su_pq, 3, 1),
+    "su41": (_su_pq, 4, 1),
+    "su22": (_su_pq, 2, 2),
+    "su32": (_su_pq, 3, 2),
+    "sp4R": (_sp4_real,),
+    "so32": (_so_pq, 3, 2),
+    "so42": (_so_pq, 4, 2),
+    "so52": (_so_pq, 5, 2),
+    "so33": (_so_pq, 3, 3),
+    "so43": (_so_pq, 4, 3),
+    "sl2H": (_sl2_quaternion,),
+}
+MODEL_IDS = tuple(FAMILIES)
 
 
 def family_data(form_id: str) -> FamilyData:
-    """Raw basis data for a supported model id."""
-    if m := re.fullmatch(r"sl(\d)R", form_id):
-        n = int(m.group(1))
-        if not 2 <= n <= 5:
-            raise ModelError(f"sl(n,R) models support 2 <= n <= 5, got {n}")
-        return _sl_n_real(form_id, n)
-    if m := re.fullmatch(r"su(\d)(\d)", form_id):
-        p, q = int(m.group(1)), int(m.group(2))
-        if not (p >= q >= 1 and 3 <= p + q <= 5):
-            raise ModelError(f"su(p,q) models need p >= q >= 1, 3 <= p+q <= 5")
-        return _su_pq(form_id, p, q)
-    if m := re.fullmatch(r"so(\d)(\d)", form_id):
-        p, q = int(m.group(1)), int(m.group(2))
-        if not (p >= q >= 2 and p + q <= 7 and (p, q) != (2, 2)):
-            raise ModelError("so(p,q) models need p >= q >= 2, p+q <= 7, (p,q) != (2,2)")
-        return _so_pq(form_id, p, q)
-    if form_id == "sp4R":
-        return _sp4_real(form_id)
-    if form_id == "sl2H":
-        return _sl2_quaternion(form_id)
-    raise ModelError(f"unsupported model id {form_id!r}")
+    """Raw basis data for a modeled form id."""
+    if form_id not in FAMILIES:
+        raise ModelError(f"unsupported model id {form_id!r}")
+    builder, *args = FAMILIES[form_id]
+    basis, a, *choices = builder(*args)
+    basis = np.array(basis)
+    rows, a_indices = np.nonzero((np.array(a)[:, None] == basis).all(axis=(-2, -1)))
+    if rows.tolist() != list(range(len(a))):
+        raise ModelError(f"{form_id}: an a generator is not a basis matrix")
+    return FamilyData(form_id, basis.shape[-1], basis, a_indices.tolist(), *choices)

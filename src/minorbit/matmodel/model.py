@@ -91,6 +91,9 @@ def _definite(gram: list[list[GaussianRational]], sign: int) -> bool:
 class LieAlgebraModel(FamilyData):
     """A family's basis data and the exact structure built from it."""
 
+    # read off the basis: k the anti-Hermitian matrices, p the Hermitian ones
+    k_indices: list[int] = field(default_factory=list)
+    p_indices: list[int] = field(default_factory=list)
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_gram: list[list[GaussianRational]] = field(repr=False, default_factory=list)
     tr_entries: list[tuple] = field(repr=False, default_factory=list)  # (i, j, G_ij), G_ij != 0
@@ -354,6 +357,9 @@ def _build(form_id: str) -> LieAlgebraModel:
         for row in np.moveaxis(scaled, 0, -1).tolist()
     ]
 
+    adjoint = basis.conj().swapaxes(-1, -2)
+    model.k_indices = np.flatnonzero((adjoint == -basis).all(axis=(1, 2))).tolist()
+    model.p_indices = np.flatnonzero((adjoint == basis).all(axis=(1, 2))).tolist()
     _validate_model(model)
     model.m_basis = model.centralizer_in_span(
         model.subspace_units(model.a_indices),
@@ -370,14 +376,13 @@ def _validate_model(model: LieAlgebraModel) -> None:
         raise ModelError(f"{model.form_id}: sigma is not antilinear")
     if not np.array_equal(sigma.apply(model.basis), model.basis):
         raise ModelError(f"{model.form_id}: sigma does not fix the real basis")
-    # theta(X) = -X^* is +1 on k and -1 on p exactly when k and p partition
-    # the basis into anti-Hermitian and Hermitian matrices
+    # theta(X) = -X^* is +1 on k and -1 on p, so it is diagonal on the basis
+    # exactly when k and p, read off the basis, partition it
     if sorted(model.k_indices + model.p_indices) != list(range(N)):
-        raise ModelError(f"{model.form_id}: k and p do not partition the basis")
+        raise ModelError(
+            f"{model.form_id}: a basis matrix is neither Hermitian nor anti-Hermitian"
+        )
     in_k = [i in model.k_indices for i in range(N)]
-    signs = np.where(in_k, -1, 1)[:, None, None]
-    if not np.array_equal(model.basis.conj().swapaxes(-1, -2), signs * model.basis):
-        raise ModelError(f"{model.form_id}: k not anti-Hermitian, p not Hermitian")
     # theta is diagonal +-1 on the basis, so the automorphism identity
     # theta[x,y] = [theta x, theta y] is the Cartan grading:
     # [k,k] in k, [k,p] in p, [p,p] in k; likewise B(theta x, theta y) = B(x,y)

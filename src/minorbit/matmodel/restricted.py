@@ -26,7 +26,6 @@ Root = tuple[GaussianRational, ...]
 @dataclass
 class RestrictedRootDatum:
     model: LieAlgebraModel
-    order: str  # "lex" | "revlex"
     roots: list[Root]
     root_spaces: dict[Root, list[Coords]]
     positive_roots: list[Root]
@@ -38,10 +37,6 @@ class RestrictedRootDatum:
     mult: dict[Root, int] = field(default_factory=dict)
     m_basis: list[Coords] = field(default_factory=list)
     n_basis: list[Coords] = field(default_factory=list)
-
-    @property
-    def rank(self) -> int:
-        return self.model.dim_a
 
     def root_value(self, root: Root, a_coords: Coords) -> GaussianRational:
         """Evaluate the root functional on an element of a."""
@@ -136,7 +131,6 @@ def restricted_root_datum(
 
     datum = RestrictedRootDatum(
         model=model,
-        order=order,
         roots=roots,
         root_spaces=root_spaces,
         positive_roots=positive,

@@ -131,7 +131,6 @@ class ModelNumerics:
 
     def __init__(self, analysis: ModelAnalysis):
         model = analysis.model
-        self.form_id = analysis.form_id
         self.c = float(model.c)
         self.analysis = analysis
         self.dim_Z = analysis.invariants.dim_Z

@@ -167,13 +167,24 @@ def default_catalog_path() -> Path:
     return Path(str(resources.files("minorbit").joinpath("data/catalog.json")))
 
 
-def load_catalog(source: str | Path | None = None) -> list[RealFormDescriptor]:
-    """Load and validate a catalog document (the shipped one by default)."""
-    path = Path(source) if source is not None else default_catalog_path()
+def catalog_key(source: str | Path | None) -> str | None:
+    """Cache key of a catalog source; None is the shipped catalog."""
+    return None if source is None else str(source)
+
+
+def load_catalog(source: str | Path | None = None) -> tuple[RealFormDescriptor, ...]:
+    """The validated entries of a catalog document (the shipped one by
+    default), parsed once per source key and shared: do not mutate."""
+    return _parse_catalog(catalog_key(source))
+
+
+@lru_cache(maxsize=None)
+def _parse_catalog(key: str | None) -> tuple[RealFormDescriptor, ...]:
+    path = Path(key) if key is not None else default_catalog_path()
     raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise CatalogError("<document>", "top level must be a list of entries")
-    entries = [_parse_entry(item) for item in raw]
+    entries = tuple(_parse_entry(item) for item in raw)
     seen: set[str] = set()
     for e in entries:
         if e.id in seen:
@@ -182,28 +193,12 @@ def load_catalog(source: str | Path | None = None) -> list[RealFormDescriptor]:
     return entries
 
 
-def catalog_key(source: str | Path | None) -> str | None:
-    """Cache key of a catalog source; None is the shipped catalog."""
-    return None if source is None else str(source)
-
-
-def catalog_by_id(source: str | Path | None = None) -> dict[str, RealFormDescriptor]:
-    """The entries of a catalog by id, parsed once per source key and shared:
-    do not mutate.  ``load_catalog`` itself reads the file on every call."""
-    return _catalog_by_key(catalog_key(source))
-
-
-@lru_cache(maxsize=None)
-def _catalog_by_key(key: str | None) -> dict[str, RealFormDescriptor]:
-    return {e.id: e for e in load_catalog(key)}
-
-
 def find_descriptor(form_id: str, source: str | Path | None = None) -> RealFormDescriptor:
     """The entry ``form_id`` of a catalog; CatalogError if it has none."""
-    entries = catalog_by_id(source)
-    if form_id not in entries:
-        raise CatalogError(form_id, "unknown form id")
-    return entries[form_id]
+    for entry in load_catalog(source):
+        if entry.id == form_id:
+            return entry
+    raise CatalogError(form_id, "unknown form id")
 
 
 @dataclass(frozen=True)
@@ -215,17 +210,6 @@ class DerivedInvariants:
     dim_X: int
     omin_split: bool
     h_vee: int
-
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m": {str(j): self.m[j] for j in (-2, -1, 0, 1, 2)},
-            "dim_g": self.dim_g,
-            "dim_Z": self.dim_Z,
-            "dim_X": self.dim_X,
-            "omin_split": self.omin_split,
-            "h_vee": self.h_vee,
-        }
 
 
 def derive_invariants(
@@ -336,7 +320,7 @@ class ExceptionalTable:
 
 
 def exceptional_table(
-    catalog: list[RealFormDescriptor] | None = None,
+    catalog: tuple[RealFormDescriptor, ...] | None = None,
 ) -> ExceptionalTable:
     """Split exceptional forms with computed compact-orbit dimensions.
 

@@ -211,6 +211,20 @@ def test_a_multiplicity_disagreement_is_a_failed_check(tmp_path, capsys):
     assert failed["detail"] == "dim k - dim k_nu = 2, catalog dim_X = 1"
 
 
+def test_commands_agree_on_a_catalog_rewritten_in_process(tmp_path, capsys):
+    """A catalog is parsed once per source key and process, and every command
+    reads that one parse: after the file is rewritten with an invalid su21,
+    catalog, model-check and invariants still give one answer."""
+    path = _su21_catalog(tmp_path)
+    runs = [["catalog"], ["model-check", "--form", "su21"], ["invariants", "--form", "su21"]]
+    before = [main([*argv, "--catalog", str(path)]) for argv in runs]
+    _su21_catalog(tmp_path, mults={"e_i": 0, "2e_i": 1})
+    after = [main([*argv, "--catalog", str(path)]) for argv in runs]
+    capsys.readouterr()
+    assert before == [0, 0, 0]
+    assert len(set(after)) == 1, after
+
+
 def test_config_block_gives_every_option_but_out(tmp_path):
     from minorbit.realform import default_catalog_path
 

@@ -91,11 +91,8 @@ def test_build_rejects_a_basis_not_closed_under_the_bracket(monkeypatch, form_id
     # a simple Lie algebra other than sl(2) has no subalgebra of codimension
     # one, and in sl(2,R) the two generators left in p bracket into k
     def drop_first(fam):
-        shift = lambda indices: [i - 1 for i in indices if i]
-        return dataclasses.replace(
-            fam, basis=fam.basis[1:], k_indices=shift(fam.k_indices),
-            p_indices=shift(fam.p_indices), a_indices=shift(fam.a_indices),
-        )
+        a_indices = [i - 1 for i in fam.a_indices if i]
+        return dataclasses.replace(fam, basis=fam.basis[1:], a_indices=a_indices)
 
     with pytest.raises(ModelError, match="not closed under the bracket"):
         _build_with(monkeypatch, form_id, drop_first)
@@ -119,15 +116,26 @@ def test_validation_rejects_a_sigma_of_another_real_form(monkeypatch):
         _build_with(monkeypatch, "su21", drop_j)
 
 
-def test_validation_rejects_a_k_generator_listed_under_p(monkeypatch):
-    def move_first_k(fam):
-        k0 = fam.k_indices[0]
-        return dataclasses.replace(
-            fam, k_indices=fam.k_indices[1:], p_indices=fam.p_indices + [k0]
-        )
+@pytest.mark.parametrize("form_id", ["sl2R", "su21", "sl2H"])
+def test_validation_rejects_a_basis_matrix_neither_hermitian_nor_anti_hermitian(
+    monkeypatch, form_id
+):
+    # b_0 is anti-Hermitian and b_-1 Hermitian; b_0 + b_-1 keeps the span, so
+    # the basis is still closed under the bracket, but theta(X) = -X^* no
+    # longer fixes or negates every basis matrix
+    def mix_first_with_last(fam):
+        basis = fam.basis.copy()
+        basis[0] = basis[0] + basis[-1]
+        return dataclasses.replace(fam, basis=basis)
 
-    with pytest.raises(ModelError, match="Hermitian"):
-        _build_with(monkeypatch, "sl2R", move_first_k)
+    with pytest.raises(ModelError, match="neither Hermitian nor anti-Hermitian"):
+        _build_with(monkeypatch, form_id, mix_first_with_last)
+
+
+@pytest.mark.parametrize("form_id", ["sl6R", "su11", "so22", "sl3H"])
+def test_build_rejects_a_form_id_outside_the_table(form_id):
+    with pytest.raises(ModelError, match="unsupported model id"):
+        build_model(form_id)
 
 
 def test_joint_eigenspaces_split_sl2R():

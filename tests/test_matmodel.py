@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -195,10 +196,11 @@ def test_analyze_parses_the_catalog_once(tmp_path, monkeypatch):
     # used, so every cache starts empty for it
     path = tmp_path / "catalog.json"
     path.write_bytes(realform.default_catalog_path().read_bytes())
+    ids = [entry["id"] for entry in json.loads(path.read_text(encoding="utf-8"))]
     parses = []
-    load = realform.load_catalog
-    monkeypatch.setattr(realform, "load_catalog",
-                        lambda source=None: parses.append(source) or load(source))
+    parse = realform._parse_entry
+    monkeypatch.setattr(realform, "_parse_entry",
+                        lambda raw: parses.append(raw["id"]) or parse(raw))
     for form_id in MODEL_IDS:
         analyze(form_id, path)
-    assert parses == [str(path)]
+    assert parses == ids

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from minorbit.realform import catalog_by_id
+from minorbit.realform import find_descriptor
 from minorbit.rootsys import (
     RootSystemError,
     RootSystemLabel,
@@ -266,7 +266,7 @@ def test_root_class_rejects_vectors_that_are_not_roots():
         with pytest.raises(RootSystemError, match="not a root"):
             rs(text).root_class(vector)
     with pytest.raises(RootSystemError, match="not a root"):
-        catalog_by_id()["su21"].mult_of((3,))
+        find_descriptor("su21").mult_of((3,))
 
 
 def test_highest_root_needs_a_dominating_root():
