@@ -90,6 +90,11 @@ def expm(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
+def _read_only(X: np.ndarray) -> np.ndarray:
+    X.flags.writeable = False
+    return X
+
+
 @dataclass
 class GroupElement:
     """Products of exponentials of algebra elements, with exact inverses.
@@ -97,15 +102,20 @@ class GroupElement:
     Each factor is a matrix or an (S, n, n) stack, one per sample, of one
     kind: k or isotropy (anti-Hermitian), a (Hermitian) or n (nilpotent); one
     `expm` call gives exp(f) and exp(-f) of the whole stack.  These, the
-    matrices and their inverses are computed once per element; a product
-    ``g * h`` reuses the factor exponentials of both sides, bit for bit.
+    matrices and their inverses, and the transport of each matrix object
+    are computed once per element and read-only, so that one element can
+    serve several checks; a product ``g * h`` reuses the factor
+    exponentials of both sides, bit for bit.
     """
 
     factors: list[np.ndarray] = field(default_factory=list)
+    # (X, g X g^-1) per matrix object X transported so far
+    _transports: list[tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     @cached_property
     def _exps(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [expm(f) for f in self.factors]
+        return [tuple(map(_read_only, expm(f))) for f in self.factors]
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         product = GroupElement(self.factors + other.factors)
@@ -115,15 +125,25 @@ class GroupElement:
     @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The matrices g and g^-1."""
-        return (reduce(np.matmul, [plus for plus, _ in self._exps]),
-                reduce(np.matmul, [minus for _, minus in reversed(self._exps)]))
+        g = reduce(np.matmul, [plus for plus, _ in self._exps])
+        g_inv = reduce(np.matmul, [minus for _, minus in reversed(self._exps)])
+        return _read_only(g), _read_only(g_inv)
 
     def ad(self, X: np.ndarray) -> np.ndarray:
-        """g X g^-1, broadcast between the element's and X's leading axes."""
+        """g X g^-1, broadcast between the element's and X's leading axes.
+
+        Computed on the first call for the object X and kept with X, so X
+        must not be written to while the element lives.
+        """
         if not self.factors:
             return X
+        for held, moved in self._transports:
+            if held is X:
+                return moved
         g, g_inv = self._ends
-        return g @ X @ g_inv
+        moved = _read_only(g @ X @ g_inv)
+        self._transports.append((X, moved))
+        return moved
 
 
 class ModelNumerics:

@@ -22,10 +22,15 @@ Every sampled quantity carries a leading sample axis: a check takes CHUNK
 samples at a time, each chunk in a few stacked numpy calls.  Each draw is a
 pure function of the seed, sample index, purpose, attempt and position
 (``draw``), so sample i is the same point whatever the chunk; sample 0, the
-base point, has the zero factor.  A frame is an (S, m, n, n) stack, and
-every Gram comes from the pair traces T[s, i, j] = tr(F d_j d_i), as
-B(F, [d_j, d_i]) = c (T_ij - T_ji).  A chunk reduces to one deviation per
-sample; the check keeps the largest, a NaN first, and its sample index.
+base point, has the zero factor.  The four checks draw the same k factors
+for a model, seed, attempt and indices, so one K element per chunk, with its
+exponentials and its transports of the model's fixed matrices (the frame
+directions, e, v and z), serves all four (``_k_element``); only the scale t,
+which depends on a check's spread, is drawn per check.  A frame is an
+(S, m, n, n) stack, and every Gram comes from the pair traces
+T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) = c (T_ij - T_ji).  A chunk
+reduces to one deviation per sample; the check keeps the largest, a NaN
+first, and its sample index.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ PI = math.pi
 COND_LIMIT = 1e8
 # samples per stacked pass: memory stays bounded whatever the sample count
 CHUNK = 128
+# the sample count of every check; the CLI's RunConfig.samples has the same
+DEFAULT_SAMPLES = 100
 
 DEFAULT_TOL_CLOSED = 1e-9
 # no check defaults to it; perfbench/worker.py reads it as poisson's tolerance
@@ -87,10 +94,11 @@ def realize(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
 
 def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
     """The (S, m, n, n) frame: x_psi, z, then a basis transverse to the
-    isotropy, all transported by the group part of the point."""
-    directions = np.array([num.x_psi, num.z, *num.k_nu_perp_basis])
-    # (m, 1, n, n) against the (S, n, n) element broadcasts to (m, S, n, n)
-    return np.ascontiguousarray(point.element.ad(directions[:, None]).swapaxes(0, 1))
+    isotropy, each transported by the group part of the point."""
+    directions = (num.x_psi, num.z, *num.k_nu_perp_basis)
+    frame = np.stack([point.element.ad(d) for d in directions], axis=-3)
+    # the identity element transports without a sample axis: S = 1
+    return frame.reshape(-1, *frame.shape[-3:])
 
 
 def _bracket_gram(num: ModelNumerics, F: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -101,7 +109,8 @@ def _bracket_gram(num: ModelNumerics, F: np.ndarray, frame: np.ndarray) -> np.nd
 
 
 def kks_gram(num: ModelNumerics, point: OrbitPointParam, frame: np.ndarray) -> np.ndarray:
-    """Canonical-form pairings <rho, [d_j, d_i]> at realized orbit points."""
+    """Canonical-form pairings <rho, [d_j, d_i]> at realized orbit points, in
+    a frame that must have full rank."""
     if point.side != "Z":
         raise ValueError("kks_gram expects a point on the coadjoint side")
     flat = frame.reshape(*frame.shape[:-2], -1)
@@ -165,15 +174,42 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[:, :c])) * np.cos(2 * PI * u[:, c:])
 
 
+# the K element of the chunk drawn last: (model, (seed, attempt, indices), element)
+_last_chunk: tuple = (None, None, None)
+
+
+def _k_element(num: ModelNumerics, seed: int, indices: np.ndarray,
+               attempt: int) -> GroupElement:
+    """The k factors of samples ``indices`` at one attempt, from positions 1
+    on of their POINT streams; sample 0 has the zero factor.
+
+    The four checks draw the same k, whatever their spread, so the element
+    of the chunk drawn last is kept, and with it its exponentials and
+    transports.  It is kept for the model object itself: a copy of a model,
+    whose matrices may differ, draws its own.
+    """
+    global _last_chunk
+    key = (seed, attempt, tuple(indices.tolist()))
+    held, held_key, element = _last_chunk
+    if held is not num or held_key != key:
+        u = draw(seed, indices, POINT, attempt, 2 * len(num.k_basis) + 1)
+        coeffs = 0.7 * _normals(u[:, 1:])
+        coeffs[indices == 0] = 0.0
+        factor = num.span(coeffs, num.k_basis)
+        factor.flags.writeable = False
+        element = GroupElement([factor])
+        _last_chunk = (num, key, element)
+    return element
+
+
 def _sample_points(num: ModelNumerics, seed: int, indices: np.ndarray, attempt: int,
                    spread: float = 4.0) -> OrbitPointParam:
-    """The points of samples ``indices`` at one attempt: k factors and t
-    log-uniform in [1/spread, spread); sample 0 is the base point (t = 1)."""
-    u = draw(seed, indices, POINT, attempt, 2 * len(num.k_basis) + 1)
-    coeffs = 0.7 * _normals(u[:, 1:])
-    coeffs[indices == 0] = 0.0
+    """The points of samples ``indices`` at one attempt: the shared k
+    element and t log-uniform in [1/spread, spread) from position 0 of the
+    POINT streams; sample 0 is the base point (t = 1)."""
+    u = draw(seed, indices, POINT, attempt, 1)
     t = np.where(indices == 0, 1.0, spread ** (2 * u[:, 0] - 1))
-    return OrbitPointParam(GroupElement([num.span(coeffs, num.k_basis)]), t)
+    return OrbitPointParam(_k_element(num, seed, indices, attempt), t)
 
 
 def _chunks(samples: int):
@@ -254,7 +290,7 @@ BASE_BLOCK_TOL = 1e-12
 
 def verify_beta_symplectic(
     num: ModelNumerics,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
 ) -> list[CheckItem]:
@@ -278,9 +314,11 @@ def verify_beta_symplectic(
         ("degenerate frame", "frame degenerate after retries"), events,
     ):
         gram_z = kks_gram(num, replace(point, side="Z"), frame)
-        # coadjoint-side scaling law on an independent factor
+        # coadjoint-side scaling law on an independent factor, in the frame
+        # whose rank kks_gram has tested
         s = 4.0 ** (2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
-        gram_scaled = kks_gram(num, replace(point, t=point.t * s, side="Z"), frame)
+        scaled = realize(num, replace(point, t=point.t * s, side="Z"))
+        gram_scaled = _bracket_gram(num, scaled, frame)
         devs.add(indices, np.maximum(
             _max_abs(gram_x - gram_z), _max_abs(gram_scaled - _scale(s, gram_z))
         ))
@@ -310,7 +348,7 @@ def _norm(num: ModelNumerics, X: np.ndarray) -> np.ndarray:
 
 def ks_correspondence_check(
     num: ModelNumerics,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
 ) -> CheckItem:
@@ -388,7 +426,7 @@ def _poisson_bracket(gram: np.ndarray, grads_f: np.ndarray, grads_g: np.ndarray)
 
 def poisson_identities_check(
     num: ModelNumerics,
-    samples: int = 50,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
 ) -> CheckItem:
@@ -445,7 +483,7 @@ def poisson_identities_check(
 
 def moment_cone_check(
     num: ModelNumerics,
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
 ) -> CheckItem:

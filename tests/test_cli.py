@@ -241,6 +241,14 @@ def test_config_block_gives_every_option_but_out(tmp_path):
     ]
 
 
+def test_verify_samples_default_to_the_checks_default():
+    # the CLI's default is a literal of its own; it must be the checks' default
+    from minorbit import sympver
+    from minorbit.cli import RunConfig
+
+    assert RunConfig("verify").samples == sympver.DEFAULT_SAMPLES
+
+
 def test_empty_checks_runs_all_nine_with_checks_null(capsys):
     from minorbit.cli import VERIFY_CHECKS
 

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 from dataclasses import replace
 
@@ -173,7 +174,9 @@ def test_ks_unit_norm_scaling():
 
 
 def test_nan_deviation_fails_the_check():
-    # a copy, so the cached numerics stay intact for the other tests
+    # the same samples of the original first, so that its K element is the
+    # last drawn; then a copy, so the cached numerics stay intact
+    assert ks_correspondence_check(numerics("sl2R"), samples=3, tol=1e-9, seed=42).passed
     num = copy.copy(numerics("sl2R"))
     num.v = np.full_like(num.v, np.nan)
     report = ks_correspondence_check(num, samples=3, tol=1e-9, seed=42)
@@ -651,3 +654,80 @@ def test_isotropy_basis_solved_once_per_form(monkeypatch):
     second = ks_correspondence_check(num, samples=5, seed=42)
     assert len(calls) == 1
     assert first.as_dict() == second.as_dict()
+
+
+# --- one K element per chunk, shared by the four checks --------------------------
+
+def _fresh_memo(monkeypatch):
+    monkeypatch.setattr(sympver, "_last_chunk", (None, None, None))
+
+
+@pytest.mark.parametrize("form_id", ("su21", "sl2H"))
+@pytest.mark.parametrize("check", SAMPLED_CHECKS)
+def test_sharing_the_k_element_is_invisible(monkeypatch, form_id, check):
+    """A check reports the same on a fresh memo, after the other three checks
+    and after all four at another seed."""
+    num = numerics(form_id)
+
+    def run(seed=42):
+        result = check(num, samples=40, seed=seed)
+        return [r.as_dict() for r in (result if isinstance(result, list) else [result])]
+
+    _fresh_memo(monkeypatch)
+    fresh = run()
+    _fresh_memo(monkeypatch)
+    for other in SAMPLED_CHECKS:
+        if other is not check:
+            other(num, samples=40, seed=42)
+    after_the_others = run()
+    _fresh_memo(monkeypatch)
+    for other in SAMPLED_CHECKS:
+        other(num, samples=40, seed=7)
+    after_another_seed = run()
+    assert fresh == after_the_others == after_another_seed
+
+
+def test_k_element_is_drawn_per_attempt(monkeypatch):
+    """The same indices at attempt 0, then at attempt 1: each element is the
+    one a fresh memo draws."""
+    num = numerics("su21")
+    indices = np.arange(1, 9)
+    _fresh_memo(monkeypatch)
+    shared = [sympver._sample_points(num, 42, indices, a).element for a in (0, 1)]
+    for attempt, element in enumerate(shared):
+        _fresh_memo(monkeypatch)
+        alone = sympver._sample_points(num, 42, indices, attempt).element
+        assert np.array_equal(element.factors[0], alone.factors[0])
+        assert np.array_equal(element.ad(num.e), alone.ad(num.e))
+
+
+def test_four_checks_exponentiate_five_times_on_su21(monkeypatch):
+    """beta exponentiates the chunk's k factor; ks its composed and isotropy
+    factors, poisson nothing, moment its a and n factors."""
+    num = numerics("su21")
+    num.isotropy_basis  # solved exactly, outside the count
+    _fresh_memo(monkeypatch)
+    calls = _count_calls(monkeypatch, numeric, "expm")
+    per_check = []
+    for check in SAMPLED_CHECKS:
+        before = len(calls)
+        result = check(num, samples=100, seed=42)
+        assert (result[0] if isinstance(result, list) else result).passed
+        per_check.append(len(calls) - before)
+    assert per_check == [1, 2, 0, 2]
+
+
+def test_memoized_arrays_are_read_only(monkeypatch):
+    num = numerics("su21")
+    _fresh_memo(monkeypatch)
+    element = sympver._sample_points(num, 42, np.arange(4), 0).element
+    for shared in (element.ad(num.e), element.ad(num.z), element.factors[0],
+                   *element._ends, *element._exps[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[1] += 1.0
+
+
+def test_every_check_defaults_to_one_sample_count():
+    for check in SAMPLED_CHECKS:
+        default = inspect.signature(check).parameters["samples"].default
+        assert default == sympver.DEFAULT_SAMPLES == 100
