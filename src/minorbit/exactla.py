@@ -5,6 +5,9 @@ exact arithmetic so that identities either hold on the nose or fail loudly.
 Every scalar is one :class:`GaussianRational` (a + bi)/d in Python integers;
 a real value is one with b = 0, and it orders, hashes and prints as the
 ``Fraction`` of the same value.  ``int`` and ``Fraction`` operands mix in.
+``rref``, ``rank``, ``kernel_basis`` and ``solve`` share one Gauss-Jordan
+elimination over sparse rows that visits only nonzero entries; the reduced row
+echelon form of a row space is unique, so no result depends on how it is found.
 """
 
 from __future__ import annotations
@@ -195,80 +198,92 @@ def exact_sqrt(q) -> GaussianRational | None:
     return _make(num, 0, den) if exact else None
 
 
-def rref(mat: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(row) for row in mat]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _sparse_rows(mat, ncols: int | None) -> tuple[list[dict], int]:
+    """The rows of ``mat``, dense or {column: entry}, as {column: nonzero
+    scalar}, and the column count; a sparse or empty system needs ``ncols``.
+    Every entry becomes a :class:`GaussianRational` here, so ints stay exact."""
+    rows = []
+    for row in mat:
+        if not isinstance(row, dict):
+            ncols = len(row) if ncols is None else ncols
+            if len(row) != ncols:
+                raise ValueError(f"a row has {len(row)} entries, not {ncols}")
+            row = dict(enumerate(row))
+        elif ncols is None or any(type(c) is not int or not 0 <= c < ncols for c in row):
+            raise ValueError("a sparse row needs ncols and columns in 0..ncols-1")
+        if not all(type(x) is GaussianRational for x in row.values()):
+            row = {c: _coerce(x) for c, x in row.items()}
+            if None in row.values():
+                raise TypeError("entries must be rational or Gaussian-rational")
+        rows.append({c: x for c, x in row.items() if x.a or x.b})
+    if ncols is None:
+        raise ValueError("ncols required for an empty system")
+    return rows, ncols
+
+
+def _eliminate(rows: list[dict]) -> dict[int, dict]:
+    """Gauss-Jordan on sparse rows, in place, one row at a time: {pivot: row}.
+    A row is reduced by the pivot rows so far; its leading column becomes a
+    pivot, cleared from them, so each pivot leads a vector of the row space."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        for p in [c for c in row if c in pivots]:
+            _add_multiple(row, -row[p], pivots[p])
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        # the systems here are mostly zeros: only the pivot row's nonzero
-        # columns change, in the rows copied above
-        cols = [j for j, x in enumerate(pivot) if x]
-        pv = pivot[c]
-        if pv != 1:
-            for j in cols:
-                pivot[j] = pivot[j] / pv
-        for row in rows:
-            f = row[c]
-            if f and row is not pivot:
-                for j in cols:
-                    row[j] = row[j] - f * pivot[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        c = min(row)
+        if (pv := row[c]) != 1:
+            for j, x in row.items():
+                row[j] = x / pv
+        for other in pivots.values():
+            if c in other:
+                _add_multiple(other, -other[c], row)
+        pivots[c] = row
+    return pivots
+
+
+def _add_multiple(row: dict, f, pivot: dict) -> None:
+    """row += f * pivot, dropping the entries that cancel."""
+    for j, x in pivot.items():
+        s = row[j] + f * x if j in row else f * x
+        if s.a or s.b:
+            row[j] = s
+        else:
+            del row[j]
+
+
+def rref(mat: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """(dense reduced row echelon form, nonzero rows first, as many rows as
+    ``mat`` has; pivot column indices)."""
+    rows, ncols = _sparse_rows(mat, None) if len(mat) else ([], 0)
+    pivots = sorted(red := _eliminate(rows))
+    dense = [[red[p].get(j, ZERO) for j in range(ncols)] for p in pivots]
+    return dense + [[ZERO] * ncols for _ in range(len(rows) - len(dense))], pivots
 
 
 def rank(mat: Sequence[Sequence]) -> int:
-    return len(rref(mat)[1])
+    return len(_eliminate(_sparse_rows(mat, None)[0])) if len(mat) else 0
 
 
-def kernel_basis(mat: Sequence[Sequence], ncols: int | None = None) -> list[list]:
-    """Basis of the right kernel of ``mat`` (rows = equations)."""
-    rows = [list(row) for row in mat]
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * n
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+def kernel_basis(mat: Sequence, ncols: int | None = None) -> list[list]:
+    """Basis of the right kernel of ``mat`` (rows = equations, dense or
+    sparse), one dense vector per free column, 1 there and 0 at the others."""
+    rows, ncols = _sparse_rows(mat, ncols)
+    red = _eliminate(rows)
+    return [[ONE if j == fc else -red[j].get(fc, ZERO) if j in red else ZERO
+             for j in range(ncols)] for fc in range(ncols) if fc not in red]
 
 
 def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
     """One solution of ``mat @ x = rhs``, or None if inconsistent."""
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
     n = len(mat[0])
-    red, pivots = rref(rows)
-    for row in red:
-        if not any(row[:n]) and row[n]:
-            return None
+    augmented = [list(row) + [b] for row, b in zip(mat, rhs, strict=True)]
+    pivots = _eliminate(_sparse_rows(augmented, n + 1)[0])
+    if n in pivots:
+        return None
     x = [ZERO] * n
-    for r, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = red[r][n]
+    for p, row in pivots.items():
+        x[p] = row.get(n, ZERO)
     return x
 
 
@@ -277,21 +292,13 @@ def span_contains(basis: Sequence[Sequence], vec: Sequence) -> bool:
 
 
 def same_span(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
-    if len(basis_a) != len(basis_b):
-        return False
-    ra = rank(list(basis_a))
-    rb = rank(list(basis_b))
-    rc = rank(list(basis_a) + list(basis_b))
-    return ra == rb == rc
+    return len(basis_a) == len(basis_b) and (
+        rank(basis_a) == rank(basis_b) == rank(list(basis_a) + list(basis_b)))
 
 
 def dot(u: Sequence, v: Sequence):
     """Sum of u_i v_i over the terms where both factors are nonzero."""
-    total = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            total = total + a * b
-    return total
+    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
 
 
 def mat_vec(mat: Sequence[Sequence], v: Sequence) -> list:

@@ -103,11 +103,7 @@ def centralizer_checks(
     z_v = cent_k([cayley.v])
     z_e = cent_k([striple.e])
     z_triple = cent_k([striple.x, striple.e, theta_e])
-    same = (
-        len(z_v) == len(z_e) == len(z_triple)
-        and exactla.same_span(z_v, z_e)
-        and exactla.same_span(z_e, z_triple)
-    )
+    same = exactla.same_span(z_v, z_e) and exactla.same_span(z_e, z_triple)
     checks.append(CheckItem.verdict(
         "isotropy_subalgebras_agree",
         same,
@@ -160,14 +156,10 @@ def _cartan_of_k(model: LieAlgebraModel, z: Coords) -> list[Coords]:
             if not exactla.same_span(cent, t):
                 raise ModelError(f"{model.form_id}: Cartan extension went wrong")
             return t
-        extended = False
-        for cand in cent:
-            if not exactla.span_contains(t, cand):
-                t.append(cand)
-                extended = True
-                break
-        if not extended:
+        cand = next((c for c in cent if not exactla.span_contains(t, c)), None)
+        if cand is None:
             raise ModelError(f"{model.form_id}: could not extend to a Cartan of k")
+        t.append(cand)
 
 
 def lambda_data(

@@ -11,9 +11,9 @@ arithmetic on such coordinates.
 The basis is one (N, n, n) complex array whose entries are Gaussian integers,
 which floating point holds and multiplies exactly.  numpy forms the trace
 Gram G = tr(b_i b_j) and the tensor T[k, i, j] = tr(b_k [b_i, b_j]) as
-integers; G is inverted once in rationals, and the structure constants
-ad = G^-1 T are accepted only if sum_r ad[r, i, j] b_r = [b_i, b_j] holds
-exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
+integers; G is inverted once, exactly, to integers over one denominator D,
+and the structure constants ad = G^-1 T are accepted only if
+sum_r ad[r, i, j] b_r = [b_i, b_j] holds exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
 every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
 sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Joint
 eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`,
@@ -24,9 +24,11 @@ Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
 nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
 every structure constant is zero and no routine here touches those zeros:
-the trace form reads the nonzero entries of G and ``kernel_in_span`` combines
-the nonzero entries of its span.  A subspace is split into eigenspaces only
-until the spaces found fill it.
+the trace form reads the nonzero entries of G, and ``kernel_in_span`` hands
+the images of its span's nonzero entries, as sparse constraint rows, to the
+one sparse elimination of :mod:`~minorbit.exactla`.  A subspace is split into
+eigenspaces, every candidate reusing the subspace's images, only until the
+spaces found fill it.
 """
 
 from __future__ import annotations
@@ -51,20 +53,20 @@ SparseOp = list  # column j: [(row, value), ...] over the nonzero entries
 PROPOSAL_DENOMINATOR = 1000
 
 
-def _apply(op: SparseOp, nonzero: list[tuple], shift) -> dict:
-    """(op - shift) @ v as {row: value}, from the nonzero entries (j, v_j) of v.
+def _support(span: Sequence[Coords]) -> list[list[tuple]]:
+    """The nonzero entries (j, v_j) of each vector v of ``span``."""
+    return [[(j, x) for j, x in enumerate(v) if x] for v in span]
 
-    A column met with coefficient 1 (a unit vector) is read, not multiplied.
-    """
+
+def _apply(op: SparseOp, nonzero: list[tuple]) -> dict:
+    """op @ v as {row: value}, from the nonzero entries (j, v_j) of v; a column
+    met with coefficient 1 (a unit vector) is read, not multiplied."""
     out: dict = {}
     for j, vj in nonzero:
         unit = vj == 1
         for r, c in op[j]:
             t = c if unit else c * vj
             out[r] = out[r] + t if r in out else t
-        if shift:
-            t = shift * vj
-            out[j] = out[j] - t if j in out else -t
     return out
 
 
@@ -187,29 +189,39 @@ class LieAlgebraModel(FamilyData):
     # -- subspace solvers ----------------------------------------------------
     def kernel_in_span(self, operators: Sequence[SparseOp], span: Sequence[Coords],
                        real: bool = False, shift=0) -> list[Coords]:
-        """Vectors x in span(span) with op @ x = shift * x for every operator.
+        """Vectors x in span(span) with op @ x = shift * x for every operator;
+        with ``real=True`` the combination coefficients are rational."""
+        support = _support(span)
+        images = [[_apply(op, nz) for nz in support] for op in operators]
+        return self._solve_in_span(support, images, shift, real)
 
-        With ``real=True`` the combination coefficients are rational: a
-        constraint row of entries (a_k + b_k i) / d_k splits into the real rows
-        a_k / d_k and b_k / d_k.  All-zero constraint rows are dropped: they leave the reduced
-        row echelon form, and so the kernel basis, unchanged.
-        """
-        if not span:
-            return []
-        nonzero = [[(j, x) for j, x in enumerate(v) if x] for v in span]
-        rows: list[list] = []
-        for op in operators:
-            images = [_apply(op, nz, shift) for nz in nonzero]
-            for r in sorted({r for img in images for r in img}):
-                row = [img.get(r, ZERO) for img in images]
-                parts = ([x.real for x in row], [x.imag for x in row]) if real else (row,)
-                rows.extend(part for part in parts if any(part))
-        sol_basis = exactla.kernel_basis(rows, ncols=len(span))
+    def _solve_in_span(self, support: list[list[tuple]], images: list[list[dict]],
+                       shift=0, real: bool = False) -> list[Coords]:
+        """sum_k t_k v_k over the t with sum_k t_k (op - shift) v_k = 0 for each op,
+        from the nonzero entries of each v_k and images[i][k] = ops[i] @ v_k.
+        A constraint row {k: entry} splits, with ``real``, into its nonzero
+        real and imaginary parts."""
+        rows: list[dict] = []
+        for op_images in images:
+            by_coord: dict = {}
+            for k, (img, nz) in enumerate(zip(op_images, support)):
+                for r, x in img.items():
+                    by_coord.setdefault(r, {})[k] = x
+                if shift:
+                    for j, x in nz:
+                        row = by_coord.setdefault(j, {})
+                        t = shift * x
+                        row[k] = row[k] - t if k in row else -t
+            for row in by_coord.values():
+                parts = ({k: x.real for k, x in row.items() if x.a},
+                         {k: x.imag for k, x in row.items() if x.b}) if real else (row,)
+                rows.extend(part for part in parts if part)
+        sol_basis = exactla.kernel_basis(rows, ncols=len(support))
         # sum_k t_k span[k] from the nonzero entries
         out = []
         for t in sol_basis:
             vec = [ZERO] * self.dim
-            for coef, nz in zip(t, nonzero):
+            for coef, nz in zip(t, support):
                 if coef:
                     for j, x in nz:
                         vec[j] = vec[j] + coef * x
@@ -237,11 +249,14 @@ class LieAlgebraModel(FamilyData):
         for op, eigenvalues in zip(ops, candidates):
             refined = []
             for label, sub in spaces:
+                # op @ v once per subspace; each candidate subtracts lam v
+                support = _support(sub)
+                images = [[_apply(op, nz) for nz in support]]
                 found = 0
                 for lam in eigenvalues:
                     if found == len(sub):
                         break
-                    eig = self.eigenspace(op, lam, sub)
+                    eig = self._solve_in_span(support, images, lam)
                     if eig:
                         refined.append((label + (lam,), eig))
                         found += len(eig)
@@ -340,7 +355,7 @@ def _build(form_id: str) -> LieAlgebraModel:
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")
     # ad = G^-1 T, carried as the integers D ad over the common denominator D
     D = math.lcm(*(x.d for row in red for x in row[N:]))
-    inverse = [[int(x * D) for x in row[N:]] for row in red]
+    inverse = [[x.a * (D // x.d) for x in row[N:]] for row in red]
     ad_max = N * max(abs(x) for row in inverse for x in row) * int(np.abs(T).max())
     if max(N * ad_max * bmax, 2 * D * n * bmax**2) >= 2**53:
         raise ModelError(f"{form_id}: brackets too large for exact arithmetic")

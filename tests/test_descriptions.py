@@ -4,6 +4,7 @@ theta = -X^* on every model, the conjugation sigma as one spec whose one
 ``apply`` serves both lanes, and one joint-eigenspace routine."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -12,15 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_helpers import fractions_up_to
 from minorbit.exactla import ZERO, GaussianRational
 from minorbit.matmodel import MODEL_IDS, ModelError, build_model
 from minorbit.matmodel import model as model_module
 from minorbit.matmodel.families import family_data
 from minorbit.numeric import numerics
 
-FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+FRACTIONS = fractions_up_to(9, 12)
 SCALARS = st.one_of(st.builds(GaussianRational, FRACTIONS),
                     st.builds(GaussianRational, FRACTIONS, FRACTIONS))
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate_pairs(dim):
+    """Two coordinate vectors in one draw, the strategy built once per dim."""
+    vector = st.lists(SCALARS, min_size=dim, max_size=dim)
+    return st.tuples(vector, vector)
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -30,8 +39,7 @@ def test_matrix_of_bracket_is_the_commutator(form_id, data):
     """ad against the exact commutator of the defining matrices, for real and
     complex coordinates; matrix() is the exact combination of the basis."""
     model = build_model(form_id)
-    x, y = (data.draw(st.lists(SCALARS, min_size=model.dim, max_size=model.dim))
-            for _ in range(2))
+    x, y = data.draw(coordinate_pairs(model.dim))
     X, Y = model.matrix(x), model.matrix(y)
     exact_basis = np.vectorize(lambda z: GaussianRational(int(z.real), int(z.imag)),
                                otypes=[object])
@@ -170,17 +178,25 @@ def leading_minor_definite(gram, sign):
     return all(det([row[:k] for row in scaled[:k]]) > 0 for k in range(1, len(gram) + 1))
 
 
+# built once: the sizes, and each size's entries as one list
+SIZES = st.integers(1, 4)
+WIDTHS = {n: st.integers(1, n + 1) for n in range(1, 5)}
+ENTRY_LISTS = {k: st.lists(fractions_up_to(3, 3), min_size=k, max_size=k)
+               for k in range(1, 21)}
+
+
 @st.composite
 def symmetric_matrices(draw):
     """A A^T (definite, or semidefinite when A has dependent rows), or a raw
     symmetric matrix (mostly indefinite), with small rational entries."""
-    n = draw(st.integers(1, 4))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    n = draw(SIZES)
     if draw(st.booleans()):
-        m = draw(st.integers(1, n + 1))
-        a = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+        m = draw(WIDTHS[n])
+        flat = draw(ENTRY_LISTS[n * m])
+        a = [flat[i * m:(i + 1) * m] for i in range(n)]
         return [[sum(x * y for x, y in zip(u, v)) for v in a] for u in a]
-    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    flat = iter(draw(ENTRY_LISTS[n * (n + 1) // 2]))
+    upper = {(i, j): next(flat) for i in range(n) for j in range(i, n)}
     return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
 
 

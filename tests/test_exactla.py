@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_helpers import (
+    fractions_up_to, pair, pair_add, pair_div, pair_mul, pair_sub, reference_kernel,
+    reference_rref, reference_solve,
+)
 from minorbit.exactla import (
     ZERO, GaussianRational, dot, exact_sqrt, kernel_basis, mat_vec, orthogonalize,
     rank, rref, solve,
@@ -89,20 +94,25 @@ def test_orthogonalize():
 # The structure-constant systems are mostly zeros, so three entries in four
 # drawn here are zero too.
 
-SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SMALL = fractions_up_to(3, 4)
+# built once: real values (b = 0) for the field Q, any Gaussian rationals for Q(i)
+SCALARS = {False: SMALL.map(GR), True: st.tuples(SMALL, SMALL).map(lambda p: GR(*p))}
+SPARSE = {g: st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), SCALARS[g])
+          for g in (False, True)}
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
+RANDOMS = st.randoms(use_true_random=False)
 
 
-def _scalars(gaussian):
-    """Real values (b = 0) for the field Q, any Gaussian rationals for Q(i)."""
-    return st.tuples(SMALL, SMALL).map(lambda p: GR(*p)) if gaussian else SMALL.map(GR)
+@functools.lru_cache(maxsize=None)
+def _vectors(gaussian, n, sparse=False):
+    """n scalars in one draw, three in four of them zero with ``sparse``."""
+    return st.lists((SPARSE if sparse else SCALARS)[gaussian], min_size=n, max_size=n)
 
 
-def _sparse_matrix(data, gaussian, max_rows=6, max_cols=6):
-    nrows = data.draw(st.integers(1, max_rows))
-    ncols = data.draw(st.integers(1, max_cols))
-    entry = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), _scalars(gaussian))
-    return data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                              min_size=nrows, max_size=nrows))
+def _sparse_matrix(data, gaussian):
+    nrows, ncols = data.draw(SHAPES)
+    flat = data.draw(_vectors(gaussian, nrows * ncols, sparse=True))
+    return [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
 
 
 def _plain_mat_vec(mat, v, gaussian):
@@ -135,8 +145,7 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(gaussian, data):
 @given(data=st.data())
 def test_solve_rebuilds_the_right_hand_side(gaussian, data):
     mat = _sparse_matrix(data, gaussian)
-    x = data.draw(st.lists(_scalars(gaussian), min_size=len(mat[0]),
-                           max_size=len(mat[0])))
+    x = data.draw(_vectors(gaussian, len(mat[0])))
     rhs = _plain_mat_vec(mat, x, gaussian)
     sol = solve(mat, rhs)
     assert sol is not None
@@ -151,10 +160,11 @@ def test_kernel_basis_ignores_zero_rows_and_row_order(gaussian, data):
     mat = _sparse_matrix(data, gaussian)
     ncols = len(mat[0])
     reference = kernel_basis(mat)
-    rows = data.draw(st.permutations([row for row in mat if any(row)]))
-    for _ in range(data.draw(st.integers(0, 3))):
-        at = data.draw(st.integers(0, len(rows)))
-        rows.insert(at, [ZERO] * ncols)
+    rows = [row for row in mat if any(row)]
+    rng = data.draw(RANDOMS)
+    rng.shuffle(rows)
+    for _ in range(rng.randint(0, 3)):
+        rows.insert(rng.randint(0, len(rows)), [ZERO] * ncols)
     if rows:
         assert kernel_basis(rows) == reference
     else:
@@ -166,16 +176,91 @@ def test_kernel_basis_ignores_zero_rows_and_row_order(gaussian, data):
 @given(data=st.data())
 def test_zero_skipping_dot_matches_the_plain_sum(gaussian, data):
     mat = _sparse_matrix(data, gaussian)
-    v = data.draw(st.lists(_scalars(gaussian), min_size=len(mat[0]),
-                           max_size=len(mat[0])))
+    v = data.draw(_vectors(gaussian, len(mat[0])))
     plain = _plain_mat_vec(mat, v, gaussian)
     assert mat_vec(mat, v) == plain
     assert dot(mat[0], v) == plain[0]
     assert gaussian or _real([mat_vec(mat, v)])
 
 
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_the_dense_reference(gaussian, data):
+    """rref, rank, kernel_basis and solve against a dense Gauss-Jordan on
+    pairs of Fractions that shares no code with the sparse elimination; the
+    right-hand side is arbitrary, so some systems are inconsistent."""
+    mat = _sparse_matrix(data, gaussian)
+    ncols = len(mat[0])
+    red, pivots = rref(mat)
+    ref_rows, ref_pivots = reference_rref(mat, ncols)
+    assert pivots == ref_pivots and rank(mat) == len(ref_pivots)
+    assert [[pair(x) for x in row] for row in red] == ref_rows
+    kernel = kernel_basis(mat)
+    assert [[pair(x) for x in v] for v in kernel] == reference_kernel(mat, ncols)
+    rhs = data.draw(_vectors(gaussian, len(mat), sparse=True))
+    sol, ref = solve(mat, rhs), reference_solve(mat, rhs)
+    assert (sol is None) == (ref is None)
+    assert sol is None or [pair(x) for x in sol] == ref
+    assert all(type(x) is GR for rows in (red, kernel, [sol or []]) for v in rows for x in v)
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_and_dense_rows_give_one_kernel(gaussian, data):
+    mat = _sparse_matrix(data, gaussian)
+    ncols = len(mat[0])
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in mat]
+    assert kernel_basis(sparse, ncols=ncols) == kernel_basis(mat) == kernel_basis(mat, ncols)
+    # a sparse row may hold explicit zeros, and the rows may mix the two kinds
+    mixed = [dict(enumerate(row)) if i % 2 else row for i, row in enumerate(mat)]
+    assert kernel_basis(mixed, ncols=ncols) == kernel_basis(mat)
+
+
+def test_rref_clears_each_new_pivot_from_the_earlier_rows():
+    assert rref([[1, 1, 1], [0, 1, 1]]) == ([[1, 0, 0], [0, 1, 1]], [0, 1])
+    assert kernel_basis([[1, 1, 1], [0, 1, 1]]) == [[0, -1, 1]]
+    assert rref([[0, 1, 2], [1, 1, 0]]) == ([[1, 0, -2], [0, 1, 2]], [0, 1])
+
+
+def test_plain_ints_stay_exact():
+    red, pivots = rref([[2, 1]])
+    assert red == [[1, Fraction(1, 2)]] and pivots == [0]
+    sol = solve([[2]], [1])
+    assert sol == [Fraction(1, 2)]
+    basis = kernel_basis([[1, 2, 0]], ncols=3)
+    assert basis == [[-2, 1, 0], [0, 0, 1]]
+    assert kernel_basis([[1, 2]]) == [[-2, 1]]
+    assert kernel_basis([], ncols=2) == [[1, 0], [0, 1]]
+    for values in (red[0], sol, *basis, *kernel_basis([[1, 2]])):
+        assert all(type(x) is GR for x in values)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: kernel_basis([[1, 2]], ncols=3), id="width-vs-ncols"),
+    pytest.param(lambda: kernel_basis([[1, 2], [1]]), id="ragged-kernel"),
+    pytest.param(lambda: rref([[1, 2], [1, 2, 3]]), id="ragged-rref"),
+    pytest.param(lambda: rank([[1], [1, 2]]), id="ragged-rank"),
+    pytest.param(lambda: solve([[1, 2], [1]], [1, 1]), id="ragged-solve"),
+    pytest.param(lambda: solve([[1, 2]], [1, 1]), id="rhs-length"),
+    pytest.param(lambda: kernel_basis([{3: 1}], ncols=3), id="sparse-column-outside"),
+    pytest.param(lambda: kernel_basis([{-1: 1}], ncols=3), id="sparse-column-negative"),
+    pytest.param(lambda: kernel_basis([{0: 1}]), id="sparse-without-ncols"),
+    pytest.param(lambda: kernel_basis([]), id="empty-without-ncols"),
+])
+def test_rows_that_disagree_with_ncols_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_inexact_entries_raise():
+    with pytest.raises(TypeError):
+        kernel_basis([[0.5, 1]])
+
+
 @settings(max_examples=100, deadline=None)
-@given(a=_scalars(True), b=_scalars(True), c=_scalars(True), q=SMALL)
+@given(a=SCALARS[True], b=SCALARS[True], c=SCALARS[True], q=SMALL)
 def test_qi_field_axioms(a, b, c, q):
     zero, one = GR(0), GR(1)
     assert a + b == b + a and a * b == b * a
@@ -192,32 +277,8 @@ def test_qi_field_axioms(a, b, c, q):
 # Each value (a + b i) / d is checked for its reduced form (gcd(a, b, d) = 1,
 # d > 0) and for its parts a/d, b/d against arithmetic on pairs of Fractions.
 
-def _pair(x):
-    """(real part, imaginary part) of an int, a Fraction or a scalar."""
-    if isinstance(x, GR):
-        return Fraction(x.a, x.d), Fraction(x.b, x.d)
-    return Fraction(x), Fraction(0)
-
-
 def _canonical(x):
     return isinstance(x, GR) and x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
-
-
-def pair_add(p, q):
-    return p[0] + q[0], p[1] + q[1]
-
-
-def pair_sub(p, q):
-    return p[0] - q[0], p[1] - q[1]
-
-
-def pair_mul(p, q):
-    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
-
-
-def pair_div(p, q):
-    n = q[0] * q[0] + q[1] * q[1]
-    return (p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n
 
 
 def operands(parts, bound):
@@ -236,22 +297,22 @@ PARTS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 def test_arithmetic_matches_fraction_pairs(x, y):
     if not isinstance(x, GR) and not isinstance(y, GR):
         x = GR(x)
-    px, py = _pair(x), _pair(y)
+    px, py = pair(x), pair(y)
     for got, want in ((x + y, pair_add(px, py)), (x - y, pair_sub(px, py)),
                       (x * y, pair_mul(px, py))):
-        assert _canonical(got) and _pair(got) == want
+        assert _canonical(got) and pair(got) == want
     if any(py):
         got = x / y
-        assert _canonical(got) and _pair(got) == pair_div(px, py)
+        assert _canonical(got) and pair(got) == pair_div(px, py)
     else:
         with pytest.raises(ZeroDivisionError):
             x / y
     for z, pz in ((x, px), (y, py)):
         if isinstance(z, GR):
             conj, neg = z.conjugate(), -z
-            assert _canonical(conj) and _pair(conj) == (pz[0], -pz[1])
-            assert _canonical(neg) and _pair(neg) == (-pz[0], -pz[1])
-            assert _pair(z.real) == (pz[0], 0) and _pair(z.imag) == (pz[1], 0)
+            assert _canonical(conj) and pair(conj) == (pz[0], -pz[1])
+            assert _canonical(neg) and pair(neg) == (-pz[0], -pz[1])
+            assert pair(z.real) == (pz[0], 0) and pair(z.imag) == (pz[1], 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,7 +321,7 @@ def test_equal_values_hash_equal(x, y):
     """x == y exactly when the pairs agree, and then hash(x) == hash(y),
     across ints, Fractions and scalars: a set or dict finds either.  Small
     parts make equal pairs common."""
-    assert (x == y) == (_pair(x) == _pair(y)) == (y == x)
+    assert (x == y) == (pair(x) == pair(y)) == (y == x)
     if x == y:
         assert hash(x) == hash(y)
         assert y in {x} and x in {y}

@@ -4,12 +4,15 @@ compact and Hermitian elements in the defining representation."""
 
 from fractions import Fraction
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorbit.exactla import I, ZERO, GaussianRational, dot, kernel_basis, mat_vec
+from exact_helpers import fractions_up_to, reference_kernel
+from minorbit.exactla import I, ZERO, GaussianRational, dot, mat_vec
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 
 FORMS = ("sl2R", "su21", "sp4R", "su22", "sl2H")
@@ -26,9 +29,9 @@ def dense(model, op, shift=0):
 
 
 def dense_kernel_in_span(model, ops, span, real=False):
-    """Dense mat_vec images, every constraint row kept, then kernel_basis;
-    with ``real`` each row (a_k + b_k i) / d gives the rows of Fractions
-    a_k / d and b_k / d, so the coefficients are rational."""
+    """Dense mat_vec images, every constraint row kept, then the dense
+    reference elimination; with ``real`` each row (a_k + b_k i) / d gives the
+    rows of Fractions a_k / d and b_k / d, so the coefficients are rational."""
     rows = []
     for op in ops:
         images = [mat_vec(op, v) for v in span]
@@ -39,7 +42,7 @@ def dense_kernel_in_span(model, ops, span, real=False):
                 rows.append([Fraction(x.b, x.d) for x in row])
             else:
                 rows.append(row)
-    coeffs = kernel_basis(rows) if rows else kernel_basis([], ncols=len(span))
+    coeffs = [[GaussianRational(*p) for p in v] for v in reference_kernel(rows, len(span))]
     out = []
     for t in coeffs:
         vec = [ZERO] * model.dim
@@ -96,16 +99,20 @@ def test_sparse_kernel_matches_dense_reference(form_id):
             assert all(not x.imag for v in sparse for x in v)
 
 
-FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+FRACTIONS = fractions_up_to(9, 12)
 ENTRIES = st.one_of(st.just(Fraction(0)), FRACTIONS)
 
 
-@st.composite
-def coordinates(draw, dim):
-    """A real or a complexified coordinate vector, sparse or all zero."""
+@functools.lru_cache(maxsize=None)
+def coordinate_pairs(dim):
+    """Two vectors in one draw, each real, complexified or all zero, and its
+    parts sparse; the strategy is built once per dim."""
     parts = st.lists(ENTRIES, min_size=dim, max_size=dim)
-    imag = draw(parts) if draw(st.booleans()) else [0] * dim
-    return [GaussianRational(a, b) for a, b in zip(draw(parts), imag)]
+    real = parts.map(lambda re: [GaussianRational(a) for a in re])
+    gaussian = st.tuples(parts, parts).map(
+        lambda p: [GaussianRational(a, b) for a, b in zip(*p)])
+    vector = st.one_of(st.one_of(real, gaussian), st.just([ZERO] * dim))
+    return st.tuples(vector, vector)
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -113,8 +120,7 @@ def coordinates(draw, dim):
 @given(data=st.data())
 def test_trace_form_matches_dense_gram(form_id, data):
     model = build_model(form_id)
-    x, y = (data.draw(st.one_of(coordinates(model.dim), st.just([ZERO] * model.dim)))
-            for _ in range(2))
+    x, y = data.draw(coordinate_pairs(model.dim))
     reference = dot(x, mat_vec(model.tr_gram, y))
     assert model._tr_form(x, y) == reference
 
@@ -122,21 +128,20 @@ def test_trace_form_matches_dense_gram(form_id, data):
 def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
     """Spaces of distinct eigenvalues are independent, so the refinement of a
     subspace ends with the solve that fills it."""
+    a = analyze("su41")
+    model, t_basis = a.model, a.lambda_data().t_basis
     solves = []
-    eigenspace = LieAlgebraModel.eigenspace
+    solve = LieAlgebraModel._solve_in_span
 
-    def recorded(self, op, lam, span):
-        out = eigenspace(self, op, lam, span)
-        solves.append((span, len(out)))
+    def recorded(self, support, images, shift=0, real=False):
+        out = solve(self, support, images, shift, real)
+        solves.append((support, len(out)))
         return out
 
-    monkeypatch.setattr(LieAlgebraModel, "eigenspace", recorded)
-    a = analyze("su41")
-    model = a.model
+    monkeypatch.setattr(LieAlgebraModel, "_solve_in_span", recorded)
     full = [model.unit_coords(i) for i in range(model.dim)]
     model.torus_spaces(model.subspace_units(model.a_indices), full)
-    model.torus_spaces(a.lambda_data().t_basis, model.subspace_units(model.k_indices),
-                       imaginary=True)
+    model.torus_spaces(t_basis, model.subspace_units(model.k_indices), imaginary=True)
     runs = []  # consecutive solves on one subspace
     for span, found in solves:
         if runs and runs[-1][0] is span:
