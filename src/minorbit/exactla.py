@@ -211,11 +211,13 @@ def _sparse_rows(mat, ncols: int | None) -> tuple[list[dict], int]:
             row = dict(enumerate(row))
         elif ncols is None or any(type(c) is not int or not 0 <= c < ncols for c in row):
             raise ValueError("a sparse row needs ncols and columns in 0..ncols-1")
-        if not all(type(x) is GaussianRational for x in row.values()):
-            row = {c: _coerce(x) for c, x in row.items()}
-            if None in row.values():
+        out = {}
+        for c, x in row.items():
+            if type(x) is not GaussianRational and (x := _coerce(x)) is None:
                 raise TypeError("entries must be rational or Gaussian-rational")
-        rows.append({c: x for c, x in row.items() if x.a or x.b})
+            if x.a or x.b:
+                out[c] = x
+        rows.append(out)
     if ncols is None:
         raise ValueError("ncols required for an empty system")
     return rows, ncols
@@ -270,7 +272,7 @@ def kernel_basis(mat: Sequence, ncols: int | None = None) -> list[list]:
     sparse), one dense vector per free column, 1 there and 0 at the others."""
     rows, ncols = _sparse_rows(mat, ncols)
     red = _eliminate(rows)
-    return [[ONE if j == fc else -red[j].get(fc, ZERO) if j in red else ZERO
+    return [[ONE if j == fc else -red[j][fc] if fc in red.get(j, ()) else ZERO
              for j in range(ncols)] for fc in range(ncols) if fc not in red]
 
 
@@ -281,10 +283,7 @@ def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
     pivots = _eliminate(_sparse_rows(augmented, n + 1)[0])
     if n in pivots:
         return None
-    x = [ZERO] * n
-    for p, row in pivots.items():
-        x[p] = row.get(n, ZERO)
-    return x
+    return [pivots[j].get(n, ZERO) if j in pivots else ZERO for j in range(n)]
 
 
 def span_contains(basis: Sequence[Sequence], vec: Sequence) -> bool:

@@ -11,9 +11,9 @@ arithmetic on such coordinates.
 The basis is one (N, n, n) complex array whose entries are Gaussian integers,
 which floating point holds and multiplies exactly.  numpy forms the trace
 Gram G = tr(b_i b_j) and the tensor T[k, i, j] = tr(b_k [b_i, b_j]) as
-integers; G is inverted once, exactly, to integers over one denominator D,
-and the structure constants ad = G^-1 T are accepted only if
-sum_r ad[r, i, j] b_r = [b_i, b_j] holds exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
+integers; G is inverted once in rationals, and the structure constants
+ad = G^-1 T are accepted only if sum_r ad[r, i, j] b_r = [b_i, b_j] holds
+exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
 every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
 sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Joint
 eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`,
@@ -25,10 +25,11 @@ sparse columns: column j of an operator lists ``(row, value)`` over its
 nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
 every structure constant is zero and no routine here touches those zeros:
 the trace form reads the nonzero entries of G, and ``kernel_in_span`` hands
-the images of its span's nonzero entries, as sparse constraint rows, to the
-one sparse elimination of :mod:`~minorbit.exactla`.  A subspace is split into
-eigenspaces, every candidate reusing the subspace's images, only until the
-spaces found fill it.
+the images of its span's nonzero entries, as sparse constraint rows in any
+order, to the one sparse elimination of :mod:`~minorbit.exactla`: a reduced
+row echelon form is unique, so the kernel basis does not depend on the order.
+A subspace is split into eigenspaces, every candidate reusing the subspace's
+images, only until the spaces found fill it.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ class LieAlgebraModel(FamilyData):
         A constraint row {k: entry} splits, with ``real``, into its nonzero
         real and imaginary parts."""
         rows: list[dict] = []
+        neg = ZERO - shift
         for op_images in images:
             by_coord: dict = {}
             for k, (img, nz) in enumerate(zip(op_images, support)):
@@ -210,8 +212,8 @@ class LieAlgebraModel(FamilyData):
                 if shift:
                     for j, x in nz:
                         row = by_coord.setdefault(j, {})
-                        t = shift * x
-                        row[k] = row[k] - t if k in row else -t
+                        t = neg if x == 1 else neg * x
+                        row[k] = row[k] + t if k in row else t
             for row in by_coord.values():
                 parts = ({k: x.real for k, x in row.items() if x.a},
                          {k: x.imag for k, x in row.items() if x.b}) if real else (row,)
