@@ -146,20 +146,20 @@ class LambdaData:
     checks: list[CheckItem] = field(default_factory=list)
 
 
-def _cartan_of_k(model: LieAlgebraModel, z: Coords) -> list[Coords]:
-    """Greedy maximal abelian subalgebra of k containing z."""
+def _cartan_of_k(model: LieAlgebraModel, z: Coords, cent: list[Coords]) -> list[Coords]:
+    """Greedy maximal abelian subalgebra of k containing z, from its
+    centralizer ``cent`` in k."""
     k_units = model.subspace_units(model.k_indices)
     t = [z]
-    while True:
-        cent = model.centralizer_in_span(t, k_units)
-        if len(cent) == len(t):
-            if not exactla.same_span(cent, t):
-                raise ModelError(f"{model.form_id}: Cartan extension went wrong")
-            return t
+    while len(cent) != len(t):
         cand = next((c for c in cent if not exactla.span_contains(t, c)), None)
         if cand is None:
             raise ModelError(f"{model.form_id}: could not extend to a Cartan of k")
         t.append(cand)
+        cent = model.centralizer_in_span(t, k_units)
+    if not exactla.same_span(cent, t):
+        raise ModelError(f"{model.form_id}: Cartan extension went wrong")
+    return t
 
 
 def lambda_data(
@@ -191,7 +191,7 @@ def lambda_data(
         "isotropy_weight_action", all(map(weight_holds, k_nu)), "[x,v] = B(h,x) v on k_nu"
     ))
 
-    t_basis = _cartan_of_k(model, z)
+    t_basis = _cartan_of_k(model, z, k_nu)
     lam_vec = [model.B(z, t) for t in t_basis]
 
     # root decomposition of the complexified k under t; each eigenvalue of ad t

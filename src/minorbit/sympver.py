@@ -18,19 +18,20 @@ Poisson-bracket identities are checked numerically by assembling the induced
 Gram in a frame, factoring it, and contracting exact tangent derivatives of
 test functions along the frame curves: no frame curve is exponentiated.
 
-Every sampled quantity carries a leading sample axis: a check takes CHUNK
-samples at a time, each chunk in a few stacked numpy calls.  Each draw is a
-pure function of the seed, sample index, purpose, attempt and position
-(``draw``), so sample i is the same point whatever the chunk; sample 0, the
-base point, has the zero factor.  The four checks draw the same k factors
-for a model, seed, attempt and indices, so one K element per chunk, with its
-exponentials and its transports of the model's fixed matrices (the frame
-directions, e, v and z), serves all four (``_k_element``); only the scale t,
-which depends on a check's spread, is drawn per check.  A frame is an
-(S, m, n, n) stack, and every Gram comes from the pair traces
-T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) = c (T_ij - T_ji).  A chunk
-reduces to one deviation per sample; the check keeps the largest, a NaN
-first, and its sample index.
+The four checks walk their samples through one driver (``_run``), CHUNK at
+a time, each chunk in a few stacked numpy calls on a leading sample axis.
+Each draw is a pure function of the seed, sample index, purpose, attempt and
+position (``draw``), so sample i is the same point whatever the chunk;
+sample 0, the base point, has the zero factor.  For beta and poisson the
+driver builds a frame and the induced Gram and redraws the samples they
+reject, up to four attempts.  A check names its identities, one deviation
+per sample each; the driver keeps the largest per sample, then the largest
+sample, a NaN first, with its index.  The four checks draw the same k
+factors, so one K element per chunk, with its exponentials and transports of
+the frame directions, e, v and z, serves all four (``_k_element``); only the
+scale t, which depends on a check's spread, is drawn per check.  A frame is
+an (S, m, n, n) stack, and every Gram comes from the pair traces
+T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) = c (T_ij - T_ji).
 """
 
 from __future__ import annotations
@@ -212,63 +213,67 @@ def _sample_points(num: ModelNumerics, seed: int, indices: np.ndarray, attempt: 
     return OrbitPointParam(_k_element(num, seed, indices, attempt), t)
 
 
-def _chunks(samples: int):
-    return (np.arange(lo, min(lo + CHUNK, samples)) for lo in range(0, samples, CHUNK))
-
-
 @dataclass
 class _Deviations:
     """The accepted samples of a check: their count, and the largest
-    per-sample deviation with its sample index; the first NaN, or else the
-    first largest value folded in, is kept."""
+    per-sample deviation with its sample index (the first NaN, or else the
+    first largest value folded in); ``events`` names the rejected samples."""
 
     accepted: int = 0
     value: float = 0.0
     index: int | None = None
+    events: list[str] = field(default_factory=list)
 
     def add(self, indices: np.ndarray, dev: np.ndarray) -> None:
-        """Fold in the deviations ``dev`` of the samples ``indices``."""
+        """Fold in the deviations ``dev`` of the (nonempty) samples ``indices``."""
         self.accepted += len(indices)
-        if len(indices):
-            k = int(np.argmax(dev))  # the first NaN, if there is one
-            value = float(dev[k])
-            if (self.index is None or value > self.value
-                    or math.isnan(value) and not math.isnan(self.value)):
-                self.value, self.index = value, int(indices[k])
+        k = int(np.argmax(dev))  # the first NaN, if there is one
+        value = float(dev[k])
+        if (self.index is None or value > self.value
+                or math.isnan(value) and not math.isnan(self.value)):
+            self.value, self.index = value, int(indices[k])
 
 
-def _accepted_samples(num, samples, seed, spread, rejects, texts, events):
-    """Yield ``(indices, point, frame, gram)`` stacks of accepted samples.
+def _run(num, samples, seed, identities, spread=4.0, rejects=None,
+         texts=None) -> _Deviations:
+    """The deviations of samples 0 to ``samples`` - 1, CHUNK at a time.
 
-    Sample 0 is the base point; any other is the POINT draw of its index at
-    the attempt.  The samples of a chunk whose induced Gram ``rejects(gram,
-    frame)`` (a flag per sample) are redrawn together, up to four attempts,
-    then given up; ``texts`` names both in ``events``, by index then attempt.
+    ``identities(indices, point, frame, gram)`` names (S,) deviation arrays
+    of the samples ``indices``; their largest per sample is folded in.
+    Without ``rejects`` each chunk is drawn once, and frame and gram are
+    None.  With it, the frame and the induced Gram are built, and the
+    samples whose Gram ``rejects`` (a flag per sample) are redrawn together,
+    up to four attempts, then given up; ``texts`` names both in the events,
+    by index then attempt.
     """
-    rejected, given_up = texts
-    for pending in _chunks(samples):
-        notes = []
+    devs = _Deviations()
+    for lo in range(0, samples, CHUNK):
+        pending, notes = np.arange(lo, min(lo + CHUNK, samples)), []
         for attempt in range(4):
             point = _sample_points(num, seed, pending, attempt, spread)
-            frame = standard_frame(num, point)
-            gram = induced_gram(num, point, frame)
-            bad = np.asarray(rejects(gram, frame))
-            if not bad.any():
-                yield pending, point, frame, gram
-            elif not bad.all():
-                ok = pending[~bad]  # their points again, drawn alone
-                yield ok, _sample_points(num, seed, ok, attempt, spread), frame[~bad], gram[~bad]
-            notes += [(i, attempt, f"sample {i}: {rejected}, resampled")
+            indices, frame, gram, bad = pending, None, None, np.zeros(len(pending), bool)
+            if rejects is not None:
+                frame = standard_frame(num, point)
+                gram = induced_gram(num, point, frame)
+                bad = rejects(gram)
+                if bad.any():
+                    indices, frame, gram = pending[~bad], frame[~bad], gram[~bad]
+                    if len(indices):  # their points again, drawn alone
+                        point = _sample_points(num, seed, indices, attempt, spread)
+            if len(indices):
+                named = identities(indices, point, frame, gram)
+                devs.add(indices, np.max(list(named.values()), axis=0))
+            notes += [(i, attempt, f"sample {i}: {texts[0]}, resampled")
                       for i in pending[bad]]
             pending = pending[bad]
             if not len(pending):
                 break
-        notes += [(i, 4, f"sample {i}: {given_up}") for i in pending]
-        events.extend(text for *_, text in sorted(notes))
+        notes += [(i, 4, f"sample {i}: {texts[1]}") for i in pending]
+        devs.events.extend(text for *_, text in sorted(notes))
+    return devs
 
 
-def _report(name, samples, devs: _Deviations, tol, seed, detail="",
-            events=()) -> CheckItem:
+def _report(name, samples, devs: _Deviations, tol, seed, detail="") -> CheckItem:
     """The record of a sampled check.  A check that accepted no sample has
     tested nothing, so it fails and says so in its detail."""
     return CheckItem.verdict(
@@ -279,7 +284,7 @@ def _report(name, samples, devs: _Deviations, tol, seed, detail="",
         max_abs_deviation=devs.value,
         tolerance=tol,
         seed=seed,
-        events=list(events),
+        events=devs.events,
         accepted=devs.accepted,
         worst_sample=devs.index,
     )
@@ -302,33 +307,29 @@ def verify_beta_symplectic(
     verified on an independent factor per sample.  A record whose samples
     were all rejected fails: it has tested nothing.
     """
-    events: list[str] = []
-    devs = _Deviations()
     base = _Deviations()
 
-    def degenerate(gram, frame):
-        return np.linalg.matrix_rank(gram, tol=1e-10) < frame.shape[-3]
-
-    for indices, point, frame, gram_x in _accepted_samples(
-        num, samples, seed, 4.0, degenerate,
-        ("degenerate frame", "frame degenerate after retries"), events,
-    ):
+    def identities(indices, point, frame, gram_x):
         gram_z = kks_gram(num, replace(point, side="Z"), frame)
-        # coadjoint-side scaling law on an independent factor, in the frame
-        # whose rank kks_gram has tested
+        # the scaling law on an independent factor, in the frame kks_gram tested
         s = 4.0 ** (2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
         scaled = realize(num, replace(point, t=point.t * s, side="Z"))
-        gram_scaled = _bracket_gram(num, scaled, frame)
-        devs.add(indices, np.maximum(
-            _max_abs(gram_x - gram_z), _max_abs(gram_scaled - _scale(s, gram_z))
-        ))
         if indices[0] == 0:
             target = np.array([[0.0, -2.0 / PI], [2.0 / PI, 0.0]])
             base.add(indices[:1], _max_abs(gram_x[:1, :2, :2] - target))
+        return {
+            "Gram agreement": _max_abs(gram_x - gram_z),
+            "coadjoint scaling law":
+                _max_abs(_bracket_gram(num, scaled, frame) - _scale(s, gram_z)),
+        }
+
+    devs = _run(num, samples, seed, identities, 4.0,
+                lambda gram: np.linalg.matrix_rank(gram, tol=1e-10) < gram.shape[-1],
+                ("degenerate frame", "frame degenerate after retries"))
     return [
         _report(
             "beta_symplectic", samples, devs, tol, seed,
-            "entrywise Gram agreement plus coadjoint scaling law", events,
+            "entrywise Gram agreement plus coadjoint scaling law",
         ),
         _report(
             "beta_base_block", 1, base, BASE_BLOCK_TOL, seed,
@@ -354,32 +355,33 @@ def ks_correspondence_check(
 ) -> CheckItem:
     """Unit-sphere slicing, homogeneity, and well-definedness of the
     correspondence between extremal-weight points and nilpotent points."""
-    devs = _Deviations()
-    for indices in _chunks(samples):
-        point = replace(_sample_points(num, seed, indices, 0), side="E")
-        t = point.t
-        u = realize(num, point)
-        b_u = nilpotent_of(num, point)
-        dev = [np.abs(_norm(num, u) - t), np.abs(_norm(num, b_u) - t),
-               np.where(indices == 0, _max_abs(b_u - num.e), 0.0)]
-        # equivariance on a composed sample
+
+    def identities(indices, point, frame, gram):
+        point = replace(point, side="E")
+        t, u, b_u = point.t, realize(num, point), nilpotent_of(num, point)
         kappa = 0.7 * _normals(draw(seed, indices, FACTOR, 0, 2 * len(num.k_basis)))
         g2 = GroupElement([num.span(kappa, num.k_basis)])
         moved = OrbitPointParam(g2 * point.element, t, "E")
-        dev.append(_max_abs(nilpotent_of(num, moved) - g2.ad(b_u)))
-        # homogeneity
         s = np.exp(2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
-        scaled = replace(point, t=s * t)
-        dev.append(_max_abs(nilpotent_of(num, scaled) - _scale(s, b_u)))
-        # well-definedness across isotropy factors: eta centralizes both v and e
+        dev = {
+            "unit-sphere slicing of u": np.abs(_norm(num, u) - t),
+            "unit-sphere slicing of b(u)": np.abs(_norm(num, b_u) - t),
+            "b(v) = e": np.where(indices == 0, _max_abs(b_u - num.e), 0.0),
+            "equivariance": _max_abs(nilpotent_of(num, moved) - g2.ad(b_u)),
+            "homogeneity": _max_abs(
+                nilpotent_of(num, replace(point, t=s * t)) - _scale(s, b_u)),
+        }
+        # eta centralizes both v and e
         if (num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis)
                 and num.isotropy_basis):
             eta = _normals(draw(seed, indices, ISOTROPY, 0, 2 * len(num.isotropy_basis)))
             iso = GroupElement([num.span(eta, num.isotropy_basis)])
             repar = OrbitPointParam(point.element * iso, t, "E")
-            dev.append(_max_abs(realize(num, repar) - u))
-            dev.append(_max_abs(nilpotent_of(num, repar) - b_u))
-        devs.add(indices, np.max(dev, axis=0))
+            dev["well-definedness of u"] = _max_abs(realize(num, repar) - u)
+            dev["well-definedness of b(u)"] = _max_abs(nilpotent_of(num, repar) - b_u)
+        return dev
+
+    devs = _run(num, samples, seed, identities)
     return _report("ks_correspondence", samples, devs, tol, seed)
 
 
@@ -440,16 +442,8 @@ def poisson_identities_check(
     bracketing a momentum function against a section is the group derivative.
     The check fails when every sample was rejected.
     """
-    devs = _Deviations()
-    events: list[str] = []
 
-    def ill_conditioned(gram, frame):
-        return np.linalg.cond(gram) > COND_LIMIT
-
-    for indices, point, frame, gram in _accepted_samples(
-        num, samples, seed, 2.0, ill_conditioned,
-        ("ill-conditioned Gram", "no well-conditioned sample found"), events,
-    ):
+    def identities(indices, point, frame, gram):
         u0 = realize(num, replace(point, side="E"))
         b0 = nilpotent_of(num, point)
         k, p = num.k_basis, num.p_basis
@@ -459,25 +453,26 @@ def poisson_identities_check(
         grads = _poisson_gradients(num, u0, b0, frame[:, 1:], w, x, y)
         br = _poisson_bracket(gram, grads, grads)
         r, phi_x, sec, rphi_x, rphi_y = range(5)
-        identities = (
-            # [r, r] = 0 and [r, phi~] = 0
-            (br[:, r, r], 0.0),
-            (br[:, r, phi_x], 0.0),
-            # [r, s~] = 2 pi i s~
-            (br[:, r, sec], 2j * PI * num.hermitian_pairing(w, u0)),
-            # momentum functions close under bracket
-            (br[:, rphi_x, rphi_y],
-             num.B(num.k_component(b0), num.bracket(x, y)).real / PI),
-            # bracketing against a section is the group derivative
-            (br[:, rphi_x, sec], -num.hermitian_pairing(w, num.bracket(x, u0))),
-        )
-        devs.add(indices, np.max([
-            np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            for lhs, rhs in identities
-        ], axis=0))
+        sides = {
+            "[r, r] = 0": (br[:, r, r], 0.0),
+            "[r, phi~] = 0": (br[:, r, phi_x], 0.0),
+            "[r, s~] = 2 pi i s~": (br[:, r, sec], 2j * PI * num.hermitian_pairing(w, u0)),
+            "momentum closure": (br[:, rphi_x, rphi_y],
+                                 num.B(num.k_component(b0), num.bracket(x, y)).real / PI),
+            "section group derivative":
+                (br[:, rphi_x, sec], -num.hermitian_pairing(w, num.bracket(x, u0))),
+        }
+        return {
+            name: np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            for name, (lhs, rhs) in sides.items()
+        }
+
+    devs = _run(num, samples, seed, identities, 2.0,
+                lambda gram: np.linalg.cond(gram) > COND_LIMIT,
+                ("ill-conditioned Gram", "no well-conditioned sample found"))
     return _report(
         "poisson_identities", samples, devs, tol, seed,
-        "relative deviations; closed-form class", events,
+        "relative deviations; closed-form class",
     )
 
 
@@ -495,7 +490,6 @@ def moment_cone_check(
     spectral-plus-central test decides membership in the cone over the
     compact orbit; otherwise it is necessary only and labeled as such.
     """
-    devs = _Deviations()
     rank_one = len(num.a_basis) == 1
     z = num.z
     Bzz = num.B(z, z).real
@@ -509,30 +503,34 @@ def moment_cone_check(
 
     eig_z = sorted_spectrum(z)
     da = len(num.a_basis)
-    for indices in _chunks(samples):
+
+    def identities(indices, point, frame, gram):
         # g = k a n with k the sample's point; g = 1 for sample 0, so f = e there
-        k = _sample_points(num, seed, indices, 0).element
         coeffs = _normals(draw(seed, indices, FACTOR, 0, 2 * (da + len(num.n_basis))))
         coeffs[indices == 0] = 0.0
         a = GroupElement([num.span(0.5 * coeffs[:, :da], num.a_basis)])
         unipotent = GroupElement([num.span(0.7 * coeffs[:, da:], num.n_basis)])
-        f = nilpotent_of(num, OrbitPointParam(k * a * unipotent))
-        # the nilpositive element is fixed by the unipotent factor
-        dev = [_max_abs(unipotent.ad(num.e) - num.e)]
+        f = nilpotent_of(num, OrbitPointParam(point.element * a * unipotent))
         kc = num.k_component(f)
         s = np.sqrt(num.B(kc, kc).real / Bzz)
-        dev.append(np.where(indices == 0, _max_abs(kc - z / 2.0), 0.0))
         # eigvals refuses a NaN anywhere in the stack: such a sample deviates by NaN
         finite = np.isfinite(kc).all(axis=(-2, -1))
         eig = np.full(kc.shape[:-1], np.nan, dtype=complex)
         eig[finite] = sorted_spectrum(kc[finite])
-        dev.append(np.max(np.abs(eig - s[:, None] * eig_z), axis=-1))
+        dev = {
+            "unipotent factor fixes e": _max_abs(unipotent.ad(num.e) - num.e),
+            "k(e) = z/2": np.where(indices == 0, _max_abs(kc - z / 2.0), 0.0),
+            "spectrum of s z": np.max(np.abs(eig - s[:, None] * eig_z), axis=-1),
+        }
         if rank_one:
-            for c0 in num.center_k_basis:
-                dev.append(np.abs(num.B(kc, c0).real - s * num.B(z, c0).real))
+            for i, c0 in enumerate(num.center_k_basis):
+                dev[f"central pairing {i}"] = np.abs(
+                    num.B(kc, c0).real - s * num.B(z, c0).real)
             if len(num.k_basis) == 1:
-                dev.append(_max_abs(kc - _scale(s, z)))
-        devs.add(indices, np.max(dev, axis=0))
+                dev["k(f) = s z"] = _max_abs(kc - _scale(s, z))
+        return dev
+
+    devs = _run(num, samples, seed, identities)
     label = "full membership (restricted rank 1)" if rank_one else (
         "spectral test only: necessary, not sufficient"
     )

@@ -1,7 +1,9 @@
 import pytest
 
 from minorbit.matmodel import MODEL_IDS
-from minorbit.matmodel.checks import centralizer_checks, spectral_checks
+from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
+from minorbit.matmodel.model import LieAlgebraModel
+from minorbit.matmodel.triples import compact_partner
 
 
 def run_spectral(form_id, all_analyses):
@@ -38,6 +40,29 @@ def test_lambda_checks_pass(form_id, all_analyses):
     lam = all_analyses[form_id].lambda_data()
     failed = [c for c in lam.checks if c.failed]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("form_id", ("sl2R", "sl3R", "su21", "sp4R", "sl2H"))
+def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses, form_id):
+    """k_nu = Cent_k(z) is also the first centralizer of the Cartan extension
+    from z: a fresh lambda_data solves it once, and returns what the cached
+    one does."""
+    a = all_analyses[form_id]
+    z = compact_partner(a.cayley)
+    solved = []
+    original = LieAlgebraModel.centralizer_in_span
+
+    def recorded(self, elements, span):
+        solved.append(list(elements))
+        return original(self, elements, span)
+
+    monkeypatch.setattr(LieAlgebraModel, "centralizer_in_span", recorded)
+    fresh = lambda_data(a.model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
+                        a.descriptor.hermitian)
+    # where k = R z, the centre of k, Cent_k(k), is the same system once more
+    k_units = a.model.subspace_units(a.model.k_indices)
+    assert solved.count([z]) == 1 + (k_units == [z])
+    assert fresh == a.lambda_data()
 
 
 def test_sl2R_multiplicity_vector(all_analyses):

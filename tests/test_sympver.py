@@ -731,3 +731,21 @@ def test_every_check_defaults_to_one_sample_count():
     for check in SAMPLED_CHECKS:
         default = inspect.signature(check).parameters["samples"].default
         assert default == sympver.DEFAULT_SAMPLES == 100
+
+
+@pytest.mark.parametrize("form_id", ("su21", "sl2H"))
+def test_ks_and_moment_build_no_frame_and_no_gram(monkeypatch, form_id):
+    """Only beta and poisson reject samples by the induced Gram; ks and moment
+    draw each chunk once and never build a frame or a Gram."""
+    num = numerics(form_id)
+
+    def refuse(*args):
+        raise AssertionError("a frame or a Gram was built")
+
+    monkeypatch.setattr(sympver, "standard_frame", refuse)
+    monkeypatch.setattr(sympver, "induced_gram", refuse)
+    for check in (ks_correspondence_check, moment_cone_check):
+        report = check(num, samples=CHUNK + 3, seed=42)
+        assert report.passed and report.accepted == CHUNK + 3 and not report.events
+    with pytest.raises(AssertionError, match="a frame or a Gram"):
+        poisson_identities_check(num, samples=3, seed=42)
