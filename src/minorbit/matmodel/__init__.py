@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from ..realform import (
@@ -78,14 +78,18 @@ class ModelAnalysis:
     datum: RestrictedRootDatum
     striple: STriple
     cayley: CayleyTriple
-    catalog: str | None = None
 
     @property
     def form_id(self) -> str:
         return self.descriptor.id
 
     def lambda_data(self) -> LambdaData:
-        return _lambda_cached(self.form_id, self.catalog)
+        return self._lambda
+
+    @cached_property
+    def _lambda(self) -> LambdaData:
+        return lambda_data(self.model, self.datum, self.striple, self.cayley,
+                           self.invariants.dim_X, self.descriptor.hermitian)
 
 
 def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:
@@ -108,14 +112,4 @@ def _analyze_cached(form_id: str, catalog: str | None) -> ModelAnalysis:
         datum=datum,
         striple=striple,
         cayley=cayley,
-        catalog=catalog,
-    )
-
-
-@lru_cache(maxsize=None)
-def _lambda_cached(form_id: str, catalog: str | None) -> LambdaData:
-    a = analyze(form_id, catalog)
-    return lambda_data(
-        a.model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
-        a.descriptor.hermitian,
     )

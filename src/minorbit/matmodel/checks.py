@@ -19,10 +19,6 @@ from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
 from .triples import CayleyTriple, STriple, compact_partner
 
 
-def _eig_dims(model, op, span, eigenvalues):
-    return {lam: len(model.eigenspace(op, lam, span)) for lam in eigenvalues}
-
-
 def spectral_checks(
     model: LieAlgebraModel,
     datum: RestrictedRootDatum,
@@ -31,13 +27,14 @@ def spectral_checks(
 ) -> list[CheckItem]:
     checks: list[CheckItem] = []
 
-    full = [model.unit_coords(i) for i in range(model.dim)]
-    k_units = model.subspace_units(model.k_indices)
-    p_units = model.subspace_units(model.p_indices)
     m_expected = eigenvalue_multiplicities(datum)
+    spectrum = (-2, -1, 0, 1, 2)
 
-    ad_x = model.ad_matrix(striple.x)
-    dims_x = _eig_dims(model, ad_x, full, [-2, -1, 0, 1, 2])
+    def dims(split, eigenvalues):
+        return {lam: len(split.get(lam, [])) for lam in eigenvalues}
+
+    split_x = model.eigenspaces(model.ad_matrix(striple.x), spectrum, model.units)
+    dims_x = dims(split_x, spectrum)
     checks.append(CheckItem.verdict(
         "adx_spectrum_in_range",
         sum(dims_x.values()) == model.dim,
@@ -48,7 +45,7 @@ def spectral_checks(
         dims_x == m_expected,
         f"kernel dims {dims_x} vs root-space count {m_expected}",
     ))
-    top = model.eigenspace(ad_x, 2, full)
+    top = split_x.get(2, [])
     psi_space = datum.root_spaces[datum.psi]
     checks.append(CheckItem.verdict(
         "adx_top_space_is_g_psi",
@@ -57,22 +54,23 @@ def spectral_checks(
     ))
 
     ad_h = model.ad_matrix(cayley.h)
-    dims_h = _eig_dims(model, ad_h, full, [-2, -1, 0, 1, 2])
+    dims_h = dims(model.eigenspaces(ad_h, spectrum, model.units), spectrum)
     checks.append(CheckItem.verdict(
         "adh_multiplicities_match_adx",
         dims_h == m_expected and sum(dims_h.values()) == model.dim,
         f"{dims_h}",
     ))
-    p_top = model.eigenspace(ad_h, 2, p_units)
+    p_top = model.eigenspaces(ad_h, [2], model.p_units).get(2, [])
     ok_line = len(p_top) == 1 and exactla.span_contains(p_top, cayley.v)
     checks.append(CheckItem.verdict("adh_p_top_is_line_v", ok_line, f"dim {len(p_top)}"))
-    k_top = model.eigenspace(ad_h, 2, k_units)
+    split_hk = model.eigenspaces(ad_h, [2, -1, 0, 1], model.k_units)
+    k_top = split_hk.get(2, [])
     d = len(psi_space)
     checks.append(CheckItem.verdict(
         "adh_k_top_dim_d_minus_1", len(k_top) == d - 1, f"dim {len(k_top)} d={d}"
     ))
     if d == 1:
-        dims_hk = _eig_dims(model, ad_h, k_units, [-1, 0, 1])
+        dims_hk = dims(split_hk, [-1, 0, 1])
         checks.append(CheckItem.verdict(
             "adh_k_spectrum_within_1",
             sum(dims_hk.values()) == model.dim_k,
@@ -94,15 +92,12 @@ def centralizer_checks(
 ) -> list[CheckItem]:
     checks: list[CheckItem] = []
 
-    k_units = model.subspace_units(model.k_indices)
-    theta_e = model.theta(striple.e)
-
     def cent_k(elements) -> list[Coords]:
-        return model.centralizer_in_span(elements, k_units)
+        return model.centralizer_in_span(elements, model.k_units)
 
     z_v = cent_k([cayley.v])
-    z_e = cent_k([striple.e])
-    z_triple = cent_k([striple.x, striple.e, theta_e])
+    z_e = striple.isotropy
+    z_triple = cent_k([striple.x, striple.e, model.theta(striple.e)])
     same = exactla.same_span(z_v, z_e) and exactla.same_span(z_e, z_triple)
     checks.append(CheckItem.verdict(
         "isotropy_subalgebras_agree",
@@ -124,7 +119,7 @@ def centralizer_checks(
         f"[m,e] rank {rank_me}, d = {d}",
     ))
 
-    cent = model.centralizer_in_span(k_units, k_units)
+    cent = model.center_k
     expected = 1 if hermitian else 0
     checks.append(CheckItem.verdict(
         "center_of_k_dimension",
@@ -149,14 +144,13 @@ class LambdaData:
 def _cartan_of_k(model: LieAlgebraModel, z: Coords, cent: list[Coords]) -> list[Coords]:
     """Greedy maximal abelian subalgebra of k containing z, from its
     centralizer ``cent`` in k."""
-    k_units = model.subspace_units(model.k_indices)
     t = [z]
     while len(cent) != len(t):
         cand = next((c for c in cent if not exactla.span_contains(t, c)), None)
         if cand is None:
             raise ModelError(f"{model.form_id}: could not extend to a Cartan of k")
         t.append(cand)
-        cent = model.centralizer_in_span(t, k_units)
+        cent = model.centralizer_in_span(t, model.k_units)
     if not exactla.same_span(cent, t):
         raise ModelError(f"{model.form_id}: Cartan extension went wrong")
     return t
@@ -173,8 +167,7 @@ def lambda_data(
     checks: list[CheckItem] = []
 
     z = compact_partner(cayley)
-    k_units = model.subspace_units(model.k_indices)
-    k_nu = model.centralizer_in_span([z], k_units)
+    k_nu = model.centralizer_in_span([z], model.k_units)
     dim_X = model.dim_k - len(k_nu)
     checks.append(CheckItem.verdict(
         "orbit_dimension",
@@ -196,7 +189,7 @@ def lambda_data(
 
     # root decomposition of the complexified k under t; each eigenvalue of ad t
     # is i times a rational, and the label keeps the rational
-    spaces = model.torus_spaces(t_basis, k_units, imaginary=True)
+    spaces = model.torus_spaces(t_basis, model.k_units, imaginary=True)
     labels = [tuple(lam.imag for lam in label) for label, _ in spaces]
     k_roots = sorted(q for q in labels if any(q))
     zero_dim = sum(len(s) for q, (_, s) in zip(labels, spaces) if not any(q))
@@ -224,7 +217,7 @@ def lambda_data(
         f"dominant(l) == dominant(-l): {x_eq}; hermitian: {hermitian}",
     ))
 
-    center = model.centralizer_in_span(k_units, k_units)
+    center = model.center_k
     if hermitian:
         central_ok = len(center) == 1 and model.B(z, center[0]) != 0
         checks.append(CheckItem.verdict(

@@ -15,9 +15,12 @@ integers; G is inverted once in rationals, and the structure constants
 ad = G^-1 T are accepted only if sum_r ad[r, i, j] b_r = [b_i, b_j] holds
 exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
 every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
-sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Joint
-eigenspaces are refined by one routine, :meth:`~LieAlgebraModel.joint_eigenspaces`,
-and ``torus_spaces`` feeds it the differences of the defining eigenvalues,
+sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Each
+exact subspace has one owner that solves it once: the model holds the unit
+spans of g, k, p and a (sharing their vectors), m = Cent_k(a) and, on first
+use, the center ``center_k`` of k.  One routine, :meth:`~LieAlgebraModel.eigenspaces`,
+splits a span under one operator; ``joint_eigenspaces`` refines through it,
+and ``torus_spaces`` feeds that the differences of the defining eigenvalues,
 which ``defining_eigenvalues`` computes exactly for the tori a and t alike.
 
 Operators on coordinates, the structure constants ``ad`` among them, are
@@ -28,8 +31,6 @@ the trace form reads the nonzero entries of G, and ``kernel_in_span`` hands
 the images of its span's nonzero entries, as sparse constraint rows in any
 order, to the one sparse elimination of :mod:`~minorbit.exactla`: a reduced
 row echelon form is unique, so the kernel basis does not depend on the order.
-A subspace is split into eigenspaces, every candidate reusing the subspace's
-images, only until the spaces found fill it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,10 @@ class LieAlgebraModel(FamilyData):
     tr_gram: list[list[GaussianRational]] = field(repr=False, default_factory=list)
     tr_entries: list[tuple] = field(repr=False, default_factory=list)  # (i, j, G_ij), G_ij != 0
     entries: list[list[tuple]] = field(repr=False, default_factory=list)  # of b_i
+    units: list[Coords] = field(repr=False, default_factory=list)  # b_i in coordinates
+    k_units: list[Coords] = field(repr=False, default_factory=list)
+    p_units: list[Coords] = field(repr=False, default_factory=list)
+    a_units: list[Coords] = field(repr=False, default_factory=list)
     m_basis: list[Coords] = field(repr=False, default_factory=list)
     c: GaussianRational | None = None  # invariant-form normalization, set by the root datum
 
@@ -124,9 +129,6 @@ class LieAlgebraModel(FamilyData):
     # -- coordinates --------------------------------------------------------
     def unit_coords(self, index: int) -> Coords:
         return [ONE if i == index else ZERO for i in range(self.dim)]
-
-    def subspace_units(self, indices: Sequence[int]) -> list[Coords]:
-        return [self.unit_coords(i) for i in indices]
 
     def matrix(self, coords: Coords) -> np.ndarray:
         """sum_i coords[i] b_i as an (n, n) object array of exact entries;
@@ -230,9 +232,22 @@ class LieAlgebraModel(FamilyData):
             out.append(vec)
         return out
 
-    def eigenspace(self, op: SparseOp, lam, span: Sequence[Coords]) -> list[Coords]:
-        """Vectors x in span(span) with op @ x = lam * x."""
-        return self.kernel_in_span([op], span, shift=lam)
+    def eigenspaces(self, op: SparseOp, candidates: Sequence,
+                    span: Sequence[Coords]) -> dict:
+        """The nonzero eigenspaces {lam: space} of op in span(span), in the order
+        of ``candidates``; op is applied to the span once, and no candidate is
+        tried once the spaces (independent for distinct lam) fill the span."""
+        support = _support(span)
+        images = [[_apply(op, nz) for nz in support]]
+        spaces, found = {}, 0
+        for lam in candidates:
+            if found == len(span):
+                break
+            eig = self._solve_in_span(support, images, lam)
+            if eig:
+                spaces[lam] = eig
+                found += len(eig)
+        return spaces
 
     def joint_eigenspaces(
         self,
@@ -244,29 +259,20 @@ class LieAlgebraModel(FamilyData):
 
         ``candidates[i]`` lists the possible eigenvalues of ``ops[i]``; each
         space is labelled by its tuple of eigenvalues.  Raises if the
-        candidates do not recover all of the span.  Spaces of distinct
-        eigenvalues are independent, so a filled subspace tries no more.
+        candidates do not recover all of the span.
         """
         spaces: list[tuple[tuple, list[Coords]]] = [((), list(span))]
         for op, eigenvalues in zip(ops, candidates):
             refined = []
             for label, sub in spaces:
-                # op @ v once per subspace; each candidate subtracts lam v
-                support = _support(sub)
-                images = [[_apply(op, nz) for nz in support]]
-                found = 0
-                for lam in eigenvalues:
-                    if found == len(sub):
-                        break
-                    eig = self._solve_in_span(support, images, lam)
-                    if eig:
-                        refined.append((label + (lam,), eig))
-                        found += len(eig)
+                split = self.eigenspaces(op, eigenvalues, sub)
+                found = sum(map(len, split.values()))
                 if found != len(sub):
                     raise ModelError(
                         f"{self.form_id}: operator is not semisimple over the "
                         f"candidate eigenvalues (recovered {found} of {len(sub)})"
                     )
+                refined.extend((label + (lam,), eig) for lam, eig in split.items())
             spaces = refined
         return spaces
 
@@ -318,6 +324,11 @@ class LieAlgebraModel(FamilyData):
         ops = [self.ad_matrix(e) for e in elements]
         return self.kernel_in_span(ops, span, real=True)
 
+    @cached_property
+    def center_k(self) -> list[Coords]:
+        """Cent k, the center of k, solved on first use."""
+        return self.centralizer_in_span(self.k_units, self.k_units)
+
 
 def _build(form_id: str) -> LieAlgebraModel:
     model = LieAlgebraModel(**vars(family_data(form_id)))
@@ -351,7 +362,8 @@ def _build(form_id: str) -> LieAlgebraModel:
     ]
     model.tr_entries = [(i, j, g) for i, row in enumerate(model.tr_gram)
                         for j, g in enumerate(row) if g]
-    aug = [row + model.unit_coords(i) for i, row in enumerate(model.tr_gram)]
+    model.units = [model.unit_coords(i) for i in range(N)]
+    aug = [row + unit for row, unit in zip(model.tr_gram, model.units)]
     red, pivots = exactla.rref(aug)
     if pivots != list(range(N)):
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")
@@ -377,11 +389,11 @@ def _build(form_id: str) -> LieAlgebraModel:
     adjoint = basis.conj().swapaxes(-1, -2)
     model.k_indices = np.flatnonzero((adjoint == -basis).all(axis=(1, 2))).tolist()
     model.p_indices = np.flatnonzero((adjoint == basis).all(axis=(1, 2))).tolist()
+    model.k_units = [model.units[i] for i in model.k_indices]
+    model.p_units = [model.units[i] for i in model.p_indices]
+    model.a_units = [model.units[i] for i in model.a_indices]
     _validate_model(model)
-    model.m_basis = model.centralizer_in_span(
-        model.subspace_units(model.a_indices),
-        model.subspace_units(model.k_indices),
-    )
+    model.m_basis = model.centralizer_in_span(model.a_units, model.k_units)
     return model
 
 
@@ -421,13 +433,12 @@ def _validate_model(model: LieAlgebraModel) -> None:
     if not _definite(gram_p, +1):
         raise ModelError(f"{model.form_id}: trace form is not positive definite on p")
     # a is abelian and self-centralizing in p
-    a_units = model.subspace_units(model.a_indices)
-    for x in a_units:
-        for y in a_units:
+    for x in model.a_units:
+        for y in model.a_units:
             if any(model.bracket(x, y)):
                 raise ModelError(f"{model.form_id}: a is not abelian")
-    cent = model.centralizer_in_span(a_units, model.subspace_units(model.p_indices))
-    if len(cent) != model.dim_a or not exactla.same_span(cent, a_units):
+    cent = model.centralizer_in_span(model.a_units, model.p_units)
+    if len(cent) != model.dim_a or not exactla.same_span(cent, model.a_units):
         raise ModelError(f"{model.form_id}: a is not maximal abelian in p")
 
 

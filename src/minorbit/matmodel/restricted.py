@@ -35,7 +35,6 @@ class RestrictedRootDatum:
     c: GaussianRational
     classes: dict[Root, str]  # length class of each root, see rootsys.root_classes
     mult: dict[Root, int] = field(default_factory=dict)
-    m_basis: list[Coords] = field(default_factory=list)
     n_basis: list[Coords] = field(default_factory=list)
 
     def root_value(self, root: Root, a_coords: Coords) -> GaussianRational:
@@ -76,9 +75,7 @@ def restricted_root_datum(
     if order not in ("lex", "revlex"):
         raise ModelError(f"unknown positivity order {order!r}")
     N = model.dim
-    spaces = model.torus_spaces(
-        model.subspace_units(model.a_indices), [model.unit_coords(i) for i in range(N)]
-    )
+    spaces = model.torus_spaces(model.a_units, model.units)
 
     root_spaces: dict[Root, list[Coords]] = {}
     zero_space: list[Coords] = []
@@ -140,7 +137,6 @@ def restricted_root_datum(
         c=c,
         classes=classes,
         mult={r: len(s) for r, s in root_spaces.items()},
-        m_basis=list(model.m_basis),
         n_basis=[v for r in positive for v in root_spaces[r]],
     )
     _validate_datum(datum)
@@ -196,5 +192,4 @@ def eigenvalue_multiplicities(datum: RestrictedRootDatum) -> dict[int, int]:
 def kernel_ad_e_dimension(datum: RestrictedRootDatum, e: Coords) -> int:
     """dim of the centralizer of e in g, the model-side orbit-dimension oracle."""
     model = datum.model
-    full = [model.unit_coords(i) for i in range(model.dim)]
-    return len(model.kernel_in_span([model.ad_matrix(e)], full))
+    return len(model.kernel_in_span([model.ad_matrix(e)], model.units))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .. import exactla
 from ..exactla import I, GaussianRational, exact_sqrt
@@ -16,12 +17,18 @@ HALF = GaussianRational(1, 0, 2)
 
 @dataclass
 class STriple:
-    """(x, e, f) with [x,e] = 2e, [x,f] = -2f, [e,f] = x and f = -theta(e)."""
+    """(x, e, f) with [x,e] = 2e, [x,f] = -2f, [e,f] = x and f = -theta(e); the
+    owner of the isotropy algebra of e, which the centralizer and ks checks read."""
 
     model: LieAlgebraModel
     x: Coords
     e: Coords
     f: Coords
+
+    @cached_property
+    def isotropy(self) -> list[Coords]:
+        """Cent_k(e), solved on first use."""
+        return self.model.centralizer_in_span([self.e], self.model.k_units)
 
 
 @dataclass

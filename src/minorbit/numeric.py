@@ -175,23 +175,21 @@ class ModelNumerics:
 
         # B-orthogonal complement of k_nu inside k, computed exactly; k_nu
         # holds z, so the system has at least one row
-        k_units = model.subspace_units(model.k_indices)
-        gram_rows = [[model.B(y, x) for x in k_units] for y in lam.k_nu_basis]
-        columns = list(zip(*k_units))
+        gram_rows = [[model.B(y, x) for x in model.k_units] for y in lam.k_nu_basis]
+        columns = list(zip(*model.k_units))
         perp = [exactla.mat_vec(columns, t) for t in exactla.kernel_basis(gram_rows)]
         self.k_nu_perp_basis = [mat(v) for v in exactla.orthogonalize(perp, model.B)]
 
     @cached_property
     def isotropy_basis(self) -> list[np.ndarray]:
-        """Basis of the isotropy algebra of e in k, solved exactly on first use.
+        """Basis of the isotropy algebra of e in k, read from the S-triple and
+        converted to floats on first use.
 
         Lazy, so building the numerics of a form does no exact work that only
         the correspondence check needs.
         """
         model = self.analysis.model
-        k_units = model.subspace_units(model.k_indices)
-        iso = model.centralizer_in_span([self.analysis.striple.e], k_units)
-        return [model.matrix(vec).astype(complex) for vec in iso]
+        return [model.matrix(v).astype(complex) for v in self.analysis.striple.isotropy]
 
     # -- operations, each over any leading axes --------------------------------
     def bracket(self, X, Y):

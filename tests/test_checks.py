@@ -1,9 +1,11 @@
 import pytest
 
-from minorbit.matmodel import MODEL_IDS
+from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
-from minorbit.matmodel.model import LieAlgebraModel
-from minorbit.matmodel.triples import compact_partner
+from minorbit.matmodel.model import LieAlgebraModel, _build
+from minorbit.matmodel.triples import cayley_transform, compact_partner, make_s_triple
+from minorbit.numeric import ModelNumerics
+from minorbit.sympver import ks_correspondence_check
 
 
 def run_spectral(form_id, all_analyses):
@@ -46,9 +48,11 @@ def test_lambda_checks_pass(form_id, all_analyses):
 def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses, form_id):
     """k_nu = Cent_k(z) is also the first centralizer of the Cartan extension
     from z: a fresh lambda_data solves it once, and returns what the cached
-    one does."""
+    one does.  Cent k is the model's, solved before the count (on sl2R, where
+    k = R z, it is the same system once more)."""
     a = all_analyses[form_id]
     z = compact_partner(a.cayley)
+    a.model.center_k
     solved = []
     original = LieAlgebraModel.centralizer_in_span
 
@@ -59,10 +63,34 @@ def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses,
     monkeypatch.setattr(LieAlgebraModel, "centralizer_in_span", recorded)
     fresh = lambda_data(a.model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
                         a.descriptor.hermitian)
-    # where k = R z, the centre of k, Cent_k(k), is the same system once more
-    k_units = a.model.subspace_units(a.model.k_indices)
-    assert solved.count([z]) == 1 + (k_units == [z])
+    assert solved.count([z]) == 1
     assert fresh == a.lambda_data()
+
+
+@pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))
+def test_cent_k_and_isotropy_solved_once(monkeypatch, all_analyses, form_id):
+    """Cent k is the model's and Cent_k(e) the S-triple's: on a freshly built
+    model, the centralizer checks, lambda_data and the correspondence check
+    solve each once."""
+    cached = all_analyses[form_id]
+    solved = []
+    original = LieAlgebraModel.centralizer_in_span
+
+    def recorded(self, elements, span):
+        solved.append(list(elements))
+        return original(self, elements, span)
+
+    monkeypatch.setattr(LieAlgebraModel, "centralizer_in_span", recorded)
+    model = _build(form_id)
+    datum = restricted_root_datum(model)
+    striple = make_s_triple(model, datum)
+    a = ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,
+                      cayley_transform(striple))
+    centralizer_checks(model, datum, striple, a.cayley, a.descriptor.hermitian)
+    a.lambda_data()
+    ks_correspondence_check(ModelNumerics(a), samples=5, seed=42)
+    assert solved.count(model.k_units) == 1
+    assert solved.count([striple.e]) == 1
 
 
 def test_sl2R_multiplicity_vector(all_analyses):

@@ -70,7 +70,7 @@ def exact_structure(form_id):
     put("simple roots", *datum.simple_roots)
     put("psi, x_psi, c", datum.psi, datum.x_psi, [datum.c])
     put("n", *datum.n_basis)
-    put("m", *datum.m_basis)
+    put("m", *a.model.m_basis)
     put("S-triple x, e, f", a.striple.x, a.striple.e, a.striple.f)
     put("Cayley triple h, v, w", a.cayley.h, a.cayley.v, a.cayley.w)
     put("t", *lam.t_basis)

@@ -181,7 +181,7 @@ def test_direct_sum_decomposition():
     for form_id in ("sl3R", "su21", "sl2H"):
         a = analyze(form_id)
         model, datum = a.model, a.datum
-        vectors = list(datum.m_basis)
+        vectors = list(model.m_basis)
         vectors += [model.unit_coords(i) for i in model.a_indices]
         for space in datum.root_spaces.values():
             vectors.extend(space)

@@ -58,8 +58,8 @@ def cases(form_id):
     a = analyze(form_id)
     model, datum = a.model, a.datum
     full = [model.unit_coords(i) for i in range(model.dim)]
-    k_units = model.subspace_units(model.k_indices)
-    p_units = model.subspace_units(model.p_indices)
+    k_units = model.k_units
+    p_units = model.p_units
     ad_x = model.ad_matrix(a.striple.x)
     ad_h = model.ad_matrix(a.cayley.h)
     ad_z = model.ad_matrix(a.lambda_data().t_basis[0])
@@ -125,6 +125,22 @@ def test_trace_form_matches_dense_gram(form_id, data):
     assert model._tr_form(x, y) == reference
 
 
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_eigenspaces_match_one_kernel_per_candidate(form_id):
+    """Each space that eigenspaces returns, in candidate order, is the kernel
+    of op - lam vector for vector, and each candidate it omits, those after
+    the span is filled among them, has an empty kernel."""
+    a = analyze(form_id)
+    model = a.model
+    candidates = (2, -1, 0, 1, -2, 3, -3)
+    for op in (model.ad_matrix(a.datum.x_psi), model.ad_matrix(a.cayley.h)):
+        for span in (model.units, model.k_units, model.p_units):
+            split = model.eigenspaces(op, candidates, span)
+            assert list(split) == [lam for lam in candidates if lam in split]
+            for lam in candidates:
+                assert split.get(lam, []) == model.kernel_in_span([op], span, shift=lam)
+
+
 def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
     """Spaces of distinct eigenvalues are independent, so the refinement of a
     subspace ends with the solve that fills it."""
@@ -140,8 +156,8 @@ def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
 
     monkeypatch.setattr(LieAlgebraModel, "_solve_in_span", recorded)
     full = [model.unit_coords(i) for i in range(model.dim)]
-    model.torus_spaces(model.subspace_units(model.a_indices), full)
-    model.torus_spaces(t_basis, model.subspace_units(model.k_indices), imaginary=True)
+    model.torus_spaces(model.a_units, full)
+    model.torus_spaces(t_basis, model.k_units, imaginary=True)
     runs = []  # consecutive solves on one subspace
     for span, found in solves:
         if runs and runs[-1][0] is span:
