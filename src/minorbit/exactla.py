@@ -5,6 +5,9 @@ exact arithmetic so that identities either hold on the nose or fail loudly.
 Every scalar is one :class:`GaussianRational` (a + bi)/d in Python integers;
 a real value is one with b = 0, and it orders, hashes and prints as the
 ``Fraction`` of the same value.  ``int`` and ``Fraction`` operands mix in.
+Integer parts take fast paths that return the same reduced parts: nothing is
+reduced over d = 1, a product of two real integers skips the crosswise gcds,
+and a sum or difference over one denominator adds or subtracts the parts.
 ``rref``, ``rank``, ``kernel_basis`` and ``solve`` share one Gauss-Jordan
 elimination over sparse rows that visits only nonzero entries; the reduced row
 echelon form of a row space is unique, so no result depends on how it is found.
@@ -62,6 +65,8 @@ class GaussianRational:
         return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
+        if type(other) is GaussianRational and self.d == other.d:
+            return _reduced(self.a - other.a, self.b - other.b, self.d)
         return self + -other
 
     def __rsub__(self, other):
@@ -75,6 +80,8 @@ class GaussianRational:
         a1, b1, d1, a2, b2, d2 = self.a, self.b, self.d, other.a, other.b, other.d
         if b1 or b2:
             return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        if d1 == d2 == 1:
+            return _make(a1 * a2, 0, 1)
         # real times real: cancel crosswise, as Fraction does
         g1, g2 = _gcd(a1, d2), _gcd(a2, d1)
         return _make((a1 // g1) * (a2 // g2), 0, (d1 // g2) * (d2 // g1))
@@ -171,6 +178,8 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
 
 def _reduced(a: int, b: int, d: int) -> GaussianRational:
     """(a + b i) / d for any d > 0, reduced by gcd(a, b, d)."""
+    if d == 1:
+        return _make(a, b, 1)
     g = _gcd(a, b, d)
     return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
 

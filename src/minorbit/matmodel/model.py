@@ -26,11 +26,13 @@ which ``defining_eigenvalues`` computes exactly for the tori a and t alike.
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
 nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
-every structure constant is zero and no routine here touches those zeros:
-the trace form reads the nonzero entries of G, and ``kernel_in_span`` hands
-the images of its span's nonzero entries, as sparse constraint rows in any
-order, to the one sparse elimination of :mod:`~minorbit.exactla`: a reduced
-row echelon form is unique, so the kernel basis does not depend on the order.
+every structure constant is zero and no routine here touches those zeros: the
+trace form walks the rows of G at the nonzero x_i, ``ad_matrix`` of a basis
+element b_i reads ``ad[i]`` rather than building it, and ``kernel_in_span``
+hands the images of its span's nonzero entries (which each unit span, a
+:class:`Span`, holds from the start), as sparse constraint rows in any order,
+to the one sparse elimination of :mod:`~minorbit.exactla`: a reduced row
+echelon form is unique, so the kernel basis does not depend on the order.
 """
 
 from __future__ import annotations
@@ -60,6 +62,18 @@ def _support(span: Sequence[Coords]) -> list[list[tuple]]:
     return [[(j, x) for j, x in enumerate(v) if x] for v in span]
 
 
+class Span(list):
+    """Coordinate vectors that hold their nonzero entries: ``support[k]`` lists
+    the (j, v_j) with v_j != 0 of vector k, scanned once when none is given.
+    The span solvers read it in place of a scan, so neither is written to."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, vectors: Sequence[Coords] = (), support=None):
+        super().__init__(vectors)
+        self.support = _support(self) if support is None else support
+
+
 def _apply(op: SparseOp, nonzero: list[tuple]) -> dict:
     """op @ v as {row: value}, from the nonzero entries (j, v_j) of v; a column
     met with coefficient 1 (a unit vector) is read, not multiplied."""
@@ -79,7 +93,7 @@ def _definite(gram: list[list[GaussianRational]], sign: int) -> bool:
     consecutive leading principal minors (Sylvester), so the form is definite
     exactly when every pivot is positive.
     """
-    rows = [[sign * x for x in row] for row in gram]
+    rows = [[sign * x if x else x for x in row] for row in gram]
     for c in range(len(rows)):
         pivot = rows[c]
         if pivot[c] <= 0:
@@ -87,7 +101,7 @@ def _definite(gram: list[list[GaussianRational]], sign: int) -> bool:
         for i in range(c + 1, len(rows)):
             if rows[i][c]:
                 f = rows[i][c] / pivot[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], pivot)]
     return True
 
 
@@ -100,12 +114,12 @@ class LieAlgebraModel(FamilyData):
     p_indices: list[int] = field(default_factory=list)
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_gram: list[list[GaussianRational]] = field(repr=False, default_factory=list)
-    tr_entries: list[tuple] = field(repr=False, default_factory=list)  # (i, j, G_ij), G_ij != 0
+    tr_rows: list[list[tuple]] = field(repr=False, default_factory=list)  # (j, G_ij), G_ij != 0
     entries: list[list[tuple]] = field(repr=False, default_factory=list)  # of b_i
-    units: list[Coords] = field(repr=False, default_factory=list)  # b_i in coordinates
-    k_units: list[Coords] = field(repr=False, default_factory=list)
-    p_units: list[Coords] = field(repr=False, default_factory=list)
-    a_units: list[Coords] = field(repr=False, default_factory=list)
+    units: Span = field(repr=False, default_factory=Span)  # b_i in coordinates
+    k_units: Span = field(repr=False, default_factory=Span)
+    p_units: Span = field(repr=False, default_factory=Span)
+    a_units: Span = field(repr=False, default_factory=Span)
     m_basis: list[Coords] = field(repr=False, default_factory=list)
     c: GaussianRational | None = None  # invariant-form normalization, set by the root datum
 
@@ -154,11 +168,13 @@ class LieAlgebraModel(FamilyData):
         return out
 
     def ad_matrix(self, x: Coords) -> SparseOp:
-        """ad x as sparse columns; column j is [x, b_j]."""
+        """ad x as sparse columns; column j is [x, b_j].  For x = b_i this is
+        ``ad[i]`` itself, shared, so a caller only reads it."""
+        nonzero = [(i, xi) for i, xi in enumerate(x) if xi]
+        if len(nonzero) == 1 and nonzero[0][1] == 1:
+            return self.ad[nonzero[0][0]]
         cols: list[dict] = [{} for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        for i, xi in nonzero:
             for col, entries in zip(cols, self.ad[i]):
                 for r, c in entries:
                     t = xi * c
@@ -182,8 +198,10 @@ class LieAlgebraModel(FamilyData):
         return self.c * self._tr_form(x, y)
 
     def _tr_form(self, x: Coords, y: Coords):
-        """tr(XY) = x^T G y over the nonzero entries of the trace Gram G."""
-        return sum((x[i] * g * y[j] for i, j, g in self.tr_entries if x[i] and y[j]), ZERO)
+        """tr(XY) = x^T G y over the nonzero x_i and the nonzero entries of
+        row i of the trace Gram G."""
+        return sum((xi * g * y[j] for xi, row in zip(x, self.tr_rows) if xi
+                    for j, g in row if y[j]), ZERO)
 
     def H(self, x: Coords, y: Coords):
         """Invariant Hilbert pairing -B(x, sigma_u(y)); positive definite."""
@@ -194,7 +212,7 @@ class LieAlgebraModel(FamilyData):
                        real: bool = False, shift=0) -> list[Coords]:
         """Vectors x in span(span) with op @ x = shift * x for every operator;
         with ``real=True`` the combination coefficients are rational."""
-        support = _support(span)
+        support = span.support if isinstance(span, Span) else _support(span)
         images = [[_apply(op, nz) for nz in support] for op in operators]
         return self._solve_in_span(support, images, shift, real)
 
@@ -237,7 +255,7 @@ class LieAlgebraModel(FamilyData):
         """The nonzero eigenspaces {lam: space} of op in span(span), in the order
         of ``candidates``; op is applied to the span once, and no candidate is
         tried once the spaces (independent for distinct lam) fill the span."""
-        support = _support(span)
+        support = span.support if isinstance(span, Span) else _support(span)
         images = [[_apply(op, nz) for nz in support]]
         spaces, found = {}, 0
         for lam in candidates:
@@ -261,7 +279,7 @@ class LieAlgebraModel(FamilyData):
         space is labelled by its tuple of eigenvalues.  Raises if the
         candidates do not recover all of the span.
         """
-        spaces: list[tuple[tuple, list[Coords]]] = [((), list(span))]
+        spaces: list[tuple[tuple, list[Coords]]] = [((), span)]
         for op, eigenvalues in zip(ops, candidates):
             refined = []
             for label, sub in spaces:
@@ -292,10 +310,12 @@ class LieAlgebraModel(FamilyData):
                              .limit_denominator(PROPOSAL_DENOMINATOR))
             for ev in np.linalg.eigvals(X.astype(complex))
         })
+        rows = [{s: v for s, v in enumerate(row) if v} for row in X]
         found: list[GaussianRational] = []
         for q in proposals:
-            shifted = X - np.diag([q * exactla.I if imaginary else q] * self.n)
-            found.extend([q] * len(exactla.kernel_basis(shifted)))
+            lam = q * exactla.I if imaginary else q
+            shifted = [{**row, r: row.get(r, ZERO) - lam} for r, row in enumerate(rows)]
+            found.extend([q] * len(exactla.kernel_basis(shifted, self.n)))
         if len(found) != self.n:
             raise ModelError(
                 f"{self.form_id}: defining eigenvalues are not all rational"
@@ -357,11 +377,11 @@ def _build(form_id: str) -> LieAlgebraModel:
         raise ModelError(f"{form_id}: trace form is not real on the basis")
     if np.any(T.imag):
         raise ModelError(f"{form_id}: a bracket leaves the real span of the basis")
-    model.tr_gram = [
-        [GaussianRational(g) for g in row] for row in gram.real.astype(np.int64).tolist()
-    ]
-    model.tr_entries = [(i, j, g) for i, row in enumerate(model.tr_gram)
-                        for j, g in enumerate(row) if g]
+    # each distinct entry of G, and below of D ad, is one scalar, shared
+    gram = gram.real.astype(np.int64).tolist()
+    scalar = {g: GaussianRational(g) for g in set().union(*gram)}
+    model.tr_gram = [[scalar[g] for g in row] for row in gram]
+    model.tr_rows = [[(j, scalar[g]) for j, g in enumerate(row) if g] for row in gram]
     model.units = [model.unit_coords(i) for i in range(N)]
     aug = [row + unit for row, unit in zip(model.tr_gram, model.units)]
     red, pivots = exactla.rref(aug)
@@ -380,18 +400,19 @@ def _build(form_id: str) -> LieAlgebraModel:
         for i in range(N)
     ):
         raise ModelError(f"{form_id}: basis is not closed under the bracket")
+    scalar = {x: GaussianRational(x, 0, D) for x in set(scaled.ravel().tolist())}
     model.ad = [
-        [[(r, GaussianRational(x, 0, D)) for r, x in enumerate(column) if x]
-         for column in row]
+        [[(r, scalar[x]) for r, x in enumerate(column) if x] for column in row]
         for row in np.moveaxis(scaled, 0, -1).tolist()
     ]
 
     adjoint = basis.conj().swapaxes(-1, -2)
     model.k_indices = np.flatnonzero((adjoint == -basis).all(axis=(1, 2))).tolist()
     model.p_indices = np.flatnonzero((adjoint == basis).all(axis=(1, 2))).tolist()
-    model.k_units = [model.units[i] for i in model.k_indices]
-    model.p_units = [model.units[i] for i in model.p_indices]
-    model.a_units = [model.units[i] for i in model.a_indices]
+    # the unit spans share the vectors b_i, whose one nonzero entry is 1 at i
+    model.units, model.k_units, model.p_units, model.a_units = (
+        Span([model.units[i] for i in idx], [[(i, ONE)] for i in idx])
+        for idx in (range(N), model.k_indices, model.p_indices, model.a_indices))
     _validate_model(model)
     model.m_basis = model.centralizer_in_span(model.a_units, model.k_units)
     return model

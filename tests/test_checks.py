@@ -2,6 +2,7 @@ import pytest
 
 from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
+from minorbit.matmodel import model as model_module
 from minorbit.matmodel.model import LieAlgebraModel, _build
 from minorbit.matmodel.triples import cayley_transform, compact_partner, make_s_triple
 from minorbit.numeric import ModelNumerics
@@ -91,6 +92,32 @@ def test_cent_k_and_isotropy_solved_once(monkeypatch, all_analyses, form_id):
     ks_correspondence_check(ModelNumerics(a), samples=5, seed=42)
     assert solved.count(model.k_units) == 1
     assert solved.count([striple.e]) == 1
+
+
+@pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))
+def test_unit_spans_are_not_scanned_again(monkeypatch, all_analyses, form_id):
+    """The unit spans hold their nonzero entries from the build on: on a
+    freshly built model, the spectral and centralizer checks and lambda_data
+    scan none of them again."""
+    cached = all_analyses[form_id]
+    model = _build(form_id)
+    datum = restricted_root_datum(model)
+    striple = make_s_triple(model, datum)
+    a = ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,
+                      cayley_transform(striple))
+    spans = {name: getattr(model, name) for name in ("units", "k_units", "p_units", "a_units")}
+    scanned = []
+    original = model_module._support
+
+    def recorded(span):
+        scanned.extend(name for name, held in spans.items() if held is span)
+        return original(span)
+
+    monkeypatch.setattr(model_module, "_support", recorded)
+    spectral_checks(model, datum, striple, a.cayley)
+    centralizer_checks(model, datum, striple, a.cayley, a.descriptor.hermitian)
+    a.lambda_data()
+    assert scanned == []
 
 
 def test_sl2R_multiplicity_vector(all_analyses):

@@ -297,6 +297,22 @@ PARTS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 def test_arithmetic_matches_fraction_pairs(x, y):
     if not isinstance(x, GR) and not isinstance(y, GR):
         x = GR(x)
+    _matches_fraction_pairs(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 1, 2, 6]), real=st.booleans(),
+       parts=st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+def test_integer_and_shared_denominator_arithmetic_matches_fraction_pairs(d, parts, real):
+    """Both operands over one denominator d, so integers when d = 1, and real
+    or not: the fast paths (nothing reduced over d = 1, a product of real
+    integers, a sum or difference over one denominator) give the reduced
+    parts that Fraction pairs do."""
+    a1, b1, a2, b2 = parts
+    _matches_fraction_pairs(GR(a1, 0 if real else b1, d), GR(a2, 0 if real else b2, d))
+
+
+def _matches_fraction_pairs(x, y):
     px, py = pair(x), pair(y)
     for got, want in ((x + y, pair_add(px, py)), (x - y, pair_sub(px, py)),
                       (x * y, pair_mul(px, py))):

@@ -12,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_helpers import fractions_up_to, reference_kernel
-from minorbit.exactla import I, ZERO, GaussianRational, dot, mat_vec
+from minorbit.exactla import I, ONE, ZERO, GaussianRational, dot, mat_vec
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
+from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
+from minorbit.matmodel.model import Span, _build, _support
+from minorbit.numeric import ModelNumerics
+from minorbit.sympver import (
+    ks_correspondence_check, moment_cone_check, poisson_identities_check, verify_beta_symplectic,
+)
 
 FORMS = ("sl2R", "su21", "sp4R", "su22", "sl2H")
 
@@ -106,13 +112,15 @@ ENTRIES = st.one_of(st.just(Fraction(0)), FRACTIONS)
 @functools.lru_cache(maxsize=None)
 def coordinate_pairs(dim):
     """Two vectors in one draw, each real, complexified or all zero, and its
-    parts sparse; the strategy is built once per dim."""
+    parts sparse, or one of them a unit vector, as in the Gram rows of the
+    numerics; the strategy is built once per dim."""
     parts = st.lists(ENTRIES, min_size=dim, max_size=dim)
     real = parts.map(lambda re: [GaussianRational(a) for a in re])
     gaussian = st.tuples(parts, parts).map(
         lambda p: [GaussianRational(a, b) for a, b in zip(*p)])
     vector = st.one_of(st.one_of(real, gaussian), st.just([ZERO] * dim))
-    return st.tuples(vector, vector)
+    unit = st.integers(0, dim - 1).map(lambda i: [ONE if j == i else ZERO for j in range(dim)])
+    return st.one_of(st.tuples(vector, vector), st.tuples(vector, unit), st.tuples(unit, vector))
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -172,10 +180,14 @@ def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
 
 @pytest.mark.parametrize("form_id", FORMS)
 def test_ad_matrix_columns_are_brackets(form_id):
+    """Also for each basis element b_i, whose ad is the model's ad[i] itself,
+    and for 2 b_i and -b_i, whose ad is built."""
     a = analyze(form_id)
     model = a.model
-    for x in (a.striple.e, a.cayley.h, a.datum.x_psi):
+    scaled = [[c * x for x in u] for u in model.units for c in (2, -1)]
+    for x in (a.striple.e, a.cayley.h, a.datum.x_psi, *model.units, *scaled):
         op = model.ad_matrix(x)
+        assert any(op is held for held in model.ad) == (x in model.units)
         for j in range(model.dim):
             bracket = model.bracket(x, model.unit_coords(j))
             column = [Fraction(0)] * model.dim
@@ -183,6 +195,29 @@ def test_ad_matrix_columns_are_brackets(form_id):
                 column[r] = value
             assert column == bracket
             assert all(value for _, value in op[j])
+
+
+@pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))
+def test_exact_lane_leaves_the_model_data_unchanged(form_id):
+    """ad_matrix hands out the model's ad columns and the unit spans their
+    held supports; after the exact checks, the numerics and the four sampled
+    checks, ad equals a fresh build's and each support a fresh scan."""
+    a = analyze(form_id)
+    model = a.model
+    spectral_checks(model, a.datum, a.striple, a.cayley)
+    centralizer_checks(model, a.datum, a.striple, a.cayley, a.descriptor.hermitian)
+    lambda_data(model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
+                a.descriptor.hermitian)
+    num = ModelNumerics(a)
+    for check in (verify_beta_symplectic, ks_correspondence_check,
+                  poisson_identities_check, moment_cone_check):
+        check(num, samples=5, seed=42)
+    fresh = _build(form_id)
+    assert len(model.ad) == len(fresh.ad)
+    for held, built in zip(model.ad, fresh.ad):
+        assert held == built
+    for span in (model.units, model.k_units, model.p_units, model.a_units):
+        assert isinstance(span, Span) and span.support == _support(span)
 
 
 def test_eigenvalues_outside_any_fixed_grid_are_found():
