@@ -304,27 +304,19 @@ def same_span(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
         rank(basis_a) == rank(basis_b) == rank(list(basis_a) + list(basis_b)))
 
 
-def dot(u: Sequence, v: Sequence):
-    """Sum of u_i v_i over the terms where both factors are nonzero."""
-    return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
-
-
-def mat_vec(mat: Sequence[Sequence], v: Sequence) -> list:
-    return [dot(row, v) for row in mat]
-
-
 def orthogonalize(vectors: Sequence[Sequence], form) -> list[list]:
     """Gram-Schmidt orthogonalization (no normalization) under ``form``.
 
     ``form(u, v)`` must be an exact symmetric bilinear form that is definite
-    on the span, so the diagonal never vanishes.
+    on the span, so the diagonal never vanishes.  Where u is zero, w keeps its
+    entry, the same object.
     """
     out: list[list] = []
     for v in vectors:
         w = list(v)
         for u in out:
             c = form(w, u) / form(u, u)
-            w = [a - c * b for a, b in zip(w, u)]
+            w = [a - c * b if b else a for a, b in zip(w, u)]
         if any(w):
             out.append(w)
     return out

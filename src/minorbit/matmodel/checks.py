@@ -135,7 +135,7 @@ class LambdaData:
 
     t_basis: list[Coords]  # Cartan subalgebra of k containing z
     k_nu_basis: list[Coords] = field(default_factory=list)
-    center_basis: list[Coords] = field(default_factory=list)
+    k_nu_perp: list[Coords] = field(default_factory=list)  # B-orthogonal basis
     dim_X: int = 0
     x_equals_minus_x: bool = True
     checks: list[CheckItem] = field(default_factory=list)
@@ -231,10 +231,18 @@ def lambda_data(
             "center_trivial", central_ok, f"dim Cent k = {len(center)}"
         ))
 
+    # k_nu_perp, the B-orthogonal complement of k_nu in k: the kernel in k of
+    # the one operator whose row r is the functional B(y_r, .), y_r in k_nu
+    forms = [[] for _ in range(model.dim)]
+    for j, x in zip(model.k_indices, model.k_units):
+        forms[j] = [(r, b) for r, y in enumerate(k_nu) if (b := model.B(y, x))]
+    perp = model.kernel_in_span([forms], model.k_units, real=True)
+    k_nu_perp = exactla.orthogonalize(perp, model.B)
+
     return LambdaData(
         t_basis=t_basis,
         k_nu_basis=k_nu,
-        center_basis=center,
+        k_nu_perp=k_nu_perp,
         dim_X=dim_X,
         x_equals_minus_x=x_eq,
         checks=checks,

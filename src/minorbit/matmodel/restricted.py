@@ -32,9 +32,7 @@ class RestrictedRootDatum:
     simple_roots: list[Root]
     psi: Root
     x_psi: Coords
-    c: GaussianRational
     classes: dict[Root, str]  # length class of each root, see rootsys.root_classes
-    mult: dict[Root, int] = field(default_factory=dict)
     n_basis: list[Coords] = field(default_factory=list)
 
     def root_value(self, root: Root, a_coords: Coords) -> GaussianRational:
@@ -44,7 +42,7 @@ class RestrictedRootDatum:
     def class_mults(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for root, key in self.classes.items():
-            m = self.mult[root]
+            m = len(self.root_spaces[root])
             if out.setdefault(key, m) != m:
                 raise ModelError(
                     f"{self.model.form_id}: inconsistent multiplicity in class {key}"
@@ -134,9 +132,7 @@ def restricted_root_datum(
         simple_roots=simple,
         psi=psi,
         x_psi=x_psi,
-        c=c,
         classes=classes,
-        mult={r: len(s) for r, s in root_spaces.items()},
         n_basis=[v for r in positive for v in root_spaces[r]],
     )
     _validate_datum(datum)
@@ -163,7 +159,7 @@ def _validate_datum(datum: RestrictedRootDatum) -> None:
         neg = tuple(-x for x in r)
         if neg not in datum.root_spaces:
             raise ModelError(f"{model.form_id}: roots not closed under negation")
-        if datum.mult[r] != datum.mult[neg]:
+        if len(datum.root_spaces[r]) != len(datum.root_spaces[neg]):
             raise ModelError(f"{model.form_id}: asymmetric multiplicities")
     # the center of n is exactly the psi root space (computed independently)
     n_ops = [model.ad_matrix(v) for v in datum.n_basis]

@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import exactla
 from .matmodel import ModelAnalysis, analyze, catalog_key, compact_partner
 
 
@@ -153,8 +152,6 @@ class ModelNumerics:
         model = analysis.model
         self.c = float(model.c)
         self.analysis = analysis
-        self.dim_Z = analysis.invariants.dim_Z
-        self.dim_X = analysis.invariants.dim_X
 
         mat = lambda coords: model.matrix(coords).astype(complex)
         self.e = mat(analysis.striple.e)
@@ -171,14 +168,8 @@ class ModelNumerics:
 
         lam = analysis.lambda_data()
         self.k_nu_basis = [mat(v) for v in lam.k_nu_basis]
-        self.center_k_basis = [mat(v) for v in lam.center_basis]
-
-        # B-orthogonal complement of k_nu inside k, computed exactly; k_nu
-        # holds z, so the system has at least one row
-        gram_rows = [[model.B(y, x) for x in model.k_units] for y in lam.k_nu_basis]
-        columns = list(zip(*model.k_units))
-        perp = [exactla.mat_vec(columns, t) for t in exactla.kernel_basis(gram_rows)]
-        self.k_nu_perp_basis = [mat(v) for v in exactla.orthogonalize(perp, model.B)]
+        self.k_nu_perp_basis = [mat(v) for v in lam.k_nu_perp]
+        self.center_k_basis = [mat(v) for v in model.center_k]
 
     @cached_property
     def isotropy_basis(self) -> list[np.ndarray]:

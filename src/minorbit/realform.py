@@ -11,7 +11,7 @@ models in :mod:`minorbit.matmodel` recompute the same numbers independently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -25,19 +25,6 @@ from .rootsys import (
     coroot_pairing,
     dual_coxeter_number,
 )
-
-_DESCRIPTOR_KEYS = {
-    "id",
-    "gc_label",
-    "restricted_label",
-    "mults",
-    "dim_m",
-    "hermitian",
-    "k_name",
-    "k_root_label",
-    "jordan_algebra",
-    "notes",
-}
 
 EXCEPTIONAL_TABLE_IDS = ("g2-split", "f4-split", "e6-split", "e7-split", "e8-split")
 
@@ -88,10 +75,12 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
     entry_id = raw.get("id", "<missing id>")
     if not isinstance(entry_id, str) or not entry_id:
         raise CatalogError(str(entry_id), "id must be a non-empty string")
-    unknown = set(raw) - _DESCRIPTOR_KEYS
+    # every descriptor field is a key, required unless it has a default
+    keys = fields(RealFormDescriptor)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise CatalogError(entry_id, f"unknown keys {sorted(unknown)}")
-    missing = _DESCRIPTOR_KEYS - set(raw) - {"k_root_label", "jordan_algebra", "notes"}
+    missing = {f.name for f in keys if f.default is MISSING} - set(raw)
     if missing:
         raise CatalogError(entry_id, f"missing keys {sorted(missing)}")
     try:

@@ -25,19 +25,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import inf
 
-REDUCED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-FAMILIES = REDUCED_FAMILIES + ("BC",)
-
-_RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
-    "BC": (1, None),
+# family -> (least rank, greatest rank, number of roots at a rank)
+FAMILIES = {
+    "A": (1, inf, lambda r: r * (r + 1)),
+    "B": (2, inf, lambda r: 2 * r * r),
+    "C": (3, inf, lambda r: 2 * r * r),
+    "D": (4, inf, lambda r: 2 * r * (r - 1)),
+    "E": (6, 8, lambda r: {6: 72, 7: 126, 8: 240}[r]),
+    "F": (4, 4, lambda r: 48),
+    "G": (2, 2, lambda r: 12),
+    "BC": (1, inf, lambda r: 2 * r * (r + 1)),
 }
 _LABEL = re.compile(r"(BC|[A-G])([1-9][0-9]*)")
 
@@ -54,12 +53,9 @@ class RootSystemLabel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RootSystemError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            hi_txt = hi if hi is not None else "inf"
-            raise RootSystemError(
-                f"{self.family}{self.rank}: rank must be in [{lo}, {hi_txt}]"
-            )
+        lo, hi, _ = FAMILIES[self.family]
+        if not lo <= self.rank <= hi:
+            raise RootSystemError(f"{self.family}{self.rank}: rank must be in [{lo}, {hi}]")
 
     @staticmethod
     def parse(text: str) -> "RootSystemLabel":
@@ -151,18 +147,6 @@ def _weyl_orbit(seeds: dict, simple: list[Vec]) -> dict[Vec, tuple[int, ...]]:
                     nxt.append(image)
         frontier = nxt
     return found
-
-
-_CLASSICAL_COUNTS = {
-    "A": lambda r: r * (r + 1),
-    "B": lambda r: 2 * r * r,
-    "C": lambda r: 2 * r * r,
-    "D": lambda r: 2 * r * (r - 1),
-    "BC": lambda r: 2 * r * (r + 1),
-    "G": lambda r: 12,
-    "F": lambda r: 48,
-    "E": lambda r: {6: 72, 7: 126, 8: 240}[r],
-}
 
 
 @dataclass(frozen=True)
@@ -274,7 +258,7 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
         seeds[tuple(2 * x for x in simple[-1])] = tuple(2 * c for c in unit[-1])
     orbit = _weyl_orbit(seeds, simple)
     roots = sorted(orbit)
-    expected = _CLASSICAL_COUNTS[label.family](label.rank)
+    expected = FAMILIES[label.family][2](label.rank)
     if len(roots) != expected:
         raise RootSystemError(
             f"{label}: generated {len(roots)} roots, expected {expected}"

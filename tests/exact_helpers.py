@@ -3,7 +3,7 @@
 An independent dense Gauss-Jordan elimination over (real, imaginary) pairs of
 Fractions: the reference that ``minorbit.exactla``'s sparse elimination is
 compared with, so that the reference shares no code with what it checks.
-And scalar strategies built once: hypothesis validates a strategy the first
+A plain dense matrix-vector product, which skips no zero term.  And scalar strategies built once: hypothesis validates a strategy the first
 time it draws from it, so a strategy built inside each example pays that
 validation on every example.
 """
@@ -11,6 +11,8 @@ validation on every example.
 from fractions import Fraction
 
 from hypothesis import strategies as st
+
+from minorbit.exactla import ZERO
 
 PAIR_ZERO, PAIR_ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
 
@@ -37,6 +39,11 @@ def pair_mul(p, q):
 def pair_div(p, q):
     n = q[0] * q[0] + q[1] * q[1]
     return (p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n
+
+
+def plain_mat_vec(mat, v):
+    """mat @ v, every row's sum over all of its terms."""
+    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in mat]
 
 
 def reference_rref(mat, ncols):

@@ -1,5 +1,6 @@
 import pytest
 
+from minorbit import exactla
 from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
 from minorbit.matmodel import model as model_module
@@ -68,6 +69,66 @@ def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses,
     assert fresh == a.lambda_data()
 
 
+def _fresh_analysis(cached):
+    """An analysis of the form of ``cached`` on a freshly built model."""
+    model = _build(cached.form_id)
+    datum = restricted_root_datum(model)
+    striple = make_s_triple(model, datum)
+    return ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,
+                         cayley_transform(striple))
+
+
+@pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R", "sl2H", "su41"))
+def test_lambda_data_solves_k_nu_perp_once(monkeypatch, all_analyses, form_id):
+    """k_nu_perp is the weight data's: on a freshly built model, lambda_data
+    makes one kernel_in_span call that no centralizer makes, and its basis
+    is the cached analysis's."""
+    cached = all_analyses[form_id]
+    a = _fresh_analysis(cached)
+    calls = {"kernel_in_span": 0, "centralizer_in_span": 0}
+
+    def count(name):
+        original = getattr(LieAlgebraModel, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LieAlgebraModel, name, counted)
+
+    count("kernel_in_span")
+    count("centralizer_in_span")
+    lam = a.lambda_data()
+    assert calls["kernel_in_span"] - calls["centralizer_in_span"] == 1
+    assert lam.k_nu_perp == cached.lambda_data().k_nu_perp
+
+
+def dense_k_nu_perp(model, k_nu):
+    """The B-orthogonal complement of k_nu in k the dense way: the Gram rows
+    B(y, x) over the units x of k, their kernel, the combinations of the
+    units, then Gram-Schmidt under B."""
+    gram_rows = [[model.B(y, x) for x in model.k_units] for y in k_nu]
+    perp = []
+    for t in exactla.kernel_basis(gram_rows):
+        vec = [exactla.ZERO] * model.dim
+        for coef, unit in zip(t, model.k_units):
+            vec = [v + coef * u for v, u in zip(vec, unit)]
+        perp.append(vec)
+    return exactla.orthogonalize(perp, model.B)
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_k_nu_perp_is_the_orthogonal_complement(form_id, all_analyses):
+    a = all_analyses[form_id]
+    model, lam = a.model, a.lambda_data()
+    perp = lam.k_nu_perp
+    assert perp == dense_k_nu_perp(model, lam.k_nu_basis)
+    assert len(perp) == model.dim_k - len(lam.k_nu_basis)
+    assert all(model.B(y, x) == 0 for y in lam.k_nu_basis for x in perp)
+    assert all(model.B(x, y) == 0 for i, x in enumerate(perp) for y in perp[:i])
+    assert all(model.B(x, x) != 0 for x in perp)
+
+
 @pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))
 def test_cent_k_and_isotropy_solved_once(monkeypatch, all_analyses, form_id):
     """Cent k is the model's and Cent_k(e) the S-triple's: on a freshly built
@@ -82,11 +143,8 @@ def test_cent_k_and_isotropy_solved_once(monkeypatch, all_analyses, form_id):
         return original(self, elements, span)
 
     monkeypatch.setattr(LieAlgebraModel, "centralizer_in_span", recorded)
-    model = _build(form_id)
-    datum = restricted_root_datum(model)
-    striple = make_s_triple(model, datum)
-    a = ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,
-                      cayley_transform(striple))
+    a = _fresh_analysis(cached)
+    model, datum, striple = a.model, a.datum, a.striple
     centralizer_checks(model, datum, striple, a.cayley, a.descriptor.hermitian)
     a.lambda_data()
     ks_correspondence_check(ModelNumerics(a), samples=5, seed=42)
@@ -99,12 +157,8 @@ def test_unit_spans_are_not_scanned_again(monkeypatch, all_analyses, form_id):
     """The unit spans hold their nonzero entries from the build on: on a
     freshly built model, the spectral and centralizer checks and lambda_data
     scan none of them again."""
-    cached = all_analyses[form_id]
-    model = _build(form_id)
-    datum = restricted_root_datum(model)
-    striple = make_s_triple(model, datum)
-    a = ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,
-                      cayley_transform(striple))
+    a = _fresh_analysis(all_analyses[form_id])
+    model, datum, striple = a.model, a.datum, a.striple
     spans = {name: getattr(model, name) for name in ("units", "k_units", "p_units", "a_units")}
     scanned = []
     original = model_module._support
@@ -180,18 +234,18 @@ def test_sl3R_lambda(all_analyses):
 def test_su21_lambda_central_character(all_analyses):
     lam = all_analyses["su21"].lambda_data()
     assert not lam.x_equals_minus_x
-    assert len(lam.center_basis) == 1
     a = all_analyses["su21"]
+    assert len(a.model.center_k) == 1
     z = [x - y for x, y in zip(a.striple.e, a.striple.f)]
-    assert a.model.B(z, lam.center_basis[0]) != 0
+    assert a.model.B(z, a.model.center_k[0]) != 0
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
 def test_dichotomy_matches_hermitian_flag(form_id, all_analyses, catalog_map):
-    lam = all_analyses[form_id].lambda_data()
+    a = all_analyses[form_id]
     hermitian = catalog_map[form_id].hermitian
-    assert lam.x_equals_minus_x == (not hermitian)
-    assert len(lam.center_basis) == (1 if hermitian else 0)
+    assert a.lambda_data().x_equals_minus_x == (not hermitian)
+    assert len(a.model.center_k) == (1 if hermitian else 0)
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_helpers import (
-    fractions_up_to, pair, pair_add, pair_div, pair_mul, pair_sub, reference_kernel,
-    reference_rref, reference_solve,
+    fractions_up_to, pair, pair_add, pair_div, pair_mul, pair_sub, plain_mat_vec,
+    reference_kernel, reference_rref, reference_solve,
 )
 from minorbit.exactla import (
-    ZERO, GaussianRational, dot, exact_sqrt, kernel_basis, mat_vec, orthogonalize,
+    ZERO, GaussianRational, exact_sqrt, kernel_basis, orthogonalize,
     rank, rref, solve,
 )
 
@@ -115,10 +115,6 @@ def _sparse_matrix(data, gaussian):
     return [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
 
 
-def _plain_mat_vec(mat, v, gaussian):
-    return [sum((a * b for a, b in zip(row, v)), ZERO) for row in mat]
-
-
 def _real(vectors):
     return all(not x.imag for v in vectors for x in v)
 
@@ -134,7 +130,7 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(gaussian, data):
     ncols = len(mat[0])
     kernel = kernel_basis(mat)
     for k in kernel:
-        assert _plain_mat_vec(mat, k, gaussian) == [0] * len(mat)
+        assert plain_mat_vec(mat, k) == [0] * len(mat)
     assert rank(mat) + len(kernel) == ncols
     # a real system has a real kernel
     assert gaussian or _real(kernel)
@@ -146,10 +142,10 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(gaussian, data):
 def test_solve_rebuilds_the_right_hand_side(gaussian, data):
     mat = _sparse_matrix(data, gaussian)
     x = data.draw(_vectors(gaussian, len(mat[0])))
-    rhs = _plain_mat_vec(mat, x, gaussian)
+    rhs = plain_mat_vec(mat, x)
     sol = solve(mat, rhs)
     assert sol is not None
-    assert _plain_mat_vec(mat, sol, gaussian) == rhs
+    assert plain_mat_vec(mat, sol) == rhs
     assert gaussian or _real([sol])
 
 
@@ -169,18 +165,6 @@ def test_kernel_basis_ignores_zero_rows_and_row_order(gaussian, data):
         assert kernel_basis(rows) == reference
     else:
         assert kernel_basis(rows, ncols=ncols) == reference
-
-
-@FIELDS
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_zero_skipping_dot_matches_the_plain_sum(gaussian, data):
-    mat = _sparse_matrix(data, gaussian)
-    v = data.draw(_vectors(gaussian, len(mat[0])))
-    plain = _plain_mat_vec(mat, v, gaussian)
-    assert mat_vec(mat, v) == plain
-    assert dot(mat[0], v) == plain[0]
-    assert gaussian or _real([mat_vec(mat, v)])
 
 
 @FIELDS

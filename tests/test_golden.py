@@ -68,14 +68,14 @@ def exact_structure(form_id):
         put("root space", root, *datum.root_spaces[root])
     put("positive roots", *datum.positive_roots)
     put("simple roots", *datum.simple_roots)
-    put("psi, x_psi, c", datum.psi, datum.x_psi, [datum.c])
+    put("psi, x_psi, c", datum.psi, datum.x_psi, [a.model.c])
     put("n", *datum.n_basis)
     put("m", *a.model.m_basis)
     put("S-triple x, e, f", a.striple.x, a.striple.e, a.striple.f)
     put("Cayley triple h, v, w", a.cayley.h, a.cayley.v, a.cayley.w)
     put("t", *lam.t_basis)
     put("k_nu", *lam.k_nu_basis)
-    put("Cent k", *lam.center_basis)
+    put("Cent k", *a.model.center_k)
     return "\n".join(lines)
 
 

@@ -42,7 +42,7 @@ def test_dimension_examples():
 
 def test_sl2R_datum_explicit():
     a = analyze("sl2R")
-    assert a.datum.c == 1
+    assert a.model.c == 1
     x = as_complex(a.model, a.datum.x_psi)
     assert x == [[1, 0], [0, -1]]
     assert len(a.datum.roots) == 2
@@ -50,7 +50,7 @@ def test_sl2R_datum_explicit():
 
 def test_sl3R_datum_explicit():
     a = analyze("sl3R")
-    assert a.datum.c == 1
+    assert a.model.c == 1
     x = as_complex(a.model, a.datum.x_psi)
     assert x == [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
     assert len(a.datum.roots) == 6  # A2 datum
@@ -123,7 +123,9 @@ def test_reversed_positivity_gives_same_scalars():
         model = build_model(form_id)
         lex = restricted_root_datum(model, order="lex")
         rev = restricted_root_datum(model, order="revlex")
-        assert lex.c == rev.c
+        # the normalization c = 2 / tr(x_psi^2) that each datum fixes
+        c_lex, c_rev = (2 / model._tr_form(d.x_psi, d.x_psi) for d in (lex, rev))
+        assert c_lex == c_rev == model.c
         assert lex.class_mults() == rev.class_mults()
         assert eigenvalue_multiplicities(lex) == eigenvalue_multiplicities(rev)
         st_lex = make_s_triple(model, lex)

@@ -82,6 +82,20 @@ def test_rejects_unknown_keys_and_duplicates(tmp_path):
     assert "duplicate" in str(err.value)
 
 
+def test_missing_and_optional_keys(tmp_path):
+    """A descriptor field without a default is a required key; the three
+    with a default may be left out."""
+    without_dim_m = entry_dict()
+    del without_dim_m["dim_m"]
+    with pytest.raises(CatalogError, match=r"missing keys \['dim_m'\]"):
+        load_catalog(write_catalog(tmp_path, [without_dim_m]))
+    minimal = entry_dict()
+    for key in ("k_root_label", "jordan_algebra", "notes"):
+        del minimal[key]
+    (desc,) = load_catalog(write_catalog(tmp_path, [minimal]))
+    assert (desc.k_root_label, desc.jordan_algebra, desc.notes) == (None, None, "")
+
+
 @pytest.mark.parametrize("entry", [1, None, "sl2R"])
 def test_rejects_an_entry_that_is_not_an_object(tmp_path, entry):
     path = write_catalog(tmp_path, [entry])

@@ -94,17 +94,24 @@ def test_cartan_matrices():
                     assert x in (0, -1, -2, -3)
 
 
+# family -> (least rank, the greatest rank as the message prints it)
+RANK_BOUNDS = {"A": (1, "inf"), "B": (2, "inf"), "C": (3, "inf"), "D": (4, "inf"),
+               "E": (6, 8), "F": (4, 4), "G": (2, 2), "BC": (1, "inf")}
+
+
 def test_rank_bounds_enforced():
-    with pytest.raises(RootSystemError):
-        RootSystemLabel("C", 2)
-    with pytest.raises(RootSystemError):
-        RootSystemLabel("D", 3)
-    with pytest.raises(RootSystemError):
-        RootSystemLabel("E", 9)
-    with pytest.raises(RootSystemError):
-        RootSystemLabel("G", 3)
-    with pytest.raises(RootSystemError):
-        RootSystemLabel("A", 0)
+    """Each family's least rank builds; one rank below it, and E9 and G3,
+    are rejected with the family's bounds in the message."""
+    for family, (lo, hi) in RANK_BOUNDS.items():
+        assert build_root_system(RootSystemLabel.parse(f"{family}{lo}")).rank == lo
+        with pytest.raises(RootSystemError) as err:
+            RootSystemLabel(family, lo - 1)
+        assert str(err.value) == f"{family}{lo - 1}: rank must be in [{lo}, {hi}]"
+    for text, bounds in (("E5", "[6, 8]"), ("E9", "[6, 8]"), ("F3", "[4, 4]"),
+                         ("G3", "[2, 2]")):
+        with pytest.raises(RootSystemError) as err:
+            RootSystemLabel.parse(text)
+        assert str(err.value) == f"{text}: rank must be in {bounds}"
 
 
 def test_negation_closure_everywhere():

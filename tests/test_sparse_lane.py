@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_helpers import fractions_up_to, reference_kernel
-from minorbit.exactla import I, ONE, ZERO, GaussianRational, dot, mat_vec
+from exact_helpers import fractions_up_to, plain_mat_vec, reference_kernel
+from minorbit.exactla import I, ONE, ZERO, GaussianRational
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
 from minorbit.matmodel.model import Span, _build, _support
@@ -35,12 +35,12 @@ def dense(model, op, shift=0):
 
 
 def dense_kernel_in_span(model, ops, span, real=False):
-    """Dense mat_vec images, every constraint row kept, then the dense
+    """Dense plain_mat_vec images, every constraint row kept, then the dense
     reference elimination; with ``real`` each row (a_k + b_k i) / d gives the
     rows of Fractions a_k / d and b_k / d, so the coefficients are rational."""
     rows = []
     for op in ops:
-        images = [mat_vec(op, v) for v in span]
+        images = [plain_mat_vec(op, v) for v in span]
         for r in range(model.dim):
             row = [img[r] for img in images]
             if real:
@@ -112,8 +112,8 @@ ENTRIES = st.one_of(st.just(Fraction(0)), FRACTIONS)
 @functools.lru_cache(maxsize=None)
 def coordinate_pairs(dim):
     """Two vectors in one draw, each real, complexified or all zero, and its
-    parts sparse, or one of them a unit vector, as in the Gram rows of the
-    numerics; the strategy is built once per dim."""
+    parts sparse, or one of them a unit vector, as in the rows B(y, .) of
+    the k_nu_perp system; the strategy is built once per dim."""
     parts = st.lists(ENTRIES, min_size=dim, max_size=dim)
     real = parts.map(lambda re: [GaussianRational(a) for a in re])
     gaussian = st.tuples(parts, parts).map(
@@ -129,7 +129,7 @@ def coordinate_pairs(dim):
 def test_trace_form_matches_dense_gram(form_id, data):
     model = build_model(form_id)
     x, y = data.draw(coordinate_pairs(model.dim))
-    reference = dot(x, mat_vec(model.tr_gram, y))
+    (reference,) = plain_mat_vec([x], plain_mat_vec(model.tr_gram, y))
     assert model._tr_form(x, y) == reference
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from minorbit import numeric, sympver
+from minorbit import exactla, numeric, sympver
 from minorbit.matmodel import analyze, centralizer_checks
 from minorbit.matmodel.model import LieAlgebraModel
 from minorbit.numeric import GroupElement, ModelNumerics, numerics
@@ -122,10 +122,11 @@ def test_induced_scaling_in_t():
 def test_frame_rank_is_dim_Z():
     for form_id in VERIFY_FORMS:
         num = numerics(form_id)
+        inv = num.analysis.invariants
         frame = standard_frame(num, base_point())
-        assert frame.shape[-3] == num.dim_Z == num.dim_X + 2
+        assert frame.shape[-3] == inv.dim_Z == inv.dim_X + 2
         (gram,) = induced_gram(num, base_point(), frame)
-        assert np.linalg.matrix_rank(gram, tol=1e-10) == num.dim_Z
+        assert np.linalg.matrix_rank(gram, tol=1e-10) == inv.dim_Z
 
 
 # --- the symplectic comparison ----------------------------------------------
@@ -667,6 +668,17 @@ def test_isotropy_basis_solved_once_per_form(monkeypatch):
     second = ks_correspondence_check(num, samples=5, seed=42)
     assert sum(solved) == 1
     assert first.as_dict() == second.as_dict()
+
+
+def test_numerics_solve_nothing(monkeypatch):
+    """k_nu_perp is the weight data's and Cent k the model's: once
+    lambda_data has run, building the numerics makes no exact solve."""
+    a = analyze("su41")
+    a.lambda_data()
+    kernels = _count_calls(monkeypatch, exactla, "kernel_basis")
+    spans = _count_calls(monkeypatch, LieAlgebraModel, "kernel_in_span")
+    ModelNumerics(a)
+    assert (len(kernels), len(spans)) == (0, 0)
 
 
 # --- one K element per chunk, shared by the four checks --------------------------
