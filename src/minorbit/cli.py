@@ -25,7 +25,7 @@ class RunConfig:
     command: str
     form: str | None = None
     checks: list[str] | None = None
-    samples: int = 100  # sympver.DEFAULT_SAMPLES
+    samples: int = sympver.DEFAULT_SAMPLES
     tol: float | None = None
     seed: int = 42
     catalog: str | None = None

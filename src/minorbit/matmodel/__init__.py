@@ -79,10 +79,6 @@ class ModelAnalysis:
     striple: STriple
     cayley: CayleyTriple
 
-    @property
-    def form_id(self) -> str:
-        return self.descriptor.id
-
     def lambda_data(self) -> LambdaData:
         return self._lambda
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 from .. import exactla
 from ..report import CheckItem
-from ..rootsys import dominant, indecomposable
+from ..rootsys import dominant
 from .families import ModelError
-from .model import Coords, LieAlgebraModel
+from .model import Coords, LieAlgebraModel, _apply
 from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
 from .triples import CayleyTriple, STriple, compact_partner
 
@@ -136,7 +136,6 @@ class LambdaData:
     t_basis: list[Coords]  # Cartan subalgebra of k containing z
     k_nu_basis: list[Coords] = field(default_factory=list)
     k_nu_perp: list[Coords] = field(default_factory=list)  # B-orthogonal basis
-    dim_X: int = 0
     x_equals_minus_x: bool = True
     checks: list[CheckItem] = field(default_factory=list)
 
@@ -187,26 +186,19 @@ def lambda_data(
     t_basis = _cartan_of_k(model, z, k_nu)
     lam_vec = [model.B(z, t) for t in t_basis]
 
-    # root decomposition of the complexified k under t; each eigenvalue of ad t
-    # is i times a rational, and the label keeps the rational
-    spaces = model.torus_spaces(t_basis, model.k_units, imaginary=True)
-    labels = [tuple(lam.imag for lam in label) for label, _ in spaces]
-    k_roots = sorted(q for q in labels if any(q))
-    zero_dim = sum(len(s) for q, (_, s) in zip(labels, spaces) if not any(q))
+    # the roots of the complexified k under t; ad t has eigenvalues i q, and
+    # a root keeps the rationals q
+    zero, _, positive, simple, dual = model.torus_roots(
+        t_basis, model.k_units, imaginary=True)
     checks.append(CheckItem.verdict(
         "cartan_is_self_centralizing",
-        zero_dim == len(t_basis),
-        f"zero space dim {zero_dim}, rank {len(t_basis)}",
+        len(zero) == len(t_basis),
+        f"zero space dim {len(zero)}, rank {len(t_basis)}",
     ))
 
-    gram_t = [[model.B(a, b) for b in t_basis] for a in t_basis]
-
+    # the trace form is B / c with c > 0, and dominance does not see the scale
     def ip(u, v):
-        dual = exactla.solve(gram_t, list(v))
-        return -sum(a * b for a, b in zip(u, dual))
-
-    positive = [r for r in k_roots if next(x for x in r if x) > 0]
-    simple = indecomposable(positive)
+        return -sum(a * b for a, b in zip(u, dual[v]))
 
     dom_plus = dominant(lam_vec, simple, ip, len(positive))
     dom_minus = dominant([-x for x in lam_vec], simple, ip, len(positive))
@@ -232,10 +224,13 @@ def lambda_data(
         ))
 
     # k_nu_perp, the B-orthogonal complement of k_nu in k: the kernel in k of
-    # the one operator whose row r is the functional B(y_r, .), y_r in k_nu
+    # the one operator whose row r is the functional B(y_r, .), y_r in k_nu,
+    # read off the trace Gram rows at the nonzero entries of y_r
     forms = [[] for _ in range(model.dim)]
-    for j, x in zip(model.k_indices, model.k_units):
-        forms[j] = [(r, b) for r, y in enumerate(k_nu) if (b := model.B(y, x))]
+    for r, y in enumerate(k_nu):
+        for j, b in _apply(model.tr_rows, [(i, x) for i, x in enumerate(y) if x]).items():
+            if b:
+                forms[j].append((r, model.c * b))
     perp = model.kernel_in_span([forms], model.k_units, real=True)
     k_nu_perp = exactla.orthogonalize(perp, model.B)
 
@@ -243,7 +238,6 @@ def lambda_data(
         t_basis=t_basis,
         k_nu_basis=k_nu,
         k_nu_perp=k_nu_perp,
-        dim_X=dim_X,
         x_equals_minus_x=x_eq,
         checks=checks,
     )

@@ -19,9 +19,12 @@ sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.  Each
 exact subspace has one owner that solves it once: the model holds the unit
 spans of g, k, p and a (sharing their vectors), m = Cent_k(a) and, on first
 use, the center ``center_k`` of k.  One routine, :meth:`~LieAlgebraModel.eigenspaces`,
-splits a span under one operator; ``joint_eigenspaces`` refines through it,
-and ``torus_spaces`` feeds that the differences of the defining eigenvalues,
-which ``defining_eigenvalues`` computes exactly for the tori a and t alike.
+splits a span under one operator; ``joint_eigenspaces`` refines through it.
+One routine, :meth:`~LieAlgebraModel.torus_roots`, gives the root datum of a
+torus, the restricted roots (a on g) and the roots of k (t on k) alike: it
+feeds ``joint_eigenspaces`` the differences of the defining eigenvalues, which
+``defining_eigenvalues`` computes exactly, and returns the root spaces, the
+positive and simple roots and the trace duals of the roots.
 
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
@@ -47,6 +50,7 @@ import numpy as np
 
 from .. import exactla
 from ..exactla import ONE, ZERO, GaussianRational
+from ..rootsys import indecomposable
 from .families import FamilyData, ModelError, family_data
 
 Coords = list  # list[GaussianRational]; every imaginary part is 0 for an element of g
@@ -323,20 +327,35 @@ class LieAlgebraModel(FamilyData):
             )
         return found
 
-    def torus_spaces(
-        self, torus: Sequence[Coords], span: Sequence[Coords], imaginary: bool = False
-    ) -> list[tuple[tuple, list[Coords]]]:
-        """Joint eigenspaces in span(span) of ad t for the commuting t in ``torus``.
+    def torus_roots(self, torus: Sequence[Coords], span: Sequence[Coords],
+                    imaginary: bool = False, key=tuple) -> tuple:
+        """The root datum of the commuting t in ``torus`` on span(span).
 
-        The eigenvalues of ad t are the differences of the defining
-        eigenvalues of t, times i when ``imaginary`` (t compact).
+        A root lists the eigenvalues of ad t, the differences of the defining
+        eigenvalues of t; with ``imaginary`` (t compact) they are i times the
+        rationals the root keeps.  Returns the zero space, the root spaces
+        {root: space} sorted by root, the positive roots (the first nonzero
+        entry of ``key(root)`` positive), the simple roots, and the trace
+        duals {root: G^-1 root}, with G the trace Gram of the torus.
         """
         candidates = []
         for t in torus:
             eigs = self.defining_eigenvalues(t, imaginary)
             diffs = sorted({a - b for a in eigs for b in eigs})
             candidates.append([q * exactla.I for q in diffs] if imaginary else diffs)
-        return self.joint_eigenspaces([self.ad_matrix(t) for t in torus], candidates, span)
+        zero, spaces = [], {}
+        for label, space in self.joint_eigenspaces(
+                [self.ad_matrix(t) for t in torus], candidates, span):
+            root = tuple(x.imag for x in label) if imaginary else label
+            if any(root):
+                spaces[root] = space
+            else:
+                zero = space
+        spaces = dict(sorted(spaces.items()))
+        positive = [r for r in spaces if next((x for x in key(r) if x), 0) > 0]
+        gram = [[self._tr_form(s, t) for t in torus] for s in torus]
+        dual = {r: exactla.solve(gram, list(r)) for r in spaces}
+        return zero, spaces, positive, indecomposable(positive), dual
 
     def centralizer_in_span(
         self, elements: Sequence[Coords], span: Sequence[Coords]

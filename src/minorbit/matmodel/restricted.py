@@ -1,12 +1,13 @@
 """Restricted root decomposition of a matrix model.
 
-The commuting family ad(a_1), ..., ad(a_r) is diagonalized exactly by
-:meth:`~.model.LieAlgebraModel.torus_spaces`: candidate eigenvalues are
-differences of the computed defining-representation eigenvalues of the
-a-generators, and joint eigenspaces are exact kernels.  Root classes, simple
-roots and the highest root come from the routines of :mod:`minorbit.rootsys`,
-computed once per datum.  The highest root, its coroot element, and the
-normalization of the invariant form all come out as real Gaussian rationals.
+The root datum of the torus a on g comes from
+:meth:`~.model.LieAlgebraModel.torus_roots`, the routine that also gives the
+roots of k: the root spaces (exact joint eigenspaces of ad a_1, ..., ad a_r),
+the positive and simple roots under the model's positivity key, and the trace
+duals of the roots.  Root classes and the highest root come from the routines
+of :mod:`minorbit.rootsys`, computed once per datum.  The highest root, its
+coroot element, and the normalization of the invariant form all come out as
+real Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .. import exactla
 from ..exactla import ZERO, GaussianRational
-from ..rootsys import RootSystemError, highest_root, indecomposable, root_classes
+from ..rootsys import RootSystemError, highest_root, root_classes
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
 
@@ -26,7 +27,6 @@ Root = tuple[GaussianRational, ...]
 @dataclass
 class RestrictedRootDatum:
     model: LieAlgebraModel
-    roots: list[Root]
     root_spaces: dict[Root, list[Coords]]
     positive_roots: list[Root]
     simple_roots: list[Root]
@@ -57,44 +57,24 @@ class RestrictedRootDatum:
         return self.root_value(root, self.x_psi)
 
 
-def _positive(root: Root, order: str, key) -> bool:
-    seq = key(root)
-    if order == "revlex":
-        seq = tuple(reversed(seq))
-    for x in seq:
-        if x:
-            return x > 0
-    return False
-
-
 def restricted_root_datum(
     model: LieAlgebraModel, order: str = "lex"
 ) -> RestrictedRootDatum:
     if order not in ("lex", "revlex"):
         raise ModelError(f"unknown positivity order {order!r}")
-    N = model.dim
-    spaces = model.torus_spaces(model.a_units, model.units)
-
-    root_spaces: dict[Root, list[Coords]] = {}
-    zero_space: list[Coords] = []
-    for lam, span in spaces:
-        if any(lam):
-            root_spaces[lam] = span
-        else:
-            zero_space = span
-    roots = sorted(root_spaces)
+    lex = model.positivity_key
+    key = lex if order == "lex" else lambda root: lex(root)[::-1]
+    zero_space, root_spaces, positive, simple, dual = model.torus_roots(
+        model.a_units, model.units, key=key)
     if len(zero_space) != model.dim_m + model.dim_a:
         raise ModelError(f"{model.form_id}: zero weight space is not m + a")
     total = len(zero_space) + sum(len(s) for s in root_spaces.values())
-    if total != N:
+    if total != model.dim:
         raise ModelError(f"{model.form_id}: root decomposition does not fill g")
-
-    positive = [r for r in roots if _positive(r, order, model.positivity_key)]
-    if 2 * len(positive) != len(roots):
+    if 2 * len(positive) != len(root_spaces):
         raise ModelError(f"{model.form_id}: positivity did not split the roots")
 
     # the highest root, from the simple-root coefficients of the positive roots
-    simple = indecomposable(positive)
     if not len(simple) == exactla.rank(simple) == model.dim_a:
         raise ModelError(f"{model.form_id}: simple roots are not a basis of a*")
     simple_cols = [[s[i] for s in simple] for i in range(model.dim_a)]
@@ -103,16 +83,13 @@ def restricted_root_datum(
     except RootSystemError as exc:
         raise ModelError(f"{model.form_id}: {exc}") from exc
 
-    # squared lengths and x_psi come from the trace-duals of the roots; the
+    # squared lengths and x_psi come from the trace duals of the roots; the
     # trace form on a is a block of the form on p, which is definite
-    a_idx = model.a_indices
-    gram_a = [[model.tr_gram[i][j] for j in a_idx] for i in a_idx]
-    dual = {r: exactla.solve(gram_a, list(r)) for r in roots}
-    classes = root_classes(roots, lambda r: sum(x * d for x, d in zip(r, dual[r])))
+    classes = root_classes(root_spaces, lambda r: sum(x * d for x, d in zip(r, dual[r])))
     # x_psi: the multiple of the trace-dual of psi with psi(x_psi) = 2
     factor = 2 / sum(p * d for p, d in zip(psi, dual[psi]))
-    x_psi = [ZERO] * N
-    for coef, idx in zip(dual[psi], a_idx):
+    x_psi = [ZERO] * model.dim
+    for coef, idx in zip(dual[psi], model.a_indices):
         x_psi[idx] = coef * factor
     # normalize the invariant form so that B(x_psi, x_psi) = 2
     tr_xx = model._tr_form(x_psi, x_psi)
@@ -126,7 +103,6 @@ def restricted_root_datum(
 
     datum = RestrictedRootDatum(
         model=model,
-        roots=roots,
         root_spaces=root_spaces,
         positive_roots=positive,
         simple_roots=simple,
@@ -155,7 +131,7 @@ def _validate_datum(datum: RestrictedRootDatum) -> None:
         if model.B(datum.x_psi, vec) != 0:
             raise ModelError(f"{model.form_id}: x_psi not orthogonal to ker psi")
     # negation symmetry of the root set with matching multiplicities
-    for r in datum.roots:
+    for r in datum.root_spaces:
         neg = tuple(-x for x in r)
         if neg not in datum.root_spaces:
             raise ModelError(f"{model.form_id}: roots not closed under negation")
@@ -168,7 +144,7 @@ def _validate_datum(datum: RestrictedRootDatum) -> None:
     if len(cent_n) != len(psi_space) or not exactla.same_span(cent_n, psi_space):
         raise ModelError(f"{model.form_id}: Cent n differs from the psi root space")
     # values of every root on x_psi lie in {-2,...,2}; only +-psi reach +-2
-    for r in datum.roots:
+    for r in datum.root_spaces:
         val = datum.pairing_with_psi(r)
         if val.d != 1 or not -2 <= val <= 2:
             raise ModelError(f"{model.form_id}: root value {val} on x_psi out of range")

@@ -48,7 +48,7 @@ PI = math.pi
 COND_LIMIT = 1e8
 # samples per stacked pass: memory stays bounded whatever the sample count
 CHUNK = 128
-# the sample count of every check; the CLI's RunConfig.samples has the same
+# the sample count of every check, and the CLI's default
 DEFAULT_SAMPLES = 100
 
 DEFAULT_TOL_CLOSED = 1e-9
@@ -58,7 +58,7 @@ DEFAULT_TOL_FD = 1e-6
 
 @dataclass
 class OrbitPointParam:
-    """Sampled points: a group element of K, scales t > 0 and a side.
+    """Sampled points: a group element k of K and scales t > 0.
 
     The element may stack one factor per sample, with ``t`` then an (S,)
     array.  The default is the base point.  Points derived with
@@ -67,7 +67,6 @@ class OrbitPointParam:
 
     element: GroupElement = field(default_factory=GroupElement, repr=False)
     t: float | np.ndarray = 1.0
-    side: str = "Xtilde"  # Xtilde | Z | E
 
     def __post_init__(self):
         if np.any(np.asarray(self.t) <= 0):
@@ -85,12 +84,13 @@ def _max_abs(X: np.ndarray) -> np.ndarray:
 
 
 def realize(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
-    """Matrix realizing the point on its side."""
-    if point.side == "E":
-        return _scale(point.t, point.element.ad(num.v))
-    if point.side == "Z":
-        return _scale(point.t / PI, point.element.ad(num.e))
-    raise ValueError(f"side {point.side!r} has no matrix realization")
+    """The extremal-weight point u = t Ad(k) v."""
+    return _scale(point.t, point.element.ad(num.v))
+
+
+def coadjoint_point(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
+    """The coadjoint orbit point (t / pi) Ad(k) e."""
+    return _scale(point.t / PI, point.element.ad(num.e))
 
 
 def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
@@ -112,12 +112,10 @@ def _bracket_gram(num: ModelNumerics, F: np.ndarray, frame: np.ndarray) -> np.nd
 def kks_gram(num: ModelNumerics, point: OrbitPointParam, frame: np.ndarray) -> np.ndarray:
     """Canonical-form pairings <rho, [d_j, d_i]> at realized orbit points, in
     a frame that must have full rank."""
-    if point.side != "Z":
-        raise ValueError("kks_gram expects a point on the coadjoint side")
     flat = frame.reshape(*frame.shape[:-2], -1)
     if np.any(np.linalg.matrix_rank(flat, tol=1e-10) < frame.shape[-3]):
         raise ValueError("rank-deficient frame: directions are linearly dependent")
-    return _bracket_gram(num, realize(num, point), frame)
+    return _bracket_gram(num, coadjoint_point(num, point), frame)
 
 
 def induced_gram(num: ModelNumerics, point: OrbitPointParam, frame: np.ndarray) -> np.ndarray:
@@ -310,10 +308,10 @@ def verify_beta_symplectic(
     base = _Deviations()
 
     def identities(indices, point, frame, gram_x):
-        gram_z = kks_gram(num, replace(point, side="Z"), frame)
+        gram_z = kks_gram(num, point, frame)
         # the scaling law on an independent factor, in the frame kks_gram tested
         s = 4.0 ** (2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
-        scaled = realize(num, replace(point, t=point.t * s, side="Z"))
+        scaled = coadjoint_point(num, replace(point, t=point.t * s))
         if indices[0] == 0:
             target = np.array([[0.0, -2.0 / PI], [2.0 / PI, 0.0]])
             base.add(indices[:1], _max_abs(gram_x[:1, :2, :2] - target))
@@ -357,11 +355,10 @@ def ks_correspondence_check(
     correspondence between extremal-weight points and nilpotent points."""
 
     def identities(indices, point, frame, gram):
-        point = replace(point, side="E")
         t, u, b_u = point.t, realize(num, point), nilpotent_of(num, point)
         kappa = 0.7 * _normals(draw(seed, indices, FACTOR, 0, 2 * len(num.k_basis)))
         g2 = GroupElement([num.span(kappa, num.k_basis)])
-        moved = OrbitPointParam(g2 * point.element, t, "E")
+        moved = OrbitPointParam(g2 * point.element, t)
         s = np.exp(2 * draw(seed, indices, SCALE, 0, 1)[:, 0] - 1)
         dev = {
             "unit-sphere slicing of u": np.abs(_norm(num, u) - t),
@@ -376,7 +373,7 @@ def ks_correspondence_check(
                 and num.isotropy_basis):
             eta = _normals(draw(seed, indices, ISOTROPY, 0, 2 * len(num.isotropy_basis)))
             iso = GroupElement([num.span(eta, num.isotropy_basis)])
-            repar = OrbitPointParam(point.element * iso, t, "E")
+            repar = OrbitPointParam(point.element * iso, t)
             dev["well-definedness of u"] = _max_abs(realize(num, repar) - u)
             dev["well-definedness of b(u)"] = _max_abs(nilpotent_of(num, repar) - b_u)
         return dev
@@ -444,7 +441,7 @@ def poisson_identities_check(
     """
 
     def identities(indices, point, frame, gram):
-        u0 = realize(num, replace(point, side="E"))
+        u0 = realize(num, point)
         b0 = nilpotent_of(num, point)
         k, p = num.k_basis, num.p_basis
         coeffs = 0.8 * _normals(draw(seed, indices, TEST_FUNCTIONS, 0, 4 * len(k + p)))

@@ -3,6 +3,7 @@ import pytest
 from minorbit import exactla
 from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
+from minorbit.matmodel import checks as checks_module
 from minorbit.matmodel import model as model_module
 from minorbit.matmodel.model import LieAlgebraModel, _build
 from minorbit.matmodel.triples import cayley_transform, compact_partner, make_s_triple
@@ -71,7 +72,7 @@ def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses,
 
 def _fresh_analysis(cached):
     """An analysis of the form of ``cached`` on a freshly built model."""
-    model = _build(cached.form_id)
+    model = _build(cached.descriptor.id)
     datum = restricted_root_datum(model)
     striple = make_s_triple(model, datum)
     return ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,
@@ -101,6 +102,51 @@ def test_lambda_data_solves_k_nu_perp_once(monkeypatch, all_analyses, form_id):
     lam = a.lambda_data()
     assert calls["kernel_in_span"] - calls["centralizer_in_span"] == 1
     assert lam.k_nu_perp == cached.lambda_data().k_nu_perp
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_torus_roots_of_a_and_of_t(form_id, all_analyses):
+    """The restricted roots: dim a simple roots, half the roots positive.  The
+    roots of k under its Cartan subalgebra t: (dim k - rank) / 2 positive
+    roots, and rank - dim Cent k simple roots, those of the semisimple part."""
+    a = all_analyses[form_id]
+    model, t_basis = a.model, a.lambda_data().t_basis
+    _, spaces, positive, simple, _ = model.torus_roots(model.a_units, model.units)
+    assert len(simple) == model.dim_a
+    assert 2 * len(positive) == len(spaces)
+    zero, spaces, positive, simple, dual = model.torus_roots(
+        t_basis, model.k_units, imaginary=True)
+    rank = len(t_basis)
+    assert len(zero) == rank
+    assert 2 * len(positive) == len(spaces) == model.dim_k - rank
+    assert len(simple) == rank - len(model.center_k)
+    assert list(dual) == list(spaces)
+
+
+def test_dominance_solves_nothing(monkeypatch, all_analyses):
+    """The inner product on the roots of k reads their trace duals: on a
+    freshly built su41 model, lambda_data makes no exactla.solve call from
+    inside rootsys.dominant."""
+    a = _fresh_analysis(all_analyses["su41"])
+    inside, calls = [], {"dominant": 0, "solve": 0}
+    dominant, solve = checks_module.dominant, exactla.solve
+
+    def counted_dominant(*args):
+        calls["dominant"] += 1
+        inside.append(True)
+        try:
+            return dominant(*args)
+        finally:
+            inside.pop()
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += bool(inside)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(checks_module, "dominant", counted_dominant)
+    monkeypatch.setattr(exactla, "solve", counted_solve)
+    a.lambda_data()
+    assert calls == {"dominant": 2, "solve": 0}
 
 
 def dense_k_nu_perp(model, k_nu):
@@ -219,15 +265,17 @@ def test_sl2H_m_acts_transitively(all_analyses, catalog_map):
 
 
 def test_sl2R_lambda(all_analyses):
-    lam = all_analyses["sl2R"].lambda_data()
+    a = all_analyses["sl2R"]
+    lam = a.lambda_data()
     assert len(lam.k_nu_basis) == 1  # k_nu = k
-    assert lam.dim_X == 0
+    assert a.model.dim_k - len(lam.k_nu_basis) == 0  # dim X
     assert not lam.x_equals_minus_x  # hermitian
 
 
 def test_sl3R_lambda(all_analyses):
-    lam = all_analyses["sl3R"].lambda_data()
-    assert lam.dim_X == 2
+    a = all_analyses["sl3R"]
+    lam = a.lambda_data()
+    assert a.model.dim_k - len(lam.k_nu_basis) == 2  # dim X
     assert lam.x_equals_minus_x  # -1 is in the Weyl group of k = so(3)
 
 

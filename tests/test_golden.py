@@ -64,8 +64,8 @@ def exact_structure(form_id):
         lines.append(name)
         lines.extend(" ".join(map(str, v)) for v in vectors)
 
-    for root in datum.roots:
-        put("root space", root, *datum.root_spaces[root])
+    for root, space in datum.root_spaces.items():
+        put("root space", root, *space)
     put("positive roots", *datum.positive_roots)
     put("simple roots", *datum.simple_roots)
     put("psi, x_psi, c", datum.psi, datum.x_psi, [a.model.c])

@@ -45,7 +45,7 @@ def test_sl2R_datum_explicit():
     assert a.model.c == 1
     x = as_complex(a.model, a.datum.x_psi)
     assert x == [[1, 0], [0, -1]]
-    assert len(a.datum.roots) == 2
+    assert len(a.datum.root_spaces) == 2
 
 
 def test_sl3R_datum_explicit():
@@ -53,7 +53,7 @@ def test_sl3R_datum_explicit():
     assert a.model.c == 1
     x = as_complex(a.model, a.datum.x_psi)
     assert x == [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
-    assert len(a.datum.roots) == 6  # A2 datum
+    assert len(a.datum.root_spaces) == 6  # A2 datum
 
 
 def test_su21_datum_is_bc1():

@@ -164,8 +164,8 @@ def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
 
     monkeypatch.setattr(LieAlgebraModel, "_solve_in_span", recorded)
     full = [model.unit_coords(i) for i in range(model.dim)]
-    model.torus_spaces(model.a_units, full)
-    model.torus_spaces(t_basis, model.k_units, imaginary=True)
+    model.torus_roots(model.a_units, full)
+    model.torus_roots(t_basis, model.k_units, imaginary=True)
     runs = []  # consecutive solves on one subspace
     for span, found in solves:
         if runs and runs[-1][0] is span:

@@ -34,8 +34,8 @@ PI = math.pi
 VERIFY_FORMS = ("sl2R", "sl3R", "su21", "sp4R")
 
 
-def base_point(side="Xtilde"):
-    return OrbitPointParam(GroupElement(), t=1.0, side=side)
+def base_point():
+    return OrbitPointParam(GroupElement(), t=1.0)
 
 
 def _spans(num, rng, basis, count=1, scale=1.0):
@@ -53,7 +53,7 @@ def _pc_point(num, rng, scale=1.0):
 
 def test_kks_distinguished_entry_sl2R():
     num = numerics("sl2R")
-    gram = kks_gram(num, base_point("Z"), np.array([num.x_psi, num.z]))
+    gram = kks_gram(num, base_point(), np.array([num.x_psi, num.z]))
     assert abs(gram[0, 1] - (-2.0 / PI)) < 1e-14
     assert abs(gram[1, 0] - (2.0 / PI)) < 1e-14
 
@@ -61,7 +61,7 @@ def test_kks_distinguished_entry_sl2R():
 def test_kks_antisymmetry_and_diagonal():
     num = numerics("sl3R")
     dirs = [*_spans(num, np.random.default_rng(5), num.k_basis, 3), num.x_psi]
-    gram = kks_gram(num, base_point("Z"), np.array(dirs))
+    gram = kks_gram(num, base_point(), np.array(dirs))
     assert np.allclose(gram, -gram.T, atol=1e-13)
     assert np.allclose(np.diag(gram), 0.0)
 
@@ -69,9 +69,9 @@ def test_kks_antisymmetry_and_diagonal():
 def test_kks_frame_permutation_covariance():
     num = numerics("su21")
     dirs = _spans(num, np.random.default_rng(6), num.k_basis, 4)
-    gram = kks_gram(num, base_point("Z"), dirs)
+    gram = kks_gram(num, base_point(), dirs)
     perm = [2, 0, 3, 1]
-    gram_p = kks_gram(num, base_point("Z"), dirs[perm])
+    gram_p = kks_gram(num, base_point(), dirs[perm])
     P = np.zeros((4, 4))
     for new, old in enumerate(perm):
         P[new, old] = 1.0
@@ -82,14 +82,14 @@ def test_kks_rejects_dependent_directions():
     num = numerics("sl3R")
     (x,) = _spans(num, np.random.default_rng(8), num.k_basis)
     with pytest.raises(ValueError, match="rank-deficient"):
-        kks_gram(num, base_point("Z"), np.array([x, 2.0 * x]))
+        kks_gram(num, base_point(), np.array([x, 2.0 * x]))
 
 
 def test_compact_block_agrees_across_sides_sl3R():
     """Pairings of compact directions agree at the base points of both sides."""
     num = numerics("sl3R")
     dirs = _spans(num, np.random.default_rng(7), num.k_basis, 3)
-    gram_z = kks_gram(num, base_point("Z"), dirs)
+    gram_z = kks_gram(num, base_point(), dirs)
     t = base_point()
     zk = num.z
     for i in range(3):
@@ -111,8 +111,8 @@ def test_induced_base_block_sl2R():
 def test_induced_scaling_in_t():
     num = numerics("su21")
     (kappa,) = _spans(num, np.random.default_rng(11), num.k_basis)
-    p1 = OrbitPointParam(GroupElement([kappa]), 1.0, "Xtilde")
-    p3 = OrbitPointParam(GroupElement([kappa]), 3.0, "Xtilde")
+    p1 = OrbitPointParam(GroupElement([kappa]), 1.0)
+    p3 = OrbitPointParam(GroupElement([kappa]), 3.0)
     frame = standard_frame(num, p1)
     g1 = induced_gram(num, p1, frame)
     g3 = induced_gram(num, p3, standard_frame(num, p3))
@@ -159,7 +159,7 @@ def test_beta_seed_determinism():
 
 def test_ks_base_case():
     num = numerics("sl2R")
-    point = base_point("E")
+    point = base_point()
     assert np.allclose(realize(num, point), num.v)
     report = ks_correspondence_check(num, samples=3, tol=1e-12, seed=1)
     assert report.passed
@@ -169,7 +169,7 @@ def test_ks_unit_norm_scaling():
     num = numerics("su21")
     (kappa,) = _spans(num, np.random.default_rng(3), num.k_basis)
     for t in (0.5, 1.0, 2.5):
-        u = realize(num, OrbitPointParam(GroupElement([kappa]), t, "E"))
+        u = realize(num, OrbitPointParam(GroupElement([kappa]), t))
         norm2 = num.hermitian_pairing(u, u).real
         assert abs(norm2 - t * t) < 1e-12
 
@@ -367,9 +367,8 @@ def test_pair_trace_grams_match_written_out_brackets(form_id):
     num = numerics(form_id)
     point = sympver._sample_points(num, 42, np.arange(1, 6), 0)
     frame = standard_frame(num, point)
-    z_point = OrbitPointParam(point.element, point.t, side="Z")
-    kks, induced = kks_gram(num, z_point, frame), induced_gram(num, point, frame)
-    F, zk = realize(num, z_point), point.element.ad(num.z)
+    kks, induced = kks_gram(num, point, frame), induced_gram(num, point, frame)
+    F, zk = sympver.coadjoint_point(num, point), point.element.ad(num.z)
     m = frame.shape[1]
     for s in range(5):
         d, t = frame[s], point.t[s]
@@ -392,7 +391,7 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
     for index in (1, 2, 3):
         point = sympver._sample_points(num, 42, np.array([index]), 0, spread=2.0)
         frame = standard_frame(num, point)
-        u0, b0 = realize(num, replace(point, side="E")), sympver.nilpotent_of(num, point)
+        u0, b0 = realize(num, point), sympver.nilpotent_of(num, point)
         rng = np.random.default_rng(43 + index)
         x, y = _spans(num, rng, num.k_basis, 2, scale=0.8)
         w = _pc_point(num, rng, scale=0.8)
