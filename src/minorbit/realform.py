@@ -6,12 +6,13 @@ matrices: the dimension of the minimal nilpotent coadjoint orbit, the induced
 compact orbit, and the splitness flag all fall out of counting eigenvalues of
 the distinguished coroot element on the restricted root spaces.  The matrix
 models in :mod:`minorbit.matmodel` recompute the same numbers independently.
+The names of K, X and J(X) are catalog text, printed and not checked.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -47,18 +48,12 @@ class RealFormDescriptor:
     dim_m: int
     hermitian: bool
     k_name: str
-    k_root_label: RootSystemLabel | None = None
     jordan_algebra: str | None = None
     notes: str = ""
 
     @property
     def restricted_system(self) -> RootSystem:
         return build_root_system(self.restricted_label)
-
-    @property
-    def is_split_mults(self) -> bool:
-        """All restricted root spaces one-dimensional."""
-        return all(m == 1 for m in self.mults.values())
 
     def mult_of(self, root) -> int:
         return self.mults[self.restricted_system.root_class(root)]
@@ -86,8 +81,6 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
     try:
         gc = RootSystemLabel.parse(raw["gc_label"])
         restricted = RootSystemLabel.parse(raw["restricted_label"])
-        k_root = raw.get("k_root_label")
-        k_root_label = RootSystemLabel.parse(k_root) if k_root else None
     except RootSystemError as exc:
         raise CatalogError(entry_id, str(exc)) from exc
     if gc.family == "BC":
@@ -126,7 +119,6 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
         dim_m=dim_m,
         hermitian=raw["hermitian"],
         k_name=raw["k_name"],
-        k_root_label=k_root_label,
         jordan_algebra=jordan,
         notes=notes,
     )
@@ -194,7 +186,6 @@ def find_descriptor(form_id: str, source: str | Path | None = None) -> RealFormD
 class DerivedInvariants:
     d: int
     m: dict[int, int]  # ad x_psi eigenvalue -> multiplicity, j in -2..2
-    dim_g: int
     dim_Z: int
     dim_X: int
     omin_split: bool
@@ -230,7 +221,6 @@ def derive_invariants(
     return DerivedInvariants(
         d=d,
         m=m,
-        dim_g=dim_g,
         dim_Z=dim_Z,
         dim_X=dim_Z - 2,
         omin_split=(d == 1),
@@ -238,55 +228,26 @@ def derive_invariants(
     )
 
 
-def cross_checks(desc: RealFormDescriptor, inv: DerivedInvariants) -> list[CheckItem]:
-    """Named identity checks relating the derived invariants."""
-    checks: list[CheckItem] = []
-
-    def skip(name: str, detail: str):
-        checks.append(CheckItem(name, "skipped", detail))
-
-    checks.append(CheckItem.verdict(
-        "eigenvalue_symmetry",
-        all(inv.m[j] == inv.m[-j] for j in (1, 2)),
-        f"m={inv.m}",
-    ))
-    checks.append(CheckItem.verdict(
-        "top_eigenspace_is_d", inv.m[2] == inv.d, f"m2={inv.m[2]} d={inv.d}"
-    ))
-    checks.append(CheckItem.verdict(
-        "dimension_partition",
-        sum(inv.m.values()) == inv.dim_g,
-        f"sum m_j = {sum(inv.m.values())}, dim g = {inv.dim_g}",
-    ))
-    checks.append(CheckItem.verdict(
-        "orbit_gap", inv.dim_X == inv.dim_Z - 2, f"dim_X={inv.dim_X} dim_Z={inv.dim_Z}"
-    ))
+def cross_checks(inv: DerivedInvariants) -> list[CheckItem]:
+    """Identities that compare two separate counts of the derived invariants."""
+    checks = [
+        CheckItem.verdict(
+            "eigenvalue_symmetry",
+            all(inv.m[j] == inv.m[-j] for j in (1, 2)),
+            f"m={inv.m}",
+        ),
+        CheckItem.verdict(
+            "top_eigenspace_is_d", inv.m[2] == inv.d, f"m2={inv.m[2]} d={inv.d}"
+        ),
+    ]
     if inv.omin_split:
         checks.append(CheckItem.verdict(
             "minimal_orbit_dim",
             inv.dim_Z == 2 * inv.h_vee - 2,
             f"dim_Z={inv.dim_Z} vs 2h^v-2={2 * inv.h_vee - 2}",
         ))
-        checks.append(CheckItem.verdict(
-            "compact_orbit_dim",
-            inv.dim_X == 2 * inv.h_vee - 4,
-            f"dim_X={inv.dim_X} vs 2h^v-4={2 * inv.h_vee - 4}",
-        ))
     else:
-        skip("minimal_orbit_dim", "not omin-split")
-        skip("compact_orbit_dim", "not omin-split")
-    if desc.is_split_mults:
-        checks.append(CheckItem.verdict(
-            "split_implies_omin_split", inv.omin_split, f"d={inv.d}"
-        ))
-    else:
-        skip("split_implies_omin_split", "multiplicities not all 1")
-    if desc.hermitian:
-        checks.append(CheckItem.verdict(
-            "hermitian_implies_d1", inv.d == 1, f"d={inv.d}"
-        ))
-    else:
-        skip("hermitian_implies_d1", "not hermitian")
+        checks.append(CheckItem("minimal_orbit_dim", "skipped", "not omin-split"))
     return checks
 
 
@@ -300,24 +261,15 @@ class TableRow:
     dim_jordan: int
 
 
-@dataclass
-class ExceptionalTable:
-    rows: list[TableRow] = field(default_factory=list)
+def exceptional_table(catalog: tuple[RealFormDescriptor, ...]) -> list[TableRow]:
+    """The split exceptional forms' rows, with computed compact-orbit dimensions.
 
-    def dim_X_values(self) -> tuple[int, ...]:
-        return tuple(r.dim_X for r in self.rows)
-
-
-def exceptional_table(
-    catalog: tuple[RealFormDescriptor, ...] | None = None,
-) -> ExceptionalTable:
-    """Split exceptional forms with computed compact-orbit dimensions.
-
-    For these entries dim J(X) is reported as dim X / 2; the X column is the
-    display text carried in the entry's ``notes`` field.
+    dim X is derived from the restricted root data.  K, the X column (the
+    entry's ``notes``) and J(X) are catalog text, and dim J(X) is dim X / 2
+    by definition: none of them is checked.
     """
-    entries = {e.id: e for e in (catalog if catalog is not None else load_catalog())}
-    table = ExceptionalTable()
+    entries = {e.id: e for e in catalog}
+    rows = []
     for entry_id in EXCEPTIONAL_TABLE_IDS:
         if entry_id not in entries:
             raise CatalogError(entry_id, "required exceptional entry missing")
@@ -325,7 +277,7 @@ def exceptional_table(
         inv = derive_invariants(desc)
         if inv.dim_X % 2:
             raise CatalogError(entry_id, f"dim_X={inv.dim_X} is odd")
-        table.rows.append(
+        rows.append(
             TableRow(
                 gc_type=str(desc.gc_label),
                 k_name=desc.k_name,
@@ -335,4 +287,4 @@ def exceptional_table(
                 dim_jordan=inv.dim_X // 2,
             )
         )
-    return table
+    return rows

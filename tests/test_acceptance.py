@@ -34,9 +34,9 @@ def verdict(number, ok, text):
 
 def test_criterion_01_exceptional_table(catalog):
     start = time.perf_counter()
-    table = exceptional_table(catalog)
+    rows = exceptional_table(catalog)
     elapsed = time.perf_counter() - start
-    dims = table.dim_X_values()
+    dims = tuple(r.dim_X for r in rows)
     ok = dims == (4, 14, 20, 32, 56) and elapsed < 1.0
     verdict(1, ok, f"table dim_X = {dims} in {elapsed:.3f}s (< 1s)")
 
@@ -48,7 +48,7 @@ def test_criterion_02_dimension_formulas(catalog):
         if inv.omin_split:
             if inv.dim_Z != 2 * inv.h_vee - 2 or inv.dim_X != 2 * inv.h_vee - 4:
                 bad.append(desc.id)
-        if desc.is_split_mults and not inv.omin_split:
+        if set(desc.mults.values()) == {1} and not inv.omin_split:
             bad.append(desc.id)
     verdict(2, not bad, f"dimension formulas hold on all {len(catalog)} entries")
 

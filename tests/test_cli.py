@@ -113,6 +113,30 @@ def test_table_values_and_formats(capsys):
     assert dims == [4, 14, 20, 32, 56]
 
 
+def test_table_fails_on_a_wrong_dim_X(tmp_path, capsys):
+    """E6 with the restricted data of EIV (A2, mult 8, dim m 28) passes
+    catalog validation, and dim X = 30 fails the table's one verdict line."""
+    path = _catalog_copy(tmp_path, "e6-split", restricted_label="A2",
+                         mults={"long": 8}, dim_m=28)
+    assert main(["table", "--catalog", str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] != "pass"] == ["table[dim_X_row]"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 8: K, X and J(X) are catalog text and only dim X is checked"
+))
+def test_table_fails_on_e8_with_the_restricted_data_of_another_form(tmp_path):
+    """E8 with restricted root system F4, mults long 1 / short 8 and dim m 28
+    (EIX's data) keeps dim X = 56, so the table still passes."""
+    from minorbit.realform import load_catalog
+
+    path = _catalog_copy(tmp_path, "e8-split", restricted_label="F4",
+                         mults={"long": 1, "short": 8}, dim_m=28)
+    load_catalog(path)  # a valid catalog: a CatalogError here is no xfail
+    assert main(["table", "--catalog", str(path)]) == 1
+
+
 def test_bad_catalog_names_invariant(tmp_path, capsys):
     bad = [{
         "id": "broken",
@@ -151,21 +175,21 @@ def test_mistyped_catalog_field_exits_2(tmp_path, capsys):
     assert "su21" in err and "hermitian must be true or false" in err
 
 
-def _su21_catalog(tmp_path, **fields):
-    """A copy of the shipped catalog with ``fields`` set on the su21 entry."""
+def _catalog_copy(tmp_path, form_id, **fields):
+    """A copy of the shipped catalog with ``fields`` set on one entry."""
     from minorbit.realform import default_catalog_path
 
     raw = json.loads(default_catalog_path().read_text(encoding="utf-8"))
     for entry in raw:
-        if entry["id"] == "su21":
+        if entry["id"] == form_id:
             entry.update(fields)
-    path = tmp_path / "su21.json"
+    path = tmp_path / f"{form_id}.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
 
 
 def test_catalog_override_reaches_the_model_lane(tmp_path, capsys):
-    path = _su21_catalog(tmp_path, hermitian=False)
+    path = _catalog_copy(tmp_path, "su21", hermitian=False)
     assert main(["catalog", "--catalog", str(path)]) == 0
     capsys.readouterr()
     argv = ["verify", "--form", "su21", "--checks", "lambda", "--format", "json",
@@ -182,7 +206,7 @@ def test_catalog_override_keys_the_model_caches(tmp_path):
     from minorbit.matmodel import analyze
     from minorbit.numeric import numerics
 
-    path = _su21_catalog(tmp_path, hermitian=False)
+    path = _catalog_copy(tmp_path, "su21", hermitian=False)
     assert analyze("su21").descriptor.hermitian is True
     assert analyze("su21", None) is analyze("su21")
     assert analyze("su21", path).descriptor.hermitian is False
@@ -194,7 +218,7 @@ def test_catalog_override_keys_the_model_caches(tmp_path):
 def test_a_multiplicity_disagreement_is_a_failed_check(tmp_path, capsys):
     """su21 with e_i multiplicity 1 and dim m 3 passes catalog validation but
     disagrees with the model; both commands report failed checks (exit 1)."""
-    path = _su21_catalog(tmp_path, mults={"e_i": 1, "2e_i": 1}, dim_m=3)
+    path = _catalog_copy(tmp_path, "su21", mults={"e_i": 1, "2e_i": 1}, dim_m=3)
     assert main(["catalog", "--catalog", str(path)]) == 0
     capsys.readouterr()
     argv = ["--form", "su21", "--catalog", str(path), "--format", "json"]
@@ -215,10 +239,10 @@ def test_commands_agree_on_a_catalog_rewritten_in_process(tmp_path, capsys):
     """A catalog is parsed once per source key and process, and every command
     reads that one parse: after the file is rewritten with an invalid su21,
     catalog, model-check and invariants still give one answer."""
-    path = _su21_catalog(tmp_path)
+    path = _catalog_copy(tmp_path, "su21")
     runs = [["catalog"], ["model-check", "--form", "su21"], ["invariants", "--form", "su21"]]
     before = [main([*argv, "--catalog", str(path)]) for argv in runs]
-    _su21_catalog(tmp_path, mults={"e_i": 0, "2e_i": 1})
+    _catalog_copy(tmp_path, "su21", mults={"e_i": 0, "2e_i": 1})
     after = [main([*argv, "--catalog", str(path)]) for argv in runs]
     capsys.readouterr()
     assert before == [0, 0, 0]

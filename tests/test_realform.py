@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -21,7 +22,6 @@ def entry_dict(**overrides):
         "dim_m": 1,
         "hermitian": True,
         "k_name": "U(2)",
-        "k_root_label": "A1",
         "jordan_algebra": None,
         "notes": "",
     }
@@ -83,17 +83,17 @@ def test_rejects_unknown_keys_and_duplicates(tmp_path):
 
 
 def test_missing_and_optional_keys(tmp_path):
-    """A descriptor field without a default is a required key; the three
+    """A descriptor field without a default is a required key; the two
     with a default may be left out."""
     without_dim_m = entry_dict()
     del without_dim_m["dim_m"]
     with pytest.raises(CatalogError, match=r"missing keys \['dim_m'\]"):
         load_catalog(write_catalog(tmp_path, [without_dim_m]))
     minimal = entry_dict()
-    for key in ("k_root_label", "jordan_algebra", "notes"):
+    for key in ("jordan_algebra", "notes"):
         del minimal[key]
     (desc,) = load_catalog(write_catalog(tmp_path, [minimal]))
-    assert (desc.k_root_label, desc.jordan_algebra, desc.notes) == (None, None, "")
+    assert (desc.jordan_algebra, desc.notes) == (None, "")
 
 
 @pytest.mark.parametrize("entry", [1, None, "sl2R"])
@@ -136,14 +136,14 @@ def test_sl3H_invariants(catalog_map):
 def test_all_entries_pass_cross_checks(catalog):
     for desc in catalog:
         inv = derive_invariants(desc)
-        assert sum(inv.m.values()) == inv.dim_g
+        assert sum(inv.m.values()) == desc.dim_g
         assert all(inv.m[j] == inv.m[-j] for j in (1, 2))
-        failures = [c for c in cross_checks(desc, inv) if c.failed]
+        failures = [c for c in cross_checks(inv) if c.failed]
         assert not failures, (desc.id, failures)
 
 
 def test_split_entries_are_omin_split(catalog):
-    split = [e for e in catalog if e.is_split_mults]
+    split = [e for e in catalog if set(e.mults.values()) == {1}]
     assert split, "catalog must contain split entries"
     for desc in split:
         assert derive_invariants(desc).omin_split, desc.id
@@ -177,24 +177,35 @@ def test_positive_system_reversal_is_invisible(catalog):
 
 
 def test_sl3H_cross_checks_skip_dimension_formulas(catalog_map):
-    desc = catalog_map["sl3H"]
-    checks = {c.name: c for c in cross_checks(desc, derive_invariants(desc))}
+    checks = {c.name: c for c in cross_checks(derive_invariants(catalog_map["sl3H"]))}
     assert checks["minimal_orbit_dim"].status == "skipped"
-    assert checks["compact_orbit_dim"].status == "skipped"
     assert not any(c.failed for c in checks.values())
 
 
+@pytest.mark.parametrize("change, failing", [
+    (lambda inv: {"m": {**inv.m, 1: inv.m[1] + 1}}, "eigenvalue_symmetry"),
+    (lambda inv: {"d": 2}, "top_eigenspace_is_d"),
+    (lambda inv: {"dim_Z": inv.dim_Z + 2}, "minimal_orbit_dim"),
+], ids=["asymmetric-m", "d2", "dim_Z+2"])
+def test_each_cross_check_can_fail(catalog_map, change, failing):
+    """One changed invariant of su32 fails exactly the line that reads it."""
+    inv = derive_invariants(catalog_map["su32"])
+    assert not any(c.failed for c in cross_checks(inv))
+    checks = cross_checks(dataclasses.replace(inv, **change(inv)))
+    assert [c.name for c in checks if c.failed] == [failing]
+
+
 def test_exceptional_table_values(catalog):
-    table = exceptional_table(catalog)
-    assert table.dim_X_values() == (4, 14, 20, 32, 56)
-    assert [r.dim_jordan for r in table.rows] == [2, 7, 10, 16, 28]
-    g2 = table.rows[0]
+    rows = exceptional_table(catalog)
+    assert [r.dim_X for r in rows] == [4, 14, 20, 32, 56]
+    assert [r.dim_jordan for r in rows] == [2, 7, 10, 16, 28]
+    g2 = rows[0]
     assert g2.k_name == "SU(2) x SU(2)"
     assert g2.x_name == "P1(C) x P1(C)"
     assert g2.dim_X == 4
-    e7 = table.rows[3]
+    e7 = rows[3]
     assert e7.dim_X == 32
-    f4 = table.rows[1]
+    f4 = rows[1]
     assert f4.dim_X == 14 == 2 * 9 - 4
 
 
@@ -219,12 +230,13 @@ def test_exceptional_ids_present(catalog_map):
         ({"dim_m": True}, "dim_m must be a nonnegative integer"),
         ({"mults": {"e_i": 2, "2e_i": True}}, "mult '2e_i' must be a positive integer"),
         ({"gc_label": 7}, "cannot parse label 7"),
-        ({"k_root_label": ["A1"]}, "cannot parse label ['A1']"),
+        ({"restricted_label": ["A1"]}, "cannot parse label ['A1']"),
         ({"notes": 5}, "notes must be a string"),
         ({"jordan_algebra": 3}, "jordan_algebra must be a string or null"),
         ({"gc_label": "A+2"}, "cannot parse label 'A+2'"),
         ({"restricted_label": "BC1 "}, "cannot parse label 'BC1 '"),
-        ({"k_root_label": "A01"}, "cannot parse label 'A01'"),
+        ({"gc_label": "A01"}, "cannot parse label 'A01'"),
+        ({"k_root_label": "A1"}, "unknown keys ['k_root_label']"),
     ],
 )
 def test_rejects_mistyped_fields(tmp_path, override, message):
