@@ -51,21 +51,11 @@ __all__ = [
     "kernel_ad_e_dimension",
     "analyze",
     "has_matrix_model",
-    "model_descriptor",
 ]
 
 
 def has_matrix_model(form_id: str) -> bool:
     return form_id in MODEL_IDS
-
-
-def model_descriptor(form_id: str, catalog: str | Path | None = None) -> RealFormDescriptor:
-    """The catalog entry of a modeled form: CatalogError for a form the
-    catalog lacks, then ModelError for a catalog form with no matrix model."""
-    descriptor = find_descriptor(form_id, catalog)
-    if not has_matrix_model(form_id):
-        raise ModelError(f"form {form_id!r} has no matrix model")
-    return descriptor
 
 
 @dataclass
@@ -95,7 +85,11 @@ def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:
 
 @lru_cache(maxsize=None)
 def _analyze_cached(form_id: str, catalog: str | None) -> ModelAnalysis:
-    descriptor = model_descriptor(form_id, catalog)
+    # CatalogError for a form the catalog lacks, then ModelError for a
+    # catalog form with no matrix model
+    descriptor = find_descriptor(form_id, catalog)
+    if not has_matrix_model(form_id):
+        raise ModelError(f"form {form_id!r} has no matrix model")
     invariants = derive_invariants(descriptor)
     model = build_model(form_id)
     datum = restricted_root_datum(model)

@@ -1,11 +1,14 @@
-"""Distinguished sl2-triples and their Cayley transforms, verified exactly."""
+"""Distinguished sl2-triples and their Cayley transforms, verified exactly.
+
+e is the first vector of the highest root space g_psi at H-norm 1; as
+H(x, x) = c tr(x x^*) > 0 for x != 0, only an irrational norm stops that.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .. import exactla
 from ..exactla import I, GaussianRational, exact_sqrt
 from .families import ModelError
 from .model import Coords, LieAlgebraModel
@@ -42,43 +45,14 @@ class CayleyTriple:
     source: STriple
 
 
-def unit_vectors_in_psi_space(datum: RestrictedRootDatum) -> list[Coords]:
-    """H-orthonormal basis of the highest root space, exactly normalized."""
-    model = datum.model
-    span = datum.root_spaces[datum.psi]
-    ortho = exactla.orthogonalize(span, model.H)
-    out = []
-    for vec in ortho:
-        norm2 = model.H(vec, vec)
-        if norm2 <= 0:
-            raise ModelError(f"{model.form_id}: Hilbert pairing not positive")
-        root = exact_sqrt(norm2)
-        if root is None:
-            raise ModelError(
-                f"{model.form_id}: psi-space vector has irrational norm {norm2}"
-            )
-        out.append([x / root for x in vec])
-    return out
-
-
-def make_s_triple(
-    model: LieAlgebraModel,
-    datum: RestrictedRootDatum,
-    rotated: bool = False,
-) -> STriple:
-    """Build the triple from the first unit vector of the psi root space.
-
-    ``rotated=True`` replaces e by the rational rotation (3e0 + 4e1)/5 inside
-    the root space (requires dim >= 2); derived invariants must not change.
-    """
-    units = unit_vectors_in_psi_space(datum)
-    if rotated:
-        if len(units) < 2:
-            raise ModelError(f"{model.form_id}: rotation needs dim g_psi >= 2")
-        cos, sin = GaussianRational(3, 0, 5), GaussianRational(4, 0, 5)
-        e = [cos * a + sin * b for a, b in zip(units[0], units[1])]
-    else:
-        e = units[0]
+def make_s_triple(model: LieAlgebraModel, datum: RestrictedRootDatum) -> STriple:
+    """The triple from the first vector of the psi root space, at H-norm 1."""
+    e = datum.root_spaces[datum.psi][0]
+    norm2 = model.H(e, e)
+    root = exact_sqrt(norm2)
+    if root is None:
+        raise ModelError(f"{model.form_id}: psi-space vector has irrational norm {norm2}")
+    e = [x / root for x in e]
     f = [-x for x in model.theta(e)]
     triple = STriple(model=model, x=list(datum.x_psi), e=e, f=f)
     problems = s_triple_violations(triple)

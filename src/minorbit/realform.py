@@ -192,18 +192,10 @@ class DerivedInvariants:
     h_vee: int
 
 
-def derive_invariants(
-    desc: RealFormDescriptor, reversed_order: bool = False
-) -> DerivedInvariants:
-    """Eigenvalue multiplicities of the highest-coroot element and orbit dims.
-
-    ``reversed_order`` negates the positive system; every derived quantity
-    must be unchanged, which the test suite asserts.
-    """
+def derive_invariants(desc: RealFormDescriptor) -> DerivedInvariants:
+    """Eigenvalue multiplicities of the highest-coroot element and orbit dims."""
     rs = desc.restricted_system
     psi = rs.highest_root
-    if reversed_order:
-        psi = tuple(-x for x in psi)
     m = {j: 0 for j in (-2, -1, 0, 1, 2)}
     for beta in rs.all_roots:
         j = coroot_pairing(rs, beta, psi)

@@ -13,9 +13,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
+
+
+def _cell(text: str) -> str:
+    """Text for one markdown table cell: a pipe escaped, a line break a space."""
+    return re.sub(r"\r\n|[\r\n]", " ", text.replace("|", r"\|"))
 
 
 @dataclass
@@ -109,7 +115,7 @@ class ReportDocument:
                     f"max_dev={d['max_abs_deviation']!r} tol={d['tolerance']!r} "
                     f"samples={d['samples']} seed={d['seed']} {detail}"
                 ).strip()
-            lines.append(f"| {c.name} | {c.status} | {detail} |")
+            lines.append(f"| {_cell(c.name)} | {c.status} | {_cell(detail)} |")
         lines.append("")
         lines.append(f"overall: {'pass' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"

@@ -14,10 +14,6 @@ def catalog_map(catalog):
     return {e.id: e for e in catalog}
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: builds every matrix model")
-
-
 @pytest.fixture(scope="session")
 def all_analyses():
     """Every matrix model fully analyzed once per test session."""

@@ -188,6 +188,20 @@ def _catalog_copy(tmp_path, form_id, **fields):
     return path
 
 
+def test_markdown_table_keeps_catalog_text_inside_its_cell(tmp_path, capsys):
+    """A pipe in catalog text is escaped and a line break becomes a space, so
+    every row of the markdown table keeps its three cells."""
+    path = _catalog_copy(tmp_path, "e8-split", k_name="Spin(16)|Z2",
+                         notes="Spin(16)/\r\nU(8)", jordan_algebra="H4(H)\n")
+    assert main(["table", "--catalog", str(path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|")]
+    assert len(rows) == 2 + 6
+    for row in rows:
+        assert row.endswith("|") and len(row.replace("\\|", "").split("|")) == 3 + 2, row
+    assert r"| table[E8] | pass | K=Spin(16)\|Z2 X=Spin(16)/ U(8) dim_X=56 " in rows[-2]
+    assert rows[-2].endswith("J(X)=H4(H)  dim_J(X)=28 |")
+
+
 def test_catalog_override_reaches_the_model_lane(tmp_path, capsys):
     path = _catalog_copy(tmp_path, "su21", hermitian=False)
     assert main(["catalog", "--catalog", str(path)]) == 0

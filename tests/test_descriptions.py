@@ -140,6 +140,55 @@ def test_validation_rejects_a_basis_matrix_neither_hermitian_nor_anti_hermitian(
         _build_with(monkeypatch, form_id, mix_first_with_last)
 
 
+@pytest.mark.parametrize("form_id", ["sl2R", "sl3R", "su22"])
+def test_validation_rejects_an_a_that_is_not_maximal_abelian(monkeypatch, form_id):
+    """Cent_p(a) = a is the one check on a: it rejects an a whose two p
+    generators do not commute, and an a one generator short."""
+    fam = family_data(form_id)
+    basis, first = fam.basis, fam.a_indices[0]
+    x = basis[first]
+    hermitian = [i for i, b in enumerate(basis) if np.array_equal(b.conj().T, b)]
+    partner = next(j for j in hermitian if not np.array_equal(x @ basis[j], basis[j] @ x))
+
+    def non_commuting(fam):
+        return dataclasses.replace(fam, a_indices=[first, partner])
+
+    def one_short(fam):
+        return dataclasses.replace(fam, a_indices=fam.a_indices[:-1])
+
+    for mutate in (non_commuting, one_short):
+        with pytest.raises(ModelError, match="not maximal abelian in p"):
+            _build_with(monkeypatch, form_id, mutate)
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_cartan_decomposition_facts_of_the_basis(form_id):
+    """What the build no longer checks, computed from the basis with numpy:
+    ad is k/p-graded, and the trace Gram (the model's tr_rows) is 0 between
+    k and p, negative definite on k and positive definite on p."""
+    model = build_model(form_id)
+    basis = model.basis
+    adjoint = basis.conj().swapaxes(-1, -2)
+    in_k = (adjoint == -basis).all(axis=(1, 2))
+    assert ((adjoint == basis).all(axis=(1, 2)) != in_k).all()
+    assert np.flatnonzero(in_k).tolist() == model.k_indices
+    for i in range(model.dim):
+        for j in range(model.dim):
+            bracket = basis[i] @ basis[j] - basis[j] @ basis[i]
+            sign = 1 if in_k[i] != in_k[j] else -1
+            assert np.array_equal(bracket.conj().T, sign * bracket)
+            assert all(in_k[r] == (in_k[i] == in_k[j]) for r, _ in model.ad[i][j])
+    gram = np.einsum("iab,jba->ij", basis, basis)
+    assert not gram.imag.any()
+    gram = gram.real.astype(np.int64)
+    assert [[(j, int(g)) for j, g in row] for row in model.tr_rows] == [
+        [(j, g) for j, g in enumerate(row) if g] for row in gram.tolist()]
+    k, p = model.k_indices, model.p_indices
+    assert not gram[np.ix_(k, p)].any()
+    assert (np.linalg.eigvalsh(gram[np.ix_(k, k)]) < 0).all()
+    assert (np.linalg.eigvalsh(gram[np.ix_(p, p)]) > 0).all()
+
+
 @pytest.mark.parametrize("form_id", ["sl6R", "su11", "so22", "sl3H"])
 def test_build_rejects_a_form_id_outside_the_table(form_id):
     with pytest.raises(ModelError, match="unsupported model id"):
@@ -162,46 +211,3 @@ def test_joint_eigenspaces_needs_every_eigenvalue():
     full = [model.unit_coords(i) for i in range(model.dim)]
     with pytest.raises(ModelError):
         model.joint_eigenspaces(ad_a, [[Fraction(-2), Fraction(0)]], full)
-
-
-def leading_minor_definite(gram, sign):
-    """Reference: sign * gram is positive definite iff every leading
-    principal minor of sign * gram is positive (Sylvester)."""
-
-    def det(m):
-        if not m:
-            return Fraction(1)
-        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
-                   for j in range(len(m)))
-
-    scaled = [[sign * x for x in row] for row in gram]
-    return all(det([row[:k] for row in scaled[:k]]) > 0 for k in range(1, len(gram) + 1))
-
-
-# built once: the sizes, and each size's entries as one list
-SIZES = st.integers(1, 4)
-WIDTHS = {n: st.integers(1, n + 1) for n in range(1, 5)}
-ENTRY_LISTS = {k: st.lists(fractions_up_to(3, 3), min_size=k, max_size=k)
-               for k in range(1, 21)}
-
-
-@st.composite
-def symmetric_matrices(draw):
-    """A A^T (definite, or semidefinite when A has dependent rows), or a raw
-    symmetric matrix (mostly indefinite), with small rational entries."""
-    n = draw(SIZES)
-    if draw(st.booleans()):
-        m = draw(WIDTHS[n])
-        flat = draw(ENTRY_LISTS[n * m])
-        a = [flat[i * m:(i + 1) * m] for i in range(n)]
-        return [[sum(x * y for x, y in zip(u, v)) for v in a] for u in a]
-    flat = iter(draw(ENTRY_LISTS[n * (n + 1) // 2]))
-    upper = {(i, j): next(flat) for i in range(n) for j in range(i, n)}
-    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(gram=symmetric_matrices(), sign=st.sampled_from([1, -1]))
-def test_definite_matches_leading_minors(gram, sign):
-    for g in (gram, [[-x for x in row] for row in gram]):
-        assert model_module._definite(g, sign) == leading_minor_definite(g, sign)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from minorbit import exactla
+from minorbit.exactla import GaussianRational, exact_sqrt
 from minorbit.matmodel import (
     MODEL_IDS,
     ModelError,
@@ -15,7 +17,7 @@ from minorbit.matmodel import (
     make_s_triple,
     restricted_root_datum,
 )
-from minorbit.matmodel.triples import cayley_violations, s_triple_violations
+from minorbit.matmodel.triples import STriple, cayley_violations, s_triple_violations
 
 
 def as_complex(model, coords):
@@ -121,15 +123,18 @@ def test_model_dim_m_matches_catalog(form_id, all_analyses, catalog_map):
 def test_reversed_positivity_gives_same_scalars():
     for form_id in ("sl3R", "su21", "sp4R", "so43"):
         model = build_model(form_id)
-        lex = restricted_root_datum(model, order="lex")
-        rev = restricted_root_datum(model, order="revlex")
+        key = model.positivity_key
+        # the same model with the positivity key read in reverse (revlex)
+        revlex = dataclasses.replace(model, positivity_key=lambda r: key(r)[::-1])
+        lex = restricted_root_datum(model)
+        rev = restricted_root_datum(revlex)
         # the normalization c = 2 / tr(x_psi^2) that each datum fixes
         c_lex, c_rev = (2 / model._tr_form(d.x_psi, d.x_psi) for d in (lex, rev))
-        assert c_lex == c_rev == model.c
+        assert c_lex == c_rev == model.c == revlex.c
         assert lex.class_mults() == rev.class_mults()
         assert eigenvalue_multiplicities(lex) == eigenvalue_multiplicities(rev)
         st_lex = make_s_triple(model, lex)
-        st_rev = make_s_triple(model, rev)
+        st_rev = make_s_triple(revlex, rev)
         # conjugate triples share every derived scalar
         assert model.B(st_lex.e, model.theta(st_lex.e)) == model.B(
             st_rev.e, model.theta(st_rev.e)
@@ -140,20 +145,24 @@ def test_reversed_positivity_gives_same_scalars():
 
 
 def test_rotated_generator_choice_is_invisible():
+    """e = (3 e0 + 4 e1) / 5, from the first two H-orthonormal vectors of
+    the psi root space, is as good a generator as e0, the analysis's e."""
     a = analyze("sl2H")
-    rotated = make_s_triple(a.model, a.datum, rotated=True)
+    model, datum = a.model, a.datum
+    units = []
+    for vec in exactla.orthogonalize(datum.root_spaces[datum.psi], model.H)[:2]:
+        root = exact_sqrt(model.H(vec, vec))
+        units.append([x / root for x in vec])
+    assert units[0] == a.striple.e
+    cos, sin = GaussianRational(3, 0, 5), GaussianRational(4, 0, 5)
+    e = [cos * u + sin * v for u, v in zip(*units)]
+    rotated = STriple(model, list(datum.x_psi), e, [-x for x in model.theta(e)])
     assert s_triple_violations(rotated) == []
     ct = cayley_transform(rotated)
     assert cayley_violations(ct) == []
     assert kernel_ad_e_dimension(a.datum, rotated.e) == kernel_ad_e_dimension(
         a.datum, a.striple.e
     )
-
-
-def test_rotation_requires_room():
-    a = analyze("sl2R")
-    with pytest.raises(ModelError):
-        make_s_triple(a.model, a.datum, rotated=True)
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)

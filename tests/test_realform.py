@@ -11,6 +11,7 @@ from minorbit.realform import (
     exceptional_table,
     load_catalog,
 )
+from minorbit.rootsys import coroot_pairing
 
 
 def entry_dict(**overrides):
@@ -164,15 +165,24 @@ def test_omin_split_dimension_formulas(catalog):
 
 
 def test_positive_system_reversal_is_invisible(catalog):
+    """The invariants paired against -psi, the highest root of the negated
+    positive system, equal those that derive_invariants pairs against psi."""
     for desc in catalog:
         a = derive_invariants(desc)
-        b = derive_invariants(desc, reversed_order=True)
+        rs = desc.restricted_system
+        psi = tuple(-x for x in rs.highest_root)
+        m = {j: 0 for j in (-2, -1, 0, 1, 2)}
+        for beta in rs.all_roots:
+            m[coroot_pairing(rs, beta, psi)] += desc.mult_of(beta)
+        m[0] += desc.dim_m + rs.rank
+        d = desc.mult_of(psi)
+        dim_Z = desc.dim_g - (m[0] + m[1])
         assert (a.d, a.m, a.dim_Z, a.dim_X, a.omin_split) == (
-            b.d,
-            b.m,
-            b.dim_Z,
-            b.dim_X,
-            b.omin_split,
+            d,
+            m,
+            dim_Z,
+            dim_Z - 2,
+            d == 1,
         )
 
 
