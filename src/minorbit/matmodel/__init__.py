@@ -74,8 +74,8 @@ class ModelAnalysis:
 
     @cached_property
     def _lambda(self) -> LambdaData:
-        return lambda_data(self.model, self.datum, self.striple, self.cayley,
-                           self.invariants.dim_X, self.descriptor.hermitian)
+        return lambda_data(self.model, self.cayley, self.invariants.dim_X,
+                           self.descriptor.hermitian)
 
 
 def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:

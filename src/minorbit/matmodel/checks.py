@@ -135,7 +135,6 @@ class LambdaData:
     t_basis: list[Coords]  # Cartan subalgebra of k containing z
     k_nu_basis: list[Coords] = field(default_factory=list)
     k_nu_perp: list[Coords] = field(default_factory=list)  # orthogonal under B
-    x_equals_minus_x: bool = True
     checks: list[CheckItem] = field(default_factory=list)
 
 
@@ -153,8 +152,6 @@ def _cartan_of_k(model: LieAlgebraModel, z: Coords, cent: list[Coords]) -> list[
 
 def lambda_data(
     model: LieAlgebraModel,
-    datum: RestrictedRootDatum,
-    striple: STriple,
     cayley: CayleyTriple,
     expected_dim_X: int,
     hermitian: bool,
@@ -234,6 +231,5 @@ def lambda_data(
         t_basis=t_basis,
         k_nu_basis=k_nu,
         k_nu_perp=k_nu_perp,
-        x_equals_minus_x=x_eq,
         checks=checks,
     )

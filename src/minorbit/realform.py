@@ -204,12 +204,10 @@ def derive_invariants(desc: RealFormDescriptor) -> DerivedInvariants:
         m[j] += desc.mult_of(beta)
     m[0] += desc.dim_m + rs.rank
     d = desc.mult_of(psi)
-    dim_g = desc.dim_g
-    if sum(m.values()) != dim_g:
-        raise CatalogError(desc.id, "eigenvalue multiplicities do not sum to dim g")
-    # dim of the centralizer of the nilpositive element is m0 + m1; the
-    # matrix-model lane recomputes it as the kernel of ad e.
-    dim_Z = dim_g - (m[0] + m[1])
+    # m sums the terms of desc.dim_g; dim of the centralizer of the
+    # nilpositive element is m0 + m1, which the matrix-model lane recomputes
+    # as the kernel of ad e.
+    dim_Z = desc.dim_g - (m[0] + m[1])
     return DerivedInvariants(
         d=d,
         m=m,

@@ -148,14 +148,15 @@ def test_criterion_09_dichotomy(all_analyses, catalog_map):
     bad = []
     for form_id, a in all_analyses.items():
         hermitian = catalog_map[form_id].hermitian
-        lam = a.lambda_data()
+        checks = {c.name: c for c in a.lambda_data().checks}
         cents = {
             c.name: c
             for c in centralizer_checks(
                 a.model, a.datum, a.striple, a.cayley, hermitian
             )
         }
-        if lam.x_equals_minus_x != (not hermitian):
+        # the line passes when X = -X exactly on the non-hermitian forms
+        if checks["weight_negation_dichotomy"].failed:
             bad.append(form_id)
         if cents["center_of_k_dimension"].failed:
             bad.append(form_id)

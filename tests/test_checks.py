@@ -64,8 +64,7 @@ def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses,
         return original(self, elements, span)
 
     monkeypatch.setattr(LieAlgebraModel, "centralizer_in_span", recorded)
-    fresh = lambda_data(a.model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
-                        a.descriptor.hermitian)
+    fresh = lambda_data(a.model, a.cayley, a.invariants.dim_X, a.descriptor.hermitian)
     assert solved.count([z]) == 1
     assert fresh == a.lambda_data()
 
@@ -106,12 +105,18 @@ def test_lambda_data_solves_k_nu_perp_once(monkeypatch, all_analyses, form_id):
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
 def test_torus_roots_of_a_and_of_t(form_id, all_analyses):
-    """The restricted roots: dim a simple roots, half the roots positive.  The
-    roots of k under its Cartan subalgebra t: (dim k - rank) / 2 positive
-    roots, and rank - dim Cent k simple roots, those of the semisimple part."""
+    """The restricted roots: the zero space m + a, the roots closed under
+    negation with equal multiplicities, dim a simple roots, half the roots
+    positive.  The roots of k under its Cartan subalgebra t: (dim k - rank) / 2
+    positive roots, and rank - dim Cent k simple roots, those of the
+    semisimple part."""
     a = all_analyses[form_id]
     model, t_basis = a.model, a.lambda_data().t_basis
-    _, spaces, positive, simple, _ = model.torus_roots(model.a_units, model.units)
+    zero, spaces, positive, simple, _ = model.torus_roots(
+        model.a_units, model.units, key=model.positivity_key)
+    assert len(zero) == model.dim_m + model.dim_a
+    for root, space in spaces.items():
+        assert len(spaces[tuple(-x for x in root)]) == len(space)
     assert len(simple) == model.dim_a
     assert 2 * len(positive) == len(spaces)
     zero, spaces, positive, simple, dual = model.torus_roots(
@@ -264,24 +269,33 @@ def test_sl2H_m_acts_transitively(all_analyses, catalog_map):
     assert "dim span [m,e] = 3, d-1 = 3" in checks["m_bracket_e_rank"].detail
 
 
+def x_equals_minus_x(lam):
+    """X = -X, as the ``weight_negation_dichotomy`` line reports it."""
+    (line,) = [c for c in lam.checks if c.name == "weight_negation_dichotomy"]
+    head, _ = line.detail.split("; ")
+    value = head.removeprefix("dominant(l) == dominant(-l): ")
+    assert value in ("True", "False"), line.detail
+    return value == "True"
+
+
 def test_sl2R_lambda(all_analyses):
     a = all_analyses["sl2R"]
     lam = a.lambda_data()
     assert len(lam.k_nu_basis) == 1  # k_nu = k
     assert a.model.dim_k - len(lam.k_nu_basis) == 0  # dim X
-    assert not lam.x_equals_minus_x  # hermitian
+    assert not x_equals_minus_x(lam)  # hermitian
 
 
 def test_sl3R_lambda(all_analyses):
     a = all_analyses["sl3R"]
     lam = a.lambda_data()
     assert a.model.dim_k - len(lam.k_nu_basis) == 2  # dim X
-    assert lam.x_equals_minus_x  # -1 is in the Weyl group of k = so(3)
+    assert x_equals_minus_x(lam)  # -1 is in the Weyl group of k = so(3)
 
 
 def test_su21_lambda_central_character(all_analyses):
     lam = all_analyses["su21"].lambda_data()
-    assert not lam.x_equals_minus_x
+    assert not x_equals_minus_x(lam)
     a = all_analyses["su21"]
     assert len(a.model.center_k) == 1
     z = [x - y for x, y in zip(a.striple.e, a.striple.f)]
@@ -292,7 +306,7 @@ def test_su21_lambda_central_character(all_analyses):
 def test_dichotomy_matches_hermitian_flag(form_id, all_analyses, catalog_map):
     a = all_analyses[form_id]
     hermitian = catalog_map[form_id].hermitian
-    assert a.lambda_data().x_equals_minus_x == (not hermitian)
+    assert x_equals_minus_x(a.lambda_data()) == (not hermitian)
     assert len(a.model.center_k) == (1 if hermitian else 0)
 
 

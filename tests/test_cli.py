@@ -372,6 +372,40 @@ def test_failing_exact_check_report_is_strict_json(capsys, monkeypatch):
             "exact arithmetic |") in rows
 
 
+def _verify_on_a_catalog_copy(tmp_path, capsys):
+    """verify sl2R with all nine checks against a catalog copy, so that a
+    broken analysis is cached under the copy's key alone: the exit status
+    and each line's status."""
+    path = _catalog_copy(tmp_path, "sl2R")
+    code = main(["verify", "--form", "sl2R", "--catalog", str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    return {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+
+
+def test_an_invalid_s_triple_is_a_failed_line(tmp_path, capsys, monkeypatch):
+    """With e at half its H-norm-1 length the striple line fails, and the
+    report is still written (exit 1 is a failed check, exit 2 an error)."""
+    from minorbit.matmodel import triples
+
+    exact_sqrt = triples.exact_sqrt
+    monkeypatch.setattr(triples, "exact_sqrt", lambda x: 2 * exact_sqrt(x))
+    status = _verify_on_a_catalog_copy(tmp_path, capsys)
+    assert status["striple"] == "fail"
+
+
+def test_an_invalid_cayley_triple_is_a_failed_line(tmp_path, capsys, monkeypatch):
+    """v and w built without their factor 1/2 fail the cayley line alone of
+    the two exact triple lines, and the report is still written."""
+    from minorbit.exactla import ONE
+    from minorbit.matmodel import triples
+
+    monkeypatch.setattr(triples, "HALF", ONE)
+    status = _verify_on_a_catalog_copy(tmp_path, capsys)
+    assert status["striple"] == "pass"
+    assert status["cayley"] == "fail"
+
+
 def test_nan_deviation_report_is_strict_json(capsys, monkeypatch):
     import copy
 

@@ -208,8 +208,7 @@ def test_exact_lane_leaves_the_model_data_unchanged(form_id):
     model = a.model
     spectral_checks(model, a.datum, a.striple, a.cayley)
     centralizer_checks(model, a.datum, a.striple, a.cayley, a.descriptor.hermitian)
-    lambda_data(model, a.datum, a.striple, a.cayley, a.invariants.dim_X,
-                a.descriptor.hermitian)
+    lambda_data(model, a.cayley, a.invariants.dim_X, a.descriptor.hermitian)
     num = ModelNumerics(a)
     for check in (verify_beta_symplectic, ks_correspondence_check,
                   poisson_identities_check, moment_cone_check):
