@@ -169,8 +169,8 @@ def cmd_verify(config: RunConfig) -> list[CheckItem]:
             )
         if name in names[:i]:
             raise ValueError(f"check {name!r} is given more than once")
-    # one check's error (ValueError covers numpy's LinAlgError and a
-    # rank-deficient frame) fails that check; the others still run
+    # one check's error (ValueError covers numpy's LinAlgError) fails that
+    # check; the others still run
     checks = []
     for name in names:
         try:

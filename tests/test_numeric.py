@@ -48,6 +48,21 @@ def test_stacked_expm_matches_one_matrix_at_a_time(form_id):
             assert np.array_equal(p, alone_p) and np.array_equal(m, alone_m), kind
 
 
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_product_transports_as_one_factor_after_the_other(form_id):
+    """(g h).ad(X) = g.ad(h.ad(X)) for stacked factors of each kind."""
+    num = numerics(form_id)
+    g_factors = _factors(num, [np.random.default_rng([63, i]) for i in range(4)])
+    h_factors = _factors(num, [np.random.default_rng([64, i]) for i in range(4)])
+    for kind in g_factors:
+        g = numeric.GroupElement([g_factors[kind]])
+        h = numeric.GroupElement([h_factors[kind]])
+        for X in (num.e, num.v):
+            product, nested = (g * h).ad(X), g.ad(h.ad(X))
+            scale = max(1.0, np.max(np.abs(nested)))
+            assert np.max(np.abs(product - nested)) <= 1e-12 * scale, kind
+
+
 def test_expm_series_is_exact_on_integer_nilpotents():
     X = np.array([[0, 1, 2, -1], [0, 0, 3, 4], [0, 0, 0, 5], [0, 0, 0, 0]])
     plus, minus = numeric.expm(X)

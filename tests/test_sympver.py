@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from minorbit import exactla, numeric, sympver
-from minorbit.matmodel import analyze, centralizer_checks
+from minorbit.matmodel import MODEL_IDS, analyze, centralizer_checks
 from minorbit.matmodel.model import LieAlgebraModel
 from minorbit.numeric import GroupElement, ModelNumerics, numerics
 from minorbit.sympver import (
@@ -16,7 +16,6 @@ from minorbit.sympver import (
     FACTOR,
     ISOTROPY,
     POINT,
-    SCALE,
     TEST_FUNCTIONS,
     OrbitPointParam,
     draw,
@@ -78,13 +77,6 @@ def test_kks_frame_permutation_covariance():
     assert np.allclose(gram_p, P @ gram @ P.T, atol=1e-13)
 
 
-def test_kks_rejects_dependent_directions():
-    num = numerics("sl3R")
-    (x,) = _spans(num, np.random.default_rng(8), num.k_basis)
-    with pytest.raises(ValueError, match="rank-deficient"):
-        kks_gram(num, base_point(), np.array([x, 2.0 * x]))
-
-
 def test_compact_block_agrees_across_sides_sl3R():
     """Pairings of compact directions agree at the base points of both sides."""
     num = numerics("sl3R")
@@ -120,13 +112,17 @@ def test_induced_scaling_in_t():
 
 
 def test_frame_rank_is_dim_Z():
-    for form_id in VERIFY_FORMS:
+    """The base-point frame and its induced Gram have full rank dim Z; every
+    sample's frame is Ad(k) of it with k unitary, so it has the same rank."""
+    for form_id in MODEL_IDS:
         num = numerics(form_id)
         inv = num.analysis.invariants
         frame = standard_frame(num, base_point())
         assert frame.shape[-3] == inv.dim_Z == inv.dim_X + 2
+        flat = frame.reshape(frame.shape[-3], -1)
+        assert np.linalg.matrix_rank(flat, tol=1e-10) == inv.dim_Z, form_id
         (gram,) = induced_gram(num, base_point(), frame)
-        assert np.linalg.matrix_rank(gram, tol=1e-10) == inv.dim_Z
+        assert np.linalg.matrix_rank(gram, tol=1e-10) == inv.dim_Z, form_id
 
 
 # --- the symplectic comparison ----------------------------------------------
@@ -313,8 +309,20 @@ def test_poisson_radial_bracket_value_sl2R():
 # --- moment cone ---------------------------------------------------------------
 
 def test_moment_identity_point():
-    num = numerics("sl3R")
-    assert np.allclose(num.k_component(num.e), num.z / 2.0, atol=1e-14)
+    """k(e) = (e + theta e) / 2 = z / 2, with z = e + theta e read in floats."""
+    for form_id in MODEL_IDS:
+        num = numerics(form_id)
+        assert np.array_equal(num.k_component(num.e), num.z / 2.0), form_id
+
+
+def test_sample_0_is_the_base_point_at_every_attempt():
+    """Sample 0 has t = 1 and the zero k factor, so it realizes e itself."""
+    for form_id in MODEL_IDS:
+        num = numerics(form_id)
+        for attempt in range(4):
+            point = sympver._sample_points(num, 42, np.array([0, 1, 2]), attempt)
+            assert point.t[0] == 1.0, (form_id, attempt)
+            assert np.array_equal(point.element.ad(num.e)[0], num.e), (form_id, attempt)
 
 
 def test_moment_unipotent_fixes_e():
@@ -538,7 +546,7 @@ def test_draw_known_answers():
     ]
     pinned = {  # (seed, index, purpose, attempt, position): (bits, uniform)
         (42, 5, POINT, 0, 0): (0xFF81BDBF6498931A, 0.9980734436290695),
-        (42, 5, SCALE, 0, 0): (0xF3D4C4770D6E6881, 0.9524653235106882),
+        (42, 5, 1, 0, 0): (0xF3D4C4770D6E6881, 0.9524653235106882),
         (7, 130, TEST_FUNCTIONS, 3, 9): (0x1C9103BC9FB4A685, 0.1115877471454092),
         (2**64 + 42, 0, ISOTROPY, 0, 2): (0x22E8C84D366F62BE, 0.13636447796892304),
     }
@@ -558,7 +566,7 @@ def test_draw_known_answers():
 def test_draw_normals_are_standard():
     from scipy import stats
 
-    u = draw(2024, np.arange(25_000), SCALE, 0, 8)
+    u = draw(2024, np.arange(25_000), 1, 0, 8)
     normals = sympver._normals(u).ravel()
     assert normals.size == 100_000
     assert abs(normals.mean()) < 5 / math.sqrt(normals.size)
@@ -572,7 +580,7 @@ def test_draws_differ_across_purposes_attempts_indices_and_seeds():
     indices = np.arange(1, 2001)
     streams = {
         **{("purpose", p): draw(42, indices, p, 0, 8)
-           for p in (POINT, SCALE, FACTOR, ISOTROPY, TEST_FUNCTIONS)},
+           for p in (POINT, FACTOR, ISOTROPY, TEST_FUNCTIONS)},
         **{("attempt", a): draw(42, indices, POINT, a, 8) for a in (1, 2, 3)},
         ("indices", 2001): draw(42, indices + 2000, POINT, 0, 8),
         ("seed", 43): draw(43, indices, POINT, 0, 8),
@@ -725,9 +733,9 @@ def test_k_element_is_drawn_per_attempt(monkeypatch):
         assert np.array_equal(element.ad(num.e), alone.ad(num.e))
 
 
-def test_four_checks_exponentiate_five_times_on_su21(monkeypatch):
-    """beta exponentiates the chunk's k factor; ks its composed and isotropy
-    factors, poisson nothing, moment its a and n factors."""
+def test_four_checks_exponentiate_four_times_on_su21(monkeypatch):
+    """beta exponentiates the chunk's k factor; ks its isotropy factor,
+    poisson nothing, moment its a and n factors."""
     num = numerics("su21")
     num.isotropy_basis  # solved exactly, outside the count
     _fresh_memo(monkeypatch)
@@ -738,7 +746,7 @@ def test_four_checks_exponentiate_five_times_on_su21(monkeypatch):
         result = check(num, samples=100, seed=42)
         assert (result[0] if isinstance(result, list) else result).passed
         per_check.append(len(calls) - before)
-    assert per_check == [1, 2, 0, 2]
+    assert per_check == [1, 1, 0, 2]
 
 
 def test_memoized_arrays_are_read_only(monkeypatch):
