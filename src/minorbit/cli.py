@@ -32,10 +32,6 @@ class RunConfig:
     format: str = "md"
     out: str | None = None
 
-    def as_dict(self) -> dict:
-        """The report's ``config`` block: every field but ``out``."""
-        return {name: value for name, value in vars(self).items() if name != "out"}
-
     def validate(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
@@ -109,19 +105,12 @@ def cmd_model_check(config: RunConfig) -> list[CheckItem]:
 
 
 def _exact_check(name: str, violations):
-    """An exact identity check reported as one sample, inf deviation on
-    failure; its tolerance defaults to 0."""
+    """An exact identity check: a verdict line that names each violation."""
 
     def run(analysis, config: RunConfig) -> list[CheckItem]:
         problems = violations(analysis)
         return [CheckItem.verdict(
-            name,
-            not problems,
-            "; ".join(["exact arithmetic", *problems]),
-            sample_count=1,
-            max_abs_deviation=float("inf") if problems else 0.0,
-            tolerance=0.0 if config.tol is None else config.tol,
-            seed=config.seed,
+            name, not problems, "; ".join(["exact arithmetic", *problems])
         )]
 
     return run
@@ -129,18 +118,19 @@ def _exact_check(name: str, violations):
 
 def _sampled_check(function_name: str):
     """``sympver.<function_name>``, looked up per call so module wrappers see
-    it; every sampled check's tolerance defaults to the closed-form one."""
+    it: its sampled lines, at ``--tol`` or else the closed-form tolerance."""
 
     def run(analysis, config: RunConfig) -> list[CheckItem]:
         check = getattr(sympver, function_name)
         num = numerics(config.form, config.catalog)
         tol = sympver.DEFAULT_TOL_CLOSED if config.tol is None else config.tol
-        result = check(num, config.samples, tol, config.seed)
-        return result if isinstance(result, list) else [result]
+        return check(num, config.samples, tol, config.seed)
 
     return run
 
 
+# each verify check's lines: verdict lines from the exact lane, sampled lines
+# from the float lane, the only lines that read samples, tol and seed
 CHECK_RUNNERS = {
     "striple": _exact_check("striple", lambda a: s_triple_violations(a.striple)),
     "cayley": _exact_check("cayley", lambda a: cayley_violations(a.cayley)),
@@ -181,7 +171,8 @@ def cmd_verify(config: RunConfig) -> list[CheckItem]:
 
 
 # each command and the RunConfig fields it reads besides those every command
-# reads (command, catalog, format, out); any other option given is an error
+# reads (command, catalog, format, out); any other option given is an error,
+# and the report's config block holds the fields read, but out
 COMMANDS = {
     "catalog": (cmd_catalog, ()),
     "invariants": (cmd_invariants, ("form",)),
@@ -225,14 +216,16 @@ def main(argv: list[str] | None = None) -> int:
     options = vars(build_parser().parse_args(argv))
     config = RunConfig(**options)
     run, reads = COMMANDS[config.command]
+    shown = ("command", "catalog", "format", *reads)
     try:
         for name in options:
-            if name not in ("command", "catalog", "format", "out", *reads):
+            if name not in (*shown, "out"):
                 raise ValueError(f"{config.command} does not take --{name}")
         config.validate()
         if "form" in reads and config.form is None:
             raise ValueError(f"--form is required for {config.command}")
-        doc = ReportDocument(version=__version__, config=config.as_dict(), checks=run(config))
+        block = {name: value for name, value in vars(config).items() if name in shown}
+        doc = ReportDocument(version=__version__, config=block, checks=run(config))
         text = doc.to_json() if config.format == "json" else doc.to_markdown()
         if config.out:
             Path(config.out).write_text(text, encoding="utf-8")

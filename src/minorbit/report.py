@@ -1,12 +1,10 @@
 """The check record and the report document shared by the library and the CLI.
 
 Every line of a report is one ``CheckItem``, serialized in one of two shapes.
-A verdict line has ``name``, ``status`` and ``detail``.  A measured line (an
-exact identity, reported as one sample, or a sampled check) also has
-``samples``, ``max_abs_deviation``, ``tolerance``, ``seed``, ``elapsed`` and
-``events``; a sampled line adds ``accepted`` and ``worst_sample``.  Timing
-fields (``elapsed``, the document's ``elapsed_ms``) are always ``null``, so
-two runs with one seed are byte-identical.
+A verdict line has ``name``, ``status`` and ``detail``; an exact check is one.
+A sampled line also has ``samples``, ``max_abs_deviation``, ``tolerance``,
+``seed``, ``events``, ``accepted`` and ``worst_sample``.  A report holds no
+timing field, so two runs with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _cell(text: str) -> str:
@@ -29,20 +27,21 @@ class CheckItem:
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
-    # a measured line only (sample_count is None on a verdict line)
+    # a sampled line only (sample_count is None on a verdict line): samples
+    # drawn, the largest deviation and the sample index where it occurred,
+    # the samples accepted, and the rejected samples in events
     sample_count: int | None = None
     max_abs_deviation: float | None = None
     tolerance: float | None = None
     seed: int | None = None
     events: list[str] = field(default_factory=list)
-    # a sampled line only: accepted samples, index of the largest deviation
     accepted: int | None = None
     worst_sample: int | None = None
 
     @classmethod
-    def verdict(cls, name: str, ok: bool, detail: str = "", **measured) -> CheckItem:
+    def verdict(cls, name: str, ok: bool, detail: str = "", **sampled) -> CheckItem:
         """A pass or a fail, as ``ok`` says."""
-        return cls(name, "pass" if ok else "fail", detail, **measured)
+        return cls(name, "pass" if ok else "fail", detail, **sampled)
 
     @property
     def passed(self) -> bool:
@@ -71,11 +70,10 @@ class CheckItem:
             "max_abs_deviation": dev,
             "tolerance": self.tolerance,
             "seed": self.seed,
-            "elapsed": None,
             "detail": detail,
             "events": list(self.events),
-            **({} if self.accepted is None else
-               {"accepted": self.accepted, "worst_sample": self.worst_sample}),
+            "accepted": self.accepted,
+            "worst_sample": self.worst_sample,
         }
 
 
@@ -96,7 +94,6 @@ class ReportDocument:
             "config": self.config,
             "checks": [c.as_dict() for c in self.checks],
             "pass": self.overall_pass,
-            "elapsed_ms": None,
         }
         return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
@@ -113,7 +110,8 @@ class ReportDocument:
             if c.sample_count is not None:
                 detail = (
                     f"max_dev={d['max_abs_deviation']!r} tol={d['tolerance']!r} "
-                    f"samples={d['samples']} seed={d['seed']} {detail}"
+                    f"samples={d['samples']} seed={d['seed']} "
+                    f"accepted={d['accepted']} worst_sample={d['worst_sample']} {detail}"
                 ).strip()
             lines.append(f"| {_cell(c.name)} | {c.status} | {_cell(detail)} |")
         lines.append("")

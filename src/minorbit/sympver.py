@@ -31,7 +31,9 @@ factors, so one K element per chunk, with its exponentials and transports of
 the frame directions, e, v and z, serves all four (``_k_element``); only the
 scale t, which depends on a check's spread, is drawn per check.  A frame is
 an (S, m, n, n) stack, and every Gram comes from the pair traces
-T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) = c (T_ij - T_ji).
+T[s, i, j] = tr(F d_j d_i), as B(F, [d_j, d_i]) = c (T_ij - T_ji).  Each
+check returns a list of sampled report lines: two for beta (the agreement
+and the base block), one for each of the others.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ def ks_correspondence_check(
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> CheckItem:
+) -> list[CheckItem]:
     """Unit-sphere slicing, |u| = |b(u)| = t, and well-definedness under
     isotropy factors of the correspondence u = t Ad(k) v -> t Ad(k) e.  Float
     mutants that fail each: v (1 + delta), e (1 + delta), then su21's and
@@ -365,7 +367,7 @@ def ks_correspondence_check(
         return dev
 
     devs = _run(num, samples, seed, identities)
-    return _report("ks_correspondence", samples, devs, tol, seed)
+    return [_report("ks_correspondence", samples, devs, tol, seed)]
 
 
 def _poisson_gradients(num: ModelNumerics, u0, b0, directions, w, x, y) -> np.ndarray:
@@ -414,7 +416,7 @@ def poisson_identities_check(
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> CheckItem:
+) -> list[CheckItem]:
     """Verification of the Poisson-bracket identities from exact tangents.
 
     At each sample the induced Gram is factored once and contracted against
@@ -455,10 +457,10 @@ def poisson_identities_check(
     devs = _run(num, samples, seed, identities, 2.0,
                 lambda gram: np.linalg.cond(gram) > COND_LIMIT,
                 ("ill-conditioned Gram", "no well-conditioned sample found"))
-    return _report(
+    return [_report(
         "poisson_identities", samples, devs, tol, seed,
         "relative deviations; closed-form class",
-    )
+    )]
 
 
 def moment_cone_check(
@@ -466,7 +468,7 @@ def moment_cone_check(
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL_CLOSED,
     seed: int = 42,
-) -> CheckItem:
+) -> list[CheckItem]:
     """Compact-projection spectra of orbit points against the model ray.
 
     The compact component of any adjoint image of the nilpositive element
@@ -520,4 +522,4 @@ def moment_cone_check(
     label = "full membership (restricted rank 1)" if rank_one else (
         "spectral test only: necessary, not sufficient"
     )
-    return _report("moment_cone", samples, devs, tol, seed, label)
+    return [_report("moment_cone", samples, devs, tol, seed, label)]

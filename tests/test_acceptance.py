@@ -119,7 +119,7 @@ def test_criterion_07_poisson_identities():
     results = []
     ok = True
     for form_id in ("sl2R", "sl3R"):
-        report = poisson_identities_check(
+        (report,) = poisson_identities_check(
             numerics(form_id), samples=50, tol=1e-9, seed=42
         )
         ok = ok and report.passed
@@ -130,7 +130,7 @@ def test_criterion_07_poisson_identities():
 def test_criterion_08_moment_cone(all_analyses):
     bad = []
     for form_id in all_analyses:
-        report = moment_cone_check(numerics(form_id), samples=200, tol=1e-9, seed=42)
+        (report,) = moment_cone_check(numerics(form_id), samples=200, tol=1e-9, seed=42)
         rank_one = len(numerics(form_id).a_basis) == 1
         if not report.passed:
             bad.append(form_id)

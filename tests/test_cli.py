@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from minorbit.cli import main
+from minorbit.cli import COMMANDS, main
 from minorbit.matmodel import ModelError, analyze
 from minorbit.realform import CatalogError
 
@@ -29,7 +29,7 @@ def test_catalog_lists_all_entries(capsys):
 def test_catalog_json_matches_md_content(capsys):
     assert main(["catalog", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     names = [c["name"] for c in payload["checks"]]
     assert "su21" in names and "e8-split" in names
     su21 = next(c for c in payload["checks"] if c["name"] == "su21")
@@ -263,6 +263,25 @@ def test_commands_agree_on_a_catalog_rewritten_in_process(tmp_path, capsys):
     assert len(set(after)) == 1, after
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_block_holds_what_the_command_reads(command, capsys):
+    from dataclasses import fields
+
+    from minorbit.cli import RunConfig
+
+    reads = COMMANDS[command][1]
+    argv = [command, "--format", "json"]
+    if "form" in reads:
+        argv += ["--form", "sl2R"]
+    if "checks" in reads:
+        argv += ["--checks", "striple"]
+    assert main(argv) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    shown = ("command", *reads, "catalog", "format")
+    assert tuple(config) == shown
+    assert tuple(config) == tuple(f.name for f in fields(RunConfig) if f.name in shown)
+
+
 def test_config_block_gives_every_option_but_out(tmp_path):
     from minorbit.realform import default_catalog_path
 
@@ -307,9 +326,42 @@ def test_verify_reports_an_unknown_form_before_an_unknown_check(capsys):
 
 def test_verify_exact_checks(capsys):
     assert main(["verify", "--form", "sl3R", "--checks", "striple,cayley"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("max_dev=0.0") == 2
-    assert "exact arithmetic" in out
+    rows = capsys.readouterr().out.splitlines()
+    assert "| striple | pass | exact arithmetic |" in rows
+    assert "| cayley | pass | exact arithmetic |" in rows
+
+
+VERDICT_KEYS = frozenset({"name", "status", "detail"})
+SAMPLED_KEYS = VERDICT_KEYS | {"samples", "max_abs_deviation", "tolerance", "seed",
+                               "events", "accepted", "worst_sample"}
+
+
+def test_exact_lines_are_verdicts_whatever_the_tol(capsys):
+    argv = ["verify", "--form", "sl2R", "--checks", "striple,cayley", "--tol", "1e-3",
+            "--format", "json"]
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [set(c) for c in checks] == [VERDICT_KEYS, VERDICT_KEYS]
+
+
+def test_every_line_is_a_verdict_or_a_sampled_line(capsys):
+    assert main(["verify", "--form", "sl2R", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {frozenset(c) for c in checks} == {VERDICT_KEYS, SAMPLED_KEYS}
+    sampled = [c["name"] for c in checks if set(c) == SAMPLED_KEYS]
+    assert sampled == ["beta_symplectic", "beta_base_block", "ks_correspondence",
+                       "poisson_identities", "moment_cone"]
+
+
+def test_markdown_sampled_row_shows_accepted_and_worst_sample(capsys):
+    argv = ["verify", "--form", "sl2R", "--checks", "beta", "--samples", "7"]
+    assert main([*argv, "--format", "json"]) == 0
+    beta = json.loads(capsys.readouterr().out)["checks"][0]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert (f"| beta_symplectic | pass | max_dev={beta['max_abs_deviation']!r} tol=1e-09 "
+            f"samples=7 seed=42 accepted=7 worst_sample={beta['worst_sample']} "
+            "entrywise Gram agreement |") in rows
 
 
 def test_verify_unknown_check(capsys):
@@ -357,19 +409,16 @@ def test_failing_exact_check_report_is_strict_json(capsys, monkeypatch):
     argv = ["verify", "--form", "sl2R", "--checks", "striple,cayley", "--format", "json"]
     assert main(argv) == 1
     checks = {c["name"]: c for c in _strict_json(capsys.readouterr().out)["checks"]}
-    assert checks["striple"]["status"] == "fail"
-    assert checks["striple"]["max_abs_deviation"] is None
-    assert checks["striple"]["detail"] == (
-        "exact arithmetic; [h, e] != 2e; non-finite deviation: inf"
-    )
-    assert checks["cayley"]["max_abs_deviation"] == 0.0
-    assert checks["cayley"]["detail"] == "exact arithmetic"
+    assert checks["striple"] == {
+        "name": "striple", "status": "fail", "detail": "exact arithmetic; [h, e] != 2e",
+    }
+    assert checks["cayley"] == {
+        "name": "cayley", "status": "pass", "detail": "exact arithmetic",
+    }
     assert main(argv[:-2]) == 1
     rows = capsys.readouterr().out.splitlines()
-    assert ("| striple | fail | max_dev=None tol=0.0 samples=1 seed=42 exact "
-            "arithmetic; [h, e] != 2e; non-finite deviation: inf |") in rows
-    assert ("| cayley | pass | max_dev=0.0 tol=0.0 samples=1 seed=42 "
-            "exact arithmetic |") in rows
+    assert "| striple | fail | exact arithmetic; [h, e] != 2e |" in rows
+    assert "| cayley | pass | exact arithmetic |" in rows
 
 
 def _verify_on_a_catalog_copy(tmp_path, capsys):
@@ -426,7 +475,7 @@ def test_nan_deviation_report_is_strict_json(capsys, monkeypatch):
     assert main(argv[:-2]) == 1
     rows = capsys.readouterr().out.splitlines()
     assert ("| ks_correspondence | fail | max_dev=None tol=1e-09 samples=3 "
-            "seed=42 non-finite deviation: nan |") in rows
+            "seed=42 accepted=3 worst_sample=0 non-finite deviation: nan |") in rows
 
 
 def test_verify_rejects_non_finite_tol(capsys):
@@ -480,7 +529,8 @@ def test_out_flag(tmp_path):
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["pass"] is True
     assert payload["checks"][0]["name"] == "beta_symplectic"
-    assert payload["elapsed_ms"] is None
+    assert "elapsed_ms" not in payload
+    assert "elapsed" not in payload["checks"][0]
 
 
 def test_out_to_unwritable_path_exits_2(tmp_path, capsys):

@@ -115,8 +115,7 @@ def _run_checks(monkeypatch, num, checks):
     with monkeypatch.context() as patch:
         patch.setattr(sympver, "_run", recording_run)
         for check in checks:
-            result = CHECKS[check][0](num, samples=SAMPLES, seed=SEED)
-            lines.update((r.name, r) for r in (result if isinstance(result, list) else [result]))
+            lines.update((r.name, r) for r in CHECKS[check][0](num, samples=SAMPLES, seed=SEED))
     return lines, deviations
 
 

@@ -157,7 +157,7 @@ def test_ks_base_case():
     num = numerics("sl2R")
     point = base_point()
     assert np.allclose(realize(num, point), num.v)
-    report = ks_correspondence_check(num, samples=3, tol=1e-12, seed=1)
+    (report,) = ks_correspondence_check(num, samples=3, tol=1e-12, seed=1)
     assert report.passed
 
 
@@ -173,10 +173,10 @@ def test_ks_unit_norm_scaling():
 def test_nan_deviation_fails_the_check():
     # the same samples of the original first, so that its K element is the
     # last drawn; then a copy, so the cached numerics stay intact
-    assert ks_correspondence_check(numerics("sl2R"), samples=3, tol=1e-9, seed=42).passed
+    assert ks_correspondence_check(numerics("sl2R"), samples=3, tol=1e-9, seed=42)[0].passed
     num = copy.copy(numerics("sl2R"))
     num.v = np.full_like(num.v, np.nan)
-    report = ks_correspondence_check(num, samples=3, tol=1e-9, seed=42)
+    (report,) = ks_correspondence_check(num, samples=3, tol=1e-9, seed=42)
     assert not report.passed
     assert math.isnan(report.max_abs_deviation)
 
@@ -196,7 +196,7 @@ def test_beta_fails_when_every_frame_is_degenerate(monkeypatch):
 
 def test_poisson_fails_when_every_sample_is_rejected(monkeypatch):
     monkeypatch.setattr(sympver, "COND_LIMIT", 0)
-    report = poisson_identities_check(numerics("sl2R"), samples=3, seed=42)
+    (report,) = poisson_identities_check(numerics("sl2R"), samples=3, seed=42)
     assert report.max_abs_deviation == 0.0
     assert not report.passed
     assert "no sample accepted" in report.detail
@@ -208,8 +208,7 @@ def test_poisson_fails_when_every_sample_is_rejected(monkeypatch):
      moment_cone_check),
 )
 def test_zero_samples_fail_every_check(check):
-    result = check(numerics("sl2R"), samples=0, seed=42)
-    report = result[0] if isinstance(result, list) else result
+    report = check(numerics("sl2R"), samples=0, seed=42)[0]
     assert not report.passed
     assert "no sample accepted" in report.detail
 
@@ -236,8 +235,7 @@ def test_one_rejected_attempt_is_redrawn(monkeypatch, check, first_attempt_rejec
         return gram
 
     monkeypatch.setattr(sympver, "induced_gram", zero_sample_1_on_first_call)
-    result = check(numerics("sl2R"), samples=4, seed=42)
-    report = result[0] if isinstance(result, list) else result
+    report = check(numerics("sl2R"), samples=4, seed=42)[0]
     assert report.events == [first_attempt_rejected]
     assert report.passed
     assert report.sample_count == 4
@@ -247,7 +245,7 @@ def test_one_rejected_attempt_is_redrawn(monkeypatch, check, first_attempt_rejec
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
 def test_ks_correspondence(form_id):
-    report = ks_correspondence_check(numerics(form_id), samples=100, tol=1e-9, seed=42)
+    (report,) = ks_correspondence_check(numerics(form_id), samples=100, tol=1e-9, seed=42)
     assert report.passed
     if form_id == "sl3R":
         assert report.max_abs_deviation <= 1e-10
@@ -257,7 +255,7 @@ def test_ks_correspondence(form_id):
 
 @pytest.mark.parametrize("form_id", ("sl2R", "sl3R", "su21"))
 def test_poisson_identities(form_id):
-    report = poisson_identities_check(numerics(form_id), samples=50, tol=1e-9, seed=42)
+    (report,) = poisson_identities_check(numerics(form_id), samples=50, tol=1e-9, seed=42)
     assert report.passed, report.max_abs_deviation
 
 
@@ -335,7 +333,7 @@ def test_moment_unipotent_fixes_e():
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
 def test_moment_cone(form_id):
-    report = moment_cone_check(numerics(form_id), samples=200, tol=1e-9, seed=42)
+    (report,) = moment_cone_check(numerics(form_id), samples=200, tol=1e-9, seed=42)
     assert report.passed
     rank_one = len(numerics(form_id).a_basis) == 1
     if rank_one:
@@ -346,8 +344,8 @@ def test_moment_cone(form_id):
 
 def test_moment_determinism():
     num = numerics("su21")
-    r1 = moment_cone_check(num, samples=40, tol=1e-9, seed=5)
-    r2 = moment_cone_check(num, samples=40, tol=1e-9, seed=5)
+    (r1,) = moment_cone_check(num, samples=40, tol=1e-9, seed=5)
+    (r2,) = moment_cone_check(num, samples=40, tol=1e-9, seed=5)
     assert r1.as_dict() == r2.as_dict()
 
 
@@ -476,13 +474,11 @@ def test_per_sample_deviations_do_not_depend_on_the_batch(monkeypatch, check):
 @pytest.mark.parametrize("check", SAMPLED_CHECKS)
 def test_worst_sample_reruns_to_the_same_deviation(check):
     num = numerics("sp4R")
-    result = check(num, samples=40, seed=42)
-    report = result[0] if isinstance(result, list) else result
+    report = check(num, samples=40, seed=42)[0]
     assert report.accepted == 40 and 0 <= report.worst_sample < 40
     line = report.as_dict()
     assert (line["accepted"], line["worst_sample"]) == (40, report.worst_sample)
-    again = check(num, samples=report.worst_sample + 1, seed=42)
-    again = again[0] if isinstance(again, list) else again
+    again = check(num, samples=report.worst_sample + 1, seed=42)[0]
     assert again.max_abs_deviation == report.max_abs_deviation
     assert again.worst_sample == report.worst_sample
 
@@ -501,8 +497,7 @@ def test_nan_in_one_sample_of_a_chunk_fails_the_check(monkeypatch, check, target
         return out
 
     monkeypatch.setattr(sympver, target, nan_at_sample_5)
-    result = check(numerics("su21"), samples=20, seed=42)
-    report = result[0] if isinstance(result, list) else result
+    report = check(numerics("su21"), samples=20, seed=42)[0]
     assert not report.passed
     assert math.isnan(report.max_abs_deviation)
     assert report.worst_sample == 5 and report.accepted == 20
@@ -609,7 +604,7 @@ def test_poisson_test_functions_do_not_replay_the_point(monkeypatch):
 
     monkeypatch.setattr(sympver, "standard_frame", frame)
     monkeypatch.setattr(sympver, "_poisson_gradients", gradients)
-    report = poisson_identities_check(numerics("su21"), samples=6, seed=42)
+    (report,) = poisson_identities_check(numerics("su21"), samples=6, seed=42)
     assert report.accepted == 6 and not report.events
     for kappa, x in zip(seen["kappa"][1:], seen["x"][1:]):
         assert not np.allclose(0.7 * x, 0.8 * kappa)
@@ -619,14 +614,14 @@ def test_poisson_sees_a_relative_error_of_1e_8(monkeypatch):
     """Every bracket off by 1e-8 relative breaks the identities with a nonzero
     side, e.g. [r, s~] = 2 pi i s~, at the default tolerance."""
     num = numerics("su21")
-    assert poisson_identities_check(num, samples=5, seed=42).passed
+    assert poisson_identities_check(num, samples=5, seed=42)[0].passed
     exact = sympver._poisson_bracket
 
     def perturbed(*args):
         return (1 + 1e-8) * exact(*args)
 
     monkeypatch.setattr(sympver, "_poisson_bracket", perturbed)
-    report = poisson_identities_check(num, samples=5, seed=42)
+    (report,) = poisson_identities_check(num, samples=5, seed=42)
     assert not report.passed
     assert 5e-9 < report.max_abs_deviation < 2e-8
 
@@ -648,7 +643,7 @@ def test_poisson_exponentiates_only_the_group_part(monkeypatch):
     assert not hasattr(sympver, "expm")
     calls = _count_calls(monkeypatch, numeric, "expm")
     samples = 4
-    report = poisson_identities_check(num, samples=samples, seed=42)
+    (report,) = poisson_identities_check(num, samples=samples, seed=42)
     attempted = samples + len(report.events)
     # one call, exp(+-kappa), for the one group factor; none per frame direction
     assert len(calls) <= attempted
@@ -671,8 +666,8 @@ def test_isotropy_basis_solved_once_per_form(monkeypatch):
     num = ModelNumerics(a)
     assert sum(solved) == 0  # lazy: building the numerics does no isotropy solve
     centralizer_checks(a.model, a.datum, a.striple, a.cayley, a.descriptor.hermitian)
-    first = ks_correspondence_check(num, samples=5, seed=42)
-    second = ks_correspondence_check(num, samples=5, seed=42)
+    (first,) = ks_correspondence_check(num, samples=5, seed=42)
+    (second,) = ks_correspondence_check(num, samples=5, seed=42)
     assert sum(solved) == 1
     assert first.as_dict() == second.as_dict()
 
@@ -702,8 +697,7 @@ def test_sharing_the_k_element_is_invisible(monkeypatch, form_id, check):
     num = numerics(form_id)
 
     def run(seed=42):
-        result = check(num, samples=40, seed=seed)
-        return [r.as_dict() for r in (result if isinstance(result, list) else [result])]
+        return [r.as_dict() for r in check(num, samples=40, seed=seed)]
 
     _fresh_memo(monkeypatch)
     fresh = run()
@@ -743,8 +737,7 @@ def test_four_checks_exponentiate_four_times_on_su21(monkeypatch):
     per_check = []
     for check in SAMPLED_CHECKS:
         before = len(calls)
-        result = check(num, samples=100, seed=42)
-        assert (result[0] if isinstance(result, list) else result).passed
+        assert check(num, samples=100, seed=42)[0].passed
         per_check.append(len(calls) - before)
     assert per_check == [1, 1, 0, 2]
 
@@ -777,7 +770,7 @@ def test_ks_and_moment_build_no_frame_and_no_gram(monkeypatch, form_id):
     monkeypatch.setattr(sympver, "standard_frame", refuse)
     monkeypatch.setattr(sympver, "induced_gram", refuse)
     for check in (ks_correspondence_check, moment_cone_check):
-        report = check(num, samples=CHUNK + 3, seed=42)
+        (report,) = check(num, samples=CHUNK + 3, seed=42)
         assert report.passed and report.accepted == CHUNK + 3 and not report.events
     with pytest.raises(AssertionError, match="a frame or a Gram"):
         poisson_identities_check(num, samples=3, seed=42)
