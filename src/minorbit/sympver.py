@@ -20,13 +20,15 @@ test functions along the frame curves: no frame curve is exponentiated.
 
 The four checks walk their samples through one driver (``_run``), CHUNK at
 a time, each chunk in a few stacked numpy calls on a leading sample axis.
-Each draw is a pure function of the seed, sample index, purpose, attempt and
+Each draw is a pure function of the seed, sample index, purpose and
 position (``draw``), so sample i is the same point whatever the chunk;
 sample 0, the base point, has the zero factor.  For beta and poisson the
-driver builds a frame and the induced Gram and redraws the samples they
-reject, up to four attempts.  A check names its identities, one deviation
-per sample each; the driver keeps the largest per sample, then the largest
-sample, a NaN first, with its index.  The four checks draw the same k
+driver also builds a frame and the induced Gram; B is Ad-invariant, so
+every sample's induced Gram is t times the base point's, and the driver
+asks once, of the base point's Gram, whether the check rejects it.  A
+check names its identities, one deviation per sample each; the driver
+keeps the largest per sample, then the largest sample, a NaN first, with
+its index.  The four checks draw the same k
 factors, so one K element per chunk, with its exponentials and transports of
 the frame directions, e, v and z, serves all four (``_k_element``); only the
 scale t, which depends on a check's spread, is drawn per check.  A frame is
@@ -148,21 +150,21 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def draw(seed: int, indices: np.ndarray, purpose: int, attempt: int,
-         count: int) -> np.ndarray:
+def draw(seed: int, indices: np.ndarray, purpose: int, count: int) -> np.ndarray:
     """(S, count) uniforms in [0, 1): positions 0 to count - 1 of the stream
-    of each sample of ``indices`` for ``purpose`` and ``attempt``, in integer
-    arithmetic.  The key folds in every 64-bit word of the seed; a stream
-    starts at the key mixed with the fixed-width fields index << 16 |
-    purpose << 8 | attempt (index < 2**48), and position j of it is the
-    SplitMix64 output mix(start + (j + 1) GAMMA)."""
+    of each sample of ``indices`` for ``purpose``, in integer arithmetic.
+    The key folds in every 64-bit word of the seed; a stream starts at the
+    key mixed with the fixed-width fields index << 16 | purpose << 8 (index
+    < 2**48), and position j of it is the SplitMix64 output mix(start + (j
+    + 1) GAMMA).  The fields' low 8 bits stay zero, so that every stream,
+    and with it every report, keeps its bits."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
     key = np.zeros(1, np.uint64)
     for shift in range(0, max(seed.bit_length(), 1), 64):
         key = _mix((key + GAMMA) ^ np.uint64(seed >> shift & (1 << 64) - 1))
     fields = np.asarray(indices, np.uint64) << np.uint64(16)
-    start = _mix(key ^ fields ^ np.uint64(purpose << 8 | attempt))
+    start = _mix(key ^ fields ^ np.uint64(purpose << 8))
     bits = _mix(start[:, None] + np.arange(1, count + 1, dtype=np.uint64) * GAMMA)
     return (bits >> np.uint64(11)) * 2.0**-53
 
@@ -173,14 +175,13 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[:, :c])) * np.cos(2 * PI * u[:, c:])
 
 
-# the K element of the chunk drawn last: (model, (seed, attempt, indices), element)
+# the K element of the chunk drawn last: (model, (seed, indices), element)
 _last_chunk: tuple = (None, None, None)
 
 
-def _k_element(num: ModelNumerics, seed: int, indices: np.ndarray,
-               attempt: int) -> GroupElement:
-    """The k factors of samples ``indices`` at one attempt, from positions 1
-    on of their POINT streams; sample 0 has the zero factor.
+def _k_element(num: ModelNumerics, seed: int, indices: np.ndarray) -> GroupElement:
+    """The k factors of samples ``indices``, from positions 1 on of their
+    POINT streams; sample 0 has the zero factor.
 
     The four checks draw the same k, whatever their spread, so the element
     of the chunk drawn last is kept, and with it its exponentials and
@@ -188,10 +189,10 @@ def _k_element(num: ModelNumerics, seed: int, indices: np.ndarray,
     whose matrices may differ, draws its own.
     """
     global _last_chunk
-    key = (seed, attempt, tuple(indices.tolist()))
+    key = (seed, tuple(indices.tolist()))
     held, held_key, element = _last_chunk
     if held is not num or held_key != key:
-        u = draw(seed, indices, POINT, attempt, 2 * len(num.k_basis) + 1)
+        u = draw(seed, indices, POINT, 2 * len(num.k_basis) + 1)
         coeffs = 0.7 * _normals(u[:, 1:])
         coeffs[indices == 0] = 0.0
         factor = num.span(coeffs, num.k_basis)
@@ -201,21 +202,22 @@ def _k_element(num: ModelNumerics, seed: int, indices: np.ndarray,
     return element
 
 
-def _sample_points(num: ModelNumerics, seed: int, indices: np.ndarray, attempt: int,
+def _sample_points(num: ModelNumerics, seed: int, indices: np.ndarray,
                    spread: float = 4.0) -> OrbitPointParam:
-    """The points of samples ``indices`` at one attempt: the shared k
-    element and t log-uniform in [1/spread, spread) from position 0 of the
-    POINT streams; sample 0 is the base point (t = 1)."""
-    u = draw(seed, indices, POINT, attempt, 1)
+    """The points of samples ``indices``: the shared k element and t
+    log-uniform in [1/spread, spread) from position 0 of the POINT streams;
+    sample 0 is the base point (t = 1)."""
+    u = draw(seed, indices, POINT, 1)
     t = np.where(indices == 0, 1.0, spread ** (2 * u[:, 0] - 1))
-    return OrbitPointParam(_k_element(num, seed, indices, attempt), t)
+    return OrbitPointParam(_k_element(num, seed, indices), t)
 
 
 @dataclass
 class _Deviations:
     """The accepted samples of a check: their count, and the largest
     per-sample deviation with its sample index (the first NaN, or else the
-    first largest value folded in); ``events`` names the rejected samples."""
+    first largest value folded in); ``events`` says why no sample was
+    accepted, when none was."""
 
     accepted: int = 0
     value: float = 0.0
@@ -233,41 +235,31 @@ class _Deviations:
 
 
 def _run(num, samples, seed, identities, spread=4.0, rejects=None,
-         texts=None) -> _Deviations:
+         reason=None) -> _Deviations:
     """The deviations of samples 0 to ``samples`` - 1, CHUNK at a time.
 
     ``identities(indices, point, frame, gram)`` names (S,) deviation arrays
     of the samples ``indices``; their largest per sample is folded in.
-    Without ``rejects`` each chunk is drawn once, and frame and gram are
-    None.  With it, the frame and the induced Gram are built, and the
-    samples whose Gram ``rejects`` (a flag per sample) are redrawn together,
-    up to four attempts, then given up; ``texts`` names both in the events,
-    by index then attempt.
+    Without ``rejects`` frame and gram are None.  With it, the frame and the
+    induced Gram are built, and ``rejects`` is asked once, of the base
+    point's Gram: every sample's Gram is t times it, so a Gram it refuses
+    leaves no sample accepted, and the one event names ``reason``.
     """
     devs = _Deviations()
+    if rejects is not None:
+        base = OrbitPointParam()
+        if rejects(induced_gram(num, base, standard_frame(num, base))[0]):
+            devs.events.append(f"base point: {reason}; every sample's Gram is t times it")
+            return devs
     for lo in range(0, samples, CHUNK):
-        pending, notes = np.arange(lo, min(lo + CHUNK, samples)), []
-        for attempt in range(4):
-            point = _sample_points(num, seed, pending, attempt, spread)
-            indices, frame, gram, bad = pending, None, None, np.zeros(len(pending), bool)
-            if rejects is not None:
-                frame = standard_frame(num, point)
-                gram = induced_gram(num, point, frame)
-                bad = rejects(gram)
-                if bad.any():
-                    indices, frame, gram = pending[~bad], frame[~bad], gram[~bad]
-                    if len(indices):  # their points again, drawn alone
-                        point = _sample_points(num, seed, indices, attempt, spread)
-            if len(indices):
-                named = identities(indices, point, frame, gram)
-                devs.add(indices, np.max(list(named.values()), axis=0))
-            notes += [(i, attempt, f"sample {i}: {texts[0]}, resampled")
-                      for i in pending[bad]]
-            pending = pending[bad]
-            if not len(pending):
-                break
-        notes += [(i, 4, f"sample {i}: {texts[1]}") for i in pending]
-        devs.events.extend(text for *_, text in sorted(notes))
+        indices = np.arange(lo, min(lo + CHUNK, samples))
+        point = _sample_points(num, seed, indices, spread)
+        frame = gram = None
+        if rejects is not None:
+            frame = standard_frame(num, point)
+            gram = induced_gram(num, point, frame)
+        named = identities(indices, point, frame, gram)
+        devs.add(indices, np.max(list(named.values()), axis=0))
     return devs
 
 
@@ -301,11 +293,12 @@ def verify_beta_symplectic(
 
     Sample 0 is always the base point, where the distinguished radial/z block
     must match [[0, -2/pi], [2/pi, 0]] to near machine precision (reported
-    separately at its own tolerance).  A record whose samples were all
-    rejected fails: it has tested nothing.  Float mutants (test_mutants.py)
-    that fail each line: x_psi (1 + delta) the agreement, z (1 + delta) the
-    block.  Blind to k_nu_perp_basis[0] (1 + delta): any complement of k_nu
-    gives a valid frame.
+    separately at its own tolerance).  A degenerate base Gram leaves no
+    sample accepted, and both records fail with its one event: they have
+    tested nothing.  Float mutants (test_mutants.py) that fail each line:
+    x_psi (1 + delta) the agreement, z (1 + delta) the block.  Blind to
+    k_nu_perp_basis[0] (1 + delta): any complement of k_nu gives a valid
+    frame.
     """
     base = _Deviations()
 
@@ -316,8 +309,9 @@ def verify_beta_symplectic(
         return {"Gram agreement": _max_abs(gram_x - kks_gram(num, point, frame))}
 
     devs = _run(num, samples, seed, identities, 4.0,
-                lambda gram: np.linalg.matrix_rank(gram, tol=1e-10) < gram.shape[-1],
-                ("degenerate frame", "frame degenerate after retries"))
+                lambda gram: np.linalg.matrix_rank(gram, tol=1e-10) < len(gram),
+                "degenerate frame")
+    base.events = devs.events
     return [
         _report(
             "beta_symplectic", samples, devs, tol, seed,
@@ -359,7 +353,7 @@ def ks_correspondence_check(
         # eta centralizes both v and e
         if (num.k_nu_basis and len(num.center_k_basis) < len(num.k_nu_basis)
                 and num.isotropy_basis):
-            eta = _normals(draw(seed, indices, ISOTROPY, 0, 2 * len(num.isotropy_basis)))
+            eta = _normals(draw(seed, indices, ISOTROPY, 2 * len(num.isotropy_basis)))
             iso = GroupElement([num.span(eta, num.isotropy_basis)])
             repar = OrbitPointParam(point.element * iso, t)
             dev["well-definedness of u"] = _max_abs(realize(num, repar) - u)
@@ -425,17 +419,18 @@ def poisson_identities_check(
     coordinate Poisson-commutes with pulled-back functions and acts as
     2 pi i on equivariant sections; momentum functions close under bracket;
     bracketing a momentum function against a section is the group derivative.
-    The check fails when every sample was rejected.  Float mutants on su21
-    that fail each, in that order: e + delta k_0, v + delta p_last, e (1 +
-    delta), sigma (1 + delta).  Blind to p_basis[-1] + delta k: a section
-    pairs w with points of p_C, orthogonal to k.
+    An ill-conditioned base Gram leaves no sample accepted, and the check
+    fails.  Float mutants on su21 that fail each, in that order: e + delta
+    k_0, v + delta p_last, e (1 + delta), sigma (1 + delta).  Blind to
+    p_basis[-1] + delta k: a section pairs w with points of p_C, orthogonal
+    to k.
     """
 
     def identities(indices, point, frame, gram):
         u0 = realize(num, point)
         b0 = nilpotent_of(num, point)
         k, p = num.k_basis, num.p_basis
-        coeffs = 0.8 * _normals(draw(seed, indices, TEST_FUNCTIONS, 0, 4 * len(k + p)))
+        coeffs = 0.8 * _normals(draw(seed, indices, TEST_FUNCTIONS, 4 * len(k + p)))
         x, y, re, im = np.split(coeffs, np.cumsum([len(k), len(k), len(p)]), axis=1)
         x, y, w = num.span(x, k), num.span(y, k), num.span(re + 1j * im, p)
         grads = _poisson_gradients(num, u0, b0, frame[:, 1:], w, x, y)
@@ -455,8 +450,7 @@ def poisson_identities_check(
         }
 
     devs = _run(num, samples, seed, identities, 2.0,
-                lambda gram: np.linalg.cond(gram) > COND_LIMIT,
-                ("ill-conditioned Gram", "no well-conditioned sample found"))
+                lambda gram: np.linalg.cond(gram) > COND_LIMIT, "ill-conditioned Gram")
     return [_report(
         "poisson_identities", samples, devs, tol, seed,
         "relative deviations; closed-form class",
@@ -497,7 +491,7 @@ def moment_cone_check(
 
     def identities(indices, point, frame, gram):
         # g = k a n with k the sample's point; g = 1 for sample 0, so f = e there
-        coeffs = _normals(draw(seed, indices, FACTOR, 0, 2 * (da + len(num.n_basis))))
+        coeffs = _normals(draw(seed, indices, FACTOR, 2 * (da + len(num.n_basis))))
         coeffs[indices == 0] = 0.0
         a = GroupElement([num.span(0.5 * coeffs[:, :da], num.a_basis)])
         unipotent = GroupElement([num.span(0.7 * coeffs[:, da:], num.n_basis)])

@@ -146,8 +146,8 @@ def test_beta_seed_determinism():
     assert r1.as_dict() == r2.as_dict()
     assert b1.as_dict() == b2.as_dict()
     # distinct seeds draw distinct sample points
-    p7 = sympver._sample_points(num, 7, np.array([1]), 0)
-    p8 = sympver._sample_points(num, 8, np.array([1]), 0)
+    p7 = sympver._sample_points(num, 7, np.array([1]))
+    p8 = sympver._sample_points(num, 8, np.array([1]))
     assert not np.allclose(p7.element.factors[0], p8.element.factors[0])
 
 
@@ -191,7 +191,8 @@ def test_beta_fails_when_every_frame_is_degenerate(monkeypatch):
     assert main.max_abs_deviation == 0.0 and base.max_abs_deviation == 0.0
     assert not main.passed and not base.passed
     assert "no sample accepted" in main.detail
-    assert len(main.events) == 3 * 5
+    assert main.events == base.events == [
+        "base point: degenerate frame; every sample's Gram is t times it"]
 
 
 def test_poisson_fails_when_every_sample_is_rejected(monkeypatch):
@@ -200,6 +201,53 @@ def test_poisson_fails_when_every_sample_is_rejected(monkeypatch):
     assert report.max_abs_deviation == 0.0
     assert not report.passed
     assert "no sample accepted" in report.detail
+    assert report.events == ["base point: ill-conditioned Gram; every sample's Gram is t times it"]
+
+
+@pytest.mark.parametrize("seed", (42, 7))
+@pytest.mark.parametrize("spread", (4.0, 2.0))  # beta's, poisson's
+def test_every_sample_gram_is_t_times_the_base_gram(seed, spread):
+    """B is Ad-invariant, so each sample's induced Gram is t times the base
+    point's, and the base point's rank and condition tests decide every
+    sample's; the base Gram passes both on every form."""
+    base = OrbitPointParam()
+    for form_id in MODEL_IDS:
+        num = numerics(form_id)
+        (gram,) = induced_gram(num, base, standard_frame(num, base))
+        assert np.linalg.matrix_rank(gram, tol=1e-10) == len(gram), form_id
+        assert np.linalg.cond(gram) <= sympver.COND_LIMIT, form_id
+        point = sympver._sample_points(num, seed, np.arange(100), spread)
+        sampled = induced_gram(num, point, standard_frame(num, point))
+        scaled = point.t[:, None, None] * gram
+        assert np.max(np.abs(sampled - scaled)) <= 1e-13 * np.max(np.abs(gram)), form_id
+
+
+def test_a_dependent_frame_rejects_every_sample_at_the_base_point(monkeypatch):
+    """su21 with k_nu_perp_basis[1] replaced by k_nu_perp_basis[0]: one base
+    Gram per Gram check decides, and each failing line says why once."""
+    num = copy.copy(numerics("su21"))
+    first, _, *rest = num.k_nu_perp_basis
+    num.k_nu_perp_basis = [first, first, *rest]
+    grams = []
+    exact = sympver.induced_gram
+
+    def recorded(num, point, frame):
+        gram = exact(num, point, frame)
+        grams.append(len(gram))
+        return gram
+
+    monkeypatch.setattr(sympver, "induced_gram", recorded)
+    lines = {line.name: line for check in SAMPLED_CHECKS
+             for line in check(num, samples=30, seed=42)}
+    assert grams == [1, 1]  # the base point's, for beta and for poisson
+    reasons = {"beta_symplectic": "degenerate frame", "beta_base_block": "degenerate frame",
+               "poisson_identities": "ill-conditioned Gram"}
+    for name, reason in reasons.items():
+        line = lines[name]
+        assert not line.passed and line.accepted == 0, name
+        assert "no sample accepted" in line.detail, name
+        assert line.events == [f"base point: {reason}; every sample's Gram is t times it"]
+    assert lines["ks_correspondence"].passed and lines["moment_cone"].passed
 
 
 @pytest.mark.parametrize(
@@ -211,36 +259,6 @@ def test_zero_samples_fail_every_check(check):
     report = check(numerics("sl2R"), samples=0, seed=42)[0]
     assert not report.passed
     assert "no sample accepted" in report.detail
-
-
-@pytest.mark.parametrize(
-    "check, first_attempt_rejected",
-    [
-        (verify_beta_symplectic, "sample 1: degenerate frame, resampled"),
-        (poisson_identities_check, "sample 1: ill-conditioned Gram, resampled"),
-    ],
-)
-def test_one_rejected_attempt_is_redrawn(monkeypatch, check, first_attempt_rejected):
-    """Only sample 1's first attempt gets a zero Gram: that attempt is
-    redrawn, the redraw is accepted and the check still passes."""
-    exact = sympver.induced_gram
-    calls = []
-
-    def zero_sample_1_on_first_call(num, point, frame):
-        gram = exact(num, point, frame)
-        calls.append(len(gram))
-        # call 1 stacks attempt 0 of samples 0-3, so row 1 is sample 1
-        if len(calls) == 1:
-            gram[1] = 0.0
-        return gram
-
-    monkeypatch.setattr(sympver, "induced_gram", zero_sample_1_on_first_call)
-    report = check(numerics("sl2R"), samples=4, seed=42)[0]
-    assert report.events == [first_attempt_rejected]
-    assert report.passed
-    assert report.sample_count == 4
-    # five Grams: four first attempts, then sample 1's redraw on its own
-    assert calls == [4, 1]
 
 
 @pytest.mark.parametrize("form_id", VERIFY_FORMS)
@@ -313,14 +331,13 @@ def test_moment_identity_point():
         assert np.array_equal(num.k_component(num.e), num.z / 2.0), form_id
 
 
-def test_sample_0_is_the_base_point_at_every_attempt():
+def test_sample_0_is_the_base_point():
     """Sample 0 has t = 1 and the zero k factor, so it realizes e itself."""
     for form_id in MODEL_IDS:
         num = numerics(form_id)
-        for attempt in range(4):
-            point = sympver._sample_points(num, 42, np.array([0, 1, 2]), attempt)
-            assert point.t[0] == 1.0, (form_id, attempt)
-            assert np.array_equal(point.element.ad(num.e)[0], num.e), (form_id, attempt)
+        point = sympver._sample_points(num, 42, np.array([0, 1, 2]))
+        assert point.t[0] == 1.0, form_id
+        assert np.array_equal(point.element.ad(num.e)[0], num.e), form_id
 
 
 def test_moment_unipotent_fixes_e():
@@ -371,7 +388,7 @@ def test_pair_trace_grams_match_written_out_brackets(form_id):
     """The Grams from pair traces tr(F d_j d_i) against B(F, [d_j, d_i])
     written out entry by entry, sample by sample."""
     num = numerics(form_id)
-    point = sympver._sample_points(num, 42, np.arange(1, 6), 0)
+    point = sympver._sample_points(num, 42, np.arange(1, 6))
     frame = standard_frame(num, point)
     kks, induced = kks_gram(num, point, frame), induced_gram(num, point, frame)
     F, zk = sympver.coadjoint_point(num, point), point.element.ad(num.z)
@@ -395,7 +412,7 @@ def test_poisson_tangent_gradients_match_central_differences(form_id):
     num = numerics(form_id)
     h = 1e-6
     for index in (1, 2, 3):
-        point = sympver._sample_points(num, 42, np.array([index]), 0, spread=2.0)
+        point = sympver._sample_points(num, 42, np.array([index]), spread=2.0)
         frame = standard_frame(num, point)
         u0, b0 = realize(num, point), sympver.nilpotent_of(num, point)
         rng = np.random.default_rng(43 + index)
@@ -507,18 +524,19 @@ def test_rng_streams_keyed_on_the_full_seed():
     """Seeds that agree modulo 2**32 or 2**64 get streams of their own, and a
     negative seed is refused."""
     draws = {
-        seed: draw(seed, np.array([3]), POINT, 1, 4).tobytes()
+        seed: draw(seed, np.array([3]), POINT, 4).tobytes()
         for seed in (42, 2**32 + 42, 2**33 + 42, 2**64 + 42, 2**128 + 42)
     }
     assert len(set(draws.values())) == len(draws)
     with pytest.raises(ValueError, match="non-negative"):
-        draw(-1, np.array([3]), POINT, 1, 4)
+        draw(-1, np.array([3]), POINT, 4)
 
 
 # --- the draw function ----------------------------------------------------------
 
-def _draw_reference(seed, index, purpose, attempt, position):
-    """The raw 64 bits of one draw, in Python integers."""
+def _draw_reference(seed, index, purpose, position):
+    """The raw 64 bits of one draw, in Python integers; the key's low 8 bits
+    are zero."""
     word, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
 
     def mix(x):
@@ -529,7 +547,7 @@ def _draw_reference(seed, index, purpose, attempt, position):
     key = 0
     for shift in range(0, max(seed.bit_length(), 1), 64):
         key = mix((key + gamma & word) ^ (seed >> shift & word))
-    start = mix(key ^ (index << 16 | purpose << 8 | attempt))
+    start = mix(key ^ (index << 16 | purpose << 8))
     return mix(start + (position + 1) * gamma & word)
 
 
@@ -539,29 +557,29 @@ def test_draw_known_answers():
     assert sympver._mix(gammas).tolist() == [
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
     ]
-    pinned = {  # (seed, index, purpose, attempt, position): (bits, uniform)
-        (42, 5, POINT, 0, 0): (0xFF81BDBF6498931A, 0.9980734436290695),
-        (42, 5, 1, 0, 0): (0xF3D4C4770D6E6881, 0.9524653235106882),
-        (7, 130, TEST_FUNCTIONS, 3, 9): (0x1C9103BC9FB4A685, 0.1115877471454092),
-        (2**64 + 42, 0, ISOTROPY, 0, 2): (0x22E8C84D366F62BE, 0.13636447796892304),
+    pinned = {  # (seed, index, purpose, position): (bits, uniform)
+        (42, 5, POINT, 0): (0xFF81BDBF6498931A, 0.9980734436290695),
+        (42, 5, 1, 0): (0xF3D4C4770D6E6881, 0.9524653235106882),
+        (7, 130, TEST_FUNCTIONS, 9): (0xFB1B4C53C015096E, 0.9808852867573316),
+        (2**64 + 42, 0, ISOTROPY, 2): (0x22E8C84D366F62BE, 0.13636447796892304),
     }
-    for (seed, index, purpose, attempt, position), (bits, u) in pinned.items():
-        assert _draw_reference(seed, index, purpose, attempt, position) == bits
-        drawn = draw(seed, np.array([index]), purpose, attempt, position + 1)
+    for (seed, index, purpose, position), (bits, u) in pinned.items():
+        assert _draw_reference(seed, index, purpose, position) == bits
+        drawn = draw(seed, np.array([index]), purpose, position + 1)
         assert drawn[0, position] == u == (bits >> 11) * 2.0**-53
     # whole chunks against the reference, draw by draw
     for seed in (0, 42, 2**32 + 42, 2**64 + 42):
         indices = np.array([0, 1, 127, 128, 2**40])
-        drawn = draw(seed, indices, FACTOR, 2, 5)
+        drawn = draw(seed, indices, FACTOR, 5)
         for row, index in zip(drawn, indices.tolist()):
-            ref = [_draw_reference(seed, index, FACTOR, 2, j) >> 11 for j in range(5)]
+            ref = [_draw_reference(seed, index, FACTOR, j) >> 11 for j in range(5)]
             assert (row * 2.0**53).tolist() == ref
 
 
 def test_draw_normals_are_standard():
     from scipy import stats
 
-    u = draw(2024, np.arange(25_000), 1, 0, 8)
+    u = draw(2024, np.arange(25_000), 1, 8)
     normals = sympver._normals(u).ravel()
     assert normals.size == 100_000
     assert abs(normals.mean()) < 5 / math.sqrt(normals.size)
@@ -570,15 +588,14 @@ def test_draw_normals_are_standard():
     assert stats.kstest(u.ravel(), "uniform").pvalue > 1e-3
 
 
-def test_draws_differ_across_purposes_attempts_indices_and_seeds():
+def test_draws_differ_across_purposes_indices_and_seeds():
     """Every pair of streams differs in every position and is uncorrelated."""
     indices = np.arange(1, 2001)
     streams = {
-        **{("purpose", p): draw(42, indices, p, 0, 8)
+        **{("purpose", p): draw(42, indices, p, 8)
            for p in (POINT, FACTOR, ISOTROPY, TEST_FUNCTIONS)},
-        **{("attempt", a): draw(42, indices, POINT, a, 8) for a in (1, 2, 3)},
-        ("indices", 2001): draw(42, indices + 2000, POINT, 0, 8),
-        ("seed", 43): draw(43, indices, POINT, 0, 8),
+        ("indices", 2001): draw(42, indices + 2000, POINT, 8),
+        ("seed", 43): draw(43, indices, POINT, 8),
     }
     labels = list(streams)
     for i, a in enumerate(labels):
@@ -595,7 +612,8 @@ def test_poisson_test_functions_do_not_replay_the_point(monkeypatch):
     frame_of, gradients_of = sympver.standard_frame, sympver._poisson_gradients
 
     def frame(num, point):
-        seen.setdefault("kappa", point.element.factors[0])
+        if point.element.factors:  # not the base point's frame
+            seen.setdefault("kappa", point.element.factors[0])
         return frame_of(num, point)
 
     def gradients(num, u0, b0, directions, w, x, y):
@@ -641,12 +659,12 @@ def _count_calls(monkeypatch, owner, name):
 def test_poisson_exponentiates_only_the_group_part(monkeypatch):
     num = numerics("sp4R")
     assert not hasattr(sympver, "expm")
+    _fresh_memo(monkeypatch)
     calls = _count_calls(monkeypatch, numeric, "expm")
-    samples = 4
-    (report,) = poisson_identities_check(num, samples=samples, seed=42)
-    attempted = samples + len(report.events)
-    # one call, exp(+-kappa), for the one group factor; none per frame direction
-    assert len(calls) <= attempted
+    (report,) = poisson_identities_check(num, samples=4, seed=42)
+    # one call, exp(+-kappa), for the chunk's one group factor; none per
+    # frame direction, and none for the base point's Gram
+    assert len(calls) == 1 and not report.events
 
 
 def test_isotropy_basis_solved_once_per_form(monkeypatch):
@@ -713,20 +731,6 @@ def test_sharing_the_k_element_is_invisible(monkeypatch, form_id, check):
     assert fresh == after_the_others == after_another_seed
 
 
-def test_k_element_is_drawn_per_attempt(monkeypatch):
-    """The same indices at attempt 0, then at attempt 1: each element is the
-    one a fresh memo draws."""
-    num = numerics("su21")
-    indices = np.arange(1, 9)
-    _fresh_memo(monkeypatch)
-    shared = [sympver._sample_points(num, 42, indices, a).element for a in (0, 1)]
-    for attempt, element in enumerate(shared):
-        _fresh_memo(monkeypatch)
-        alone = sympver._sample_points(num, 42, indices, attempt).element
-        assert np.array_equal(element.factors[0], alone.factors[0])
-        assert np.array_equal(element.ad(num.e), alone.ad(num.e))
-
-
 def test_four_checks_exponentiate_four_times_on_su21(monkeypatch):
     """beta exponentiates the chunk's k factor; ks its isotropy factor,
     poisson nothing, moment its a and n factors."""
@@ -745,7 +749,7 @@ def test_four_checks_exponentiate_four_times_on_su21(monkeypatch):
 def test_memoized_arrays_are_read_only(monkeypatch):
     num = numerics("su21")
     _fresh_memo(monkeypatch)
-    element = sympver._sample_points(num, 42, np.arange(4), 0).element
+    element = sympver._sample_points(num, 42, np.arange(4)).element
     for shared in (element.ad(num.e), element.ad(num.z), element.factors[0],
                    *element._ends, *element._exps[0]):
         with pytest.raises(ValueError, match="read-only"):
