@@ -8,9 +8,10 @@ a real value is one with b = 0, and it orders, hashes and prints as the
 Integer parts take fast paths that return the same reduced parts: nothing is
 reduced over d = 1, a product of two real integers skips the crosswise gcds,
 and a sum or difference over one denominator adds or subtracts the parts.
-``rref``, ``rank``, ``kernel_basis`` and ``solve`` share one Gauss-Jordan
-elimination over sparse rows that visits only nonzero entries; the reduced row
-echelon form of a row space is unique, so no result depends on how it is found.
+``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``inverse`` share one
+Gauss-Jordan elimination over sparse rows that visits only nonzero entries;
+the reduced row echelon form of a row space is unique, so no result depends
+on how it is found.
 """
 
 from __future__ import annotations
@@ -293,6 +294,14 @@ def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
     if n in pivots:
         return None
     return [pivots[j].get(n, ZERO) if j in pivots else ZERO for j in range(n)]
+
+
+def inverse(mat: Sequence[Sequence]) -> list[list] | None:
+    """The inverse of a square matrix, or None if it is singular."""
+    n = len(mat)
+    red, pivots = rref([list(row) + [ONE if j == i else ZERO for j in range(n)]
+                        for i, row in enumerate(mat)])
+    return [row[n:] for row in red] if pivots == list(range(n)) else None
 
 
 def span_contains(basis: Sequence[Sequence], vec: Sequence) -> bool:

@@ -9,13 +9,15 @@ complex for one of g_C; all brackets, involutions and forms are exact
 arithmetic on such coordinates.
 
 The basis is one (N, n, n) complex array whose entries are Gaussian integers,
-which floating point holds and multiplies exactly.  numpy forms the trace
-Gram G = tr(b_i b_j) and the tensor T[k, i, j] = tr(b_k [b_i, b_j]) as
-integers; G is inverted once in rationals, and the structure constants
-ad = G^-1 T are accepted only if sum_r ad[r, i, j] b_r = [b_i, b_j] holds
-exactly.  The conjugation sigma (an :class:`~.families.Involution` spec) fixes
-every basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates
-sigma conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.
+which floating point holds and multiplies exactly.  One BLAS product each
+forms the trace Gram G = tr(b_i b_j) and the tensor T[k, i, j] =
+tr(b_k [b_i, b_j]) as integers, exact in any summation order, as the absolute
+values of the terms of each sum add up to less than 2^53.  G is inverted once
+in rationals, and the structure constants ad = G^-1 T are accepted only if
+sum_r ad[r, i, j] b_r = [b_i, b_j] holds exactly, one product for every i, j.
+The conjugation sigma (an :class:`~.families.Involution` spec) fixes every
+basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates sigma
+conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.
 Past the closure, the build checks only that sigma is antilinear and fixes the
 basis, that k and p partition it, and that Cent_p(a) = a.  The rest of the
 Cartan decomposition holds by construction: theta is an automorphism of
@@ -27,10 +29,11 @@ first use, the center ``center_k`` of k.  One routine,
 :meth:`~LieAlgebraModel.eigenspaces`, splits a span under one operator;
 ``joint_eigenspaces`` refines through it.  One routine,
 :meth:`~LieAlgebraModel.torus_roots`, gives the root datum of a torus, the
-restricted roots (a on g) and the roots of k (t on k) alike: it feeds
-``joint_eigenspaces`` the differences of the defining eigenvalues, which
-``defining_eigenvalues`` computes exactly, and returns the root spaces, the
-positive and simple roots and the trace duals of the roots.
+restricted roots (a on g) and the roots of k (t on k) alike: one float
+``eigh`` proposes the joint eigenvalues of the torus in the defining
+representation, as rationals; ``joint_eigenspaces`` tries each subspace only
+at the differences of those that extend its label, and the exact eigenspaces,
+which must fill the span, are the proof.
 
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
@@ -260,78 +263,60 @@ class LieAlgebraModel(FamilyData):
     def joint_eigenspaces(
         self,
         ops: Sequence[SparseOp],
-        candidates: Sequence[Sequence],
+        labels: Sequence[tuple],
         span: Sequence[Coords],
     ) -> list[tuple[tuple, list[Coords]]]:
         """Split span(span) into joint eigenspaces of commuting operators.
 
-        ``candidates[i]`` lists the possible eigenvalues of ``ops[i]``; each
-        space is labelled by its tuple of eigenvalues.  Raises if the
-        candidates do not recover all of the span.
+        ``labels`` lists the possible tuples of eigenvalues of ``ops``, and
+        each space is labelled by its tuple; a space split off by ops[:i] is
+        split by ops[i] only at the i-th entries of the labels that extend
+        its own.  Raises if the labels do not recover all of the span.
         """
         spaces: list[tuple[tuple, list[Coords]]] = [((), span)]
-        for op, eigenvalues in zip(ops, candidates):
+        for i, op in enumerate(ops):
             refined = []
             for label, sub in spaces:
-                split = self.eigenspaces(op, eigenvalues, sub)
+                tried = dict.fromkeys(c[i] for c in labels if c[:i] == label)
+                split = self.eigenspaces(op, tried, sub)
                 found = sum(map(len, split.values()))
                 if found != len(sub):
                     raise ModelError(
-                        f"{self.form_id}: operator is not semisimple over the "
-                        f"candidate eigenvalues (recovered {found} of {len(sub)})"
+                        f"{self.form_id}: the rational proposals miss eigenvalues "
+                        f"of the torus (recovered {found} of {len(sub)})"
                     )
                 refined.extend((label + (lam,), eig) for lam, eig in split.items())
             spaces = refined
         return spaces
 
-    def defining_eigenvalues(
-        self, x: Coords, imaginary: bool = False
-    ) -> list[GaussianRational]:
-        """Exact eigenvalues of x in the defining representation, sorted.
-
-        x is Hermitian (in p), or with ``imaginary`` anti-Hermitian (in k),
-        whose eigenvalues are returned divided by i.  Float eigenvalues
-        propose rationals; each one counts only with the multiplicity of its
-        exact kernel, and the kernels must fill C^n.
-        """
-        X = self.matrix(x)
-        proposals = sorted({
-            GaussianRational(Fraction(float(ev.imag if imaginary else ev.real))
-                             .limit_denominator(PROPOSAL_DENOMINATOR))
-            for ev in np.linalg.eigvals(X.astype(complex))
-        })
-        rows = [{s: v for s, v in enumerate(row) if v} for row in X]
-        found: list[GaussianRational] = []
-        for q in proposals:
-            lam = q * exactla.I if imaginary else q
-            shifted = [{**row, r: row.get(r, ZERO) - lam} for r, row in enumerate(rows)]
-            found.extend([q] * len(exactla.kernel_basis(shifted, self.n)))
-        if len(found) != self.n:
-            raise ModelError(
-                f"{self.form_id}: defining eigenvalues are not all rational"
-                + (" multiples of i" if imaginary else "")
-            )
-        return found
-
     def torus_roots(self, torus: Sequence[Coords], span: Sequence[Coords],
                     imaginary: bool = False, key=tuple) -> tuple:
         """The root datum of the commuting t in ``torus`` on span(span).
 
-        A root lists the eigenvalues of ad t, the differences of the defining
-        eigenvalues of t; with ``imaginary`` (t compact) they are i times the
-        rationals the root keeps.  Returns the zero space, the root spaces
-        {root: space} sorted by root, the positive roots (the first nonzero
-        entry of ``key(root)`` positive), the simple roots, and the trace
-        duals {root: G^-1 root}, with G the trace Gram of the torus.
+        A root lists the eigenvalues of ad t, differences of the joint
+        eigenvalues of the t on C^n; with ``imaginary`` (t compact) they are
+        i times the rationals the root keeps.  The sqrt(p_i), p_i distinct
+        primes, are independent over Q, so the eigenvectors of one ``eigh``
+        of sum_i sqrt(p_i) t_i (times -i for compact t) are joint ones if the
+        eigenvalues are rational; rounded, those propose the roots, and
+        ``joint_eigenspaces`` fails on a wrong or irrational proposal.
+        Returns the zero space, the root spaces {root: space} sorted by root,
+        the positive roots (the first nonzero entry of ``key(root)``
+        positive), the simple roots, and the trace duals {root: G^-1 root},
+        G the trace Gram of the torus.
         """
-        candidates = []
-        for t in torus:
-            eigs = self.defining_eigenvalues(t, imaginary)
-            diffs = sorted({a - b for a in eigs for b in eigs})
-            candidates.append([q * exactla.I for q in diffs] if imaginary else diffs)
+        mats = np.array([self.matrix(t).astype(complex) for t in torus]) * (
+            -1j if imaginary else 1)
+        primes = np.sqrt((2, 3, 5, 7, 11, 13, 17)[:len(torus)])
+        vecs = np.linalg.eigh(np.tensordot(primes, mats, axes=1))[1]
+        joint = np.einsum("an,iab,bn->ni", vecs.conj(), mats, vecs).real.tolist()
+        weights = {tuple(GaussianRational(Fraction(x).limit_denominator(PROPOSAL_DENOMINATOR))
+                         for x in row) for row in joint}
+        diffs = sorted({tuple(a - b for a, b in zip(s, t)) for s in weights for t in weights})
+        labels = [tuple(q * exactla.I for q in d) for d in diffs] if imaginary else diffs
         zero, spaces = [], {}
         for label, space in self.joint_eigenspaces(
-                [self.ad_matrix(t) for t in torus], candidates, span):
+                [self.ad_matrix(t) for t in torus], labels, span):
             root = tuple(x.imag for x in label) if imaginary else label
             if any(root):
                 spaces[root] = space
@@ -339,8 +324,9 @@ class LieAlgebraModel(FamilyData):
                 zero = space
         spaces = dict(sorted(spaces.items()))
         positive = [r for r in spaces if next((x for x in key(r) if x), 0) > 0]
-        gram = [[self._tr_form(s, t) for t in torus] for s in torus]
-        dual = {r: exactla.solve(gram, list(r)) for r in spaces}
+        inverse = exactla.inverse([[self._tr_form(s, t) for t in torus] for s in torus])
+        dual = {r: [sum((g * x for g, x in zip(row, r)), ZERO) for row in inverse]
+                for r in spaces}
         return zero, spaces, positive, indecomposable(positive), dual
 
     def centralizer_in_span(
@@ -368,54 +354,53 @@ def _build(form_id: str) -> LieAlgebraModel:
     bmax = int(np.abs(re).max() + np.abs(im).max())
     if 2 * n**3 * bmax**3 >= 2**53:
         raise ModelError(f"{form_id}: basis entries too large for exact arithmetic")
-    model.entries = [
-        [(r, s, GaussianRational(int(x.real), int(x.imag)))
-         for (r, s), x in np.ndenumerate(b) if x]
-        for b in basis
-    ]
+    model.entries = [[] for _ in range(N)]
+    for (i, r, s), x in zip(np.argwhere(basis).tolist(), basis[basis != 0].tolist()):
+        model.entries[i].append((r, s, GaussianRational(int(x.real), int(x.imag))))
 
-    gram = np.einsum("iab,jba->ij", basis, basis)
+    # tr(XY) is X . Y^T, flattened, so G and T are one BLAS product each
+    flat, flat_t = basis.reshape(N, -1), basis.swapaxes(1, 2).reshape(N, -1)
+    gram = flat @ flat_t.T
     brackets = basis[:, None] @ basis[None, :]
     brackets -= brackets.swapaxes(0, 1)  # [b_i, b_j] = b_i b_j - b_j b_i
-    T = np.einsum("kab,ijba->kij", basis, brackets)
+    T = (flat_t @ brackets.reshape(N * N, -1).T).reshape(N, N, N)
     if np.any(gram.imag):
         raise ModelError(f"{form_id}: trace form is not real on the basis")
     if np.any(T.imag):
         raise ModelError(f"{form_id}: a bracket leaves the real span of the basis")
+    T = T.real.astype(np.int64)
     # each distinct entry of G, and below of D ad, is one scalar, shared
     gram = gram.real.astype(np.int64).tolist()
     scalar = {g: GaussianRational(g) for g in set().union(*gram)}
     model.tr_rows = [[(j, scalar[g]) for j, g in enumerate(row) if g] for row in gram]
-    model.units = [model.unit_coords(i) for i in range(N)]
-    aug = [[scalar[g] for g in row] + unit for row, unit in zip(gram, model.units)]
-    red, pivots = exactla.rref(aug)
-    if pivots != list(range(N)):
+    inverse = exactla.inverse([[scalar[g] for g in row] for row in gram])
+    if inverse is None:
         raise ModelError(f"{form_id}: trace form is degenerate on the basis")
     # ad = G^-1 T, carried as the integers D ad over the common denominator D
-    D = math.lcm(*(x.d for row in red for x in row[N:]))
-    inverse = [[x.a * (D // x.d) for x in row[N:]] for row in red]
+    D = math.lcm(*(x.d for row in inverse for x in row))
+    inverse = [[x.a * (D // x.d) for x in row] for row in inverse]
     ad_max = N * max(abs(x) for row in inverse for x in row) * int(np.abs(T).max())
     if max(N * ad_max * bmax, 2 * D * n * bmax**2) >= 2**53:
         raise ModelError(f"{form_id}: brackets too large for exact arithmetic")
-    scaled = np.tensordot(np.array(inverse), T.real.astype(np.int64), axes=1)
-    # one row i at a time keeps the temporaries at N n^2 entries
-    if not all(
-        np.array_equal(np.tensordot(scaled[:, i], basis, axes=(0, 0)), D * brackets[i])
-        for i in range(N)
-    ):
+    scaled = np.tensordot(np.array(inverse), T, axes=1)
+    brackets *= D
+    if not np.array_equal(scaled.reshape(N, -1).T @ flat, brackets.reshape(N * N, -1)):
         raise ModelError(f"{form_id}: basis is not closed under the bracket")
-    scalar = {x: GaussianRational(x, 0, D) for x in set(scaled.ravel().tolist())}
-    model.ad = [
-        [[(r, scalar[x]) for r, x in enumerate(column) if x] for column in row]
-        for row in np.moveaxis(scaled, 0, -1).tolist()
-    ]
+    # ad[i][j] lists (r, ad[r, i, j]) over the nonzero entries, r ascending
+    by_column = np.moveaxis(scaled, 0, -1)
+    values = by_column[by_column != 0].tolist()
+    scalar = {x: GaussianRational(x, 0, D) for x in set(values)}
+    model.ad = [[[] for _ in range(N)] for _ in range(N)]
+    for (i, j, r), x in zip(np.argwhere(by_column).tolist(), values):
+        model.ad[i][j].append((r, scalar[x]))
 
     adjoint = basis.conj().swapaxes(-1, -2)
     model.k_indices = np.flatnonzero((adjoint == -basis).all(axis=(1, 2))).tolist()
     model.p_indices = np.flatnonzero((adjoint == basis).all(axis=(1, 2))).tolist()
     # the unit spans share the vectors b_i, whose one nonzero entry is 1 at i
+    units = [model.unit_coords(i) for i in range(N)]
     model.units, model.k_units, model.p_units, model.a_units = (
-        Span([model.units[i] for i in idx], [[(i, ONE)] for i in idx])
+        Span([units[i] for i in idx], [[(i, ONE)] for i in idx])
         for idx in (range(N), model.k_indices, model.p_indices, model.a_indices))
     _validate_model(model)
     model.m_basis = model.centralizer_in_span(model.a_units, model.k_units)

@@ -10,7 +10,10 @@ coroot element, and the normalization of the invariant form all come out as
 real Gaussian rationals.
 
 The datum checks the split of the roots, the simple roots, Cent n = g_psi
-and the values on x_psi.  The rest holds by construction: the root spaces
+and the values on x_psi.  Cent n is solved against the simple root spaces
+only: they generate n (Knapp, *Lie Groups Beyond an Introduction*, ch. VI),
+so their centralizer in n is Cent n, which holds g_psi as psi is the highest
+root.  The rest holds by construction: the root spaces
 fill g, or ``joint_eigenspaces`` raises; theta is an automorphism and -1 on
 a, so it maps g_lambda onto g_-lambda and preserves Cent_g(a) = m + Cent_p(a),
 which is m + a as the model build checks Cent_p(a) = a; x_psi, the multiple
@@ -69,11 +72,12 @@ def restricted_root_datum(model: LieAlgebraModel) -> RestrictedRootDatum:
         raise ModelError(f"{model.form_id}: positivity did not split the roots")
 
     # the highest root, from the simple-root coefficients of the positive roots
-    if not len(simple) == exactla.rank(simple) == model.dim_a:
+    if len(simple) != model.dim_a or (inverse := exactla.inverse(
+            [[s[i] for s in simple] for i in range(model.dim_a)])) is None:
         raise ModelError(f"{model.form_id}: simple roots are not a basis of a*")
-    simple_cols = [[s[i] for s in simple] for i in range(model.dim_a)]
     try:
-        psi = highest_root({r: exactla.solve(simple_cols, list(r)) for r in positive})
+        psi = highest_root({r: [sum((c * x for c, x in zip(row, r)), ZERO)
+                                for row in inverse] for r in positive})
     except RootSystemError as exc:
         raise ModelError(f"{model.form_id}: {exc}") from exc
 
@@ -104,9 +108,9 @@ def restricted_root_datum(model: LieAlgebraModel) -> RestrictedRootDatum:
 
 def _validate_datum(datum: RestrictedRootDatum) -> None:
     model = datum.model
-    # the center of n is exactly the psi root space (computed independently)
-    n_ops = [model.ad_matrix(v) for v in datum.n_basis]
-    cent_n = model.kernel_in_span(n_ops, datum.n_basis)
+    # Cent n, the centralizer in n of the simple root spaces, is g_psi
+    ops = [model.ad_matrix(v) for r in datum.simple_roots for v in datum.root_spaces[r]]
+    cent_n = model.kernel_in_span(ops, datum.n_basis)
     psi_space = datum.root_spaces[datum.psi]
     if len(cent_n) != len(psi_space) or not exactla.same_span(cent_n, psi_space):
         raise ModelError(f"{model.form_id}: Cent n differs from the psi root space")

@@ -165,6 +165,8 @@ def _parse_catalog(key: str | None) -> tuple[RealFormDescriptor, ...]:
     raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise CatalogError("<document>", "top level must be a list of entries")
+    if not raw:
+        raise CatalogError("<document>", "catalog has no entries")
     entries = tuple(_parse_entry(item) for item in raw)
     seen: set[str] = set()
     for e in entries:

@@ -130,11 +130,11 @@ def test_torus_roots_of_a_and_of_t(form_id, all_analyses):
 
 def test_dominance_solves_nothing(monkeypatch, all_analyses):
     """The inner product on the roots of k reads their trace duals: on a
-    freshly built su41 model, lambda_data makes no exactla.solve call from
-    inside rootsys.dominant."""
+    freshly built su41 model, lambda_data makes no exactla.solve or
+    exactla.inverse call from inside rootsys.dominant."""
     a = _fresh_analysis(all_analyses["su41"])
     inside, calls = [], {"dominant": 0, "solve": 0}
-    dominant, solve = checks_module.dominant, exactla.solve
+    dominant = checks_module.dominant
 
     def counted_dominant(*args):
         calls["dominant"] += 1
@@ -144,12 +144,15 @@ def test_dominance_solves_nothing(monkeypatch, all_analyses):
         finally:
             inside.pop()
 
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += bool(inside)
-        return solve(*args, **kwargs)
+    def counted(elimination):
+        def call(*args, **kwargs):
+            calls["solve"] += bool(inside)
+            return elimination(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(checks_module, "dominant", counted_dominant)
-    monkeypatch.setattr(exactla, "solve", counted_solve)
+    monkeypatch.setattr(exactla, "solve", counted(exactla.solve))
+    monkeypatch.setattr(exactla, "inverse", counted(exactla.inverse))
     a.lambda_data()
     assert calls == {"dominant": 2, "solve": 0}
 

@@ -161,6 +161,16 @@ def test_catalog_entry_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_empty_catalog_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text("[]", encoding="utf-8")
+    form = ["--form", "sl2R"] if "form" in COMMANDS[command][1] else []
+    assert main([command, *form, "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "catalog has no entries" in captured.err and not captured.out
+
+
 def test_mistyped_catalog_field_exits_2(tmp_path, capsys):
     from minorbit.realform import default_catalog_path
 

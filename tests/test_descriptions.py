@@ -198,8 +198,7 @@ def test_build_rejects_a_form_id_outside_the_table(form_id):
 def test_joint_eigenspaces_split_sl2R():
     model = build_model("sl2R")
     ad_a = [model.ad[i] for i in model.a_indices]
-    full = [model.unit_coords(i) for i in range(model.dim)]
-    spaces = model.joint_eigenspaces(ad_a, [[-2, 0, 2]], full)
+    spaces = model.joint_eigenspaces(ad_a, [(-2,), (0,), (2,)], model.units)
     assert [(label, len(span)) for label, span in spaces] == [
         ((-2,), 1), ((0,), 1), ((2,), 1)
     ]
@@ -208,6 +207,31 @@ def test_joint_eigenspaces_split_sl2R():
 def test_joint_eigenspaces_needs_every_eigenvalue():
     model = build_model("sl2R")
     ad_a = [model.ad[i] for i in model.a_indices]
-    full = [model.unit_coords(i) for i in range(model.dim)]
-    with pytest.raises(ModelError):
-        model.joint_eigenspaces(ad_a, [[Fraction(-2), Fraction(0)]], full)
+    with pytest.raises(ModelError, match="recovered 2 of 3"):
+        model.joint_eigenspaces(ad_a, [(Fraction(-2),), (Fraction(0),)], model.units)
+
+
+def test_joint_eigenspaces_tries_a_subspace_at_the_labels_that_extend_it(monkeypatch):
+    """On sl(3, R), a subspace split off by the first generator of a under
+    the eigenvalue lam is split by the second one at the second entries of
+    the labels whose first entry is lam, in label order, and at no other."""
+    model = build_model("sl3R")
+    ad_a = [model.ad[i] for i in model.a_indices]
+    _, spaces, *_ = model.torus_roots(model.a_units, model.units)
+    roots = [(ZERO, ZERO), *spaces]
+    first = roots[-1][0]
+    labels = [(first, GaussianRational(7)), *roots, (GaussianRational(5), ZERO)]
+    calls = []
+    split = model_module.LieAlgebraModel.eigenspaces
+
+    def recorded(self, op, candidates, span):
+        calls.append(list(candidates))
+        return split(self, op, candidates, span)
+
+    monkeypatch.setattr(model_module.LieAlgebraModel, "eigenspaces", recorded)
+    found = model.joint_eigenspaces(ad_a, labels, model.units)
+    assert sorted(label for label, _ in found) == sorted(roots)
+    firsts = list(dict.fromkeys(c[0] for c in labels))
+    assert calls[0] == firsts
+    assert calls[1:] == [list(dict.fromkeys(c[1] for c in labels if c[0] == lam))
+                         for lam in firsts if any(r[0] == lam for r in roots)]

@@ -11,7 +11,7 @@ from exact_helpers import (
     reference_kernel, reference_rref, reference_solve,
 )
 from minorbit.exactla import (
-    ZERO, GaussianRational, exact_sqrt, kernel_basis, orthogonalize,
+    ONE, ZERO, GaussianRational, exact_sqrt, inverse, kernel_basis, orthogonalize,
     rank, rref, solve,
 )
 
@@ -147,6 +147,25 @@ def test_solve_rebuilds_the_right_hand_side(gaussian, data):
     assert sol is not None
     assert plain_mat_vec(mat, sol) == rhs
     assert gaussian or _real([sol])
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_is_one_solve_per_unit_vector(gaussian, data):
+    """Column j of the inverse solves mat @ x = e_j; a singular matrix,
+    where some e_j has no solution, has no inverse."""
+    n = data.draw(st.integers(1, 5))
+    flat = data.draw(_vectors(gaussian, n * n, sparse=data.draw(st.booleans())))
+    mat = [flat[i * n:(i + 1) * n] for i in range(n)]
+    inv = inverse(mat)
+    units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    columns = [solve(mat, e) for e in units]
+    if rank(mat) < n:
+        assert inv is None and None in columns
+    else:
+        assert [list(col) for col in zip(*inv)] == columns
+        assert plain_mat_vec(inv, plain_mat_vec(mat, units[-1])) == units[-1]
 
 
 @FIELDS

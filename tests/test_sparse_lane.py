@@ -1,10 +1,12 @@
-"""The sparse exact lane against dense references, the early exit of the
-joint eigenspace refinement, and the float-proposed exact eigenvalues of
-compact and Hermitian elements in the defining representation."""
+"""The sparse exact lane against dense references, the labels at which the
+joint eigenspace refinement tries each subspace, the root spaces against
+direct joint kernels, and the float-proposed exact roots of compact and
+Hermitian elements."""
 
 from fractions import Fraction
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -12,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_helpers import fractions_up_to, plain_mat_vec, reference_kernel
-from minorbit.exactla import I, ONE, ZERO, GaussianRational
+from minorbit.exactla import I, ONE, ZERO, GaussianRational, kernel_basis
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
-from minorbit.matmodel.model import Span, _build, _support
+from minorbit.matmodel.model import Span, _apply, _build, _support
 from minorbit.numeric import ModelNumerics
 from minorbit.sympver import (
     ks_correspondence_check, moment_cone_check, poisson_identities_check, verify_beta_symplectic,
@@ -151,33 +153,102 @@ def test_eigenspaces_match_one_kernel_per_candidate(form_id):
                 assert split.get(lam, []) == model.kernel_in_span([op], span, shift=lam)
 
 
-def test_no_eigenspace_solve_after_a_filled_subspace(monkeypatch):
-    """Spaces of distinct eigenvalues are independent, so the refinement of a
-    subspace ends with the solve that fills it."""
-    a = analyze("su41")
-    model, t_basis = a.model, a.lambda_data().t_basis
-    solves = []
+def _defining_weights(model, torus, imaginary):
+    """The joint eigenvalue tuples of the torus on C^n, each with the
+    dimension of its exact joint kernel, from the Cartesian product of each
+    element's own float eigenvalues, rounded; with ``imaginary`` the tuples
+    keep the rationals q of the eigenvalues i q."""
+    mats = [model.matrix(t) for t in torus]
+    unit = I if imaginary else ONE
+    per_element = [
+        {Fraction(float(ev.imag if imaginary else ev.real)).limit_denominator(1000)
+         for ev in np.linalg.eigvals(X.astype(complex))} for X in mats]
+    weights = {}
+    for weight in itertools.product(*map(sorted, per_element)):
+        rows = [[x - unit * q if r == c else x for c, x in enumerate(row)]
+                for X, q in zip(mats, weight) for r, row in enumerate(X.tolist())]
+        if dim := len(kernel_basis(rows, model.n)):
+            weights[weight] = dim
+    assert sum(weights.values()) == model.n
+    return weights
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_a_subspace_is_tried_only_at_proposed_labels(monkeypatch, form_id, all_analyses):
+    """torus_roots proposes the differences of the joint eigenvalue tuples of
+    the torus in the defining representation, and no other label; each
+    subspace is tried at the next entries of the labels that extend its own
+    label, and the solve that fills it is its last."""
+    a = all_analyses[form_id]
+    model = a.model
+    labels, calls, solves = [], [], []
+    joint = LieAlgebraModel.joint_eigenspaces
+    split = LieAlgebraModel.eigenspaces
     solve = LieAlgebraModel._solve_in_span
 
-    def recorded(self, support, images, shift=0, real=False):
-        out = solve(self, support, images, shift, real)
-        solves.append((support, len(out)))
+    def recorded_joint(self, ops, proposed, span):
+        labels.append(list(proposed))
+        return joint(self, ops, proposed, span)
+
+    def recorded_split(self, op, candidates, span):
+        before = len(solves)
+        out = split(self, op, candidates, span)
+        calls.append((span, list(candidates), out, len(solves) - before))
         return out
 
-    monkeypatch.setattr(LieAlgebraModel, "_solve_in_span", recorded)
-    full = [model.unit_coords(i) for i in range(model.dim)]
-    model.torus_roots(model.a_units, full)
-    model.torus_roots(t_basis, model.k_units, imaginary=True)
-    runs = []  # consecutive solves on one subspace
-    for span, found in solves:
-        if runs and runs[-1][0] is span:
-            runs[-1][1].append(found)
-        else:
-            runs.append((span, [found]))
-    assert len(runs) > 2
-    for span, found in runs:
-        assert sum(found) == len(span)
-        assert found[-1] > 0
+    def recorded_solve(self, support, images, shift=0, real=False):
+        solves.append(shift)
+        return solve(self, support, images, shift, real)
+
+    monkeypatch.setattr(LieAlgebraModel, "joint_eigenspaces", recorded_joint)
+    monkeypatch.setattr(LieAlgebraModel, "eigenspaces", recorded_split)
+    monkeypatch.setattr(LieAlgebraModel, "_solve_in_span", recorded_solve)
+    for torus, span, imaginary in ((model.a_units, model.units, False),
+                                   (a.lambda_data().t_basis, model.k_units, True)):
+        labels.clear()
+        calls.clear()
+        model.torus_roots(torus, span, imaginary)
+        weights = _defining_weights(model, torus, imaginary)
+        unit = I if imaginary else ONE
+        differences = {tuple(p - q for p, q in zip(u, v)) for u in weights for v in weights}
+        assert labels == [[tuple(unit * x for x in d) for d in sorted(differences)]]
+        known = {id(span): ()}
+        for sub, candidates, out, solved in calls:
+            label = known[id(sub)]
+            i = len(label)
+            assert candidates == list(dict.fromkeys(
+                c[i] for c in labels[0] if c[:i] == label))
+            assert sum(map(len, out.values())) == len(sub)
+            # spaces of distinct eigenvalues are independent, so the solve
+            # that fills the subspace is its last
+            assert solved == candidates.index(list(out)[-1]) + 1
+            for lam, eig in out.items():
+                known[id(eig)] = label + (lam,)
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_root_spaces_are_the_direct_joint_kernels(form_id, all_analyses):
+    """Each root space of torus_roots, and its zero space, is the kernel of
+    ad t_i - lam_i for every i at once, from one solve, vector for vector:
+    the kernel basis is the canonical basis of the subspace, so splitting
+    one operator at a time gives the same vectors."""
+    a = all_analyses[form_id]
+    model = a.model
+    for torus, span, imaginary in ((model.a_units, model.units, False),
+                                   (a.lambda_data().t_basis, model.k_units, True)):
+        zero, spaces, *_ = model.torus_roots(torus, span, imaginary)
+        ops = [model.ad_matrix(t) for t in torus]
+        for root, space in [((ZERO,) * len(torus), zero), *spaces.items()]:
+            images = []
+            for op, q in zip(ops, root):
+                lam = q * I if imaginary else q
+                images.append([])
+                for nz in span.support:
+                    image = _apply(op, nz)
+                    for j, x in nz:
+                        image[j] = image.get(j, ZERO) - lam * x
+                    images[-1].append(image)
+            assert model._solve_in_span(span.support, images) == space
 
 
 @pytest.mark.parametrize("form_id", FORMS)
@@ -222,12 +293,15 @@ def test_exact_lane_leaves_the_model_data_unchanged(form_id):
 
 
 def test_eigenvalues_outside_any_fixed_grid_are_found():
+    """q times the generator of k in sl(2, R) has defining eigenvalues +-q i,
+    so its roots on g are +-2q, for q on no fixed grid."""
     model = analyze("sl2R").model
     k0 = model.k_indices[0]
-    t = [10 * x for x in model.unit_coords(k0)]
-    assert model.defining_eigenvalues(t, imaginary=True) == [Fraction(-10), Fraction(10)]
-    t = [Fraction(7, 9) * x for x in model.unit_coords(k0)]
-    assert model.defining_eigenvalues(t, imaginary=True) == [Fraction(-7, 9), Fraction(7, 9)]
+    for q in (10, Fraction(7, 9)):
+        t = [q * x for x in model.unit_coords(k0)]
+        zero, spaces, *_ = model.torus_roots([t], model.units, imaginary=True)
+        assert len(zero) == 1
+        assert list(spaces) == [(-2 * q,), (2 * q,)]
 
 
 def test_irrational_eigenvalues_raise():
@@ -239,21 +313,19 @@ def test_irrational_eigenvalues_raise():
     assert np.array_equal(model.matrix(t).astype(complex), X)
     assert model.theta(t) == t
     with pytest.raises(ModelError, match="rational"):
-        model.defining_eigenvalues(t, imaginary=True)
+        model.torus_roots([t], model.k_units, imaginary=True)
 
 
-def test_defining_eigenvalues_of_hermitian_elements():
+def test_torus_roots_of_hermitian_elements():
     model = analyze("sl2R").model
     a = model.unit_coords(model.a_indices[0])
-    assert model.defining_eigenvalues([Fraction(7, 9) * x for x in a]) == [
-        Fraction(-7, 9), Fraction(7, 9)
-    ]
+    _, spaces, *_ = model.torus_roots([[Fraction(7, 9) * x for x in a]], model.units)
+    assert list(spaces) == [(Fraction(-14, 9),), (Fraction(14, 9),)]
     su21 = analyze("su21").model
-    assert su21.defining_eigenvalues(su21.unit_coords(su21.a_indices[0])) == [
-        Fraction(-1), Fraction(0), Fraction(1)
-    ]
+    _, spaces, *_ = su21.torus_roots(su21.a_units, su21.units)
+    assert list(spaces) == [(-2,), (-1,), (1,), (2,)]
     # diag(1, -1) + (E01 + E10): eigenvalues +-sqrt(2)
     x = [p + q for p, q in zip(a, model.unit_coords(model.p_indices[0]))]
     assert np.array_equal(model.matrix(x).astype(complex), [[1, 1], [1, -1]])
     with pytest.raises(ModelError, match="rational"):
-        model.defining_eigenvalues(x)
+        model.torus_roots([x], model.units)
