@@ -8,10 +8,14 @@ a real value is one with b = 0, and it orders, hashes and prints as the
 Integer parts take fast paths that return the same reduced parts: nothing is
 reduced over d = 1, a product of two real integers skips the crosswise gcds,
 and a sum or difference over one denominator adds or subtracts the parts.
-``rref``, ``rank``, ``kernel_basis``, ``solve`` and ``inverse`` share one
-Gauss-Jordan elimination over sparse rows that visits only nonzero entries;
-the reduced row echelon form of a row space is unique, so no result depends
-on how it is found.
+:func:`eliminate` is the one Gauss-Jordan elimination, over sparse rows that
+hold and visit only nonzero entries.  ``rank``, ``kernel_basis`` and
+``inverse`` are views on it: each coerces its rows once (``_sparse_rows``),
+and ``inverse`` reads A^-1 off the pivot rows of [A | I].  The span solves of
+:class:`~minorbit.matmodel.model.LieAlgebraModel` build sparse rows of nonzero
+Gaussian rationals themselves, hand them to :func:`eliminate`, and read each
+kernel vector off its pivot rows.  The reduced row echelon form of a row
+space is unique, so no result depends on how it is found.
 """
 
 from __future__ import annotations
@@ -137,8 +141,7 @@ class GaussianRational:
         return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if type(other) is not GaussianRational and (other := _coerce(other)) is None:
             return NotImplemented
         if self.b or other.b:
             raise TypeError("only real Gaussian rationals are ordered")
@@ -233,10 +236,16 @@ def _sparse_rows(mat, ncols: int | None) -> tuple[list[dict], int]:
     return rows, ncols
 
 
-def _eliminate(rows: list[dict]) -> dict[int, dict]:
+def eliminate(rows: list[dict]) -> dict[int, dict]:
     """Gauss-Jordan on sparse rows, in place, one row at a time: {pivot: row}.
-    A row is reduced by the pivot rows so far; its leading column becomes a
-    pivot, cleared from them, so each pivot leads a vector of the row space."""
+
+    Each row is a {column: value} dict of nonzero :class:`GaussianRational`
+    values, and nothing here checks that: a zero leading entry would be a
+    division by zero.  A row is reduced by the pivot rows so far; its leading
+    column becomes a pivot, cleared from them.  The result is the reduced row
+    echelon form of the rows, sparse: row p is 1 at column p, 0 at every other
+    pivot, and the kernel vector of a free column fc is 1 there and -row[fc]
+    at each pivot p."""
     pivots: dict[int, dict] = {}
     for row in rows:
         for p in [c for c in row if c in pivots]:
@@ -264,44 +273,31 @@ def _add_multiple(row: dict, f, pivot: dict) -> None:
             del row[j]
 
 
-def rref(mat: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """(dense reduced row echelon form, nonzero rows first, as many rows as
-    ``mat`` has; pivot column indices)."""
-    rows, ncols = _sparse_rows(mat, None) if len(mat) else ([], 0)
-    pivots = sorted(red := _eliminate(rows))
-    dense = [[red[p].get(j, ZERO) for j in range(ncols)] for p in pivots]
-    return dense + [[ZERO] * ncols for _ in range(len(rows) - len(dense))], pivots
-
-
 def rank(mat: Sequence[Sequence]) -> int:
-    return len(_eliminate(_sparse_rows(mat, None)[0])) if len(mat) else 0
+    return len(eliminate(_sparse_rows(mat, None)[0])) if len(mat) else 0
 
 
 def kernel_basis(mat: Sequence, ncols: int | None = None) -> list[list]:
     """Basis of the right kernel of ``mat`` (rows = equations, dense or
     sparse), one dense vector per free column, 1 there and 0 at the others."""
     rows, ncols = _sparse_rows(mat, ncols)
-    red = _eliminate(rows)
+    red = eliminate(rows)
     return [[ONE if j == fc else -red[j][fc] if fc in red.get(j, ()) else ZERO
              for j in range(ncols)] for fc in range(ncols) if fc not in red]
 
 
-def solve(mat: Sequence[Sequence], rhs: Sequence) -> list | None:
-    """One solution of ``mat @ x = rhs``, or None if inconsistent."""
-    n = len(mat[0])
-    augmented = [list(row) + [b] for row, b in zip(mat, rhs, strict=True)]
-    pivots = _eliminate(_sparse_rows(augmented, n + 1)[0])
-    if n in pivots:
-        return None
-    return [pivots[j].get(n, ZERO) if j in pivots else ZERO for j in range(n)]
-
-
 def inverse(mat: Sequence[Sequence]) -> list[list] | None:
-    """The inverse of a square matrix, or None if it is singular."""
+    """The inverse of a square matrix, or None if it is singular: [A | I] has
+    n pivots, all in A's columns if A is invertible, and then pivot row p
+    holds row p of A^-1 in I's columns."""
     n = len(mat)
-    red, pivots = rref([list(row) + [ONE if j == i else ZERO for j in range(n)]
-                        for i, row in enumerate(mat)])
-    return [row[n:] for row in red] if pivots == list(range(n)) else None
+    rows, _ = _sparse_rows(mat, n)
+    for i, row in enumerate(rows):
+        row[n + i] = ONE
+    red = eliminate(rows)
+    if any(p >= n for p in red):
+        return None
+    return [[red[p].get(n + j, ZERO) for j in range(n)] for p in range(n)]
 
 
 def span_contains(basis: Sequence[Sequence], vec: Sequence) -> bool:

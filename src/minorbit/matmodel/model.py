@@ -41,10 +41,12 @@ nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
 every structure constant is zero and no routine here touches those zeros: the
 trace form walks the rows of G at the nonzero x_i, ``ad_matrix`` of a basis
 element b_i reads ``ad[i]`` rather than building it, and ``kernel_in_span``
-hands the images of its span's nonzero entries (which each unit span, a
-:class:`Span`, holds from the start), as sparse constraint rows in any order,
-to the one sparse elimination of :mod:`~minorbit.exactla`: a reduced row
-echelon form is unique, so the kernel basis does not depend on the order.
+builds sparse constraint rows of nonzero entries from the images of its
+span's nonzero entries (which each unit span, a :class:`Span`, holds from the
+start), hands them in any order straight to :func:`~minorbit.exactla.eliminate`,
+and reads the kernel vector of each free column fc off the pivot rows as
+span[fc] - sum_p red[p][fc] span[p]: a reduced row echelon form is unique, so
+the kernel basis does not depend on the order.
 """
 
 from __future__ import annotations
@@ -213,8 +215,9 @@ class LieAlgebraModel(FamilyData):
                        shift=0, real: bool = False) -> list[Coords]:
         """sum_k t_k v_k over the t with sum_k t_k (op - shift) v_k = 0 for each op,
         from the nonzero entries of each v_k and images[i][k] = ops[i] @ v_k.
-        A constraint row {k: entry} splits, with ``real``, into its nonzero
-        real and imaginary parts."""
+        A constraint row {k: entry} keeps its nonzero entries, as
+        :func:`~minorbit.exactla.eliminate` needs, or with ``real`` splits
+        into its nonzero real and imaginary parts."""
         rows: list[dict] = []
         neg = ZERO - shift
         for op_images in images:
@@ -229,19 +232,24 @@ class LieAlgebraModel(FamilyData):
                         row[k] = row[k] + t if k in row else t
             for row in by_coord.values():
                 parts = ({k: x.real for k, x in row.items() if x.a},
-                         {k: x.imag for k, x in row.items() if x.b}) if real else (row,)
+                         {k: x.imag for k, x in row.items() if x.b}) if real else (
+                    {k: x for k, x in row.items() if x.a or x.b},)
                 rows.extend(part for part in parts if part)
-        sol_basis = exactla.kernel_basis(rows, ncols=len(support))
-        # sum_k t_k span[k] from the nonzero entries
-        out = []
-        for t in sol_basis:
-            vec = [ZERO] * self.dim
-            for coef, nz in zip(t, support):
-                if coef:
-                    for j, x in nz:
-                        vec[j] = vec[j] + coef * x
-            out.append(vec)
-        return out
+        red = exactla.eliminate(rows)
+        # the kernel vector of free column fc is span[fc] - sum_p red[p][fc] span[p]
+        kernel = {}
+        for fc, nz in enumerate(support):
+            if fc not in red:
+                vec = kernel[fc] = [ZERO] * self.dim
+                for j, x in nz:
+                    vec[j] = x
+        for p, row in red.items():
+            for fc, c in row.items():
+                if fc != p:
+                    vec = kernel[fc]
+                    for j, x in support[p]:
+                        vec[j] = vec[j] - c * x
+        return list(kernel.values())
 
     def eigenspaces(self, op: SparseOp, candidates: Sequence,
                     span: Sequence[Coords]) -> dict:
@@ -310,8 +318,9 @@ class LieAlgebraModel(FamilyData):
         primes = np.sqrt((2, 3, 5, 7, 11, 13, 17)[:len(torus)])
         vecs = np.linalg.eigh(np.tensordot(primes, mats, axes=1))[1]
         joint = np.einsum("an,iab,bn->ni", vecs.conj(), mats, vecs).real.tolist()
-        weights = {tuple(GaussianRational(Fraction(x).limit_denominator(PROPOSAL_DENOMINATOR))
-                         for x in row) for row in joint}
+        rounded = {x: GaussianRational(Fraction(x).limit_denominator(PROPOSAL_DENOMINATOR))
+                   for x in {x for row in joint for x in row}}
+        weights = {tuple(rounded[x] for x in row) for row in joint}
         diffs = sorted({tuple(a - b for a, b in zip(s, t)) for s in weights for t in weights})
         labels = [tuple(q * exactla.I for q in d) for d in diffs] if imaginary else diffs
         zero, spaces = [], {}

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf
+from operator import mul
 
 # family -> (least rank, greatest rank, number of roots at a rank)
 FAMILIES = {
@@ -76,7 +77,7 @@ Vec = tuple[int, ...]
 
 
 def _dot(u: Vec, v: Vec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _pairing(beta: Vec, alpha: Vec) -> int:
@@ -126,8 +127,10 @@ def _weyl_orbit(seeds: dict, simple: list[Vec]) -> dict[Vec, tuple[int, ...]]:
     simple reflections.
 
     s_i sends beta to beta - <beta, alpha_i-dual> alpha_i, so it subtracts
-    that pairing from coefficient i.  The closure is finite: each reflection
-    keeps a vector integral (the pairing is checked) and keeps its length.
+    that pairing from coefficient i, and fixes beta when it is 0, so only the
+    reflections with a nonzero pairing are applied.  The closure is finite:
+    each reflection keeps a vector integral (the pairing is checked) and keeps
+    its length.
     """
     found = dict(seeds)
     frontier = list(found)
@@ -136,7 +139,8 @@ def _weyl_orbit(seeds: dict, simple: list[Vec]) -> dict[Vec, tuple[int, ...]]:
         for beta in frontier:
             coeffs = found[beta]
             for i, alpha in enumerate(simple):
-                p = _pairing(beta, alpha)
+                if not (p := _pairing(beta, alpha)):
+                    continue
                 image = tuple(b - p * a for b, a in zip(beta, alpha))
                 if image not in found:
                     found[image] = coeffs[:i] + (coeffs[i] - p,) + coeffs[i + 1:]

@@ -130,10 +130,10 @@ def test_torus_roots_of_a_and_of_t(form_id, all_analyses):
 
 def test_dominance_solves_nothing(monkeypatch, all_analyses):
     """The inner product on the roots of k reads their trace duals: on a
-    freshly built su41 model, lambda_data makes no exactla.solve or
-    exactla.inverse call from inside rootsys.dominant."""
+    freshly built su41 model, lambda_data makes no exactla.inverse call and
+    no elimination at all from inside rootsys.dominant."""
     a = _fresh_analysis(all_analyses["su41"])
-    inside, calls = [], {"dominant": 0, "solve": 0}
+    inside, calls = [], {"dominant": 0, "inverse": 0, "eliminate": 0}
     dominant = checks_module.dominant
 
     def counted_dominant(*args):
@@ -144,17 +144,19 @@ def test_dominance_solves_nothing(monkeypatch, all_analyses):
         finally:
             inside.pop()
 
-    def counted(elimination):
+    def counted(name):
+        elimination = getattr(exactla, name)
+
         def call(*args, **kwargs):
-            calls["solve"] += bool(inside)
+            calls[name] += bool(inside)
             return elimination(*args, **kwargs)
         return call
 
     monkeypatch.setattr(checks_module, "dominant", counted_dominant)
-    monkeypatch.setattr(exactla, "solve", counted(exactla.solve))
-    monkeypatch.setattr(exactla, "inverse", counted(exactla.inverse))
+    monkeypatch.setattr(exactla, "inverse", counted("inverse"))
+    monkeypatch.setattr(exactla, "eliminate", counted("eliminate"))
     a.lambda_data()
-    assert calls == {"dominant": 2, "solve": 0}
+    assert calls == {"dominant": 2, "inverse": 0, "eliminate": 0}
 
 
 def dense_k_nu_perp(model, k_nu):

@@ -11,11 +11,18 @@ from exact_helpers import (
     reference_kernel, reference_rref, reference_solve,
 )
 from minorbit.exactla import (
-    ONE, ZERO, GaussianRational, exact_sqrt, inverse, kernel_basis, orthogonalize,
-    rank, rref, solve,
+    ONE, ZERO, GaussianRational, eliminate, exact_sqrt, inverse, kernel_basis,
+    orthogonalize, rank,
 )
 
 GR = GaussianRational
+
+
+def _rows(mat):
+    """Dense rows as the sparse rows ``eliminate`` takes: nonzero Gaussian
+    rationals by column."""
+    return [{c: x if type(x) is GR else GR(x) for c, x in enumerate(row) if x}
+            for row in mat]
 
 
 def test_qi_arithmetic():
@@ -47,8 +54,7 @@ def test_exact_sqrt():
 
 def test_rref_and_rank():
     mat = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    red, pivots = rref(mat)
-    assert pivots == [0]
+    assert eliminate(_rows(mat)) == {0: {0: 1, 1: 2}}
     assert rank(mat) == 1
     assert rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
 
@@ -59,17 +65,6 @@ def test_kernel_basis():
     assert len(basis) == 2
     for v in basis:
         assert sum(m * x for m, x in zip(mat[0], v)) == 0
-
-
-def test_solve():
-    mat = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    sol = solve(mat, [Fraction(5), Fraction(10)])
-    assert sol == [Fraction(1), Fraction(3)]
-    inconsistent = solve(
-        [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]],
-        [Fraction(1), Fraction(3)],
-    )
-    assert inconsistent is None
 
 
 def test_kernel_over_gaussian_rationals():
@@ -139,33 +134,47 @@ def test_kernel_vectors_are_annihilated_and_rank_nullity_holds(gaussian, data):
 @FIELDS
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_solve_rebuilds_the_right_hand_side(gaussian, data):
-    mat = _sparse_matrix(data, gaussian)
-    x = data.draw(_vectors(gaussian, len(mat[0])))
-    rhs = plain_mat_vec(mat, x)
-    sol = solve(mat, rhs)
-    assert sol is not None
-    assert plain_mat_vec(mat, sol) == rhs
-    assert gaussian or _real([sol])
-
-
-@FIELDS
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
 def test_inverse_is_one_solve_per_unit_vector(gaussian, data):
-    """Column j of the inverse solves mat @ x = e_j; a singular matrix,
-    where some e_j has no solution, has no inverse."""
+    """Column j of the inverse is the dense reference's solution of
+    mat @ x = e_j; a singular matrix, where some e_j has no solution, has no
+    inverse.  Dense rows hold zeros, one draw in two."""
     n = data.draw(st.integers(1, 5))
     flat = data.draw(_vectors(gaussian, n * n, sparse=data.draw(st.booleans())))
     mat = [flat[i * n:(i + 1) * n] for i in range(n)]
     inv = inverse(mat)
     units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
-    columns = [solve(mat, e) for e in units]
+    columns = [reference_solve(mat, e) for e in units]
     if rank(mat) < n:
         assert inv is None and None in columns
     else:
-        assert [list(col) for col in zip(*inv)] == columns
+        assert [[pair(x) for x in col] for col in zip(*inv)] == columns
+        assert all(type(x) is GR for row in inv for x in row)
         assert plain_mat_vec(inv, plain_mat_vec(mat, units[-1])) == units[-1]
+        assert gaussian or _real(inv)
+
+
+@pytest.mark.parametrize("mat, expected", [
+    pytest.param([], [], id="0x0"),
+    pytest.param([[GR(0, 2)]], [[GR(0, Fraction(-1, 2))]], id="1x1-gaussian"),
+    pytest.param([[0]], None, id="1x1-zero"),
+    pytest.param([[0, 1], [1, 0]], [[0, 1], [1, 0]], id="swap"),
+    pytest.param([[1, GR(0, 1)], [GR(0, -1), 0]], [[0, GR(0, 1)], [GR(0, -1), -1]],
+                 id="gaussian-with-zero"),
+    pytest.param([[1, 2, 0], [0, 0, 0], [3, 1, 1]], None, id="zero-row"),
+    pytest.param([[1, GR(0, 1)], [GR(0, 1), -1]], None, id="singular-gaussian"),
+])
+def test_inverse_of_small_and_singular_matrices(mat, expected):
+    """inverse against hand-computed inverses and the dense reference: the
+    empty matrix is its own inverse, and a singular matrix has none."""
+    inv = inverse(mat)
+    assert inv == expected
+    n = len(mat)
+    units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+    columns = [reference_solve(mat, e) for e in units] if n else []
+    if inv is None:
+        assert None in columns
+    else:
+        assert [[pair(x) for x in col] for col in zip(*inv)] == columns
 
 
 @FIELDS
@@ -190,22 +199,21 @@ def test_kernel_basis_ignores_zero_rows_and_row_order(gaussian, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_elimination_matches_the_dense_reference(gaussian, data):
-    """rref, rank, kernel_basis and solve against a dense Gauss-Jordan on
-    pairs of Fractions that shares no code with the sparse elimination; the
-    right-hand side is arbitrary, so some systems are inconsistent."""
+    """eliminate, rank and kernel_basis against a dense Gauss-Jordan on
+    pairs of Fractions that shares no code with the sparse elimination: the
+    pivot rows of ``eliminate``, by pivot, are the reference's nonzero rows,
+    and they hold no zero entry."""
     mat = _sparse_matrix(data, gaussian)
     ncols = len(mat[0])
-    red, pivots = rref(mat)
+    red = eliminate(_rows(mat))
     ref_rows, ref_pivots = reference_rref(mat, ncols)
-    assert pivots == ref_pivots and rank(mat) == len(ref_pivots)
-    assert [[pair(x) for x in row] for row in red] == ref_rows
+    assert sorted(red) == ref_pivots and rank(mat) == len(ref_pivots)
+    dense = [[pair(red[p].get(j, ZERO)) for j in range(ncols)] for p in sorted(red)]
+    assert dense == ref_rows[:len(red)]
+    assert all(x and type(x) is GR for row in red.values() for x in row.values())
     kernel = kernel_basis(mat)
     assert [[pair(x) for x in v] for v in kernel] == reference_kernel(mat, ncols)
-    rhs = data.draw(_vectors(gaussian, len(mat), sparse=True))
-    sol, ref = solve(mat, rhs), reference_solve(mat, rhs)
-    assert (sol is None) == (ref is None)
-    assert sol is None or [pair(x) for x in sol] == ref
-    assert all(type(x) is GR for rows in (red, kernel, [sol or []]) for v in rows for x in v)
+    assert all(type(x) is GR for v in kernel for x in v)
 
 
 @FIELDS
@@ -222,31 +230,28 @@ def test_sparse_and_dense_rows_give_one_kernel(gaussian, data):
 
 
 def test_rref_clears_each_new_pivot_from_the_earlier_rows():
-    assert rref([[1, 1, 1], [0, 1, 1]]) == ([[1, 0, 0], [0, 1, 1]], [0, 1])
+    assert eliminate(_rows([[1, 1, 1], [0, 1, 1]])) == {0: {0: 1}, 1: {1: 1, 2: 1}}
     assert kernel_basis([[1, 1, 1], [0, 1, 1]]) == [[0, -1, 1]]
-    assert rref([[0, 1, 2], [1, 1, 0]]) == ([[1, 0, -2], [0, 1, 2]], [0, 1])
+    assert eliminate(_rows([[0, 1, 2], [1, 1, 0]])) == {0: {0: 1, 2: -2}, 1: {1: 1, 2: 2}}
 
 
 def test_plain_ints_stay_exact():
-    red, pivots = rref([[2, 1]])
-    assert red == [[1, Fraction(1, 2)]] and pivots == [0]
-    sol = solve([[2]], [1])
-    assert sol == [Fraction(1, 2)]
+    inv = inverse([[2, 1], [0, 1]])
+    assert inv == [[Fraction(1, 2), Fraction(-1, 2)], [0, 1]]
     basis = kernel_basis([[1, 2, 0]], ncols=3)
     assert basis == [[-2, 1, 0], [0, 0, 1]]
     assert kernel_basis([[1, 2]]) == [[-2, 1]]
     assert kernel_basis([], ncols=2) == [[1, 0], [0, 1]]
-    for values in (red[0], sol, *basis, *kernel_basis([[1, 2]])):
+    for values in (*inv, *basis, *kernel_basis([[1, 2]])):
         assert all(type(x) is GR for x in values)
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: kernel_basis([[1, 2]], ncols=3), id="width-vs-ncols"),
     pytest.param(lambda: kernel_basis([[1, 2], [1]]), id="ragged-kernel"),
-    pytest.param(lambda: rref([[1, 2], [1, 2, 3]]), id="ragged-rref"),
+    pytest.param(lambda: inverse([[1, 2], [1, 2, 3]]), id="ragged-inverse"),
+    pytest.param(lambda: inverse([[1, 2]]), id="non-square-inverse"),
     pytest.param(lambda: rank([[1], [1, 2]]), id="ragged-rank"),
-    pytest.param(lambda: solve([[1, 2], [1]], [1, 1]), id="ragged-solve"),
-    pytest.param(lambda: solve([[1, 2]], [1, 1]), id="rhs-length"),
     pytest.param(lambda: kernel_basis([{3: 1}], ncols=3), id="sparse-column-outside"),
     pytest.param(lambda: kernel_basis([{-1: 1}], ncols=3), id="sparse-column-negative"),
     pytest.param(lambda: kernel_basis([{0: 1}]), id="sparse-without-ncols"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from minorbit.realform import find_descriptor
+from minorbit.realform import find_descriptor, load_catalog
 from minorbit.rootsys import (
     RootSystemError,
     RootSystemLabel,
@@ -30,11 +30,15 @@ def rs(text):
 
 # --- independent oracle: closure of the simple roots under reflections ------
 
-def reflect(beta, alpha):
+def pairing(beta, alpha):
     num = 2 * sum(a * b for a, b in zip(beta, alpha))
     den = sum(a * a for a in alpha)
     assert num % den == 0
-    c = num // den
+    return num // den
+
+
+def reflect(beta, alpha):
+    c = pairing(beta, alpha)
     return tuple(b - c * a for b, a in zip(beta, alpha))
 
 
@@ -55,6 +59,43 @@ def test_roots_match_reflection_closure(text):
     system = rs(text)
     closure = reflection_closure(system.simple_roots)
     assert closure == set(system.all_roots)
+
+
+def every_reflection_closure(system):
+    """Root -> simple-root coefficients: the simple roots (and 2 alpha_r for
+    BC) closed under every simple reflection, applied to every root found,
+    a reflection that fixes the root included."""
+    simple = system.simple_roots
+    unit = [tuple(int(i == j) for j in range(len(simple))) for i in range(len(simple))]
+    found = dict(zip(simple, unit))
+    if system.label.family == "BC":
+        found[tuple(2 * x for x in simple[-1])] = tuple(2 * c for c in unit[-1])
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i, alpha in enumerate(simple):
+                image = reflect(beta, alpha)
+                if image not in found:
+                    coeffs = found[beta]
+                    c = coeffs[i] - pairing(beta, alpha)
+                    found[image] = coeffs[:i] + (c,) + coeffs[i + 1:]
+                    nxt.append(image)
+        frontier = nxt
+    return found
+
+
+def test_catalog_root_systems_match_every_reflection_closure():
+    """Every gc and restricted root system of the shipped catalog: the roots
+    and their coefficients are those of the closure that tries every simple
+    reflection on every root."""
+    labels = {d.gc_label for d in load_catalog()} | {d.restricted_label for d in load_catalog()}
+    assert {"E8", "BC2"} <= {str(label) for label in labels}
+    for label in sorted(labels, key=str):
+        system = build_root_system(label)
+        closure = every_reflection_closure(system)
+        assert system.all_roots == tuple(sorted(closure)), label
+        assert system.coefficients == closure, label
 
 
 def test_classical_counts_and_positives():

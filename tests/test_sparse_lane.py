@@ -5,6 +5,7 @@ Hermitian elements."""
 
 from fractions import Fraction
 
+import contextlib
 import functools
 import itertools
 
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_helpers import fractions_up_to, plain_mat_vec, reference_kernel
+from exact_helpers import fractions_up_to, plain_mat_vec, reference_kernel, reference_rref
+from minorbit import exactla
 from minorbit.exactla import I, ONE, ZERO, GaussianRational, kernel_basis
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
@@ -105,6 +107,110 @@ def test_sparse_kernel_matches_dense_reference(form_id):
         # rational coefficients of a real span give real vectors
         if real and all(not x.imag for v in span for x in v):
             assert all(not x.imag for v in sparse for x in v)
+
+
+@contextlib.contextmanager
+def direct_kernel_read():
+    """The span solves hand their own rows to exactla.eliminate: each row it
+    is handed must hold no zero entry, as the elimination divides by a row's
+    leading entry, and no row is re-coerced by exactla._sparse_rows."""
+    eliminate = exactla.eliminate
+
+    def checked(rows):
+        for row in rows:
+            assert all(type(x) is GaussianRational and x for x in row.values()), row
+        return eliminate(rows)
+
+    def refused(*args):
+        raise AssertionError("a span solve went through _sparse_rows")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "eliminate", checked)
+        mp.setattr(exactla, "_sparse_rows", refused)
+        yield
+
+
+# few values, so that sums of products cancel often
+SMALL = (ONE, -ONE, I, -I, GaussianRational(1, 1), GaussianRational(1, -1),
+         GaussianRational(2), GaussianRational(Fraction(1, 2)))
+SMALL_ENTRIES = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO), st.sampled_from(SMALL))
+
+
+@functools.lru_cache(maxsize=None)
+def random_operators(dim):
+    """Up to two sparse operators on dim coordinates, as SparseOp columns."""
+    square = st.lists(SMALL_ENTRIES, min_size=dim * dim, max_size=dim * dim).map(
+        lambda flat: [[(r, flat[r * dim + j]) for r in range(dim) if flat[r * dim + j]]
+                      for j in range(dim)])
+    return st.lists(square, max_size=2)
+
+
+@functools.lru_cache(maxsize=None)
+def random_spans(dim):
+    """One to four vectors, each sparse or a unit vector; an operator's
+    diagonal entry as the shift then cancels the image entry of a unit vector."""
+    vector = st.lists(SMALL_ENTRIES, min_size=dim, max_size=dim)
+    unit = st.integers(0, dim - 1).map(lambda i: [ONE if j == i else ZERO for j in range(dim)])
+    return st.lists(st.one_of(vector, unit), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("form_id", ("sl2R", "su21"))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_direct_kernel_read_matches_dense_reference(form_id, data):
+    """kernel_in_span and eigenspaces on random sparse operators and spans,
+    with a shift that is often an operator's diagonal entry and with
+    ``real`` splits, equal the dense reference kernel recombined over the
+    span; the rows they eliminate hold no zero entry."""
+    model = build_model(form_id)
+    ops, span = data.draw(random_operators(model.dim)), data.draw(random_spans(model.dim))
+    diagonal = [x for op in ops for j, col in enumerate(op) for r, x in col if r == j]
+    shifts = [*dict.fromkeys(diagonal), ZERO, ONE, I]
+    shift, real = data.draw(st.sampled_from(shifts)), data.draw(st.booleans())
+    with direct_kernel_read():
+        sparse = model.kernel_in_span(ops, span, real=real, shift=shift)
+    assert sparse == dense_kernel_in_span(
+        model, [dense(model, op, shift) for op in ops], span, real=real)
+    independent = len(reference_rref(span, model.dim)[1]) == len(span)
+    if ops and independent:
+        candidates = data.draw(st.lists(st.sampled_from(shifts), unique=True))
+        with direct_kernel_read():
+            split = model.eigenspaces(ops[0], candidates, span)
+        # spaces of distinct eigenvalues of an independent span are
+        # independent, so every candidate left untried has an empty kernel
+        expected = {lam: space for lam in candidates if (space := dense_kernel_in_span(
+            model, [dense(model, ops[0], lam)], span))}
+        assert split == expected
+
+
+def test_direct_kernel_read_of_empty_full_and_cancelled_kernels():
+    """A shift that cancels every image entry leaves no row, so the kernel is
+    the whole span; the identity at shift 0 has an empty kernel; with
+    ``real`` a cancelled imaginary part leaves the real part's row."""
+    model = build_model("su21")
+    units = [model.unit_coords(j) for j in range(3)]
+    identity = [[(j, ONE)] for j in range(model.dim)]
+    times_i = [[(j, I)] for j in range(model.dim)]
+    mixed = [[(j, GaussianRational(1, 1))] for j in range(model.dim)]
+    with direct_kernel_read():
+        assert model.kernel_in_span([identity], units) == []
+        assert model.kernel_in_span([identity], units, shift=1) == units
+        assert model.kernel_in_span([times_i], units, real=True, shift=I) == units
+        assert model.kernel_in_span([mixed], units, real=True, shift=I) == []
+        assert model.kernel_in_span([mixed], units, shift=GaussianRational(1, 1)) == units
+        assert model.kernel_in_span([], units, real=True) == units
+        assert model.eigenspaces(times_i, [ZERO, I], units) == {I: units}
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_trace_gram_times_its_inverse_is_the_identity(form_id):
+    """G G^-1 = I exactly, G the trace Gram of the basis, formed densely."""
+    model = build_model(form_id)
+    gram = np.einsum("iab,jba->ij", model.basis, model.basis).real.astype(np.int64)
+    gram = [[GaussianRational(g) for g in row] for row in gram.tolist()]
+    inv = exactla.inverse(gram)
+    product = [plain_mat_vec(gram, column) for column in zip(*inv)]
+    assert product == [model.unit_coords(j) for j in range(model.dim)]
 
 
 FRACTIONS = fractions_up_to(9, 12)
