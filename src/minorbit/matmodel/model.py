@@ -26,14 +26,17 @@ tr(X^2) is -|X|^2 on k and +|X|^2 on p; and a, inside Cent_p(a), is abelian.
 Each exact subspace has one owner that solves it once: the model holds the
 unit spans of g, k, p and a (sharing their vectors), m = Cent_k(a) and, on
 first use, the center ``center_k`` of k.  One routine,
-:meth:`~LieAlgebraModel.eigenspaces`, splits a span under one operator;
-``joint_eigenspaces`` refines through it.  One routine,
 :meth:`~LieAlgebraModel.torus_roots`, gives the root datum of a torus, the
 restricted roots (a on g) and the roots of k (t on k) alike: one float
 ``eigh`` proposes the joint eigenvalues of the torus in the defining
-representation, as rationals; ``joint_eigenspaces`` tries each subspace only
-at the differences of those that extend its label, and the exact eigenspaces,
-which must fill the span, are the proof.
+representation, as rationals, and ``joint_eigenspaces`` tries each subspace
+only at the differences of those that extend its label.  It solves one space
+of each +- pair of labels and takes the other as its image under the
+antilinear automorphism sigma_u = theta sigma, which maps the eigenspace of
+lam of ad t onto that of -lam for t in k and for t in p alike, with no solve.
+The exact eigenspaces, mirrored ones included, must fill the span, and that
+is the proof.  :meth:`~LieAlgebraModel.eigenspaces` splits a span under one
+operator, solving at every candidate, for the spectral checks.
 
 Operators on coordinates, the structure constants ``ad`` among them, are
 sparse columns: column j of an operator lists ``(row, value)`` over its
@@ -279,23 +282,76 @@ class LieAlgebraModel(FamilyData):
         ``labels`` lists the possible tuples of eigenvalues of ``ops``, and
         each space is labelled by its tuple; a space split off by ops[:i] is
         split by ops[i] only at the i-th entries of the labels that extend
-        its own.  Raises if the labels do not recover all of the span.
+        its own, nearest zero first, until the spaces found fill it, and its
+        spaces follow the order of those entries in ``labels``.  The entries
+        of largest size are the ones most often proposed in vain (a
+        difference 2e_i of the defining weights of so(p, q) is no root), so
+        most of those are never tried.
+
+        The ops are ad t_i with sigma_u t_i = +-t_i (t_i in k or in p), on a
+        sigma_u-stable span such as a unit span.  sigma_u = theta sigma is an
+        antilinear involutive automorphism, so [t, sigma_u x] = sigma_u
+        [sigma_u t, x]; on k, where sigma_u t = t, ad t has imaginary
+        eigenvalues, and on p, where sigma_u t = -t, real ones, so either way
+        sigma_u maps the space of a label L onto that of -L.  Of each such
+        twin pair only the one met first is solved: a subspace whose twin was
+        split before it is split by mirroring the twin's spaces, and in the
+        subspace of the all-zero label, its own twin, lam is mirrored from
+        -lam once that is tried.  sigma_u conjugates each unit coordinate and
+        negates it on p, so it keeps each vector's support and takes its last
+        nonzero entry 1 to +-1; rescaled to 1, the mirror of a canonical
+        kernel basis (each vector 1 at its last nonzero entry and 0 at those
+        of the others) is the canonical basis that a solve returns.  Spaces
+        are mirrored only to proposed labels, so the fill count, mirrored
+        spaces included, stays the proof: it raises if the labels do not
+        recover all of the span.
         """
-        spaces: list[tuple[tuple, list[Coords]]] = [((), span)]
+        spaces: dict[tuple, list[Coords]] = {(): span}
         for i, op in enumerate(ops):
-            refined = []
-            for label, sub in spaces:
-                tried = dict.fromkeys(c[i] for c in labels if c[:i] == label)
-                split = self.eigenspaces(op, tried, sub)
-                found = sum(map(len, split.values()))
+            refined: dict[tuple, list[Coords]] = {}
+            done: set[tuple] = set()  # the labels whose split is done
+            for label, sub in spaces.items():
+                twin = tuple(-x for x in label)
+                mirrored = twin in done
+                candidates = dict.fromkeys(c[i] for c in labels if c[:i] == label)
+                split, found, images = {}, 0, None  # every lam tried -> its space
+                for lam in sorted(candidates, key=lambda x: abs(complex(x))):
+                    if found == len(sub):
+                        break
+                    if mirrored:
+                        eig = self._mirror(refined.get(twin + (-lam,), ()))
+                    elif twin == label and -lam in split:
+                        eig = self._mirror(split[-lam])
+                    else:
+                        if images is None:
+                            support = sub.support if isinstance(sub, Span) else _support(sub)
+                            images = [[_apply(op, nz) for nz in support]]
+                        eig = self._solve_in_span(support, images, lam)
+                    split[lam] = eig
+                    found += len(eig)
                 if found != len(sub):
                     raise ModelError(
                         f"{self.form_id}: the rational proposals miss eigenvalues "
                         f"of the torus (recovered {found} of {len(sub)})"
                     )
-                refined.extend((label + (lam,), eig) for lam, eig in split.items())
+                refined.update((label + (lam,), split[lam]) for lam in candidates
+                               if split.get(lam))
+                done.add(label)
             spaces = refined
-        return spaces
+        return list(spaces.items())
+
+    def _mirror(self, space: Sequence[Coords]) -> list[Coords]:
+        """sigma_u of each vector, scaled so that its last nonzero entry is 1."""
+        p = set(self.p_indices)
+        out = []
+        for v in space:
+            nonzero = [(j, (-x if j in p else x).conjugate()) for j, x in enumerate(v) if x]
+            last = nonzero[-1][1]
+            w = [ZERO] * len(v)
+            for j, x in nonzero:
+                w[j] = x if last == 1 else -x if last == -1 else x / last
+            out.append(w)
+        return out
 
     def torus_roots(self, torus: Sequence[Coords], span: Sequence[Coords],
                     imaginary: bool = False, key=tuple) -> tuple:
@@ -307,7 +363,12 @@ class LieAlgebraModel(FamilyData):
         primes, are independent over Q, so the eigenvectors of one ``eigh``
         of sum_i sqrt(p_i) t_i (times -i for compact t) are joint ones if the
         eigenvalues are rational; rounded, those propose the roots, and
-        ``joint_eigenspaces`` fails on a wrong or irrational proposal.
+        ``joint_eigenspaces`` fails on a wrong or irrational proposal.  The
+        proposed weights and their differences are integer tuples over one
+        common denominator, sorted as such, with one scalar per distinct entry.
+        Each t must be Hermitian (in p), or anti-Hermitian (in k) with
+        ``imaginary``, as ``eigh`` needs; then sigma_u t = -t^* = +-t, as
+        ``joint_eigenspaces`` needs.
         Returns the zero space, the root spaces {root: space} sorted by root,
         the positive roots (the first nonzero entry of ``key(root)``
         positive), the simple roots, and the trace duals {root: G^-1 root},
@@ -315,28 +376,35 @@ class LieAlgebraModel(FamilyData):
         """
         mats = np.array([self.matrix(t).astype(complex) for t in torus]) * (
             -1j if imaginary else 1)
+        # rounding commutes with negation and conjugation, so the rounded
+        # matrix of an exactly (anti-)Hermitian t is exactly so
+        if not np.array_equal(mats, mats.conj().swapaxes(1, 2)):
+            raise ModelError(f"{self.form_id}: a torus element is not "
+                             f"{'anti-' if imaginary else ''}Hermitian")
         primes = np.sqrt((2, 3, 5, 7, 11, 13, 17)[:len(torus)])
         vecs = np.linalg.eigh(np.tensordot(primes, mats, axes=1))[1]
         joint = np.einsum("an,iab,bn->ni", vecs.conj(), mats, vecs).real.tolist()
-        rounded = {x: GaussianRational(Fraction(x).limit_denominator(PROPOSAL_DENOMINATOR))
+        rounded = {x: Fraction(x).limit_denominator(PROPOSAL_DENOMINATOR)
                    for x in {x for row in joint for x in row}}
-        weights = {tuple(rounded[x] for x in row) for row in joint}
+        D = math.lcm(*(q.denominator for q in rounded.values()))
+        weights = {tuple(int(rounded[x] * D) for x in row) for row in joint}
         diffs = sorted({tuple(a - b for a, b in zip(s, t)) for s in weights for t in weights})
-        labels = [tuple(q * exactla.I for q in d) for d in diffs] if imaginary else diffs
-        zero, spaces = [], {}
-        for label, space in self.joint_eigenspaces(
-                [self.ad_matrix(t) for t in torus], labels, span):
-            root = tuple(x.imag for x in label) if imaginary else label
-            if any(root):
-                spaces[root] = space
-            else:
-                zero = space
-        spaces = dict(sorted(spaces.items()))
-        positive = [r for r in spaces if next((x for x in key(r) if x), 0) > 0]
+        entries = {n for d in diffs for n in d}
+        value = {n: GaussianRational(n, 0, D) for n in entries}
+        unit = {n: GaussianRational(0, n, D) for n in entries} if imaginary else value
+        proposed = {tuple(unit[n] for n in d): d for d in diffs}
+        found = {proposed[lam]: space for lam, space in self.joint_eigenspaces(
+            [self.ad_matrix(t) for t in torus], list(proposed), span)}
+        zero = found.pop((0,) * len(torus), [])
+        ints = sorted(found)
+        roots = {d: tuple(value[n] for n in d) for d in ints}
+        spaces = {roots[d]: found[d] for d in ints}
+        positive = [d for d in ints if next((x for x in key(roots[d]) if x), 0) > 0]
         inverse = exactla.inverse([[self._tr_form(s, t) for t in torus] for s in torus])
         dual = {r: [sum((g * x for g, x in zip(row, r)), ZERO) for row in inverse]
                 for r in spaces}
-        return zero, spaces, positive, indecomposable(positive), dual
+        return (zero, spaces, [roots[d] for d in positive],
+                [roots[d] for d in indecomposable(positive)], dual)
 
     def centralizer_in_span(
         self, elements: Sequence[Coords], span: Sequence[Coords]

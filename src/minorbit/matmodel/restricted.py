@@ -13,8 +13,9 @@ The datum checks the split of the roots, the simple roots, Cent n = g_psi
 and the values on x_psi.  Cent n is solved against the simple root spaces
 only: they generate n (Knapp, *Lie Groups Beyond an Introduction*, ch. VI),
 so their centralizer in n is Cent n, which holds g_psi as psi is the highest
-root.  The rest holds by construction: the root spaces
-fill g, or ``joint_eigenspaces`` raises; theta is an automorphism and -1 on
+root.  The rest holds by construction: the root spaces, one of each +-
+pair solved and the other its sigma_u image, fill g, or
+``joint_eigenspaces`` raises; theta is an automorphism and -1 on
 a, so it maps g_lambda onto g_-lambda and preserves Cent_g(a) = m + Cent_p(a),
 which is m + a as the model build checks Cent_p(a) = a; x_psi, the multiple
 of the trace dual of psi with psi(x_psi) = 2, is trace-orthogonal to ker psi;

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .report import CheckItem
 from .rootsys import (
+    FAMILIES,
     RootSystem,
     RootSystemLabel,
     RootSystemError,
@@ -61,7 +61,8 @@ class RealFormDescriptor:
     @property
     def dim_g(self) -> int:
         rs = self.restricted_system
-        return self.dim_m + rs.rank + sum(self.mult_of(b) for b in rs.all_roots)
+        return self.dim_m + rs.rank + sum(
+            count * self.mults[key] for key, count in rs.class_counts().items())
 
 
 def _parse_entry(raw: dict) -> RealFormDescriptor:
@@ -127,8 +128,8 @@ def _parse_entry(raw: dict) -> RealFormDescriptor:
 
 
 def _validate(desc: RealFormDescriptor) -> None:
-    gc_rs = build_root_system(desc.gc_label)
-    dim_gc = desc.gc_label.rank + len(gc_rs.all_roots)
+    # dim g_C is rank + |Phi|, and build_root_system enforces FAMILIES' |Phi|
+    dim_gc = desc.gc_label.rank + FAMILIES[desc.gc_label.family][2](desc.gc_label.rank)
     if desc.dim_g != dim_gc:
         raise CatalogError(
             desc.id,
@@ -145,7 +146,8 @@ def _validate(desc: RealFormDescriptor) -> None:
 
 
 def default_catalog_path() -> Path:
-    return Path(str(resources.files("minorbit").joinpath("data/catalog.json")))
+    """The catalog shipped in the package, which ``load_catalog()`` parses."""
+    return Path(__file__).with_name("data") / "catalog.json"
 
 
 def catalog_key(source: str | Path | None) -> str | None:
@@ -203,7 +205,7 @@ def derive_invariants(desc: RealFormDescriptor) -> DerivedInvariants:
         j = coroot_pairing(rs, beta, psi)
         if j not in m:
             raise CatalogError(desc.id, f"pairing {j} outside -2..2 for root {beta}")
-        m[j] += desc.mult_of(beta)
+        m[j] += desc.mults[rs.root_class(beta)]
     m[0] += desc.dim_m + rs.rank
     d = desc.mult_of(psi)
     # m sums the terms of desc.dim_g; dim of the centralizer of the

@@ -7,10 +7,11 @@ root systems of real forms may be non-reduced; everything else follows the
 standard Bourbaki conventions, including the simple-root ordering.
 
 Each system is described once, by its simple roots.  ``build_root_system``
-closes them under the simple reflections and carries every root's simple-root
-coefficients along, so the coefficients are integers by construction and are
-stored on the ``RootSystem``.  The positivity test and the highest root read
-those stored integers.
+grows the positive roots from them by alpha_i-strings in order of height,
+working on simple-root coefficients, which are integers by construction, and
+takes the negative roots as their negatives; it stores every root's
+coefficients on the ``RootSystem``.  The positivity test and the highest root
+read those stored integers.
 
 Three module routines take any positive system, with any exact coordinates:
 ``indecomposable`` (its simple roots), ``highest_root`` and ``root_classes``.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf
-from operator import mul
+from operator import add, mul
 
 # family -> (least rank, greatest rank, number of roots at a rank)
 FAMILIES = {
@@ -122,30 +123,39 @@ def _simple_roots(label: RootSystemLabel) -> list[Vec]:
     return chain + [(0,) * (n - 1) + (2 if fam == "C" else 1,)]
 
 
-def _weyl_orbit(seeds: dict, simple: list[Vec]) -> dict[Vec, tuple[int, ...]]:
-    """Closure of ``seeds`` (root -> simple-root coefficients) under the
-    simple reflections.
+def _root_strings(simple: tuple, cartan, seeds: dict, limit: int) -> dict:
+    """Simple-root coefficients -> root, for every positive root, by height.
 
-    s_i sends beta to beta - <beta, alpha_i-dual> alpha_i, so it subtracts
-    that pairing from coefficient i, and fixes beta when it is 0, so only the
-    reflections with a nonzero pairing are applied.  The closure is finite:
-    each reflection keeps a vector integral (the pairing is checked) and keeps
-    its length.
+    ``cartan[j][i]`` is <alpha_j, alpha_i-dual>; ``seeds`` holds the roots of
+    height 2 that no string reaches (2 alpha_r for BC).  The alpha_i-string
+    through a positive root beta not proportional to alpha_i is unbroken, from
+    beta - p alpha_i to beta + q alpha_i with p - q = <beta, alpha_i-dual>, and
+    its lower part beta - k alpha_i (k <= p) is positive of lower height, so
+    beta + alpha_i is a root exactly when p - <beta, alpha_i-dual> > 0
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    8.4); for beta = alpha_i, p = 0 gives q = -2.  Generation stops once it
+    has more than ``limit`` roots, as it would not end for a Cartan matrix of
+    infinite type.
     """
-    found = dict(seeds)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            coeffs = found[beta]
-            for i, alpha in enumerate(simple):
-                if not (p := _pairing(beta, alpha)):
+    rank = len(simple)
+    columns = list(zip(*cartan))
+    found = {tuple(int(i == j) for j in range(rank)): a for i, a in enumerate(simple)}
+    layer, nxt = list(found), list(seeds)  # the seeds open height 2
+    found.update(seeds)
+    while layer and len(found) <= limit:
+        for beta in layer:
+            root = found[beta]
+            for i, col in enumerate(columns):
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if up in found:
                     continue
-                image = tuple(b - p * a for b, a in zip(beta, alpha))
-                if image not in found:
-                    found[image] = coeffs[:i] + (coeffs[i] - p,) + coeffs[i + 1:]
-                    nxt.append(image)
-        frontier = nxt
+                p, down = 0, beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                while down in found:
+                    p, down = p + 1, down[:i] + (down[i] - 1,) + down[i + 1:]
+                if p > sum(map(mul, beta, col)):
+                    found[up] = tuple(map(add, root, simple[i]))
+                    nxt.append(up)
+        layer, nxt = nxt, []
     return found
 
 
@@ -236,15 +246,12 @@ def root_classes(roots, length2) -> dict:
 def build_root_system(label: RootSystemLabel) -> RootSystem:
     """Construct and validate the root system for ``label``.
 
-    The roots are the orbit of the simple roots under the simple reflections,
-    since every root of a reduced system is W-conjugate to a simple root
-    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
-    10.3); BC adds the orbit of 2 alpha_r, the roots 2e_i.
-
-    The root count, the off-diagonal Cartan entries and the positive system
-    are checked; the diagonal is 2(a, a)/(a, a), and s_i(alpha_i) = -alpha_i
-    (for BC also s_r(2 alpha_r) = -2 alpha_r) puts the negated seeds, and so
-    minus every root, in the orbit.
+    The positive roots come from the simple roots by alpha_i-strings in order
+    of height (see ``_root_strings``); for BC, 2 alpha_r, the one positive
+    root that no string reaches, is seeded at height 2.  Every root is
+    positive or negative, so the negative roots are the negated positive ones,
+    with negated coefficients.  The root count and the off-diagonal Cartan
+    entries are checked; the diagonal is 2(a, a)/(a, a).
     """
     simple = tuple(_simple_roots(label))
     cartan = tuple(tuple(_pairing(ai, aj) for aj in simple) for ai in simple)
@@ -252,29 +259,27 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
         for j, x in enumerate(row):
             if i != j and x not in (0, -1, -2, -3):
                 raise RootSystemError(f"{label}: bad Cartan entry {x} at {(i, j)}")
-    unit = [tuple(int(i == j) for j in range(len(simple))) for i in range(len(simple))]
-    seeds = dict(zip(simple, unit))
-    if label.family == "BC":
-        seeds[tuple(2 * x for x in simple[-1])] = tuple(2 * c for c in unit[-1])
-    orbit = _weyl_orbit(seeds, simple)
-    roots = sorted(orbit)
+    twice = {(0,) * (len(simple) - 1) + (2,): tuple(2 * x for x in simple[-1])}
     expected = FAMILIES[label.family][2](label.rank)
-    if len(roots) != expected:
+    positive = _root_strings(
+        simple, cartan, twice if label.family == "BC" else {}, expected // 2)
+    coefficients = {}
+    for coeffs, root in positive.items():
+        coefficients[root] = coeffs
+        coefficients[tuple(-x for x in root)] = tuple(-c for c in coeffs)
+    # distinct roots number 2 |Phi+| unless two of them coincide
+    if not len(coefficients) == 2 * len(positive) == expected:
         raise RootSystemError(
-            f"{label}: generated {len(roots)} roots, expected {expected}"
+            f"{label}: generated {len(coefficients)} roots, expected {expected}"
         )
-    # a root with coefficients of both signs keeps it and its negative out of
-    # ``positive``, so the size check catches it
-    positive = [b for b in roots if all(c >= 0 for c in orbit[b])]
-    if 2 * len(positive) != len(roots):
-        raise RootSystemError(f"{label}: positive system has wrong size")
+    roots = sorted(coefficients)
     return RootSystem(
         label=label,
         simple_roots=simple,
         all_roots=tuple(roots),
-        positive_roots=tuple(positive),
+        positive_roots=tuple(b for b in roots if any(c > 0 for c in coefficients[b])),
         cartan_matrix=cartan,
-        coefficients={b: orbit[b] for b in roots},
+        coefficients={b: coefficients[b] for b in roots},
         classes=root_classes(roots, lambda b: _dot(b, b)),
     )
 

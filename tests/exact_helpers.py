@@ -99,3 +99,38 @@ def fractions_up_to(bound, max_denominator):
     values = {Fraction(p, q) for q in range(1, max_denominator + 1)
               for p in range(-bound * q, bound * q + 1)}
     return st.sampled_from(sorted(values, key=lambda f: (f.denominator, abs(f), f < 0)))
+
+
+def record_joint_solves(monkeypatch, span):
+    """Record each span solve of ``LieAlgebraModel.joint_eigenspaces`` on
+    ``span`` as (label of the subspace it splits, eigenvalue it tries).
+
+    A subspace is known by identity: ``span``, labelled (), or a space that
+    an earlier recorded solve returned, labelled by that solve's label and
+    eigenvalue.  A solve in any other subspace, a mirrored one, is recorded
+    with the label None.  Every object met is kept, so no id is reused."""
+    from minorbit.matmodel import model as model_module
+
+    cls = model_module.LieAlgebraModel
+    solve, support_of = cls._solve_in_span, model_module._support
+    space_label, support_label = {}, {id(span.support): ()}
+    solves, kept = [], []
+
+    def recorded_support(vectors):
+        out = support_of(vectors)
+        kept.extend((vectors, out))
+        support_label[id(out)] = space_label.get(id(vectors))
+        return out
+
+    def recorded_solve(self, support, images, shift=0, real=False):
+        label = support_label.get(id(support))
+        eig = solve(self, support, images, shift, real)
+        kept.extend((support, eig))
+        solves.append((label, shift))
+        if eig and label is not None:
+            space_label[id(eig)] = label + (shift,)
+        return eig
+
+    monkeypatch.setattr(model_module, "_support", recorded_support)
+    monkeypatch.setattr(cls, "_solve_in_span", recorded_solve)
+    return solves

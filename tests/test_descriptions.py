@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_helpers import fractions_up_to
+from exact_helpers import fractions_up_to, record_joint_solves
 from minorbit.exactla import ZERO, GaussianRational
 from minorbit.matmodel import MODEL_IDS, ModelError, build_model
 from minorbit.matmodel import model as model_module
@@ -214,24 +214,23 @@ def test_joint_eigenspaces_needs_every_eigenvalue():
 def test_joint_eigenspaces_tries_a_subspace_at_the_labels_that_extend_it(monkeypatch):
     """On sl(3, R), a subspace split off by the first generator of a under
     the eigenvalue lam is split by the second one at the second entries of
-    the labels whose first entry is lam, in label order, and at no other."""
+    the labels whose first entry is lam, nearest zero first, and at no
+    other; one of each +- twin is solved, the other mirrored by sigma_u, and
+    no entry is tried once a subspace is filled."""
     model = build_model("sl3R")
     ad_a = [model.ad[i] for i in model.a_indices]
     _, spaces, *_ = model.torus_roots(model.a_units, model.units)
     roots = [(ZERO, ZERO), *spaces]
+    assert [tuple(map(int, r)) for r in spaces] == [
+        (-2, 1), (-1, -1), (-1, 2), (1, -2), (1, 1), (2, -1)]
     first = roots[-1][0]
     labels = [(first, GaussianRational(7)), *roots, (GaussianRational(5), ZERO)]
-    calls = []
-    split = model_module.LieAlgebraModel.eigenspaces
-
-    def recorded(self, op, candidates, span):
-        calls.append(list(candidates))
-        return split(self, op, candidates, span)
-
-    monkeypatch.setattr(model_module.LieAlgebraModel, "eigenspaces", recorded)
+    solves = record_joint_solves(monkeypatch, model.units)
     found = model.joint_eigenspaces(ad_a, labels, model.units)
     assert sorted(label for label, _ in found) == sorted(roots)
-    firsts = list(dict.fromkeys(c[0] for c in labels))
-    assert calls[0] == firsts
-    assert calls[1:] == [list(dict.fromkeys(c[1] for c in labels if c[0] == lam))
-                         for lam in firsts if any(r[0] == lam for r in roots)]
+    # the first entries, nearest zero first, are 0, -1, 1, 2, -2, 5: 1 and -2
+    # mirror -1 and 2, and the spaces fill the span before 5; (2,) is filled
+    # at -1 before 7, (0,) is split at 0, (-1,) at -1 and 2, and (-2,) and
+    # (1,) mirror (2,) and (-1,)
+    assert solves == [((), 0), ((), -1), ((), 2), ((2,), -1),
+                      ((0,), 0), ((-1,), -1), ((-1,), 2)]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
@@ -7,6 +8,7 @@ from minorbit.realform import (
     CatalogError,
     EXCEPTIONAL_TABLE_IDS,
     cross_checks,
+    default_catalog_path,
     derive_invariants,
     exceptional_table,
     load_catalog,
@@ -40,6 +42,27 @@ def test_shipped_catalog_loads(catalog):
     assert len(catalog) >= 12
     ids = [e.id for e in catalog]
     assert len(set(ids)) == len(ids)
+
+
+def test_default_catalog_path_names_the_packaged_catalog(monkeypatch):
+    """The path is the package resource data/catalog.json, and it is the one
+    file that the shipped catalog, load_catalog(), is parsed from."""
+    from minorbit import realform
+
+    path = default_catalog_path()
+    packaged = resources.files("minorbit").joinpath("data/catalog.json")
+    assert path.is_file() and path.samefile(str(packaged))
+    read = []
+    original = type(path).read_text
+
+    def recorded(self, *args, **kwargs):
+        read.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(path), "read_text", recorded)
+    # the uncached parse of the default source
+    assert realform._parse_catalog.__wrapped__(None) == load_catalog()
+    assert read == [path]
 
 
 def test_su21_dimension_arithmetic(catalog_map):

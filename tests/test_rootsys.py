@@ -17,8 +17,11 @@ from minorbit.rootsys import (
 )
 
 ALL_LABELS = [
-    "A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4",
-    "E6", "E7", "E8", "F4", "G2", "BC1", "BC2",
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+    "B2", "B3", "B4", "B5", "B6", "B7", "B8",
+    "C3", "C4", "C5", "C6", "C7", "C8",
+    "D4", "D5", "D6", "D7", "D8",
+    "E6", "E7", "E8", "F4", "G2", "BC1", "BC2", "BC3", "BC4",
 ]
 
 REDUCED_LABELS = [t for t in ALL_LABELS if not t.startswith("BC")]
@@ -268,12 +271,7 @@ def test_dominant_idempotent_and_symmetric():
 def test_dominant_reduces_minus_rho_in_exactly_phi_plus_steps():
     """-rho pairs negatively with every positive root, so its reduction takes
     all |Phi+| reflections the bound allows, E8's 120 included."""
-    labels = REDUCED_LABELS + [
-        f"{family}{rank}"
-        for family, low in (("A", 5), ("B", 4), ("C", 4), ("D", 5))
-        for rank in range(low, 9)
-    ]
-    for text in labels:
+    for text in REDUCED_LABELS:
         system = rs(text)
         two_rho = [sum(col) for col in zip(*system.positive_roots)]
         assert dom(system, [-x for x in two_rho]) == tuple(two_rho), text

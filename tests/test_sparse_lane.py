@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_helpers import fractions_up_to, plain_mat_vec, reference_kernel, reference_rref
+from exact_helpers import (
+    fractions_up_to,
+    plain_mat_vec,
+    record_joint_solves,
+    reference_kernel,
+    reference_rref,
+)
 from minorbit import exactla
 from minorbit.exactla import I, ONE, ZERO, GaussianRational, kernel_basis
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
@@ -282,54 +288,50 @@ def _defining_weights(model, torus, imaginary):
 @pytest.mark.parametrize("form_id", MODEL_IDS)
 def test_a_subspace_is_tried_only_at_proposed_labels(monkeypatch, form_id, all_analyses):
     """torus_roots proposes the differences of the joint eigenvalue tuples of
-    the torus in the defining representation, and no other label; each
-    subspace is tried at the next entries of the labels that extend its own
-    label, and the solve that fills it is its last."""
+    the torus in the defining representation, and no other label.  Exactly
+    one of each +- twin of labels reaches _solve_in_span, the other being
+    mirrored by sigma_u, and no mirrored subspace is split by a solve; each
+    solve tries a subspace at the next entry of a label that extends its own
+    label, and, the entries taken nearest zero first, none comes after the
+    entry of the subspace's last space."""
     a = all_analyses[form_id]
     model = a.model
-    labels, calls, solves = [], [], []
+    labels = []
     joint = LieAlgebraModel.joint_eigenspaces
-    split = LieAlgebraModel.eigenspaces
-    solve = LieAlgebraModel._solve_in_span
 
     def recorded_joint(self, ops, proposed, span):
         labels.append(list(proposed))
         return joint(self, ops, proposed, span)
 
-    def recorded_split(self, op, candidates, span):
-        before = len(solves)
-        out = split(self, op, candidates, span)
-        calls.append((span, list(candidates), out, len(solves) - before))
-        return out
-
-    def recorded_solve(self, support, images, shift=0, real=False):
-        solves.append(shift)
-        return solve(self, support, images, shift, real)
-
     monkeypatch.setattr(LieAlgebraModel, "joint_eigenspaces", recorded_joint)
-    monkeypatch.setattr(LieAlgebraModel, "eigenspaces", recorded_split)
-    monkeypatch.setattr(LieAlgebraModel, "_solve_in_span", recorded_solve)
     for torus, span, imaginary in ((model.a_units, model.units, False),
                                    (a.lambda_data().t_basis, model.k_units, True)):
         labels.clear()
-        calls.clear()
-        model.torus_roots(torus, span, imaginary)
+        with monkeypatch.context() as patch:
+            solves = record_joint_solves(patch, span)
+            zero, spaces, *_ = model.torus_roots(torus, span, imaginary)
         weights = _defining_weights(model, torus, imaginary)
         unit = I if imaginary else ONE
         differences = {tuple(p - q for p, q in zip(u, v)) for u in weights for v in weights}
         assert labels == [[tuple(unit * x for x in d) for d in sorted(differences)]]
-        known = {id(span): ()}
-        for sub, candidates, out, solved in calls:
-            label = known[id(sub)]
+        found = [tuple(unit * x for x in r) for r in [(ZERO,) * len(torus), *spaces]]
+        solved = [label + (lam,) for label, lam in solves if label is not None]
+        assert len(solved) == len(solves) == len(set(solved))
+        for s in solved:
+            assert s in {c[:len(s)] for c in labels[0]}
+            twin = tuple(-x for x in s)
+            assert twin == s or twin not in solved
+        # every space at every level, or its twin, is solved
+        for f in found:
+            for i in range(1, len(f) + 1):
+                twin = tuple(-x for x in f[:i])
+                assert f[:i] in solved or twin in solved
+        for label in {label for label, _ in solves}:
             i = len(label)
-            assert candidates == list(dict.fromkeys(
-                c[i] for c in labels[0] if c[:i] == label))
-            assert sum(map(len, out.values())) == len(sub)
-            # spaces of distinct eigenvalues are independent, so the solve
-            # that fills the subspace is its last
-            assert solved == candidates.index(list(out)[-1]) + 1
-            for lam, eig in out.items():
-                known[id(eig)] = label + (lam,)
+            candidates = sorted(dict.fromkeys(c[i] for c in labels[0] if c[:i] == label),
+                                key=lambda x: abs(complex(x)))
+            last = max(candidates.index(f[i]) for f in found if f[:i] == label)
+            assert all(candidates.index(lam) <= last for sub, lam in solves if sub == label)
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -435,3 +437,18 @@ def test_torus_roots_of_hermitian_elements():
     assert np.array_equal(model.matrix(x).astype(complex), [[1, 1], [1, -1]])
     with pytest.raises(ModelError, match="rational"):
         model.torus_roots([x], model.units)
+
+
+def test_torus_roots_needs_each_element_in_k_or_in_p():
+    """eigh and the sigma_u mirror hold for t in p (Hermitian) or, with
+    imaginary, in k (anti-Hermitian) only; a + k_0 in sl(2, R) is in neither,
+    and a and k_0 are refused under the other flag, before any proposal."""
+    model = analyze("sl2R").model
+    a, k = (model.unit_coords(i) for i in (model.a_indices[0], model.k_indices[0]))
+    mixed = [x + y for x, y in zip(a, k)]
+    for torus, imaginary, message in (([mixed], False, "not Hermitian"),
+                                      ([mixed], True, "not anti-Hermitian"),
+                                      ([a], True, "not anti-Hermitian"),
+                                      ([a, k], False, "not Hermitian")):
+        with pytest.raises(ModelError, match=message):
+            model.torus_roots(torus, model.units, imaginary)
