@@ -10,8 +10,9 @@ reduced over d = 1, a product of two real integers skips the crosswise gcds,
 and a sum or difference over one denominator adds or subtracts the parts.
 :func:`eliminate` is the one Gauss-Jordan elimination, over sparse rows that
 hold and visit only nonzero entries.  ``rank``, ``kernel_basis`` and
-``inverse`` are views on it: each coerces its rows once (``_sparse_rows``),
-and ``inverse`` reads A^-1 off the pivot rows of [A | I].  The span solves of
+``inverse`` are views on it: each takes dense rows and coerces them once to
+sparse ones (``_sparse_rows``), and ``inverse`` reads A^-1 off the pivot rows
+of [A | I].  The span solves of
 :class:`~minorbit.matmodel.model.LieAlgebraModel` build sparse rows of nonzero
 Gaussian rationals themselves, hand them to :func:`eliminate`, and read each
 kernel vector off its pivot rows.  The reduced row echelon form of a row
@@ -211,29 +212,22 @@ def exact_sqrt(q) -> GaussianRational | None:
     return _make(num, 0, den) if exact else None
 
 
-def _sparse_rows(mat, ncols: int | None) -> tuple[list[dict], int]:
-    """The rows of ``mat``, dense or {column: entry}, as {column: nonzero
-    scalar}, and the column count; a sparse or empty system needs ``ncols``.
-    Every entry becomes a :class:`GaussianRational` here, so ints stay exact."""
+def _sparse_rows(mat: Sequence[Sequence], ncols: int) -> list[dict]:
+    """The dense rows of ``mat``, each of ``ncols`` entries, as {column:
+    nonzero scalar}.  Every entry becomes a :class:`GaussianRational` here,
+    so ints stay exact."""
     rows = []
     for row in mat:
-        if not isinstance(row, dict):
-            ncols = len(row) if ncols is None else ncols
-            if len(row) != ncols:
-                raise ValueError(f"a row has {len(row)} entries, not {ncols}")
-            row = dict(enumerate(row))
-        elif ncols is None or any(type(c) is not int or not 0 <= c < ncols for c in row):
-            raise ValueError("a sparse row needs ncols and columns in 0..ncols-1")
+        if len(row) != ncols:
+            raise ValueError(f"a row has {len(row)} entries, not {ncols}")
         out = {}
-        for c, x in row.items():
+        for c, x in enumerate(row):
             if type(x) is not GaussianRational and (x := _coerce(x)) is None:
                 raise TypeError("entries must be rational or Gaussian-rational")
             if x.a or x.b:
                 out[c] = x
         rows.append(out)
-    if ncols is None:
-        raise ValueError("ncols required for an empty system")
-    return rows, ncols
+    return rows
 
 
 def eliminate(rows: list[dict]) -> dict[int, dict]:
@@ -274,14 +268,16 @@ def _add_multiple(row: dict, f, pivot: dict) -> None:
 
 
 def rank(mat: Sequence[Sequence]) -> int:
-    return len(eliminate(_sparse_rows(mat, None)[0])) if len(mat) else 0
+    return len(eliminate(_sparse_rows(mat, len(mat[0])))) if len(mat) else 0
 
 
-def kernel_basis(mat: Sequence, ncols: int | None = None) -> list[list]:
-    """Basis of the right kernel of ``mat`` (rows = equations, dense or
-    sparse), one dense vector per free column, 1 there and 0 at the others."""
-    rows, ncols = _sparse_rows(mat, ncols)
-    red = eliminate(rows)
+def kernel_basis(mat: Sequence[Sequence]) -> list[list]:
+    """Basis of the right kernel of ``mat`` (dense rows = equations, so at
+    least one), one dense vector per free column, 1 there and 0 at the others."""
+    if not len(mat):
+        raise ValueError("a system of no rows has no column count")
+    ncols = len(mat[0])
+    red = eliminate(_sparse_rows(mat, ncols))
     return [[ONE if j == fc else -red[j][fc] if fc in red.get(j, ()) else ZERO
              for j in range(ncols)] for fc in range(ncols) if fc not in red]
 
@@ -291,7 +287,7 @@ def inverse(mat: Sequence[Sequence]) -> list[list] | None:
     n pivots, all in A's columns if A is invertible, and then pivot row p
     holds row p of A^-1 in I's columns."""
     n = len(mat)
-    rows, _ = _sparse_rows(mat, n)
+    rows = _sparse_rows(mat, n)
     for i, row in enumerate(rows):
         row[n + i] = ONE
     red = eliminate(rows)

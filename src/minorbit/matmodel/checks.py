@@ -181,8 +181,7 @@ def lambda_data(
 
     # the roots of the complexified k under t; ad t has eigenvalues i q, and
     # a root keeps the rationals q
-    zero, _, positive, simple, dual = model.torus_roots(
-        t_basis, model.k_units, imaginary=True)
+    zero, _, positive, simple, dual = model.torus_roots(t_basis, model.k_units)
     checks.append(CheckItem.verdict(
         "cartan_is_self_centralizing",
         len(zero) == len(t_basis),
@@ -224,7 +223,7 @@ def lambda_data(
         for j, b in _apply(model.tr_rows, [(i, x) for i, x in enumerate(y) if x]).items():
             if b:
                 forms[j].append((r, model.c * b))
-    perp = model.kernel_in_span([forms], model.k_units, real=True)
+    perp = model.kernel_in_span([forms], model.k_units)
     k_nu_perp = exactla.orthogonalize(perp, model.B)
 
     return LambdaData(

@@ -5,10 +5,9 @@ builder and the builder's arguments, and ``MODEL_IDS`` is its keys, in order.
 A builder returns only what is a choice: a real basis of the algebra inside
 gl(n, C), as matrices whose entries are Gaussian integers; the generators of
 the standard maximal abelian subspace a of p, as matrices, which
-``family_data`` locates in the basis by value; the conjugation sigma of the
-real form; and, for a chain-shaped a-basis, the positivity key.  The rest is
-read off the basis, as the eigenvalues are: the model computes them, and it
-splits the basis into k and p by Hermiticity.
+``family_data`` locates in the basis by value; and the conjugation sigma of
+the real form.  The rest is read off the basis, as the eigenvalues are: the
+model computes them, and it splits the basis into k and p by Hermiticity.
 
 Every model is closed under conjugate transpose: the compact generators are
 anti-Hermitian and the noncompact ones Hermitian, so the Cartan involution is
@@ -29,11 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
 
 import numpy as np
-
-from ..exactla import ZERO
 
 
 class ModelError(ValueError):
@@ -77,20 +73,6 @@ class FamilyData:
     basis: np.ndarray  # (N, n, n), Gaussian-integer entries
     a_indices: list[int]  # positions of the abelian generators inside basis
     sigma_spec: Involution
-    # maps the a-eigenvalue vector of a root to the coordinates used for the
-    # lexicographic positivity choice (identity unless the a-basis is a chain
-    # whose raw values would order the roots away from the standard system)
-    positivity_key: Callable[[tuple], tuple] = lambda values: values
-
-
-def _sl_chain_key(values: tuple) -> tuple:
-    """Diagonal coordinates of a root from its values on E_ii - E_{i+1,i+1}."""
-    n = len(values) + 1
-    partial = [ZERO]
-    for v in values:
-        partial.append(partial[-1] - v)
-    shift = sum(partial) / n
-    return tuple(p - shift for p in partial)
 
 
 def _unit(n: int, i: int, j: int, value: complex = 1) -> np.ndarray:
@@ -111,7 +93,7 @@ def _sl_n_real(n: int):
     pairs = list(combinations(range(n), 2))
     a = [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
     basis = [_antisym(n, i, j) for i, j in pairs] + [_sym(n, i, j) for i, j in pairs]
-    return basis + a, a, CONJUGATE, _sl_chain_key
+    return basis + a, a, CONJUGATE
 
 
 def _su_pq(p: int, q: int):
@@ -201,9 +183,9 @@ def family_data(form_id: str) -> FamilyData:
     if form_id not in FAMILIES:
         raise ModelError(f"unsupported model id {form_id!r}")
     builder, *args = FAMILIES[form_id]
-    basis, a, *choices = builder(*args)
+    basis, a, sigma = builder(*args)
     basis = np.array(basis)
     rows, a_indices = np.nonzero((np.array(a)[:, None] == basis).all(axis=(-2, -1)))
     if rows.tolist() != list(range(len(a))):
         raise ModelError(f"{form_id}: an a generator is not a basis matrix")
-    return FamilyData(form_id, basis.shape[-1], basis, a_indices.tolist(), *choices)
+    return FamilyData(form_id, basis.shape[-1], basis, a_indices.tolist(), sigma)

@@ -27,13 +27,15 @@ Each exact subspace has one owner that solves it once: the model holds the
 unit spans of g, k, p and a (sharing their vectors), m = Cent_k(a) and, on
 first use, the center ``center_k`` of k.  One routine,
 :meth:`~LieAlgebraModel.torus_roots`, gives the root datum of a torus, the
-restricted roots (a on g) and the roots of k (t on k) alike: one float
-``eigh`` proposes the joint eigenvalues of the torus in the defining
-representation, as rationals, and ``joint_eigenspaces`` tries each subspace
-only at the differences of those that extend its label.  It solves one space
-of each +- pair of labels and takes the other as its image under the
-antilinear automorphism sigma_u = theta sigma, which maps the eigenspace of
-lam of ad t onto that of -lam for t in k and for t in p alike, with no solve.
+restricted roots (a on g) and the roots of k (t on k) alike: the torus is
+Hermitian (real roots) or anti-Hermitian (imaginary roots), a root is
+positive when its first nonzero entry is, one float ``eigh`` proposes the
+joint eigenvalues of the torus in the defining representation, as rationals,
+and ``joint_eigenspaces`` tries each subspace only at the differences of
+those that extend its label.  It solves one space of each +- pair of labels
+and takes the other as its image under the antilinear automorphism
+sigma_u = theta sigma, which maps the eigenspace of lam of ad t onto that of
+-lam for t in k and for t in p alike, with no solve.
 The exact eigenspaces, mirrored ones included, must fill the span, and that
 is the proof.  :meth:`~LieAlgebraModel.eigenspaces` splits a span under one
 operator, solving at every candidate, for the spectral checks.
@@ -44,6 +46,7 @@ nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
 every structure constant is zero and no routine here touches those zeros: the
 trace form walks the rows of G at the nonzero x_i, ``ad_matrix`` of a basis
 element b_i reads ``ad[i]`` rather than building it, and ``kernel_in_span``
+(the common kernel of its operators in a span, with rational coefficients)
 builds sparse constraint rows of nonzero entries from the images of its
 span's nonzero entries (which each unit span, a :class:`Span`, holds from the
 start), hands them in any order straight to :func:`~minorbit.exactla.eliminate`,
@@ -206,13 +209,13 @@ class LieAlgebraModel(FamilyData):
         return -self.B(x, self.sigma_u(y))
 
     # -- subspace solvers ----------------------------------------------------
-    def kernel_in_span(self, operators: Sequence[SparseOp], span: Sequence[Coords],
-                       real: bool = False, shift=0) -> list[Coords]:
-        """Vectors x in span(span) with op @ x = shift * x for every operator;
-        with ``real=True`` the combination coefficients are rational."""
+    def kernel_in_span(self, operators: Sequence[SparseOp],
+                       span: Sequence[Coords]) -> list[Coords]:
+        """The x in span(span), with rational combination coefficients, that
+        every operator maps to 0."""
         support = span.support if isinstance(span, Span) else _support(span)
         images = [[_apply(op, nz) for nz in support] for op in operators]
-        return self._solve_in_span(support, images, shift, real)
+        return self._solve_in_span(support, images, real=True)
 
     def _solve_in_span(self, support: list[list[tuple]], images: list[list[dict]],
                        shift=0, real: bool = False) -> list[Coords]:
@@ -353,34 +356,37 @@ class LieAlgebraModel(FamilyData):
             out.append(w)
         return out
 
-    def torus_roots(self, torus: Sequence[Coords], span: Sequence[Coords],
-                    imaginary: bool = False, key=tuple) -> tuple:
+    def torus_roots(self, torus: Sequence[Coords], span: Sequence[Coords]) -> tuple:
         """The root datum of the commuting t in ``torus`` on span(span).
 
         A root lists the eigenvalues of ad t, differences of the joint
-        eigenvalues of the t on C^n; with ``imaginary`` (t compact) they are
-        i times the rationals the root keeps.  The sqrt(p_i), p_i distinct
+        eigenvalues of the t on C^n.  The torus is read off its matrices:
+        anti-Hermitian t (in k) have eigenvalues i q, and a root keeps the
+        rationals q; Hermitian t (in p) have real ones; any other torus
+        raises, as ``eigh`` needs one of the two, and then sigma_u t = -t^*
+        = +-t, as ``joint_eigenspaces`` needs.  The sqrt(p_i), p_i distinct
         primes, are independent over Q, so the eigenvectors of one ``eigh``
-        of sum_i sqrt(p_i) t_i (times -i for compact t) are joint ones if the
-        eigenvalues are rational; rounded, those propose the roots, and
+        of sum_i sqrt(p_i) t_i (times -i for anti-Hermitian t) are joint ones
+        if the eigenvalues are rational; rounded, those propose the roots, and
         ``joint_eigenspaces`` fails on a wrong or irrational proposal.  The
         proposed weights and their differences are integer tuples over one
         common denominator, sorted as such, with one scalar per distinct entry.
-        Each t must be Hermitian (in p), or anti-Hermitian (in k) with
-        ``imaginary``, as ``eigh`` needs; then sigma_u t = -t^* = +-t, as
-        ``joint_eigenspaces`` needs.
         Returns the zero space, the root spaces {root: space} sorted by root,
-        the positive roots (the first nonzero entry of ``key(root)``
-        positive), the simple roots, and the trace duals {root: G^-1 root},
-        G the trace Gram of the torus.
+        the positive roots (those whose first nonzero entry is positive; any
+        such order gives a positive system, and they are all W-conjugate),
+        the simple roots, and the trace duals {root: G^-1 root}, G the trace
+        Gram of the torus.
         """
-        mats = np.array([self.matrix(t).astype(complex) for t in torus]) * (
-            -1j if imaginary else 1)
+        mats = np.array([self.matrix(t).astype(complex) for t in torus])
         # rounding commutes with negation and conjugation, so the rounded
         # matrix of an exactly (anti-)Hermitian t is exactly so
-        if not np.array_equal(mats, mats.conj().swapaxes(1, 2)):
-            raise ModelError(f"{self.form_id}: a torus element is not "
-                             f"{'anti-' if imaginary else ''}Hermitian")
+        adjoint = mats.conj().swapaxes(1, 2)
+        imaginary = np.array_equal(mats, -adjoint)
+        if imaginary:
+            mats = mats * -1j
+        elif not np.array_equal(mats, adjoint):
+            raise ModelError(
+                f"{self.form_id}: the torus is neither Hermitian nor anti-Hermitian")
         primes = np.sqrt((2, 3, 5, 7, 11, 13, 17)[:len(torus)])
         vecs = np.linalg.eigh(np.tensordot(primes, mats, axes=1))[1]
         joint = np.einsum("an,iab,bn->ni", vecs.conj(), mats, vecs).real.tolist()
@@ -399,7 +405,7 @@ class LieAlgebraModel(FamilyData):
         ints = sorted(found)
         roots = {d: tuple(value[n] for n in d) for d in ints}
         spaces = {roots[d]: found[d] for d in ints}
-        positive = [d for d in ints if next((x for x in key(roots[d]) if x), 0) > 0]
+        positive = [d for d in ints if next(x for x in d if x) > 0]
         inverse = exactla.inverse([[self._tr_form(s, t) for t in torus] for s in torus])
         dual = {r: [sum((g * x for g, x in zip(row, r)), ZERO) for row in inverse]
                 for r in spaces}
@@ -410,7 +416,7 @@ class LieAlgebraModel(FamilyData):
         self, elements: Sequence[Coords], span: Sequence[Coords]
     ) -> list[Coords]:
         ops = [self.ad_matrix(e) for e in elements]
-        return self.kernel_in_span(ops, span, real=True)
+        return self.kernel_in_span(ops, span)
 
     @cached_property
     def center_k(self) -> list[Coords]:
@@ -503,8 +509,8 @@ def _validate_model(model: LieAlgebraModel) -> None:
             f"{model.form_id}: a basis matrix is neither Hermitian nor anti-Hermitian"
         )
     # a is maximal abelian in p
-    cent = model.centralizer_in_span(model.a_units, model.p_units)
-    if len(cent) != model.dim_a or not exactla.same_span(cent, model.a_units):
+    if not exactla.same_span(model.centralizer_in_span(model.a_units, model.p_units),
+                             model.a_units):
         raise ModelError(f"{model.form_id}: a is not maximal abelian in p")
 
 

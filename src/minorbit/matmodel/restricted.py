@@ -3,19 +3,23 @@
 The root datum of the torus a on g comes from
 :meth:`~.model.LieAlgebraModel.torus_roots`, the routine that also gives the
 roots of k: the root spaces (exact joint eigenspaces of ad a_1, ..., ad a_r),
-the positive and simple roots under the model's positivity key, and the trace
-duals of the roots.  Root classes and the highest root come from the routines
-of :mod:`minorbit.rootsys`, computed once per datum.  The highest root, its
+the positive roots (those whose first nonzero value on the a basis is
+positive), the simple roots, and the trace duals of the roots.  Every
+positive system is W-conjugate to every other, so psi is determined up to W,
+and Z = G e for e in g_psi, dim Z and every verdict do not depend on which
+one this order picks (Knapp, *Lie Groups Beyond an Introduction*, ch. II
+and VI).  Root classes and the highest root come from the routines of
+:mod:`minorbit.rootsys`, computed once per datum.  The highest root, its
 coroot element, and the normalization of the invariant form all come out as
 real Gaussian rationals.
 
-The datum checks the split of the roots, the simple roots, Cent n = g_psi
-and the values on x_psi.  Cent n is solved against the simple root spaces
-only: they generate n (Knapp, *Lie Groups Beyond an Introduction*, ch. VI),
-so their centralizer in n is Cent n, which holds g_psi as psi is the highest
-root.  The rest holds by construction: the root spaces, one of each +-
-pair solved and the other its sigma_u image, fill g, or
-``joint_eigenspaces`` raises; theta is an automorphism and -1 on
+The datum checks the simple roots, Cent n = g_psi and the values on x_psi.
+Cent n is solved against the simple root spaces only: they generate n
+(Knapp, ch. VI), so their centralizer in n is Cent n, which holds g_psi as
+psi is the highest root.  The rest holds by construction: the root spaces,
+one of each +- pair solved and the other its sigma_u image, fill g, or
+``joint_eigenspaces`` raises, so exactly one root of each pair has a positive
+first nonzero value; theta is an automorphism and -1 on
 a, so it maps g_lambda onto g_-lambda and preserves Cent_g(a) = m + Cent_p(a),
 which is m + a as the model build checks Cent_p(a) = a; x_psi, the multiple
 of the trace dual of psi with psi(x_psi) = 2, is trace-orthogonal to ker psi;
@@ -47,10 +51,6 @@ class RestrictedRootDatum:
     classes: dict[Root, str]  # length class of each root, see rootsys.root_classes
     n_basis: list[Coords] = field(default_factory=list)
 
-    def root_value(self, root: Root, a_coords: Coords) -> GaussianRational:
-        """Evaluate the root functional on an element of a."""
-        return sum(r * a_coords[idx] for r, idx in zip(root, self.model.a_indices))
-
     def class_mults(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for root, key in self.classes.items():
@@ -63,14 +63,11 @@ class RestrictedRootDatum:
 
     def pairing_with_psi(self, root: Root) -> GaussianRational:
         """Value of the root on x_psi, an integer in -2..2."""
-        return self.root_value(root, self.x_psi)
+        return sum(r * self.x_psi[idx] for r, idx in zip(root, self.model.a_indices))
 
 
 def restricted_root_datum(model: LieAlgebraModel) -> RestrictedRootDatum:
-    _, root_spaces, positive, simple, dual = model.torus_roots(
-        model.a_units, model.units, key=model.positivity_key)
-    if 2 * len(positive) != len(root_spaces):
-        raise ModelError(f"{model.form_id}: positivity did not split the roots")
+    _, root_spaces, positive, simple, dual = model.torus_roots(model.a_units, model.units)
 
     # the highest root, from the simple-root coefficients of the positive roots
     if len(simple) != model.dim_a or (inverse := exactla.inverse(
@@ -110,10 +107,9 @@ def restricted_root_datum(model: LieAlgebraModel) -> RestrictedRootDatum:
 def _validate_datum(datum: RestrictedRootDatum) -> None:
     model = datum.model
     # Cent n, the centralizer in n of the simple root spaces, is g_psi
-    ops = [model.ad_matrix(v) for r in datum.simple_roots for v in datum.root_spaces[r]]
-    cent_n = model.kernel_in_span(ops, datum.n_basis)
-    psi_space = datum.root_spaces[datum.psi]
-    if len(cent_n) != len(psi_space) or not exactla.same_span(cent_n, psi_space):
+    simple_spaces = [v for r in datum.simple_roots for v in datum.root_spaces[r]]
+    cent_n = model.centralizer_in_span(simple_spaces, datum.n_basis)
+    if not exactla.same_span(cent_n, datum.root_spaces[datum.psi]):
         raise ModelError(f"{model.form_id}: Cent n differs from the psi root space")
     # values of every root on x_psi lie in {-2,...,2}; only +-psi reach +-2
     for r in datum.root_spaces:
@@ -135,5 +131,4 @@ def eigenvalue_multiplicities(datum: RestrictedRootDatum) -> dict[int, int]:
 
 def kernel_ad_e_dimension(datum: RestrictedRootDatum, e: Coords) -> int:
     """dim of the centralizer of e in g, the model-side orbit-dimension oracle."""
-    model = datum.model
-    return len(model.kernel_in_span([model.ad_matrix(e)], model.units))
+    return len(datum.model.centralizer_in_span([e], datum.model.units))

@@ -112,15 +112,13 @@ def test_torus_roots_of_a_and_of_t(form_id, all_analyses):
     semisimple part."""
     a = all_analyses[form_id]
     model, t_basis = a.model, a.lambda_data().t_basis
-    zero, spaces, positive, simple, _ = model.torus_roots(
-        model.a_units, model.units, key=model.positivity_key)
+    zero, spaces, positive, simple, _ = model.torus_roots(model.a_units, model.units)
     assert len(zero) == model.dim_m + model.dim_a
     for root, space in spaces.items():
         assert len(spaces[tuple(-x for x in root)]) == len(space)
     assert len(simple) == model.dim_a
     assert 2 * len(positive) == len(spaces)
-    zero, spaces, positive, simple, dual = model.torus_roots(
-        t_basis, model.k_units, imaginary=True)
+    zero, spaces, positive, simple, dual = model.torus_roots(t_basis, model.k_units)
     rank = len(t_basis)
     assert len(zero) == rank
     assert 2 * len(positive) == len(spaces) == model.dim_k - rank

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorbit import exactla
@@ -10,14 +11,18 @@ from minorbit.exactla import GaussianRational, exact_sqrt
 from minorbit.matmodel import (
     MODEL_IDS,
     ModelError,
+    ModelAnalysis,
     analyze,
     build_model,
     cayley_transform,
+    centralizer_checks,
     eigenvalue_multiplicities,
     kernel_ad_e_dimension,
     make_s_triple,
     restricted_root_datum,
+    spectral_checks,
 )
+from minorbit.matmodel.model import Span
 from minorbit.matmodel.triples import STriple, cayley_violations, s_triple_violations
 
 
@@ -51,11 +56,26 @@ def test_sl2R_datum_explicit():
     assert len(a.datum.root_spaces) == 2
 
 
+def _unit_matrix(n, i, j):
+    out = np.zeros((n, n), dtype=complex)
+    out[i, j] = 1
+    return out
+
+
+def _diagonal_pair(model, x_psi):
+    """The (i, j), i != j, with x_psi = E_ii - E_jj; any positive system of
+    sl(n, R) has such a highest coroot element."""
+    x = model.matrix(x_psi).astype(complex)
+    i, j = int(np.argmax(x.diagonal().real)), int(np.argmin(x.diagonal().real))
+    assert i != j
+    assert np.array_equal(x, _unit_matrix(model.n, i, i) - _unit_matrix(model.n, j, j))
+    return i, j
+
+
 def test_sl3R_datum_explicit():
     a = analyze("sl3R")
     assert a.model.c == 1
-    x = as_complex(a.model, a.datum.x_psi)
-    assert x == [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
+    _diagonal_pair(a.model, a.datum.x_psi)
     assert len(a.datum.root_spaces) == 6  # A2 datum
 
 
@@ -72,11 +92,11 @@ def test_sl2R_striple_matrices():
 
 
 def test_sl3R_striple_matrices():
+    """e = E_ij and f = E_ji for the pair with x_psi = E_ii - E_jj."""
     a = analyze("sl3R")
-    e = as_complex(a.model, a.striple.e)
-    f = as_complex(a.model, a.striple.f)
-    assert e == [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
-    assert f == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    i, j = _diagonal_pair(a.model, a.datum.x_psi)
+    assert as_complex(a.model, a.striple.e) == _unit_matrix(3, i, j).tolist()
+    assert as_complex(a.model, a.striple.f) == _unit_matrix(3, j, i).tolist()
 
 
 def test_sl2R_cayley_matrices():
@@ -122,28 +142,44 @@ def test_model_dim_m_matches_catalog(form_id, all_analyses, catalog_map):
     assert all_analyses[form_id].model.dim_m == catalog_map[form_id].dim_m
 
 
-def test_reversed_positivity_gives_same_scalars():
-    for form_id in ("sl3R", "su21", "sp4R", "so43"):
-        model = build_model(form_id)
-        key = model.positivity_key
-        # the same model with the positivity key read in reverse (revlex)
-        revlex = dataclasses.replace(model, positivity_key=lambda r: key(r)[::-1])
-        lex = restricted_root_datum(model)
-        rev = restricted_root_datum(revlex)
-        # the normalization c = 2 / tr(x_psi^2) that each datum fixes
-        c_lex, c_rev = (2 / model._tr_form(d.x_psi, d.x_psi) for d in (lex, rev))
-        assert c_lex == c_rev == model.c == revlex.c
-        assert lex.class_mults() == rev.class_mults()
-        assert eigenvalue_multiplicities(lex) == eigenvalue_multiplicities(rev)
-        st_lex = make_s_triple(model, lex)
-        st_rev = make_s_triple(revlex, rev)
-        # conjugate triples share every derived scalar
-        assert model.B(st_lex.e, model.theta(st_lex.e)) == model.B(
-            st_rev.e, model.theta(st_rev.e)
-        )
-        assert kernel_ad_e_dimension(lex, st_lex.e) == kernel_ad_e_dimension(
-            rev, st_rev.e
-        )
+def _reversed_analysis(a):
+    """The analysis of a's form with its a basis in reverse order, so that
+    a root is positive when its first nonzero value, taken from the last
+    generator back, is positive."""
+    units = a.model.a_units
+    model = dataclasses.replace(a.model, a_indices=a.model.a_indices[::-1],
+                                a_units=Span(units[::-1], units.support[::-1]), c=None)
+    datum = restricted_root_datum(model)
+    striple = make_s_triple(model, datum)
+    return ModelAnalysis(a.descriptor, a.invariants, model, datum, striple,
+                         cayley_transform(striple))
+
+
+def _scalars(a):
+    """c, the class and eigenvalue multiplicities, B(e, theta e), dim ker ad e."""
+    e = a.striple.e
+    return (a.model.c, a.datum.class_mults(), eigenvalue_multiplicities(a.datum),
+            a.model.B(e, a.model.theta(e)), kernel_ad_e_dimension(a.datum, e))
+
+
+def _verdicts(a):
+    return [item.as_dict() for item in (
+        *spectral_checks(a.model, a.datum, a.striple, a.cayley),
+        *centralizer_checks(a.model, a.datum, a.striple, a.cayley, a.descriptor.hermitian),
+        *a.lambda_data().checks)]
+
+
+def test_reversed_positivity_gives_same_scalars(all_analyses):
+    """Positive systems are W-conjugate, so the one the reversed a basis
+    picks gives every form the same scalars and the same spectra,
+    centralizers and lambda lines; on each form with dim a > 1 it is another
+    positive system."""
+    for lex in all_analyses.values():
+        rev = _reversed_analysis(lex)
+        flipped = {r[::-1] for r in rev.datum.positive_roots}
+        assert (flipped != set(lex.datum.positive_roots)) == (lex.model.dim_a > 1)
+        assert _scalars(rev) == _scalars(lex)
+        assert _verdicts(rev) == _verdicts(lex)
 
 
 def test_rotated_generator_choice_is_invisible():

@@ -69,6 +69,14 @@ def dense_kernel_in_span(model, ops, span, real=False):
     return out
 
 
+def solve_in_span(model, ops, span, shift=0, real=False):
+    """The span solve that kernel_in_span (shift 0, real) and eigenspaces
+    (one op, shift lam, not real) make, at any shift and in either mode."""
+    support = _support(span)
+    images = [[_apply(op, nz) for nz in support] for op in ops]
+    return model._solve_in_span(support, images, shift, real)
+
+
 def cases(form_id):
     """(operators, shift, span, real) as the structural checks use them."""
     a = analyze(form_id)
@@ -105,11 +113,13 @@ def cases(form_id):
 def test_sparse_kernel_matches_dense_reference(form_id):
     model = analyze(form_id).model
     for ops, shift, span, real in cases(form_id):
-        sparse = model.kernel_in_span(ops, span, real=real, shift=shift)
+        sparse = solve_in_span(model, ops, span, shift, real)
         reference = dense_kernel_in_span(
             model, [dense(model, op, shift) for op in ops], span, real=real
         )
         assert sparse == reference
+        if real and not shift:
+            assert model.kernel_in_span(ops, span) == sparse
         # rational coefficients of a real span give real vectors
         if real and all(not x.imag for v in span for x in v):
             assert all(not x.imag for v in sparse for x in v)
@@ -164,17 +174,20 @@ def random_spans(dim):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_direct_kernel_read_matches_dense_reference(form_id, data):
-    """kernel_in_span and eigenspaces on random sparse operators and spans,
+    """The span solve and eigenspaces on random sparse operators and spans,
     with a shift that is often an operator's diagonal entry and with
     ``real`` splits, equal the dense reference kernel recombined over the
-    span; the rows they eliminate hold no zero entry."""
+    span, and so does kernel_in_span at shift 0 with ``real``; the rows they
+    eliminate hold no zero entry."""
     model = build_model(form_id)
     ops, span = data.draw(random_operators(model.dim)), data.draw(random_spans(model.dim))
     diagonal = [x for op in ops for j, col in enumerate(op) for r, x in col if r == j]
     shifts = [*dict.fromkeys(diagonal), ZERO, ONE, I]
     shift, real = data.draw(st.sampled_from(shifts)), data.draw(st.booleans())
     with direct_kernel_read():
-        sparse = model.kernel_in_span(ops, span, real=real, shift=shift)
+        sparse = solve_in_span(model, ops, span, shift, real)
+        if real and not shift:
+            assert model.kernel_in_span(ops, span) == sparse
     assert sparse == dense_kernel_in_span(
         model, [dense(model, op, shift) for op in ops], span, real=real)
     independent = len(reference_rref(span, model.dim)[1]) == len(span)
@@ -200,11 +213,11 @@ def test_direct_kernel_read_of_empty_full_and_cancelled_kernels():
     mixed = [[(j, GaussianRational(1, 1))] for j in range(model.dim)]
     with direct_kernel_read():
         assert model.kernel_in_span([identity], units) == []
-        assert model.kernel_in_span([identity], units, shift=1) == units
-        assert model.kernel_in_span([times_i], units, real=True, shift=I) == units
-        assert model.kernel_in_span([mixed], units, real=True, shift=I) == []
-        assert model.kernel_in_span([mixed], units, shift=GaussianRational(1, 1)) == units
-        assert model.kernel_in_span([], units, real=True) == units
+        assert solve_in_span(model, [identity], units, shift=1) == units
+        assert solve_in_span(model, [times_i], units, shift=I, real=True) == units
+        assert solve_in_span(model, [mixed], units, shift=I, real=True) == []
+        assert solve_in_span(model, [mixed], units, shift=GaussianRational(1, 1)) == units
+        assert model.kernel_in_span([], units) == units
         assert model.eigenspaces(times_i, [ZERO, I], units) == {I: units}
 
 
@@ -262,7 +275,7 @@ def test_eigenspaces_match_one_kernel_per_candidate(form_id):
             split = model.eigenspaces(op, candidates, span)
             assert list(split) == [lam for lam in candidates if lam in split]
             for lam in candidates:
-                assert split.get(lam, []) == model.kernel_in_span([op], span, shift=lam)
+                assert split.get(lam, []) == solve_in_span(model, [op], span, lam)
 
 
 def _defining_weights(model, torus, imaginary):
@@ -279,7 +292,7 @@ def _defining_weights(model, torus, imaginary):
     for weight in itertools.product(*map(sorted, per_element)):
         rows = [[x - unit * q if r == c else x for c, x in enumerate(row)]
                 for X, q in zip(mats, weight) for r, row in enumerate(X.tolist())]
-        if dim := len(kernel_basis(rows, model.n)):
+        if dim := len(kernel_basis(rows)):
             weights[weight] = dim
     assert sum(weights.values()) == model.n
     return weights
@@ -309,7 +322,7 @@ def test_a_subspace_is_tried_only_at_proposed_labels(monkeypatch, form_id, all_a
         labels.clear()
         with monkeypatch.context() as patch:
             solves = record_joint_solves(patch, span)
-            zero, spaces, *_ = model.torus_roots(torus, span, imaginary)
+            zero, spaces, *_ = model.torus_roots(torus, span)
         weights = _defining_weights(model, torus, imaginary)
         unit = I if imaginary else ONE
         differences = {tuple(p - q for p, q in zip(u, v)) for u in weights for v in weights}
@@ -344,7 +357,7 @@ def test_root_spaces_are_the_direct_joint_kernels(form_id, all_analyses):
     model = a.model
     for torus, span, imaginary in ((model.a_units, model.units, False),
                                    (a.lambda_data().t_basis, model.k_units, True)):
-        zero, spaces, *_ = model.torus_roots(torus, span, imaginary)
+        zero, spaces, *_ = model.torus_roots(torus, span)
         ops = [model.ad_matrix(t) for t in torus]
         for root, space in [((ZERO,) * len(torus), zero), *spaces.items()]:
             images = []
@@ -407,7 +420,7 @@ def test_eigenvalues_outside_any_fixed_grid_are_found():
     k0 = model.k_indices[0]
     for q in (10, Fraction(7, 9)):
         t = [q * x for x in model.unit_coords(k0)]
-        zero, spaces, *_ = model.torus_roots([t], model.units, imaginary=True)
+        zero, spaces, *_ = model.torus_roots([t], model.units)
         assert len(zero) == 1
         assert list(spaces) == [(-2 * q,), (2 * q,)]
 
@@ -421,7 +434,7 @@ def test_irrational_eigenvalues_raise():
     assert np.array_equal(model.matrix(t).astype(complex), X)
     assert model.theta(t) == t
     with pytest.raises(ModelError, match="rational"):
-        model.torus_roots([t], model.k_units, imaginary=True)
+        model.torus_roots([t], model.k_units)
 
 
 def test_torus_roots_of_hermitian_elements():
@@ -439,16 +452,31 @@ def test_torus_roots_of_hermitian_elements():
         model.torus_roots([x], model.units)
 
 
-def test_torus_roots_needs_each_element_in_k_or_in_p():
-    """eigh and the sigma_u mirror hold for t in p (Hermitian) or, with
-    imaginary, in k (anti-Hermitian) only; a + k_0 in sl(2, R) is in neither,
-    and a and k_0 are refused under the other flag, before any proposal."""
+def test_torus_roots_needs_each_element_in_k_or_in_p(monkeypatch):
+    """The torus decides its roots: a Hermitian torus (in p) proposes real
+    labels and an anti-Hermitian one (in k) the labels i q, and a root keeps
+    the q; eigh and the sigma_u mirror hold for no other torus, so a + k_0 in
+    sl(2, R), in neither, and the torus {a, k_0}, with one element in each,
+    are refused before any proposal."""
     model = analyze("sl2R").model
     a, k = (model.unit_coords(i) for i in (model.a_indices[0], model.k_indices[0]))
+    labels = []
+    joint = LieAlgebraModel.joint_eigenspaces
+
+    def recorded_joint(self, ops, proposed, span):
+        labels.extend(x for label in proposed for x in label)
+        return joint(self, ops, proposed, span)
+
+    monkeypatch.setattr(LieAlgebraModel, "joint_eigenspaces", recorded_joint)
+    for t, imaginary in ((a, False), (k, True)):
+        labels.clear()
+        _, spaces, *_ = model.torus_roots([t], model.units)
+        assert list(spaces) == [(-2,), (2,)]
+        assert {x.real if imaginary else x.imag for x in labels} == {0}
+        assert {x.imag if imaginary else x.real for x in labels} == {-2, 0, 2}
     mixed = [x + y for x, y in zip(a, k)]
-    for torus, imaginary, message in (([mixed], False, "not Hermitian"),
-                                      ([mixed], True, "not anti-Hermitian"),
-                                      ([a], True, "not anti-Hermitian"),
-                                      ([a, k], False, "not Hermitian")):
-        with pytest.raises(ModelError, match=message):
-            model.torus_roots(torus, model.units, imaginary)
+    labels.clear()
+    for torus in ([mixed], [a, k]):
+        with pytest.raises(ModelError, match="neither Hermitian nor anti-Hermitian"):
+            model.torus_roots(torus, model.units)
+    assert labels == []
