@@ -94,7 +94,8 @@ def centralizer_checks(
     def cent_k(elements) -> list[Coords]:
         return model.centralizer_in_span(elements, model.k_units)
 
-    z_v = cent_k([cayley.v])
+    # for y in k, [y, v] = [y, Re v] + i [y, Im v] with both brackets real
+    z_v = cent_k([[x.real for x in cayley.v], [x.imag for x in cayley.v]])
     z_e = striple.isotropy
     z_triple = cent_k([striple.x, striple.e, model.theta(striple.e)])
     same = exactla.same_span(z_v, z_e) and exactla.same_span(z_e, z_triple)
@@ -142,11 +143,14 @@ def _cartan_of_k(model: LieAlgebraModel, z: Coords, cent: list[Coords]) -> list[
     """Greedy maximal abelian subalgebra of k containing z, from its
     centralizer ``cent`` in k.  The independent t is abelian, so it spans a
     subspace of Cent_k(t); while that centralizer is larger, one of its basis
-    vectors lies outside span(t), and once the dimensions agree it is t."""
+    vectors lies outside span(t), and once the dimensions agree it is t.
+    Cent_k(t + [c]) is Cent_{Cent_k(t)}(c), solved in the last centralizer;
+    a kernel basis is the canonical one of its subspace, so it is the basis
+    that a solve in k gives."""
     t = [z]
     while len(cent) != len(t):
         t.append(next(c for c in cent if not exactla.span_contains(t, c)))
-        cent = model.centralizer_in_span(t, model.k_units)
+        cent = model.centralizer_in_span(t[-1:], cent)
     return t
 
 

@@ -13,7 +13,7 @@ Every model is closed under conjugate transpose: the compact generators are
 anti-Hermitian and the noncompact ones Hermitian, so the Cartan involution is
 theta(X) = -X^* on every model and is not part of the family data.  sigma
 does differ by real form; it is an :class:`Involution` spec
-``(sign, transpose, conjugate, J)`` meaning X -> sign * J op(X) J^T, whose one
+``(sign, transpose, J)`` meaning X -> sign * J op(conj(X)) J^T, whose one
 numpy ``apply`` serves both lanes, on object arrays of exact entries and on
 complex stacks alike:
 
@@ -38,32 +38,31 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class Involution:
-    """The conjugation sigma of a real form: X -> sign * J op(X) J^T.
+    """The conjugation sigma of a real form: X -> sign * J op(conj(X)) J^T.
 
-    ``op`` transposes and/or conjugates entrywise; ``J`` is an orthogonal
-    integer matrix, and None stands for the identity.  ``apply`` acts on the
-    last two axes, so it takes one matrix or a stack, of complex floats or of
-    exact :class:`~minorbit.exactla.GaussianRational` objects.  The Cartan involution needs
-    no spec: it is -X^* on every model.
+    sigma is antilinear, so ``apply`` always conjugates entrywise; ``op``
+    transposes or not, and ``J`` is an orthogonal integer matrix, None
+    standing for the identity.  ``apply`` acts on the last two axes, so it
+    takes one matrix or a stack, of complex floats or of exact
+    :class:`~minorbit.exactla.GaussianRational` objects.  The Cartan
+    involution needs no spec: it is -X^* on every model.
     """
 
     sign: int
     transpose: bool = False
-    conjugate: bool = False
     J: np.ndarray | None = None
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         if self.transpose:
             X = X.swapaxes(-1, -2)
-        if self.conjugate:
-            X = X.conj()
+        X = X.conj()
         if self.J is not None:
             X = self.J @ X @ self.J.T
         return -X if self.sign < 0 else X
 
 
 # sigma of the real-matrix forms sl(n,R), sp(4,R) and so(p,q)
-CONJUGATE = Involution(1, conjugate=True)
+CONJUGATE = Involution(1)
 
 
 @dataclass
@@ -106,7 +105,7 @@ def _su_pq(p: int, q: int):
     # a_i couples index i with n+1-i
     a = [_sym(n, i, n - 1 - i) for i in range(q)]
     J = np.diag([1] * p + [-1] * q)
-    return basis, a, Involution(-1, transpose=True, conjugate=True, J=J)
+    return basis, a, Involution(-1, transpose=True, J=J)
 
 
 def _so_pq(p: int, q: int):
@@ -154,7 +153,7 @@ def _sl2_quaternion():
     diagonal = _unit(2, 0, 0) - _unit(2, 1, 1)
     basis += [embed(P, z2) for P in (_sym(2, 0, 1), _antisym(2, 0, 1, 1j), diagonal)]
     basis += [embed(z2, Q) for Q in (_antisym(2, 0, 1), _antisym(2, 0, 1, 1j))]
-    return basis, [embed(diagonal, z2)], Involution(1, conjugate=True, J=Jq)
+    return basis, [embed(diagonal, z2)], Involution(1, J=Jq)
 
 
 FAMILIES = {

@@ -18,8 +18,8 @@ sum_r ad[r, i, j] b_r = [b_i, b_j] holds exactly, one product for every i, j.
 The conjugation sigma (an :class:`~.families.Involution` spec) fixes every
 basis matrix, k is anti-Hermitian and p Hermitian, so in coordinates sigma
 conjugates entrywise and theta(X) = -X^* is +1 on k and -1 on p.
-Past the closure, the build checks only that sigma is antilinear and fixes the
-basis, that k and p partition it, and that Cent_p(a) = a.  The rest of the
+Past the closure, the build checks only that sigma fixes the basis, that k
+and p partition it, and that Cent_p(a) = a.  The rest of the
 Cartan decomposition holds by construction: theta is an automorphism of
 gl(n, C), so ad is k/p-graded; tr(XY) is imaginary, so 0, for X in k and Y in p;
 tr(X^2) is -|X|^2 on k and +|X|^2 on p; and a, inside Cent_p(a), is abelian.
@@ -45,14 +45,16 @@ sparse columns: column j of an operator lists ``(row, value)`` over its
 nonzero entries.  The basis matrices have entries in {0, +-1, +-i}, so nearly
 every structure constant is zero and no routine here touches those zeros: the
 trace form walks the rows of G at the nonzero x_i, ``ad_matrix`` of a basis
-element b_i reads ``ad[i]`` rather than building it, and ``kernel_in_span``
-(the common kernel of its operators in a span, with rational coefficients)
-builds sparse constraint rows of nonzero entries from the images of its
-span's nonzero entries (which each unit span, a :class:`Span`, holds from the
-start), hands them in any order straight to :func:`~minorbit.exactla.eliminate`,
-and reads the kernel vector of each free column fc off the pivot rows as
-span[fc] - sum_p red[p][fc] span[p]: a reduced row echelon form is unique, so
-the kernel basis does not depend on the order.
+element b_i reads ``ad[i]`` rather than building it, and a span, a plain
+list of coordinate vectors, is scanned for its nonzero entries where it is
+solved.  One solve serves every subspace: the eigenspace of operators at a
+shift in a span, ``kernel_in_span`` being the one at shift 0.  It builds
+sparse constraint rows of nonzero entries from the images of the span's
+nonzero entries, hands them in any order straight to
+:func:`~minorbit.exactla.eliminate`, and reads the kernel vector of each free
+column fc off the pivot rows as span[fc] - sum_p red[p][fc] span[p]: a
+reduced row echelon form is unique, so the kernel basis does not depend on
+the order.
 """
 
 from __future__ import annotations
@@ -80,19 +82,7 @@ PROPOSAL_DENOMINATOR = 1000
 
 def _support(span: Sequence[Coords]) -> list[list[tuple]]:
     """The nonzero entries (j, v_j) of each vector v of ``span``."""
-    return [[(j, x) for j, x in enumerate(v) if x] for v in span]
-
-
-class Span(list):
-    """Coordinate vectors that hold their nonzero entries: ``support[k]`` lists
-    the (j, v_j) with v_j != 0 of vector k, scanned once when none is given.
-    The span solvers read it in place of a scan, so neither is written to."""
-
-    __slots__ = ("support",)
-
-    def __init__(self, vectors: Sequence[Coords] = (), support=None):
-        super().__init__(vectors)
-        self.support = _support(self) if support is None else support
+    return [[(j, x) for j, x in enumerate(v) if x.a or x.b] for v in span]
 
 
 def _apply(op: SparseOp, nonzero: list[tuple]) -> dict:
@@ -117,10 +107,10 @@ class LieAlgebraModel(FamilyData):
     ad: list[SparseOp] = field(repr=False, default_factory=list)  # ad(b_i)
     tr_rows: list[list[tuple]] = field(repr=False, default_factory=list)  # (j, G_ij), G_ij != 0
     entries: list[list[tuple]] = field(repr=False, default_factory=list)  # of b_i
-    units: Span = field(repr=False, default_factory=Span)  # b_i in coordinates
-    k_units: Span = field(repr=False, default_factory=Span)
-    p_units: Span = field(repr=False, default_factory=Span)
-    a_units: Span = field(repr=False, default_factory=Span)
+    units: list[Coords] = field(repr=False, default_factory=list)  # b_i in coordinates
+    k_units: list[Coords] = field(repr=False, default_factory=list)
+    p_units: list[Coords] = field(repr=False, default_factory=list)
+    a_units: list[Coords] = field(repr=False, default_factory=list)
     m_basis: list[Coords] = field(repr=False, default_factory=list)
     c: GaussianRational | None = None  # invariant-form normalization, set by the root datum
 
@@ -211,19 +201,19 @@ class LieAlgebraModel(FamilyData):
     # -- subspace solvers ----------------------------------------------------
     def kernel_in_span(self, operators: Sequence[SparseOp],
                        span: Sequence[Coords]) -> list[Coords]:
-        """The x in span(span), with rational combination coefficients, that
-        every operator maps to 0."""
-        support = span.support if isinstance(span, Span) else _support(span)
+        """The x in span(span) that every operator maps to 0: the solve of
+        ``_solve_in_span`` at shift 0."""
+        support = _support(span)
         images = [[_apply(op, nz) for nz in support] for op in operators]
-        return self._solve_in_span(support, images, real=True)
+        return self._solve_in_span(support, images)
 
     def _solve_in_span(self, support: list[list[tuple]], images: list[list[dict]],
-                       shift=0, real: bool = False) -> list[Coords]:
+                       shift=0) -> list[Coords]:
         """sum_k t_k v_k over the t with sum_k t_k (op - shift) v_k = 0 for each op,
         from the nonzero entries of each v_k and images[i][k] = ops[i] @ v_k.
         A constraint row {k: entry} keeps its nonzero entries, as
-        :func:`~minorbit.exactla.eliminate` needs, or with ``real`` splits
-        into its nonzero real and imaginary parts."""
+        :func:`~minorbit.exactla.eliminate` needs.  Real operators on a real
+        span give real rows, so their kernel is real."""
         rows: list[dict] = []
         neg = ZERO - shift
         for op_images in images:
@@ -237,10 +227,9 @@ class LieAlgebraModel(FamilyData):
                         t = neg if x == 1 else neg * x
                         row[k] = row[k] + t if k in row else t
             for row in by_coord.values():
-                parts = ({k: x.real for k, x in row.items() if x.a},
-                         {k: x.imag for k, x in row.items() if x.b}) if real else (
-                    {k: x for k, x in row.items() if x.a or x.b},)
-                rows.extend(part for part in parts if part)
+                row = {k: x for k, x in row.items() if x.a or x.b}
+                if row:
+                    rows.append(row)
         red = exactla.eliminate(rows)
         # the kernel vector of free column fc is span[fc] - sum_p red[p][fc] span[p]
         kernel = {}
@@ -262,7 +251,7 @@ class LieAlgebraModel(FamilyData):
         """The nonzero eigenspaces {lam: space} of op in span(span), in the order
         of ``candidates``; op is applied to the span once, and no candidate is
         tried once the spaces (independent for distinct lam) fill the span."""
-        support = span.support if isinstance(span, Span) else _support(span)
+        support = _support(span)
         images = [[_apply(op, nz) for nz in support]]
         spaces, found = {}, 0
         for lam in candidates:
@@ -327,7 +316,7 @@ class LieAlgebraModel(FamilyData):
                         eig = self._mirror(split[-lam])
                     else:
                         if images is None:
-                            support = sub.support if isinstance(sub, Span) else _support(sub)
+                            support = _support(sub)
                             images = [[_apply(op, nz) for nz in support]]
                         eig = self._solve_in_span(support, images, lam)
                     split[lam] = eig
@@ -480,10 +469,10 @@ def _build(form_id: str) -> LieAlgebraModel:
     adjoint = basis.conj().swapaxes(-1, -2)
     model.k_indices = np.flatnonzero((adjoint == -basis).all(axis=(1, 2))).tolist()
     model.p_indices = np.flatnonzero((adjoint == basis).all(axis=(1, 2))).tolist()
-    # the unit spans share the vectors b_i, whose one nonzero entry is 1 at i
+    # the unit spans share the vectors b_i
     units = [model.unit_coords(i) for i in range(N)]
     model.units, model.k_units, model.p_units, model.a_units = (
-        Span([units[i] for i in idx], [[(i, ONE)] for i in idx])
+        [units[i] for i in idx]
         for idx in (range(N), model.k_indices, model.p_indices, model.a_indices))
     _validate_model(model)
     model.m_basis = model.centralizer_in_span(model.a_units, model.k_units)
@@ -496,11 +485,9 @@ def _validate_model(model: LieAlgebraModel) -> None:
     # is imaginary for X in k, Y in p, and the Gram is real, so it is 0
     # there; tr(X^2) is -|X|^2 on k and +|X|^2 on p, so the nondegenerate
     # Gram is negative on k and positive on p; and a lies in Cent_p(a)
-    sigma = model.sigma_spec
-    # sigma is the conjugation of this real form: antilinear, fixing the basis
-    if not sigma.conjugate:
-        raise ModelError(f"{model.form_id}: sigma is not antilinear")
-    if not np.array_equal(sigma.apply(model.basis), model.basis):
+    # sigma, antilinear by its spec, is the conjugation of this real form
+    # when it fixes the basis
+    if not np.array_equal(model.sigma_spec.apply(model.basis), model.basis):
         raise ModelError(f"{model.form_id}: sigma does not fix the real basis")
     # theta(X) = -X^* is +1 on k and -1 on p, so it is diagonal on the basis
     # exactly when k and p, read off the basis, partition it

@@ -113,7 +113,7 @@ def record_joint_solves(monkeypatch, span):
 
     cls = model_module.LieAlgebraModel
     solve, support_of = cls._solve_in_span, model_module._support
-    space_label, support_label = {}, {id(span.support): ()}
+    space_label, support_label = {id(span): ()}, {}
     solves, kept = [], []
 
     def recorded_support(vectors):
@@ -122,9 +122,9 @@ def record_joint_solves(monkeypatch, span):
         support_label[id(out)] = space_label.get(id(vectors))
         return out
 
-    def recorded_solve(self, support, images, shift=0, real=False):
+    def recorded_solve(self, support, images, shift=0):
         label = support_label.get(id(support))
-        eig = solve(self, support, images, shift, real)
+        eig = solve(self, support, images, shift)
         kept.extend((support, eig))
         solves.append((label, shift))
         if eig and label is not None:

@@ -4,7 +4,6 @@ from minorbit import exactla
 from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
 from minorbit.matmodel import checks as checks_module
-from minorbit.matmodel import model as model_module
 from minorbit.matmodel.model import LieAlgebraModel, _build
 from minorbit.matmodel.triples import cayley_transform, compact_partner, make_s_triple
 from minorbit.numeric import ModelNumerics
@@ -204,28 +203,6 @@ def test_cent_k_and_isotropy_solved_once(monkeypatch, all_analyses, form_id):
     ks_correspondence_check(ModelNumerics(a), samples=5, seed=42)
     assert solved.count(model.k_units) == 1
     assert solved.count([striple.e]) == 1
-
-
-@pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))
-def test_unit_spans_are_not_scanned_again(monkeypatch, all_analyses, form_id):
-    """The unit spans hold their nonzero entries from the build on: on a
-    freshly built model, the spectral and centralizer checks and lambda_data
-    scan none of them again."""
-    a = _fresh_analysis(all_analyses[form_id])
-    model, datum, striple = a.model, a.datum, a.striple
-    spans = {name: getattr(model, name) for name in ("units", "k_units", "p_units", "a_units")}
-    scanned = []
-    original = model_module._support
-
-    def recorded(span):
-        scanned.extend(name for name, held in spans.items() if held is span)
-        return original(span)
-
-    monkeypatch.setattr(model_module, "_support", recorded)
-    spectral_checks(model, datum, striple, a.cayley)
-    centralizer_checks(model, datum, striple, a.cayley, a.descriptor.hermitian)
-    a.lambda_data()
-    assert scanned == []
 
 
 def test_sl2R_multiplicity_vector(all_analyses):

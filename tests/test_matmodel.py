@@ -22,7 +22,6 @@ from minorbit.matmodel import (
     restricted_root_datum,
     spectral_checks,
 )
-from minorbit.matmodel.model import Span
 from minorbit.matmodel.triples import STriple, cayley_violations, s_triple_violations
 
 
@@ -148,7 +147,7 @@ def _reversed_analysis(a):
     generator back, is positive."""
     units = a.model.a_units
     model = dataclasses.replace(a.model, a_indices=a.model.a_indices[::-1],
-                                a_units=Span(units[::-1], units.support[::-1]), c=None)
+                                a_units=units[::-1], c=None)
     datum = restricted_root_datum(model)
     striple = make_s_triple(model, datum)
     return ModelAnalysis(a.descriptor, a.invariants, model, datum, striple,

@@ -25,7 +25,7 @@ from minorbit import exactla
 from minorbit.exactla import I, ONE, ZERO, GaussianRational, kernel_basis
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
-from minorbit.matmodel.model import Span, _apply, _build, _support
+from minorbit.matmodel.model import _apply, _build, _support
 from minorbit.numeric import ModelNumerics
 from minorbit.sympver import (
     ks_correspondence_check, moment_cone_check, poisson_identities_check, verify_beta_symplectic,
@@ -47,7 +47,8 @@ def dense(model, op, shift=0):
 def dense_kernel_in_span(model, ops, span, real=False):
     """Dense plain_mat_vec images, every constraint row kept, then the dense
     reference elimination; with ``real`` each row (a_k + b_k i) / d gives the
-    rows of Fractions a_k / d and b_k / d, so the coefficients are rational."""
+    rows of Fractions a_k / d and b_k / d, so the coefficients are rational,
+    the reference for a kernel in a real span of a complex operator."""
     rows = []
     for op in ops:
         images = [plain_mat_vec(op, v) for v in span]
@@ -69,16 +70,21 @@ def dense_kernel_in_span(model, ops, span, real=False):
     return out
 
 
-def solve_in_span(model, ops, span, shift=0, real=False):
-    """The span solve that kernel_in_span (shift 0, real) and eigenspaces
-    (one op, shift lam, not real) make, at any shift and in either mode."""
+def solve_in_span(model, ops, span, shift=0):
+    """The span solve that kernel_in_span (shift 0) and eigenspaces (one op,
+    shift lam) make, at any shift."""
     support = _support(span)
     images = [[_apply(op, nz) for nz in support] for op in ops]
-    return model._solve_in_span(support, images, shift, real)
+    return model._solve_in_span(support, images, shift)
+
+
+def real_parts(x):
+    """Re x and Im x of a coordinate vector."""
+    return [v.real for v in x], [v.imag for v in x]
 
 
 def cases(form_id):
-    """(operators, shift, span, real) as the structural checks use them."""
+    """(operators, shift, span) as the structural checks use them."""
     a = analyze(form_id)
     model, datum = a.model, a.datum
     full = [model.unit_coords(i) for i in range(model.dim)]
@@ -87,42 +93,60 @@ def cases(form_id):
     ad_x = model.ad_matrix(a.striple.x)
     ad_h = model.ad_matrix(a.cayley.h)
     ad_z = model.ad_matrix(a.lambda_data().t_basis[0])
-    yield [model.ad_matrix(a.striple.e)], 0, full, False
-    yield [model.ad[i] for i in model.a_indices], 0, p_units, True
-    yield [ad_x], 2, full, False
-    yield [ad_x], Fraction(-1), full, False
-    yield [ad_h], GaussianRational(2), p_units, False
-    yield [ad_z], I, k_units, False
-    yield [ad_z], ZERO, k_units, False
-    yield [ad_h], 0, k_units, True
-    yield [model.ad_matrix(a.cayley.v)], 0, k_units, True
-    yield [model.ad_matrix(v) for v in datum.n_basis], 0, datum.n_basis, False
-    yield [], 0, datum.n_basis, False
-    # complex span vectors, with rational coefficients (real=True, or no
-    # constraint) or Gaussian ones
+    yield [model.ad_matrix(a.striple.e)], 0, full
+    yield [model.ad[i] for i in model.a_indices], 0, p_units
+    yield [ad_x], 2, full
+    yield [ad_x], Fraction(-1), full
+    yield [ad_h], GaussianRational(2), p_units
+    yield [ad_z], I, k_units
+    yield [ad_z], ZERO, k_units
+    yield [ad_h], 0, k_units
+    yield [model.ad_matrix(x) for x in real_parts(a.cayley.v)], 0, k_units
+    yield [model.ad_matrix(a.cayley.v)], 0, k_units
+    yield [model.ad_matrix(v) for v in datum.n_basis], 0, datum.n_basis
+    yield [], 0, datum.n_basis
+    # complex span vectors, with Gaussian coefficients
     gaussian = [a.cayley.v, a.cayley.w]
     i_k = [[I * x for x in u] for u in k_units]
-    yield [ad_h], GaussianRational(2), gaussian, False
-    yield [ad_h], GaussianRational(-2), gaussian, True
-    yield [], 0, gaussian, True
-    yield [ad_z], I, i_k, False
-    yield [ad_z], ZERO, i_k, True
+    yield [ad_h], GaussianRational(2), gaussian
+    yield [ad_h], GaussianRational(-2), gaussian
+    yield [], 0, gaussian
+    yield [ad_z], I, i_k
+    yield [ad_z], ZERO, i_k
+
+
+def is_real(vectors):
+    return all(not x.imag for v in vectors for x in v)
 
 
 @pytest.mark.parametrize("form_id", FORMS)
 def test_sparse_kernel_matches_dense_reference(form_id):
     model = analyze(form_id).model
-    for ops, shift, span, real in cases(form_id):
-        sparse = solve_in_span(model, ops, span, shift, real)
+    for ops, shift, span in cases(form_id):
+        sparse = solve_in_span(model, ops, span, shift)
         reference = dense_kernel_in_span(
-            model, [dense(model, op, shift) for op in ops], span, real=real
+            model, [dense(model, op, shift) for op in ops], span
         )
         assert sparse == reference
-        if real and not shift:
+        if not shift:
             assert model.kernel_in_span(ops, span) == sparse
-        # rational coefficients of a real span give real vectors
-        if real and all(not x.imag for v in span for x in v):
-            assert all(not x.imag for v in sparse for x in v)
+        # real operators at a real shift on a real span give real vectors
+        entries = [x for op in ops for col in op for _, x in col]
+        if is_real([*span, entries, [ZERO + shift]]):
+            assert is_real(sparse)
+
+
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_cent_k_of_v_is_the_rational_kernel_of_ad_v(form_id, all_analyses):
+    """Cent_k(v), solved as Cent_k(Re v, Im v), is the dense reference's
+    kernel of ad v with each constraint row split into its real and
+    imaginary parts, so that the coefficients are rational."""
+    a = all_analyses[form_id]
+    model, v = a.model, a.cayley.v
+    cent = model.centralizer_in_span(real_parts(v), model.k_units)
+    reference = dense_kernel_in_span(
+        model, [dense(model, model.ad_matrix(v))], model.k_units, real=True)
+    assert cent == reference
 
 
 @contextlib.contextmanager
@@ -175,21 +199,20 @@ def random_spans(dim):
 @given(data=st.data())
 def test_direct_kernel_read_matches_dense_reference(form_id, data):
     """The span solve and eigenspaces on random sparse operators and spans,
-    with a shift that is often an operator's diagonal entry and with
-    ``real`` splits, equal the dense reference kernel recombined over the
-    span, and so does kernel_in_span at shift 0 with ``real``; the rows they
-    eliminate hold no zero entry."""
+    with a shift that is often an operator's diagonal entry, equal the dense
+    reference kernel recombined over the span, and so does kernel_in_span at
+    shift 0; the rows they eliminate hold no zero entry."""
     model = build_model(form_id)
     ops, span = data.draw(random_operators(model.dim)), data.draw(random_spans(model.dim))
     diagonal = [x for op in ops for j, col in enumerate(op) for r, x in col if r == j]
     shifts = [*dict.fromkeys(diagonal), ZERO, ONE, I]
-    shift, real = data.draw(st.sampled_from(shifts)), data.draw(st.booleans())
+    shift = data.draw(st.sampled_from(shifts))
     with direct_kernel_read():
-        sparse = solve_in_span(model, ops, span, shift, real)
-        if real and not shift:
+        sparse = solve_in_span(model, ops, span, shift)
+        if not shift:
             assert model.kernel_in_span(ops, span) == sparse
     assert sparse == dense_kernel_in_span(
-        model, [dense(model, op, shift) for op in ops], span, real=real)
+        model, [dense(model, op, shift) for op in ops], span)
     independent = len(reference_rref(span, model.dim)[1]) == len(span)
     if ops and independent:
         candidates = data.draw(st.lists(st.sampled_from(shifts), unique=True))
@@ -204,8 +227,8 @@ def test_direct_kernel_read_matches_dense_reference(form_id, data):
 
 def test_direct_kernel_read_of_empty_full_and_cancelled_kernels():
     """A shift that cancels every image entry leaves no row, so the kernel is
-    the whole span; the identity at shift 0 has an empty kernel; with
-    ``real`` a cancelled imaginary part leaves the real part's row."""
+    the whole span; the identity at shift 0 has an empty kernel; a shift
+    that cancels only the imaginary part of each entry leaves its row."""
     model = build_model("su21")
     units = [model.unit_coords(j) for j in range(3)]
     identity = [[(j, ONE)] for j in range(model.dim)]
@@ -214,8 +237,8 @@ def test_direct_kernel_read_of_empty_full_and_cancelled_kernels():
     with direct_kernel_read():
         assert model.kernel_in_span([identity], units) == []
         assert solve_in_span(model, [identity], units, shift=1) == units
-        assert solve_in_span(model, [times_i], units, shift=I, real=True) == units
-        assert solve_in_span(model, [mixed], units, shift=I, real=True) == []
+        assert solve_in_span(model, [times_i], units, shift=I) == units
+        assert solve_in_span(model, [mixed], units, shift=I) == []
         assert solve_in_span(model, [mixed], units, shift=GaussianRational(1, 1)) == units
         assert model.kernel_in_span([], units) == units
         assert model.eigenspaces(times_i, [ZERO, I], units) == {I: units}
@@ -359,17 +382,18 @@ def test_root_spaces_are_the_direct_joint_kernels(form_id, all_analyses):
                                    (a.lambda_data().t_basis, model.k_units, True)):
         zero, spaces, *_ = model.torus_roots(torus, span)
         ops = [model.ad_matrix(t) for t in torus]
+        support = _support(span)
         for root, space in [((ZERO,) * len(torus), zero), *spaces.items()]:
             images = []
             for op, q in zip(ops, root):
                 lam = q * I if imaginary else q
                 images.append([])
-                for nz in span.support:
+                for nz in support:
                     image = _apply(op, nz)
                     for j, x in nz:
                         image[j] = image.get(j, ZERO) - lam * x
                     images[-1].append(image)
-            assert model._solve_in_span(span.support, images) == space
+            assert model._solve_in_span(support, images) == space
 
 
 @pytest.mark.parametrize("form_id", FORMS)
@@ -393,9 +417,9 @@ def test_ad_matrix_columns_are_brackets(form_id):
 
 @pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))
 def test_exact_lane_leaves_the_model_data_unchanged(form_id):
-    """ad_matrix hands out the model's ad columns and the unit spans their
-    held supports; after the exact checks, the numerics and the four sampled
-    checks, ad equals a fresh build's and each support a fresh scan."""
+    """ad_matrix hands out the model's ad columns, and the span solves read
+    the unit spans; after the exact checks, the numerics and the four
+    sampled checks, ad and each unit span equal a fresh build's."""
     a = analyze(form_id)
     model = a.model
     spectral_checks(model, a.datum, a.striple, a.cayley)
@@ -409,8 +433,8 @@ def test_exact_lane_leaves_the_model_data_unchanged(form_id):
     assert len(model.ad) == len(fresh.ad)
     for held, built in zip(model.ad, fresh.ad):
         assert held == built
-    for span in (model.units, model.k_units, model.p_units, model.a_units):
-        assert isinstance(span, Span) and span.support == _support(span)
+    for name in ("units", "k_units", "p_units", "a_units"):
+        assert getattr(model, name) == getattr(fresh, name)
 
 
 def test_eigenvalues_outside_any_fixed_grid_are_found():
