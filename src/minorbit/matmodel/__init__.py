@@ -85,13 +85,11 @@ def analyze(form_id: str, catalog: str | Path | None = None) -> ModelAnalysis:
 
 @lru_cache(maxsize=None)
 def _analyze_cached(form_id: str, catalog: str | None) -> ModelAnalysis:
-    # CatalogError for a form the catalog lacks, then ModelError for a
-    # catalog form with no matrix model
+    # CatalogError for a form the catalog lacks, then build_model's
+    # ModelError for a catalog form with no matrix model
     descriptor = find_descriptor(form_id, catalog)
-    if not has_matrix_model(form_id):
-        raise ModelError(f"form {form_id!r} has no matrix model")
-    invariants = derive_invariants(descriptor)
     model = build_model(form_id)
+    invariants = derive_invariants(descriptor)
     datum = restricted_root_datum(model)
     striple = make_s_triple(model, datum)
     cayley = cayley_transform(striple)

@@ -180,7 +180,7 @@ MODEL_IDS = tuple(FAMILIES)
 def family_data(form_id: str) -> FamilyData:
     """Raw basis data for a modeled form id."""
     if form_id not in FAMILIES:
-        raise ModelError(f"unsupported model id {form_id!r}")
+        raise ModelError(f"form {form_id!r} has no matrix model")
     builder, *args = FAMILIES[form_id]
     basis, a, sigma = builder(*args)
     basis = np.array(basis)

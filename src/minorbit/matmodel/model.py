@@ -413,7 +413,9 @@ class LieAlgebraModel(FamilyData):
         return self.centralizer_in_span(self.k_units, self.k_units)
 
 
-def _build(form_id: str) -> LieAlgebraModel:
+@lru_cache(maxsize=None)
+def build_model(form_id: str) -> LieAlgebraModel:
+    """Construct and validate the matrix model for a supported form id."""
     model = LieAlgebraModel(**vars(family_data(form_id)))
     basis, N, n = model.basis, model.dim, model.n
     re, im = basis.real.astype(np.int64), basis.imag.astype(np.int64)
@@ -480,7 +482,7 @@ def _build(form_id: str) -> LieAlgebraModel:
 
 
 def _validate_model(model: LieAlgebraModel) -> None:
-    # only what _build leaves open is checked: theta(X) = -X^* is an
+    # only what build_model leaves open is checked: theta(X) = -X^* is an
     # automorphism of gl(n, C) and ad is real, so ad is k/p-graded; tr(XY)
     # is imaginary for X in k, Y in p, and the Gram is real, so it is 0
     # there; tr(X^2) is -|X|^2 on k and +|X|^2 on p, so the nondegenerate
@@ -499,9 +501,3 @@ def _validate_model(model: LieAlgebraModel) -> None:
     if not exactla.same_span(model.centralizer_in_span(model.a_units, model.p_units),
                              model.a_units):
         raise ModelError(f"{model.form_id}: a is not maximal abelian in p")
-
-
-@lru_cache(maxsize=None)
-def build_model(form_id: str) -> LieAlgebraModel:
-    """Construct and validate the matrix model for a supported form id."""
-    return _build(form_id)

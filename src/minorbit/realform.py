@@ -27,15 +27,15 @@ from .rootsys import (
     dual_coxeter_number,
 )
 
-EXCEPTIONAL_TABLE_IDS = ("g2-split", "f4-split", "e6-split", "e7-split", "e8-split")
+# the paper's dim X of each split exceptional form, in the table's order
+EXCEPTIONAL_DIM_X = {"g2-split": 4, "f4-split": 14, "e6-split": 20, "e7-split": 32,
+                     "e8-split": 56}
 
 
 class CatalogError(ValueError):
     """A catalog entry violated the schema or a structural invariant."""
 
     def __init__(self, entry_id: str, message: str):
-        self.entry_id = entry_id
-        self.invariant = message
         super().__init__(f"catalog entry {entry_id!r}: {message}")
 
 
@@ -245,40 +245,34 @@ def cross_checks(inv: DerivedInvariants) -> list[CheckItem]:
     return checks
 
 
-@dataclass
-class TableRow:
-    gc_type: str
-    k_name: str
-    x_name: str
-    dim_X: int
-    jordan_algebra: str
-    dim_jordan: int
+def table_checks(catalog: tuple[RealFormDescriptor, ...]) -> list[CheckItem]:
+    """The ``table`` lines: one per split exceptional form, then its dim X row.
 
-
-def exceptional_table(catalog: tuple[RealFormDescriptor, ...]) -> list[TableRow]:
-    """The split exceptional forms' rows, with computed compact-orbit dimensions.
-
-    dim X is derived from the restricted root data.  K, the X column (the
+    A form's line is the verdict that it is split: its restricted rank is the
+    rank of g_C and every multiplicity is 1.  dim X is derived from the
+    restricted root data and compared with the paper's.  K, the X column (the
     entry's ``notes``) and J(X) are catalog text, and dim J(X) is dim X / 2
     by definition: none of them is checked.
     """
     entries = {e.id: e for e in catalog}
-    rows = []
-    for entry_id in EXCEPTIONAL_TABLE_IDS:
+    checks, dims = [], []
+    for entry_id in EXCEPTIONAL_DIM_X:
         if entry_id not in entries:
             raise CatalogError(entry_id, "required exceptional entry missing")
         desc = entries[entry_id]
-        inv = derive_invariants(desc)
-        if inv.dim_X % 2:
-            raise CatalogError(entry_id, f"dim_X={inv.dim_X} is odd")
-        rows.append(
-            TableRow(
-                gc_type=str(desc.gc_label),
-                k_name=desc.k_name,
-                x_name=desc.notes,
-                dim_X=inv.dim_X,
-                jordan_algebra=desc.jordan_algebra or "",
-                dim_jordan=inv.dim_X // 2,
-            )
-        )
-    return rows
+        dim_X = derive_invariants(desc).dim_X
+        if dim_X % 2:
+            raise CatalogError(entry_id, f"dim_X={dim_X} is odd")
+        dims.append(dim_X)
+        split = (desc.restricted_label.rank == desc.gc_label.rank
+                 and set(desc.mults.values()) == {1})
+        detail = (f"K={desc.k_name} X={desc.notes} dim_X={dim_X} "
+                  f"J(X)={desc.jordan_algebra or ''} dim_J(X)={dim_X // 2}")
+        if not split:
+            detail += f"; not split: restricted {desc.restricted_label}, mults {desc.mults}"
+        checks.append(CheckItem.verdict(f"table[{desc.gc_label}]", split, detail))
+    got, expected = tuple(dims), tuple(EXCEPTIONAL_DIM_X.values())
+    checks.append(CheckItem.verdict(
+        "table[dim_X_row]", got == expected, f"dim_X = {got}, expected {expected}"
+    ))
+    return checks

@@ -4,7 +4,7 @@ from minorbit import exactla
 from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
 from minorbit.matmodel import checks as checks_module
-from minorbit.matmodel.model import LieAlgebraModel, _build
+from minorbit.matmodel.model import LieAlgebraModel, build_model
 from minorbit.matmodel.triples import cayley_transform, compact_partner, make_s_triple
 from minorbit.numeric import ModelNumerics
 from minorbit.sympver import ks_correspondence_check
@@ -70,7 +70,7 @@ def test_lambda_data_solves_the_centralizer_of_z_once(monkeypatch, all_analyses,
 
 def _fresh_analysis(cached):
     """An analysis of the form of ``cached`` on a freshly built model."""
-    model = _build(cached.descriptor.id)
+    model = build_model.__wrapped__(cached.descriptor.id)
     datum = restricted_root_datum(model)
     striple = make_s_triple(model, datum)
     return ModelAnalysis(cached.descriptor, cached.invariants, model, datum, striple,

@@ -115,26 +115,54 @@ def test_table_values_and_formats(capsys):
 
 def test_table_fails_on_a_wrong_dim_X(tmp_path, capsys):
     """E6 with the restricted data of EIV (A2, mult 8, dim m 28) passes
-    catalog validation, and dim X = 30 fails the table's one verdict line."""
+    catalog validation; it is not split, and dim X = 30 fails the dim X row."""
     path = _catalog_copy(tmp_path, "e6-split", restricted_label="A2",
                          mults={"long": 8}, dim_m=28)
     assert main(["table", "--catalog", str(path), "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert [c["name"] for c in checks if c["status"] != "pass"] == ["table[dim_X_row]"]
+    assert [c["name"] for c in checks if c["status"] != "pass"] == [
+        "table[E6]", "table[dim_X_row]"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 8: K, X and J(X) are catalog text and only dim X is checked"
-))
-def test_table_fails_on_e8_with_the_restricted_data_of_another_form(tmp_path):
+def test_table_fails_on_e8_with_the_restricted_data_of_another_form(tmp_path, capsys):
     """E8 with restricted root system F4, mults long 1 / short 8 and dim m 28
-    (EIX's data) keeps dim X = 56, so the table still passes."""
+    (EIX's data) keeps dim X = 56, and only its row, not split, fails."""
     from minorbit.realform import load_catalog
 
     path = _catalog_copy(tmp_path, "e8-split", restricted_label="F4",
                          mults={"long": 1, "short": 8}, dim_m=28)
-    load_catalog(path)  # a valid catalog: a CatalogError here is no xfail
-    assert main(["table", "--catalog", str(path)]) == 1
+    load_catalog(path)  # a valid catalog
+    assert main(["table", "--catalog", str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] != "pass"] == ["table[E8]"]
+
+
+@pytest.mark.parametrize("form_id, label, mults, dim_m, failing", [
+    pytest.param("e6-split", "F4", {"long": 1, "short": 2}, 2, ["table[E6]"], id="EII"),
+    pytest.param("e6-split", "A2", {"long": 8}, 28, ["table[E6]", "table[dim_X_row]"],
+                 id="EIV"),
+    pytest.param("e7-split", "F4", {"long": 1, "short": 4}, 9, ["table[E7]"], id="EVI"),
+    pytest.param("e7-split", "C3", {"long": 1, "short": 8}, 28, ["table[E7]"], id="EVII"),
+    pytest.param("e8-split", "F4", {"long": 1, "short": 8}, 28, ["table[E8]"], id="EIX"),
+    pytest.param("f4-split", "BC1", {"e_i": 8, "2e_i": 7}, 21,
+                 ["table[F4]", "table[dim_X_row]"], id="FII"),
+])
+def test_table_fails_on_each_non_split_exceptional_form(
+        tmp_path, capsys, form_id, label, mults, dim_m, failing):
+    """A split exceptional entry given the restricted data of a non-split form
+    of the same g_C (Helgason, ch. X, Table VI) is a valid catalog, and the
+    table fails its row, which names that data, and the dim X row exactly when
+    dim X moves (EIV 30, FII 20)."""
+    from minorbit.realform import load_catalog
+
+    path = _catalog_copy(tmp_path, form_id, restricted_label=label, mults=mults,
+                         dim_m=dim_m)
+    load_catalog(path)
+    assert main(["table", "--catalog", str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if c["status"] != "pass"] == failing
+    row = next(c for c in checks if c["name"] == failing[0])
+    assert row["detail"].endswith(f"; not split: restricted {label}, mults {mults}")
 
 
 def test_bad_catalog_names_invariant(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_involution_specs_agree_across_lanes(form_id, all_analyses):
 def _build_with(monkeypatch, form_id, mutate):
     fam = mutate(family_data(form_id))
     monkeypatch.setattr(model_module, "family_data", lambda _: fam)
-    return model_module._build(form_id)
+    return model_module.build_model.__wrapped__(form_id)
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -191,7 +191,7 @@ def test_cartan_decomposition_facts_of_the_basis(form_id):
 
 @pytest.mark.parametrize("form_id", ["sl6R", "su11", "so22", "sl3H"])
 def test_build_rejects_a_form_id_outside_the_table(form_id):
-    with pytest.raises(ModelError, match="unsupported model id"):
+    with pytest.raises(ModelError, match=f"form {form_id!r} has no matrix model"):
         build_model(form_id)
 
 

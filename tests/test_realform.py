@@ -1,17 +1,18 @@
 import dataclasses
 import json
+import re
 from importlib import resources
 
 import pytest
 
 from minorbit.realform import (
     CatalogError,
-    EXCEPTIONAL_TABLE_IDS,
+    EXCEPTIONAL_DIM_X,
     cross_checks,
     default_catalog_path,
     derive_invariants,
-    exceptional_table,
     load_catalog,
+    table_checks,
 )
 from minorbit.rootsys import coroot_pairing
 
@@ -228,29 +229,33 @@ def test_each_cross_check_can_fail(catalog_map, change, failing):
     assert [c.name for c in checks if c.failed] == [failing]
 
 
+def table_values(rows, key):
+    """The integer ``key=`` of each ``table`` row's detail."""
+    return [int(re.search(rf"{re.escape(key)}=(\d+)", r.detail)[1]) for r in rows]
+
+
 def test_exceptional_table_values(catalog):
-    rows = exceptional_table(catalog)
-    assert [r.dim_X for r in rows] == [4, 14, 20, 32, 56]
-    assert [r.dim_jordan for r in rows] == [2, 7, 10, 16, 28]
+    *rows, dim_X_row = table_checks(catalog)
+    assert all(c.status == "pass" for c in (*rows, dim_X_row))
+    dims = table_values(rows, "dim_X")
+    assert dims == [4, 14, 20, 32, 56] == list(EXCEPTIONAL_DIM_X.values())
+    assert table_values(rows, "dim_J(X)") == [2, 7, 10, 16, 28]
     g2 = rows[0]
-    assert g2.k_name == "SU(2) x SU(2)"
-    assert g2.x_name == "P1(C) x P1(C)"
-    assert g2.dim_X == 4
-    e7 = rows[3]
-    assert e7.dim_X == 32
-    f4 = rows[1]
-    assert f4.dim_X == 14 == 2 * 9 - 4
+    assert g2.name == "table[G2]"
+    assert g2.detail.startswith("K=SU(2) x SU(2) X=P1(C) x P1(C) dim_X=4 ")
+    assert dims[3] == 32
+    assert dims[1] == 14 == 2 * 9 - 4
 
 
 def test_exceptional_table_requires_all_entries(catalog):
     partial = [e for e in catalog if e.id != "e7-split"]
     with pytest.raises(CatalogError) as err:
-        exceptional_table(partial)
+        table_checks(partial)
     assert "e7-split" in str(err.value)
 
 
 def test_exceptional_ids_present(catalog_map):
-    for form_id in EXCEPTIONAL_TABLE_IDS:
+    for form_id in EXCEPTIONAL_DIM_X:
         assert form_id in catalog_map
 
 

@@ -25,7 +25,7 @@ from minorbit import exactla
 from minorbit.exactla import I, ONE, ZERO, GaussianRational, kernel_basis
 from minorbit.matmodel import MODEL_IDS, LieAlgebraModel, ModelError, analyze, build_model
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
-from minorbit.matmodel.model import _apply, _build, _support
+from minorbit.matmodel.model import _apply, _support
 from minorbit.numeric import ModelNumerics
 from minorbit.sympver import (
     ks_correspondence_check, moment_cone_check, poisson_identities_check, verify_beta_symplectic,
@@ -429,7 +429,7 @@ def test_exact_lane_leaves_the_model_data_unchanged(form_id):
     for check in (verify_beta_symplectic, ks_correspondence_check,
                   poisson_identities_check, moment_cone_check):
         check(num, samples=5, seed=42)
-    fresh = _build(form_id)
+    fresh = build_model.__wrapped__(form_id)
     assert len(model.ad) == len(fresh.ad)
     for held, built in zip(model.ad, fresh.ad):
         assert held == built
