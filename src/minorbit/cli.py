@@ -47,7 +47,7 @@ def cmd_catalog(config: RunConfig) -> list[CheckItem]:
             f"gc={desc.gc_label} restricted={desc.restricted_label} "
             f"d={inv.d} dim_Z={inv.dim_Z} dim_X={inv.dim_X} "
             f"omin_split={inv.omin_split} hermitian={desc.hermitian} "
-            f"has_matrix_model={matmodel.has_matrix_model(desc.id)}"
+            f"has_matrix_model={desc.id in matmodel.MODEL_IDS}"
         )))
     return checks
 

@@ -303,21 +303,3 @@ def span_contains(basis: Sequence[Sequence], vec: Sequence) -> bool:
 def same_span(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
     return len(basis_a) == len(basis_b) and (
         rank(basis_a) == rank(basis_b) == rank(list(basis_a) + list(basis_b)))
-
-
-def orthogonalize(vectors: Sequence[Sequence], form) -> list[list]:
-    """Gram-Schmidt orthogonalization (no normalization) under ``form``.
-
-    ``form(u, v)`` must be an exact symmetric bilinear form that is definite
-    on the span, so the diagonal never vanishes.  Where u is zero, w keeps its
-    entry, the same object.
-    """
-    out: list[list] = []
-    for v in vectors:
-        w = list(v)
-        for u in out:
-            c = form(w, u) / form(u, u)
-            w = [a - c * b if b else a for a, b in zip(w, u)]
-        if any(w):
-            out.append(w)
-    return out

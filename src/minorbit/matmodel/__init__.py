@@ -50,12 +50,7 @@ __all__ = [
     "eigenvalue_multiplicities",
     "kernel_ad_e_dimension",
     "analyze",
-    "has_matrix_model",
 ]
-
-
-def has_matrix_model(form_id: str) -> bool:
-    return form_id in MODEL_IDS
 
 
 @dataclass

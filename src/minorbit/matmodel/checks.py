@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .. import exactla
 from ..report import CheckItem
 from ..rootsys import dominant
-from .model import Coords, LieAlgebraModel, _apply
+from .model import Coords, LieAlgebraModel
 from .restricted import RestrictedRootDatum, eigenvalue_multiplicities
 from .triples import CayleyTriple, STriple, compact_partner
 
@@ -135,7 +135,7 @@ class LambdaData:
 
     t_basis: list[Coords]  # Cartan subalgebra of k containing z
     k_nu_basis: list[Coords] = field(default_factory=list)
-    k_nu_perp: list[Coords] = field(default_factory=list)  # orthogonal under B
+    k_nu_complement: list[Coords] = field(default_factory=list)  # units of k
     checks: list[CheckItem] = field(default_factory=list)
 
 
@@ -219,20 +219,14 @@ def lambda_data(
             "center_trivial", central_ok, f"dim Cent k = {len(center)}"
         ))
 
-    # k_nu_perp, the complement of k_nu in k orthogonal under B: the kernel
-    # in k of the one operator whose row r is the functional B(y_r, .), y_r
-    # in k_nu, read off the trace Gram rows at the nonzero entries of y_r
-    forms = [[] for _ in range(model.dim)]
-    for r, y in enumerate(k_nu):
-        for j, b in _apply(model.tr_rows, [(i, x) for i, x in enumerate(y) if x]).items():
-            if b:
-                forms[j].append((r, model.c * b))
-    perp = model.kernel_in_span([forms], model.k_units)
-    k_nu_perp = exactla.orthogonalize(perp, model.B)
+    # a complement of k_nu in k: the units of k off the pivot columns of
+    # k_nu's reduced row echelon form, whose rows are the identity on them
+    pivots = exactla.eliminate([{j: x for j, x in enumerate(y) if x} for y in k_nu])
+    complement = [u for j, u in zip(model.k_indices, model.k_units) if j not in pivots]
 
     return LambdaData(
         t_basis=t_basis,
         k_nu_basis=k_nu,
-        k_nu_perp=k_nu_perp,
+        k_nu_complement=complement,
         checks=checks,
     )

@@ -168,7 +168,7 @@ class ModelNumerics:
 
         lam = analysis.lambda_data()
         self.k_nu_basis = [mat(v) for v in lam.k_nu_basis]
-        self.k_nu_perp_basis = [mat(v) for v in lam.k_nu_perp]
+        self.k_nu_complement_basis = [mat(v) for v in lam.k_nu_complement]
         self.center_k_basis = [mat(v) for v in model.center_k]
 
     @cached_property

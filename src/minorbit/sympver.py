@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,9 +98,9 @@ def coadjoint_point(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
 
 
 def standard_frame(num: ModelNumerics, point: OrbitPointParam) -> np.ndarray:
-    """The (S, m, n, n) frame: x_psi, z, then a basis transverse to the
-    isotropy, each transported by the group part of the point."""
-    directions = (num.x_psi, num.z, *num.k_nu_perp_basis)
+    """The (S, m, n, n) frame: x_psi, z, then a complement of the isotropy
+    k_nu in k, each transported by the group part of the point."""
+    directions = (num.x_psi, num.z, *num.k_nu_complement_basis)
     frame = np.stack([point.element.ad(d) for d in directions], axis=-3)
     # the identity element transports without a sample axis: S = 1
     return frame.reshape(-1, *frame.shape[-3:])
@@ -175,41 +176,34 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u[:, :c])) * np.cos(2 * PI * u[:, c:])
 
 
-# the K element of the chunk drawn last: (model, (seed, indices), element)
-_last_chunk: tuple = (None, None, None)
-
-
-def _k_element(num: ModelNumerics, seed: int, indices: np.ndarray) -> GroupElement:
-    """The k factors of samples ``indices``, from positions 1 on of their
+@lru_cache(maxsize=1)
+def _k_element(num: ModelNumerics, seed: int, lo: int, stop: int) -> GroupElement:
+    """The k factors of samples lo to stop - 1, from positions 1 on of their
     POINT streams; sample 0 has the zero factor.
 
     The four checks draw the same k, whatever their spread, so the element
     of the chunk drawn last is kept, and with it its exponentials and
-    transports.  It is kept for the model object itself: a copy of a model,
-    whose matrices may differ, draws its own.
+    transports.  It is kept for the model object itself (hashed by
+    identity): a copy of a model, whose matrices may differ, draws its own.
     """
-    global _last_chunk
-    key = (seed, tuple(indices.tolist()))
-    held, held_key, element = _last_chunk
-    if held is not num or held_key != key:
-        u = draw(seed, indices, POINT, 2 * len(num.k_basis) + 1)
-        coeffs = 0.7 * _normals(u[:, 1:])
-        coeffs[indices == 0] = 0.0
-        factor = num.span(coeffs, num.k_basis)
-        factor.flags.writeable = False
-        element = GroupElement([factor])
-        _last_chunk = (num, key, element)
-    return element
+    indices = np.arange(lo, stop)
+    u = draw(seed, indices, POINT, 2 * len(num.k_basis) + 1)
+    coeffs = 0.7 * _normals(u[:, 1:])
+    coeffs[indices == 0] = 0.0
+    factor = num.span(coeffs, num.k_basis)
+    factor.flags.writeable = False
+    return GroupElement([factor])
 
 
 def _sample_points(num: ModelNumerics, seed: int, indices: np.ndarray,
                    spread: float = 4.0) -> OrbitPointParam:
-    """The points of samples ``indices``: the shared k element and t
-    log-uniform in [1/spread, spread) from position 0 of the POINT streams;
-    sample 0 is the base point (t = 1)."""
+    """The points of samples ``indices``, consecutive: the shared k element
+    and t log-uniform in [1/spread, spread) from position 0 of the POINT
+    streams; sample 0 is the base point (t = 1)."""
     u = draw(seed, indices, POINT, 1)
     t = np.where(indices == 0, 1.0, spread ** (2 * u[:, 0] - 1))
-    return OrbitPointParam(_k_element(num, seed, indices), t)
+    element = _k_element(num, seed, int(indices[0]), int(indices[-1]) + 1)
+    return OrbitPointParam(element, t)
 
 
 @dataclass
@@ -297,8 +291,8 @@ def verify_beta_symplectic(
     sample accepted, and both records fail with its one event: they have
     tested nothing.  Float mutants (test_mutants.py) that fail each line:
     x_psi (1 + delta) the agreement, z (1 + delta) the block.  Blind to
-    k_nu_perp_basis[0] (1 + delta): any complement of k_nu gives a valid
-    frame.
+    k_nu_complement_basis[0] (1 + delta): any complement of k_nu gives a
+    valid frame.
     """
     base = _Deviations()
 

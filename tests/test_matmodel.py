@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_helpers import orthogonalize
 from minorbit import exactla
 from minorbit.exactla import GaussianRational, exact_sqrt
 from minorbit.matmodel import (
@@ -187,7 +188,7 @@ def test_rotated_generator_choice_is_invisible():
     a = analyze("sl2H")
     model, datum = a.model, a.datum
     units = []
-    for vec in exactla.orthogonalize(datum.root_spaces[datum.psi], model.H)[:2]:
+    for vec in orthogonalize(datum.root_spaces[datum.psi], model.H)[:2]:
         root = exact_sqrt(model.H(vec, vec))
         units.append([x / root for x in vec])
     assert units[0] == a.striple.e
@@ -207,7 +208,7 @@ def test_hermitian_pairing_positive_definite(form_id, all_analyses):
     """Gram-Schmidt under the pairing succeeds with positive diagonal."""
     model = all_analyses[form_id].model
     units = [model.unit_coords(i) for i in range(model.dim)]
-    ortho = exactla.orthogonalize(units, model.H)
+    ortho = orthogonalize(units, model.H)
     assert len(ortho) == model.dim
     for vec in ortho:
         assert model.H(vec, vec) > 0

@@ -79,9 +79,9 @@ KILLED = [
 
 # (mutant, form, mutate), each passing every sampled line
 BLIND = [
-    ("k_nu_perp_basis[0] (1 + delta)", "su21",
-     lambda num: {"k_nu_perp_basis": [(1 + DELTA) * num.k_nu_perp_basis[0],
-                                      *num.k_nu_perp_basis[1:]]}),
+    ("k_nu_complement_basis[0] (1 + delta)", "su21",
+     lambda num: {"k_nu_complement_basis": [(1 + DELTA) * num.k_nu_complement_basis[0],
+                                            *num.k_nu_complement_basis[1:]]}),
     ("a_basis (1 + delta)", "su21",
      lambda num: {"a_basis": [(1 + DELTA) * a for a in num.a_basis]}),
     ("p_basis[-1] + delta k", "su21",

@@ -2,7 +2,9 @@
 every name a module of ``minorbit`` imports is read in that module or listed
 in its ``__all__``, so an import left behind by a deleted use fails here;
 and every function, method and class the package defines is read somewhere
-in the package or in ``perfbench/``, so a definition left behind fails too."""
+in the package or in ``perfbench/``, so a definition left behind fails too.
+No function rebinds a module or enclosing name (``global``, ``nonlocal``):
+state that outlives a call is a cache or an object's field."""
 
 import ast
 import re
@@ -77,6 +79,14 @@ def test_every_definition_is_read():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert unread == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_global_or_nonlocal_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rebinding = [f"line {node.lineno}: {', '.join(node.names)}" for node in ast.walk(tree)
+                 if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert rebinding == []
 
 
 def test_the_package_has_modules():

@@ -262,8 +262,8 @@ ENTRIES = st.one_of(st.just(Fraction(0)), FRACTIONS)
 @functools.lru_cache(maxsize=None)
 def coordinate_pairs(dim):
     """Two vectors in one draw, each real, complexified or all zero, and its
-    parts sparse, or one of them a unit vector, as in the rows B(y, .) of
-    the k_nu_perp system; the strategy is built once per dim."""
+    parts sparse, or one of them a unit vector, the coordinates of a basis
+    element; the strategy is built once per dim."""
     parts = st.lists(ENTRIES, min_size=dim, max_size=dim)
     real = parts.map(lambda re: [GaussianRational(a) for a in re])
     gaussian = st.tuples(parts, parts).map(

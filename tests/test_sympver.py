@@ -223,11 +223,11 @@ def test_every_sample_gram_is_t_times_the_base_gram(seed, spread):
 
 
 def test_a_dependent_frame_rejects_every_sample_at_the_base_point(monkeypatch):
-    """su21 with k_nu_perp_basis[1] replaced by k_nu_perp_basis[0]: one base
-    Gram per Gram check decides, and each failing line says why once."""
+    """su21 with k_nu_complement_basis[1] replaced by k_nu_complement_basis[0]:
+    one base Gram per Gram check decides, and each failing line says why once."""
     num = copy.copy(numerics("su21"))
-    first, _, *rest = num.k_nu_perp_basis
-    num.k_nu_perp_basis = [first, first, *rest]
+    first, _, *rest = num.k_nu_complement_basis
+    num.k_nu_complement_basis = [first, first, *rest]
     grams = []
     exact = sympver.induced_gram
 
@@ -659,7 +659,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_poisson_exponentiates_only_the_group_part(monkeypatch):
     num = numerics("sp4R")
     assert not hasattr(sympver, "expm")
-    _fresh_memo(monkeypatch)
+    _fresh_memo()
     calls = _count_calls(monkeypatch, numeric, "expm")
     (report,) = poisson_identities_check(num, samples=4, seed=42)
     # one call, exp(+-kappa), for the chunk's one group factor; none per
@@ -691,7 +691,7 @@ def test_isotropy_basis_solved_once_per_form(monkeypatch):
 
 
 def test_numerics_solve_nothing(monkeypatch):
-    """k_nu_perp is the weight data's and Cent k the model's: once
+    """k_nu's complement is the weight data's and Cent k the model's: once
     lambda_data has run, building the numerics makes no exact solve."""
     a = analyze("su41")
     a.lambda_data()
@@ -703,13 +703,13 @@ def test_numerics_solve_nothing(monkeypatch):
 
 # --- one K element per chunk, shared by the four checks --------------------------
 
-def _fresh_memo(monkeypatch):
-    monkeypatch.setattr(sympver, "_last_chunk", (None, None, None))
+def _fresh_memo():
+    sympver._k_element.cache_clear()
 
 
 @pytest.mark.parametrize("form_id", ("su21", "sl2H"))
 @pytest.mark.parametrize("check", SAMPLED_CHECKS)
-def test_sharing_the_k_element_is_invisible(monkeypatch, form_id, check):
+def test_sharing_the_k_element_is_invisible(form_id, check):
     """A check reports the same on a fresh memo, after the other three checks
     and after all four at another seed."""
     num = numerics(form_id)
@@ -717,14 +717,14 @@ def test_sharing_the_k_element_is_invisible(monkeypatch, form_id, check):
     def run(seed=42):
         return [r.as_dict() for r in check(num, samples=40, seed=seed)]
 
-    _fresh_memo(monkeypatch)
+    _fresh_memo()
     fresh = run()
-    _fresh_memo(monkeypatch)
+    _fresh_memo()
     for other in SAMPLED_CHECKS:
         if other is not check:
             other(num, samples=40, seed=42)
     after_the_others = run()
-    _fresh_memo(monkeypatch)
+    _fresh_memo()
     for other in SAMPLED_CHECKS:
         other(num, samples=40, seed=7)
     after_another_seed = run()
@@ -736,7 +736,7 @@ def test_four_checks_exponentiate_four_times_on_su21(monkeypatch):
     poisson nothing, moment its a and n factors."""
     num = numerics("su21")
     num.isotropy_basis  # solved exactly, outside the count
-    _fresh_memo(monkeypatch)
+    _fresh_memo()
     calls = _count_calls(monkeypatch, numeric, "expm")
     per_check = []
     for check in SAMPLED_CHECKS:
@@ -746,9 +746,9 @@ def test_four_checks_exponentiate_four_times_on_su21(monkeypatch):
     assert per_check == [1, 1, 0, 2]
 
 
-def test_memoized_arrays_are_read_only(monkeypatch):
+def test_memoized_arrays_are_read_only():
     num = numerics("su21")
-    _fresh_memo(monkeypatch)
+    _fresh_memo()
     element = sympver._sample_points(num, 42, np.arange(4)).element
     for shared in (element.ad(num.e), element.ad(num.z), element.factors[0],
                    *element._ends, *element._exps[0]):
